@@ -224,6 +224,12 @@ impl DebugSession {
         // retrain at the top of each iteration advances the generation,
         // which drops every cached score before it could go stale.
         let mut memo = (cfg.memo && !pq.prepared.is_empty()).then(ScoreMemo::new);
+        // Ranking works under the run's worker budget like everything
+        // else, not under the session's stand-alone influence default.
+        let influence = InfluenceConfig {
+            threads: rain_sql::resolve_threads(cfg.threads),
+            ..self.influence.clone()
+        };
 
         'run: while removed.len() < cfg.budget {
             let sampling = cfg.sample_every > 0
@@ -244,10 +250,8 @@ impl DebugSession {
                     ..self.train_cfg.clone()
                 }
             };
-            let report = {
-                let _s = rain_obs::Span::enter("train");
-                train_lbfgs(model.as_mut(), &train, &warm)
-            };
+            // (`train_lbfgs` opens the iteration's `train` span itself.)
+            let report = train_lbfgs(model.as_mut(), &train, &warm);
             let train_s = t_train.elapsed().as_secs_f64();
             if let Some(m) = memo.as_mut() {
                 // The retrain produced a new model generation (numbered
@@ -361,7 +365,7 @@ impl DebugSession {
                 train: &train,
                 outputs: &outputs,
                 queries: &self.queries,
-                influence: &self.influence,
+                influence: &influence,
                 sqlstep: &sqlstep,
             };
             let rank_span = rain_obs::Span::enter("rank");

@@ -43,16 +43,20 @@ pub fn prob_grad_to_theta(
     pg: &ProbGrad,
 ) -> Vec<f64> {
     let mut grad = vec![0.0; model.n_params()];
-    for (&var, gs) in &pg.g {
+    // Ascending variable order: the map's own order changes from process
+    // to process, and with it the rounding of this sum.
+    let mut vars: Vec<_> = pg.g.iter().collect();
+    vars.sort_unstable_by_key(|(&var, _)| var);
+    for (&var, gs) in vars {
+        if gs.iter().all(|&g| g == 0.0) {
+            continue;
+        }
         let info = out.predvars.info(var);
         let table = db.table(&info.table).expect("predvar table exists");
         let x = table.feature_row(info.row).expect("predvar features exist");
-        for (class, &g) in gs.iter().enumerate() {
-            if g != 0.0 {
-                let gp = model.grad_proba(x, class);
-                rain_linalg::vecops::axpy(g, &gp, &mut grad);
-            }
-        }
+        // One forward + one backward pass per variable, whatever the
+        // number of classes carrying weight.
+        model.grad_proba_weighted(x, gs, &mut grad);
     }
     grad
 }

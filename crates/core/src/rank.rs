@@ -82,7 +82,8 @@ pub struct RankContext<'a> {
     pub outputs: &'a [QueryOutput],
     /// The queries with their complaints.
     pub queries: &'a [QuerySpec],
-    /// Influence-engine settings.
+    /// Influence-engine settings; `threads` is the run's resolved worker
+    /// budget (the driver overrides the session's default with it).
     pub influence: &'a InfluenceConfig,
     /// TwoStep SQL-step settings.
     pub sqlstep: &'a SqlStepConfig,

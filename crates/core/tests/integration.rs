@@ -602,6 +602,7 @@ fn profile_captures_a_per_iteration_span_tree() {
         .filter(|c| c.name == "iteration")
         .collect();
     assert_eq!(iters.len(), report.iterations.len());
+    let mut removed_before = 0;
     for it in &iters {
         for stage in ["train", "execute", "check", "rank"] {
             assert!(it.find(stage).is_some(), "iteration missing {stage} span");
@@ -610,6 +611,30 @@ fn profile_captures_a_per_iteration_span_tree() {
         // under the driver's execute span.
         let exec = it.find("execute").unwrap();
         assert!(exec.find("refresh").is_some(), "refresh under execute");
+        // The ML crates report their own work: train and rank are not
+        // opaque boxes.
+        let counter = |node: &rain_obs::TraceNode, key: &str| {
+            let found = node.counters.iter().find(|(k, _)| *k == key);
+            found
+                .unwrap_or_else(|| panic!("{} span lacks {key}", node.name))
+                .1
+        };
+        let train = it.find("train").unwrap();
+        assert!(counter(train, "loss_grad_evals") > counter(train, "lbfgs_iters"));
+        let rank = it.find("rank").unwrap();
+        let solve = rank.find("inverse_hvp").expect("inverse_hvp under rank");
+        assert!(counter(solve, "cg_iters") >= 1);
+        assert!(counter(solve, "hvp_calls") >= counter(solve, "cg_iters"));
+        assert!(counter(solve, "rel_residual_e9") <= 1_000_000);
+        let score = rank
+            .find("score_records")
+            .expect("score_records under rank");
+        assert_eq!(
+            counter(score, "rows") as usize,
+            session.train.len() - removed_before
+        );
+        assert_eq!(counter(score, "workers"), 1, "small input scores serially");
+        removed_before += 10;
     }
     // Profiling is opt-in: a plain run carries no tree.
     let plain = session

@@ -7,7 +7,7 @@
 
 use crate::cg::{cg_solve, CgConfig, CgOutcome};
 use rain_linalg::vecops;
-use rain_model::{Classifier, Dataset};
+use rain_model::{Classifier, Dataset, HvpOp};
 
 /// Parameters of the influence engine.
 #[derive(Debug, Clone)]
@@ -17,7 +17,10 @@ pub struct InfluenceConfig {
     pub damping: f64,
     /// Conjugate-gradient settings.
     pub cg: CgConfig,
-    /// Worker threads for per-record scoring (≥1).
+    /// Worker budget (≥1) for per-record scoring and InfLoss's solves.
+    /// The debug driver overrides it with the run's resolved budget
+    /// (`RunConfig::threads` under the session's cap); the default serves
+    /// direct callers of this crate.
     pub threads: usize,
 }
 
@@ -56,6 +59,9 @@ pub struct RankedRecord {
 
 /// Solve `(H + δI) s = g` where `H` is the Hessian of the model's full
 /// training objective on `data`.
+///
+/// The Hessian operator is built once ([`Classifier::hvp_op`]: whatever
+/// depends on the parameters alone is computed here, not per CG iteration).
 pub fn inverse_hvp(
     model: &dyn Classifier,
     data: &Dataset,
@@ -67,9 +73,23 @@ pub fn inverse_hvp(
         model.n_params(),
         "inverse_hvp: gradient length mismatch"
     );
-    cg_solve(
+    let mut span = rain_obs::Span::enter("inverse_hvp");
+    let hessian = model.hvp_op(data);
+    let (solved, hvp_calls) = solve_damped(&hessian, g, cfg);
+    span.add("cg_iters", solved.iters as u64);
+    span.add("rel_residual_e9", (solved.rel_residual * 1e9) as u64);
+    span.add("hvp_calls", hvp_calls);
+    solved
+}
+
+/// CG on `(H + δI) s = g` for an already-built Hessian operator; also
+/// returns how many times the operator was applied.
+fn solve_damped(hessian: &HvpOp<'_>, g: &[f64], cfg: &InfluenceConfig) -> (CgOutcome, u64) {
+    let calls = std::cell::Cell::new(0u64);
+    let solved = cg_solve(
         |v| {
-            let mut hv = model.hvp(data, v);
+            calls.set(calls.get() + 1);
+            let mut hv = hessian(v);
             if cfg.damping != 0.0 {
                 vecops::axpy(cfg.damping, v, &mut hv);
             }
@@ -77,15 +97,24 @@ pub fn inverse_hvp(
         },
         g,
         &cfg.cg,
-    )
+    );
+    (solved, calls.get())
 }
+
+/// Below this many multiply-adds (`rows × n_params`) one batched scoring
+/// pass costs less than spawning workers for it: a millisecond or two of
+/// arithmetic against tens of microseconds per thread start, on cores the
+/// caller's other sessions are also using.
+const PARALLEL_SCORING_MIN_WORK: usize = 1 << 22;
 
 /// Score every training record against a solved direction `s = H⁻¹∇q`:
 /// `score(zᵢ) = -∇ℓ(zᵢ)·s`. Returns scores aligned with `data` rows.
 ///
-/// Scoring fans out over `threads` workers with `std::thread::scope`;
-/// each worker owns a disjoint slice of the output so no synchronization is
-/// needed on the hot path.
+/// One batched [`Classifier::grad_dots_into`] pass. `threads` is a budget,
+/// not a demand: small inputs (under `PARALLEL_SCORING_MIN_WORK`) stay
+/// on the caller's thread; larger ones fan out over at most `threads`
+/// `std::thread::scope` workers, each owning a disjoint slice of the
+/// output, so scores are identical at every thread count.
 pub fn score_records(
     model: &dyn Classifier,
     data: &Dataset,
@@ -93,26 +122,28 @@ pub fn score_records(
     threads: usize,
 ) -> Vec<f64> {
     let n = data.len();
+    let workers = if n.saturating_mul(model.n_params()) < PARALLEL_SCORING_MIN_WORK {
+        1
+    } else {
+        threads.clamp(1, n)
+    };
+    let mut span = rain_obs::Span::enter("score_records");
+    span.add("rows", n as u64);
+    span.add("workers", workers as u64);
     let mut scores = vec![0.0; n];
-    let workers = threads.clamp(1, n.max(1));
-    if workers <= 1 || n < 64 {
-        for (i, slot) in scores.iter_mut().enumerate() {
-            *slot = -model.example_grad_dot(data.x(i), data.y(i), s);
-        }
-        return scores;
+    if workers == 1 {
+        model.grad_dots_into(data, 0, s, &mut scores);
+    } else {
+        let chunk = n.div_ceil(workers);
+        std::thread::scope(|scope| {
+            for (w, out) in scores.chunks_mut(chunk).enumerate() {
+                scope.spawn(move || model.grad_dots_into(data, w * chunk, s, out));
+            }
+        });
     }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, out) in scores.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            scope.spawn(move || {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let i = start + k;
-                    *slot = -model.example_grad_dot(data.x(i), data.y(i), s);
-                }
-            });
-        }
-    });
+    for score in &mut scores {
+        *score = -*score;
+    }
     scores
 }
 
@@ -121,13 +152,15 @@ pub fn score_records(
 ///
 /// This is deliberately expensive — the paper reports it as the slowest
 /// method by far — so the records are distributed over a shared work queue
-/// (uneven CG convergence makes static chunking unbalanced).
+/// (uneven CG convergence makes static chunking unbalanced). All `n`
+/// solves share one Hessian operator.
 pub fn self_influence_scores(
     model: &dyn Classifier,
     data: &Dataset,
     cfg: &InfluenceConfig,
 ) -> Vec<f64> {
     let n = data.len();
+    let hessian = model.hvp_op(data);
     let scores: Vec<std::sync::Mutex<f64>> = (0..n).map(|_| std::sync::Mutex::new(0.0)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = cfg.threads.clamp(1, n.max(1));
@@ -139,7 +172,7 @@ pub fn self_influence_scores(
                     break;
                 }
                 let g = model.example_grad(data.x(i), data.y(i));
-                let solved = inverse_hvp(model, data, &g, cfg);
+                let (solved, _) = solve_damped(&hessian, &g, cfg);
                 *scores[i].lock().expect("score slot poisoned") = -vecops::dot(&g, &solved.x);
             });
         }
@@ -161,10 +194,13 @@ pub fn rank_descending(data: &Dataset, scores: &[f64]) -> Vec<RankedRecord> {
             score,
         })
         .collect();
-    ranked.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
+    // (score desc, id asc) is a total order over distinct ids, so the
+    // unstable sort has exactly one answer. `+ 0.0` folds -0.0 into +0.0:
+    // the two compare equal as numbers and must tie (then order by id),
+    // which `total_cmp` alone would not do.
+    ranked.sort_unstable_by(|a, b| {
+        (b.score + 0.0)
+            .total_cmp(&(a.score + 0.0))
             .then(a.id.cmp(&b.id))
     });
     ranked
@@ -237,13 +273,32 @@ mod tests {
 
     #[test]
     fn parallel_scoring_matches_serial() {
-        let (data, _) = blobs_with_flips(300, 5, 4);
-        let m = fitted(&data);
-        let mut rng = RainRng::seed_from_u64(5);
+        // Wide enough (rows × n_params) to cross the fan-out threshold;
+        // the small blobs elsewhere in this file always score serially.
+        let mut rng = RainRng::seed_from_u64(4);
+        let (n, dim, classes) = (2100, 249, 8);
+        let x = Matrix::from_vec(n, dim, rng.normal_vec(n * dim, 1.0));
+        let labels = (0..n).map(|_| rng.below(classes)).collect();
+        let data = Dataset::new(x, labels, classes);
+        let mut m = rain_model::SoftmaxRegression::new(dim, classes, 0.01);
+        assert!(n * m.n_params() >= PARALLEL_SCORING_MIN_WORK);
+        m.set_params(&rng.normal_vec(m.n_params(), 0.1));
         let s = rng.normal_vec(m.n_params(), 1.0);
         let serial = score_records(&m, &data, &s, 1);
-        let parallel = score_records(&m, &data, &s, 4);
-        assert!(vecops::approx_eq(&serial, &parallel, 1e-12));
+        let _tracing = rain_obs::activate();
+        for threads in [2, 4, 7] {
+            let root = rain_obs::Span::enter("budget");
+            assert_eq!(score_records(&m, &data, &s, threads), serial, "{threads}");
+            let id = root.id();
+            drop(root);
+            // The budget is honoured exactly: no more workers than asked.
+            let tree = rain_obs::take_subtree(id).expect("traced");
+            let span = tree.find("score_records").expect("score_records span");
+            assert_eq!(
+                span.counters,
+                [("rows", n as u64), ("workers", threads as u64)]
+            );
+        }
     }
 
     #[test]
@@ -307,6 +362,20 @@ mod tests {
         let top20: std::collections::HashSet<usize> = order[..20].iter().copied().collect();
         let hit = flipped.iter().filter(|i| top20.contains(i)).count();
         assert!(hit >= 3, "found {hit}/4 flips in top 20");
+    }
+
+    #[test]
+    fn rank_descending_ties_signed_zeros_and_orders_by_id() {
+        let data = Dataset::new(
+            Matrix::from_rows(&[&[0.0], &[1.0], &[2.0]]),
+            vec![0, 1, 1],
+            2,
+        );
+        let ids: Vec<usize> = rank_descending(&data, &[-0.0, 1.0, 0.0])
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![1, 0, 2]);
     }
 
     #[test]

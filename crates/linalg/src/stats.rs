@@ -58,8 +58,18 @@ pub fn sigmoid(x: f64) -> f64 {
 
 /// Softmax of a slice into a fresh vector (stable; sums to 1).
 pub fn softmax(xs: &[f64]) -> Vec<f64> {
+    let mut out = xs.to_vec();
+    softmax_in_place(&mut out);
+    out
+}
+
+/// [`softmax`] overwriting its input — for kernels that reuse one logits
+/// buffer across rows.
+pub fn softmax_in_place(xs: &mut [f64]) {
     let lse = log_sum_exp(xs);
-    xs.iter().map(|x| (x - lse).exp()).collect()
+    for x in xs {
+        *x = (*x - lse).exp();
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,6 @@ pub use dataset::Dataset;
 pub use logistic::LogisticRegression;
 pub use metrics::{accuracy, confusion_binary, f1_score, BinaryConfusion};
 pub use mlp::Mlp;
-pub use model::Classifier;
+pub use model::{Classifier, HvpOp};
 pub use softmax::SoftmaxRegression;
 pub use train::{train_lbfgs, LbfgsConfig, TrainReport};

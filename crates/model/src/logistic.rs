@@ -9,9 +9,14 @@
 //! - `∇ p₁ = p(1-p)·x̃`, `∇ p₀ = -∇ p₁`
 //!
 //! The paper runs all main-body experiments on this model (§6.1.6).
+//!
+//! Loss+gradient is one pass (one sigmoid per record, gradient accumulated
+//! straight into the output); the HVP operator computes the curvature
+//! weights `pᵢ(1-pᵢ)` once and each application is a dot and an axpy per
+//! record, with no exponentials.
 
 use crate::dataset::Dataset;
-use crate::model::Classifier;
+use crate::model::{Classifier, HvpOp};
 use rain_linalg::stats::sigmoid;
 use rain_linalg::vecops;
 
@@ -55,12 +60,7 @@ impl LogisticRegression {
     #[inline]
     pub fn margin(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.dim);
-        let b = if self.use_bias {
-            self.params[self.dim]
-        } else {
-            0.0
-        };
-        vecops::dot(&self.params[..self.dim], x) + b
+        self.dot_ext(&self.params, x)
     }
 
     /// Probability of class 1.
@@ -73,6 +73,34 @@ impl LogisticRegression {
     #[inline]
     fn clamp_p(p: f64) -> f64 {
         p.clamp(1e-12, 1.0 - 1e-12)
+    }
+
+    /// `-ln P(y | x)` given `p = P(1 | x)`.
+    #[inline]
+    fn nll(p: f64, y: usize) -> f64 {
+        let p = Self::clamp_p(p);
+        if y == 1 {
+            -p.ln()
+        } else {
+            -(1.0 - p).ln()
+        }
+    }
+
+    /// `v·x̃` for a parameter-shaped `v` (the bias slot counts only when
+    /// the model has a bias).
+    #[inline]
+    fn dot_ext(&self, v: &[f64], x: &[f64]) -> f64 {
+        let vb = if self.use_bias { v[self.dim] } else { 0.0 };
+        vecops::dot(&v[..self.dim], x) + vb
+    }
+
+    /// `out += c·x̃`.
+    #[inline]
+    fn axpy_ext(&self, c: f64, x: &[f64], out: &mut [f64]) {
+        vecops::axpy(c, x, &mut out[..self.dim]);
+        if self.use_bias {
+            out[self.dim] += c;
+        }
     }
 }
 
@@ -130,62 +158,65 @@ impl Classifier for LogisticRegression {
 
     fn example_loss(&self, x: &[f64], y: usize) -> f64 {
         debug_assert!(y < 2);
-        let p = Self::clamp_p(self.proba1(x));
-        if y == 1 {
-            -p.ln()
-        } else {
-            -(1.0 - p).ln()
-        }
+        Self::nll(self.proba1(x), y)
     }
 
     fn example_grad_into(&self, x: &[f64], y: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.n_params());
-        let coeff = self.proba1(x) - y as f64;
-        for (o, xi) in out[..self.dim].iter_mut().zip(x) {
-            *o = coeff * xi;
-        }
-        out[self.dim] = if self.use_bias { coeff } else { 0.0 };
+        vecops::zero(out);
+        self.axpy_ext(self.proba1(x) - y as f64, x, out);
     }
 
     fn example_grad_dot(&self, x: &[f64], y: usize, v: &[f64]) -> f64 {
-        let coeff = self.proba1(x) - y as f64;
-        let vb = if self.use_bias { v[self.dim] } else { 0.0 };
-        coeff * (vecops::dot(&v[..self.dim], x) + vb)
+        (self.proba1(x) - y as f64) * self.dot_ext(v, x)
+    }
+
+    fn loss_grad(&self, data: &Dataset) -> (f64, Vec<f64>) {
+        let n = data.len().max(1) as f64;
+        let mut sum = 0.0;
+        let mut g = vec![0.0; self.n_params()];
+        for i in 0..data.len() {
+            let (x, y) = (data.x(i), data.y(i));
+            let p = self.proba1(x);
+            sum += Self::nll(p, y);
+            self.axpy_ext(p - y as f64, x, &mut g);
+        }
+        vecops::scale(&mut g, 1.0 / n);
+        vecops::axpy(2.0 * self.l2, &self.params, &mut g);
+        (sum / n + self.l2 * vecops::norm2_sq(&self.params), g)
     }
 
     fn hvp(&self, data: &Dataset, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.n_params(), "hvp: vector length mismatch");
-        let n = data.len().max(1) as f64;
-        let mut out = vec![0.0; self.n_params()];
-        for i in 0..data.len() {
-            let x = data.x(i);
-            let p = self.proba1(x);
-            let s = p * (1.0 - p);
-            // (x̃·v)
-            let vb = if self.use_bias { v[self.dim] } else { 0.0 };
-            let xv = vecops::dot(&v[..self.dim], x) + vb;
-            let c = s * xv / n;
-            vecops::axpy(c, x, &mut out[..self.dim]);
-            if self.use_bias {
-                out[self.dim] += c;
-            }
-        }
-        // Hessian of λ‖θ‖² is 2λI.
-        vecops::axpy(2.0 * self.l2, v, &mut out);
-        out
+        self.hvp_op(data)(v)
     }
 
-    fn grad_proba(&self, x: &[f64], class: usize) -> Vec<f64> {
-        debug_assert!(class < 2);
+    fn hvp_op<'a>(&'a self, data: &'a Dataset) -> HvpOp<'a> {
+        // Curvature weights pᵢ(1-pᵢ)/n depend on θ only: once per operator.
+        let n = data.len().max(1) as f64;
+        let weights: Vec<f64> = (0..data.len())
+            .map(|i| {
+                let p = self.proba1(data.x(i));
+                p * (1.0 - p) / n
+            })
+            .collect();
+        Box::new(move |v| {
+            assert_eq!(v.len(), self.n_params(), "hvp: vector length mismatch");
+            let mut out = vec![0.0; self.n_params()];
+            for (i, &w) in weights.iter().enumerate() {
+                let x = data.x(i);
+                self.axpy_ext(w * self.dot_ext(v, x), x, &mut out);
+            }
+            // Hessian of λ‖θ‖² is 2λI.
+            vecops::axpy(2.0 * self.l2, v, &mut out);
+            out
+        })
+    }
+
+    fn grad_proba_weighted(&self, x: &[f64], weights: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(weights.len(), 2);
+        // ∇p₁ = p(1-p)·x̃ and ∇p₀ = -∇p₁.
         let p = self.proba1(x);
-        let sign = if class == 1 { 1.0 } else { -1.0 };
-        let c = sign * p * (1.0 - p);
-        let mut g = vec![0.0; self.n_params()];
-        for (gi, xi) in g[..self.dim].iter_mut().zip(x) {
-            *gi = c * xi;
-        }
-        g[self.dim] = if self.use_bias { c } else { 0.0 };
-        g
+        self.axpy_ext((weights[1] - weights[0]) * p * (1.0 - p), x, out);
     }
 
     fn clone_box(&self) -> Box<dyn Classifier> {

@@ -259,15 +259,18 @@ impl Classifier for Mlp {
         out
     }
 
-    fn grad_proba(&self, x: &[f64], class: usize) -> Vec<f64> {
-        debug_assert!(class < self.n_classes);
+    fn grad_proba_weighted(&self, x: &[f64], weights: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(weights.len(), self.n_classes);
         let fwd = self.forward(x);
-        // ∂p_class/∂z₂ = p_class (e_class − p).
-        let mut d2: Vec<f64> = fwd.p.iter().map(|&pk| -fwd.p[class] * pk).collect();
-        d2[class] += fwd.p[class];
-        let mut g = vec![0.0; self.n_params()];
-        self.backward_into(x, &fwd, &d2, 1.0, &mut g);
-        g
+        // Σ_c w_c ∂p_c/∂z₂ₖ = p_k (w_k − w·p).
+        let wp = vecops::dot(weights, &fwd.p);
+        let d2: Vec<f64> = fwd
+            .p
+            .iter()
+            .zip(weights)
+            .map(|(&pk, &wk)| pk * (wk - wp))
+            .collect();
+        self.backward_into(x, &fwd, &d2, 1.0, out);
     }
 
     fn clone_box(&self) -> Box<dyn Classifier> {

@@ -10,6 +10,13 @@
 //! - [`Classifier::hvp`] multiplies by the Hessian of the **full** objective
 //!   `L` (including the `2λI` from regularization), which is what the
 //!   conjugate-gradient solver must invert.
+//! - The two passes every influence method is bounded by are batched, one
+//!   call per evaluation over the whole training set:
+//!   [`Classifier::loss_grad`] (forward pass shared between loss and
+//!   gradient — what L-BFGS evaluates per line-search trial) and
+//!   [`Classifier::hvp_op`] (the Hessian at the *current* parameters as a
+//!   reusable operator — what a conjugate-gradient solve applies once per
+//!   iteration, with everything that depends only on `θ` computed once).
 //! - [`Classifier::grad_proba`] returns `∇θ p_c(x, θ)`: how a predicted
 //!   class probability moves with the parameters. Holistic chains these
 //!   through relaxed provenance polynomials; TwoStep sums them over marked
@@ -99,35 +106,66 @@ pub trait Classifier: Send + Sync {
         rain_linalg::vecops::dot(&g, v)
     }
 
-    /// Full training objective `L(θ) = (1/n) Σ ℓ + λ‖θ‖²`.
-    fn loss(&self, data: &Dataset) -> f64 {
-        let n = data.len().max(1) as f64;
-        let mut sum = 0.0;
-        for i in 0..data.len() {
-            sum += self.example_loss(data.x(i), data.y(i));
-        }
-        sum / n + self.l2() * rain_linalg::vecops::norm2_sq(self.params())
+    /// The full training objective `L(θ) = (1/n) Σ ℓ + λ‖θ‖²` and its
+    /// gradient, from one pass over `data`.
+    ///
+    /// The default is the per-example definition
+    /// ([`check::per_example_loss_grad`]); models whose forward pass is
+    /// worth sharing override it with a batched kernel.
+    fn loss_grad(&self, data: &Dataset) -> (f64, Vec<f64>) {
+        check::per_example_loss_grad(self, data)
     }
 
-    /// Gradient of the full training objective.
+    /// Full training objective (the loss half of [`Classifier::loss_grad`]).
+    fn loss(&self, data: &Dataset) -> f64 {
+        self.loss_grad(data).0
+    }
+
+    /// Gradient of the full training objective (the gradient half of
+    /// [`Classifier::loss_grad`]).
     fn grad(&self, data: &Dataset) -> Vec<f64> {
-        let n = data.len().max(1) as f64;
-        let mut g = vec![0.0; self.n_params()];
-        let mut buf = vec![0.0; self.n_params()];
-        for i in 0..data.len() {
-            self.example_grad_into(data.x(i), data.y(i), &mut buf);
-            rain_linalg::vecops::axpy(1.0 / n, &buf, &mut g);
-        }
-        rain_linalg::vecops::axpy(2.0 * self.l2(), self.params(), &mut g);
-        g
+        self.loss_grad(data).1
     }
 
     /// Hessian-vector product `∇²L(θ)·v` of the full objective (with the
     /// `2λ v` regularization term included).
     fn hvp(&self, data: &Dataset, v: &[f64]) -> Vec<f64>;
 
+    /// The Hessian of the full objective at the current parameters, as an
+    /// operator `v ↦ ∇²L(θ)·v` to apply many times (one conjugate-gradient
+    /// solve, or all of InfLoss's solves).
+    ///
+    /// The default applies [`Classifier::hvp`]; models override it to
+    /// compute what depends on `θ` and `data` alone (per-record
+    /// probabilities, curvature weights) once, here, instead of once per
+    /// application — and then define `hvp` as one application of it.
+    fn hvp_op<'a>(&'a self, data: &'a Dataset) -> HvpOp<'a> {
+        Box::new(move |v| self.hvp(data, v))
+    }
+
+    /// Accumulate a weighted sum of class-probability gradients:
+    /// `out += Σ_c weights[c] · ∇θ p_c(x, θ)` — one forward and one
+    /// backward pass however many classes carry weight.
+    fn grad_proba_weighted(&self, x: &[f64], weights: &[f64], out: &mut [f64]);
+
     /// Gradient of the predicted probability of `class`: `∇θ p_class(x, θ)`.
-    fn grad_proba(&self, x: &[f64], class: usize) -> Vec<f64>;
+    fn grad_proba(&self, x: &[f64], class: usize) -> Vec<f64> {
+        debug_assert!(class < self.n_classes());
+        let mut weights = vec![0.0; self.n_classes()];
+        weights[class] = 1.0;
+        let mut g = vec![0.0; self.n_params()];
+        self.grad_proba_weighted(x, &weights, &mut g);
+        g
+    }
+
+    /// `out[k] = ∇θ ℓ(z_{start+k}, θ) · v` for the rows
+    /// `start .. start + out.len()` of `data` — the unit influence scoring
+    /// shards over. The default walks [`Classifier::example_grad_dot`].
+    fn grad_dots_into(&self, data: &Dataset, start: usize, v: &[f64], out: &mut [f64]) {
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = self.example_grad_dot(data.x(start + k), data.y(start + k), v);
+        }
+    }
 
     /// Clone into a boxed trait object (for warm-started retraining).
     fn clone_box(&self) -> Box<dyn Classifier>;
@@ -135,6 +173,10 @@ pub trait Classifier: Send + Sync {
     /// A short human-readable name ("logistic", "softmax", "mlp").
     fn name(&self) -> &'static str;
 }
+
+/// A Hessian-vector operator at fixed parameters; see
+/// [`Classifier::hvp_op`]. Shareable across scoring workers.
+pub type HvpOp<'a> = Box<dyn Fn(&[f64]) -> Vec<f64> + Send + Sync + 'a>;
 
 impl Clone for Box<dyn Classifier> {
     fn clone(&self) -> Self {
@@ -149,6 +191,29 @@ impl Clone for Box<dyn Classifier> {
 pub mod check {
     use super::Classifier;
     use crate::dataset::Dataset;
+
+    /// The full objective and its gradient by definition: one
+    /// [`Classifier::example_loss`] and one
+    /// [`Classifier::example_grad_into`] per record. The reference every
+    /// batched [`Classifier::loss_grad`] kernel is tested against (and the
+    /// trait's default).
+    pub fn per_example_loss_grad<M: Classifier + ?Sized>(
+        model: &M,
+        data: &Dataset,
+    ) -> (f64, Vec<f64>) {
+        let n = data.len().max(1) as f64;
+        let mut sum = 0.0;
+        let mut g = vec![0.0; model.n_params()];
+        let mut buf = vec![0.0; model.n_params()];
+        for i in 0..data.len() {
+            sum += model.example_loss(data.x(i), data.y(i));
+            model.example_grad_into(data.x(i), data.y(i), &mut buf);
+            rain_linalg::vecops::axpy(1.0 / n, &buf, &mut g);
+        }
+        rain_linalg::vecops::axpy(2.0 * model.l2(), model.params(), &mut g);
+        let loss = sum / n + model.l2() * rain_linalg::vecops::norm2_sq(model.params());
+        (loss, g)
+    }
 
     /// Central-difference gradient of the full objective at the current
     /// parameters. O(n_params × dataset); for tests only.

@@ -11,10 +11,22 @@
 //! - `∂p_c/∂W[j,k] = x̃ⱼ p_c (1[k=c] - p_k)`
 //!
 //! This is the model used for the MNIST-style 10-class experiments (§6.3).
+//!
+//! # Kernels
+//!
+//! The flat layout is what callers, the wire and the commitlog see; it
+//! makes a class's weights a stride-`C` walk. The kernels work on the
+//! **class-major** transpose instead — `C` rows of `[w_c, b_c]`, each
+//! contiguous — so a forward pass is `C` dots of length `dim` against the
+//! feature row and a backward pass is `C` axpys of length `dim`, with no
+//! per-record allocation. The model keeps a class-major mirror of its own
+//! parameters (rebuilt by `set_params`), every forward pass — per-row or
+//! batched — reads it, and batched kernels transpose direction vectors on
+//! entry and gradients on exit.
 
 use crate::dataset::Dataset;
-use crate::model::Classifier;
-use rain_linalg::stats::softmax;
+use crate::model::{Classifier, HvpOp};
+use rain_linalg::stats::softmax_in_place;
 use rain_linalg::vecops;
 
 /// Multiclass softmax regression.
@@ -22,9 +34,50 @@ use rain_linalg::vecops;
 pub struct SoftmaxRegression {
     /// Flat `(dim+1) × n_classes` weights, row-major.
     params: Vec<f64>,
+    /// Class-major mirror of `params`: `n_classes` rows of
+    /// `[W[0,c] … W[dim-1,c], bias_c]`. Only `new` and `set_params` write
+    /// either, together.
+    class_major: Vec<f64>,
     dim: usize,
     n_classes: usize,
     l2: f64,
+}
+
+/// `out[c] = row_c[..d]·x + row_c[d]` over the rows of a class-major block.
+fn affine(class_major: &[f64], x: &[f64], out: &mut [f64]) {
+    let d = x.len();
+    for (o, row) in out.iter_mut().zip(class_major.chunks_exact(d + 1)) {
+        *o = vecops::dot(&row[..d], x) + row[d];
+    }
+}
+
+/// Rank-one accumulate `acc_c += u_c · [x, 1]` into a class-major block.
+fn add_outer(acc: &mut [f64], u: &[f64], x: &[f64]) {
+    let d = x.len();
+    for (&uc, row) in u.iter().zip(acc.chunks_exact_mut(d + 1)) {
+        vecops::axpy(uc, x, &mut row[..d]);
+        row[d] += uc;
+    }
+}
+
+/// Class-major transpose of a flat `(d+1) × c` parameter-shaped vector.
+fn to_class_major(flat: &[f64], c: usize, out: &mut [f64]) {
+    let stride = flat.len() / c;
+    for (j, row) in flat.chunks_exact(c).enumerate() {
+        for (k, &w) in row.iter().enumerate() {
+            out[k * stride + j] = w;
+        }
+    }
+}
+
+/// `flat += scale · blockᵀ` for a class-major `block` of `c` rows.
+fn add_from_class_major(block: &[f64], scale: f64, c: usize, flat: &mut [f64]) {
+    let stride = flat.len() / c;
+    for (j, row) in flat.chunks_exact_mut(c).enumerate() {
+        for (k, o) in row.iter_mut().enumerate() {
+            *o += scale * block[k * stride + j];
+        }
+    }
 }
 
 impl SoftmaxRegression {
@@ -34,6 +87,7 @@ impl SoftmaxRegression {
         assert!(l2 >= 0.0, "l2 must be non-negative");
         SoftmaxRegression {
             params: vec![0.0; (dim + 1) * n_classes],
+            class_major: vec![0.0; (dim + 1) * n_classes],
             dim,
             n_classes,
             l2,
@@ -43,38 +97,29 @@ impl SoftmaxRegression {
     /// Logits `x̃ᵀW` for one example.
     pub fn logits(&self, x: &[f64]) -> Vec<f64> {
         debug_assert_eq!(x.len(), self.dim);
-        let c = self.n_classes;
-        let mut out = self.params[self.dim * c..(self.dim + 1) * c].to_vec(); // bias row
-        for (j, &xj) in x.iter().enumerate() {
-            if xj != 0.0 {
-                let row = &self.params[j * c..(j + 1) * c];
-                vecops::axpy(xj, row, &mut out);
-            }
-        }
+        let mut out = vec![0.0; self.n_classes];
+        affine(&self.class_major, x, &mut out);
         out
     }
 
-    /// `x̃ᵀ V` for an arbitrary direction `v` laid out like the parameters.
-    fn xt_v(&self, x: &[f64], v: &[f64]) -> Vec<f64> {
-        let c = self.n_classes;
-        let mut out = v[self.dim * c..(self.dim + 1) * c].to_vec();
-        for (j, &xj) in x.iter().enumerate() {
-            if xj != 0.0 {
-                vecops::axpy(xj, &v[j * c..(j + 1) * c], &mut out);
-            }
-        }
-        out
+    /// The one forward pass every path shares: class probabilities of `x`
+    /// into `out` (length C).
+    fn proba_into(&self, x: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(x.len(), self.dim);
+        affine(&self.class_major, x, out);
+        softmax_in_place(out);
     }
 
-    /// Rank-one accumulate `out[j,·] += coeff·x̃ⱼ · u` for all rows j.
-    fn add_outer_xu(&self, x: &[f64], u: &[f64], coeff: f64, out: &mut [f64]) {
+    /// Rank-one accumulate `out[j,·] += x̃ⱼ · u` in the flat layout (the
+    /// per-example gradients write parameter-shaped output directly).
+    fn add_outer_flat(&self, x: &[f64], u: &[f64], out: &mut [f64]) {
         let c = self.n_classes;
-        for (j, &xj) in x.iter().enumerate() {
+        for (&xj, row) in x.iter().zip(out.chunks_exact_mut(c)) {
             if xj != 0.0 {
-                vecops::axpy(coeff * xj, u, &mut out[j * c..(j + 1) * c]);
+                vecops::axpy(xj, u, row);
             }
         }
-        vecops::axpy(coeff, u, &mut out[self.dim * c..(self.dim + 1) * c]);
+        vecops::axpy(1.0, u, &mut out[self.dim * c..]);
     }
 }
 
@@ -98,6 +143,7 @@ impl Classifier for SoftmaxRegression {
     fn set_params(&mut self, p: &[f64]) {
         assert_eq!(p.len(), self.params.len(), "set_params: length mismatch");
         self.params.copy_from_slice(p);
+        to_class_major(p, self.n_classes, &mut self.class_major);
     }
 
     fn l2(&self) -> f64 {
@@ -105,7 +151,20 @@ impl Classifier for SoftmaxRegression {
     }
 
     fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        softmax(&self.logits(x))
+        let mut p = vec![0.0; self.n_classes];
+        self.proba_into(x, &mut p);
+        p
+    }
+
+    fn predict_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [usize]) {
+        // One probability buffer for the whole range. Per-row `predict`
+        // (the trait default) argmaxes `predict_proba`, which is the same
+        // `proba_into` kernel, so batched and per-row agree bit for bit.
+        let mut p = vec![0.0; self.n_classes];
+        for (k, slot) in out.iter_mut().enumerate() {
+            self.proba_into(x.row(start + k), &mut p);
+            *slot = vecops::argmax(&p).expect("non-empty proba");
+        }
     }
 
     fn example_loss(&self, x: &[f64], y: usize) -> f64 {
@@ -119,48 +178,87 @@ impl Classifier for SoftmaxRegression {
         vecops::zero(out);
         let mut u = self.predict_proba(x);
         u[y] -= 1.0;
-        self.add_outer_xu(x, &u, 1.0, out);
+        self.add_outer_flat(x, &u, out);
     }
 
-    fn example_grad_dot(&self, x: &[f64], y: usize, v: &[f64]) -> f64 {
-        // ∇ℓ·v = Σ_c (p_c - 1[c=y]) (x̃ᵀV)_c  — O(d·C) with no allocation of
-        // the full gradient.
-        let a = self.xt_v(x, v);
-        let p = self.predict_proba(x);
-        let mut dot = 0.0;
-        for c in 0..self.n_classes {
-            let coeff = p[c] - if c == y { 1.0 } else { 0.0 };
-            dot += coeff * a[c];
+    fn loss_grad(&self, data: &Dataset) -> (f64, Vec<f64>) {
+        let n = data.len().max(1) as f64;
+        let mut sum = 0.0;
+        let mut acc = vec![0.0; self.n_params()];
+        let mut u = vec![0.0; self.n_classes];
+        for i in 0..data.len() {
+            let (x, y) = (data.x(i), data.y(i));
+            self.proba_into(x, &mut u);
+            sum -= u[y].max(1e-12).ln();
+            u[y] -= 1.0;
+            add_outer(&mut acc, &u, x);
         }
-        dot
+        let mut g = vec![0.0; self.n_params()];
+        add_from_class_major(&acc, 1.0 / n, self.n_classes, &mut g);
+        vecops::axpy(2.0 * self.l2, &self.params, &mut g);
+        (sum / n + self.l2 * vecops::norm2_sq(&self.params), g)
     }
 
     fn hvp(&self, data: &Dataset, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.n_params(), "hvp: vector length mismatch");
-        let n = data.len().max(1) as f64;
-        let mut out = vec![0.0; self.n_params()];
-        for i in 0..data.len() {
-            let x = data.x(i);
-            let p = self.predict_proba(x);
-            let a = self.xt_v(x, v);
-            let pa = vecops::dot(&p, &a);
-            // u = diag(p)a - p (pᵀa)
-            let u: Vec<f64> = p.iter().zip(&a).map(|(pc, ac)| pc * (ac - pa)).collect();
-            self.add_outer_xu(x, &u, 1.0 / n, &mut out);
-        }
-        vecops::axpy(2.0 * self.l2, v, &mut out);
-        out
+        self.hvp_op(data)(v)
     }
 
-    fn grad_proba(&self, x: &[f64], class: usize) -> Vec<f64> {
-        debug_assert!(class < self.n_classes);
-        let p = self.predict_proba(x);
-        // ∂p_c/∂logit_k = p_c (δ_{kc} - p_k); chain through logits = x̃ᵀW.
-        let mut u: Vec<f64> = p.iter().map(|&pk| -p[class] * pk).collect();
-        u[class] += p[class];
-        let mut g = vec![0.0; self.n_params()];
-        self.add_outer_xu(x, &u, 1.0, &mut g);
-        g
+    fn hvp_op<'a>(&'a self, data: &'a Dataset) -> HvpOp<'a> {
+        // The per-record probabilities depend on θ only: once per operator.
+        let c = self.n_classes;
+        let mut probs = vec![0.0; data.len() * c];
+        for (i, p) in probs.chunks_exact_mut(c).enumerate() {
+            self.proba_into(data.x(i), p);
+        }
+        Box::new(move |v| {
+            assert_eq!(v.len(), self.n_params(), "hvp: vector length mismatch");
+            let n = data.len().max(1) as f64;
+            let mut dir = vec![0.0; self.n_params()];
+            to_class_major(v, self.n_classes, &mut dir);
+            let mut acc = vec![0.0; self.n_params()];
+            let mut u = vec![0.0; c];
+            for (i, p) in probs.chunks_exact(c).enumerate() {
+                let x = data.x(i);
+                // a = x̃ᵀV, then u = diag(p)a - p (pᵀa).
+                affine(&dir, x, &mut u);
+                let pa = vecops::dot(p, &u);
+                for (uc, &pc) in u.iter_mut().zip(p) {
+                    *uc = pc * (*uc - pa);
+                }
+                add_outer(&mut acc, &u, x);
+            }
+            let mut out = vec![0.0; self.n_params()];
+            add_from_class_major(&acc, 1.0 / n, c, &mut out);
+            vecops::axpy(2.0 * self.l2, v, &mut out);
+            out
+        })
+    }
+
+    fn grad_proba_weighted(&self, x: &[f64], weights: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(weights.len(), self.n_classes);
+        // Σ_c w_c ∂p_c/∂logit_k = p_k (w_k - w·p); chain through
+        // logits = x̃ᵀW.
+        let mut u = self.predict_proba(x);
+        let wp = vecops::dot(weights, &u);
+        for (uk, &wk) in u.iter_mut().zip(weights) {
+            *uk *= wk - wp;
+        }
+        self.add_outer_flat(x, &u, out);
+    }
+
+    fn grad_dots_into(&self, data: &Dataset, start: usize, v: &[f64], out: &mut [f64]) {
+        // ∇ℓ·v = Σ_c (p_c - 1[c=y]) (x̃ᵀV)_c — two forward-shaped passes
+        // per record, no gradient materialized.
+        let mut dir = vec![0.0; self.n_params()];
+        to_class_major(v, self.n_classes, &mut dir);
+        let mut p = vec![0.0; self.n_classes];
+        let mut a = vec![0.0; self.n_classes];
+        for (k, slot) in out.iter_mut().enumerate() {
+            let (x, y) = (data.x(start + k), data.y(start + k));
+            self.proba_into(x, &mut p);
+            affine(&dir, x, &mut a);
+            *slot = vecops::dot(&p, &a) - a[y];
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Classifier> {

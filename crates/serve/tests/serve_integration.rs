@@ -89,6 +89,35 @@ fn await_job(client: &mut Client, id: i64) -> Json {
     }
 }
 
+/// Repeat a sampled query until `/debug/profiles` lists a recent entry
+/// `want` accepts, and return that listing.
+///
+/// Samplers stand down while an explicit trace is live anywhere in the
+/// process (the trace switch is process-global), and the test harness runs
+/// other tests' `?profile=1` and `analyze` requests on parallel threads —
+/// so any one sampled query may legitimately record nothing.
+fn query_until_profiled(
+    client: &mut Client,
+    path: &str,
+    q: &Json,
+    want: impl Fn(&Json) -> bool,
+) -> Json {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        client.post_ok(path, q).unwrap();
+        let listing = client.get_ok("/debug/profiles").unwrap();
+        let recent = listing.get("recent").and_then(Json::as_arr);
+        if recent.is_some_and(|r| r.iter().any(&want)) {
+            return listing;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "sampled queries on {path} never reached the profile ring: {listing}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// The acceptance-criteria scenario: 16 client threads, one session
 /// each, concurrently registering tables, querying (twice — the repeat
 /// must hit the skeleton cache), filing complaints, and running debug
@@ -1122,26 +1151,36 @@ fn always_on_sampling_fills_the_profile_ring() {
             ]),
         )
         .unwrap();
-    let run = client
-        .post_ok(
-            "/sessions/ring/debug-run",
-            &Json::obj(vec![
-                ("method", Json::str("loss")),
-                ("budget", Json::num(4.0)),
-                ("k_per_iter", Json::num(2.0)),
-                ("sample_every", Json::num(1.0)),
-            ]),
-        )
-        .unwrap();
-    let done = await_job(&mut client, run.get("job").unwrap().as_i64().unwrap());
+    // (Repeated while iteration samplers stood down for another test's
+    // trace, like `query_until_profiled`.)
+    let mut done = Json::Null;
+    for _ in 0..50 {
+        let run = client
+            .post_ok(
+                "/sessions/ring/debug-run",
+                &Json::obj(vec![
+                    ("method", Json::str("loss")),
+                    ("budget", Json::num(4.0)),
+                    ("k_per_iter", Json::num(2.0)),
+                    ("sample_every", Json::num(1.0)),
+                ]),
+            )
+            .unwrap();
+        done = await_job(&mut client, run.get("job").unwrap().as_i64().unwrap());
+        // The report itself carries the sampled iteration trees (profile
+        // stays null — nobody asked for the full-run tree)…
+        let report = done.get("report").unwrap();
+        assert_eq!(report.get("profile"), Some(&Json::Null));
+        let sampled = report.get("iteration_profiles").unwrap().as_arr().unwrap();
+        if !sampled.is_empty() {
+            break;
+        }
+    }
     let report = done.get("report").unwrap();
-    // The report itself carries the sampled iteration trees (profile
-    // stays null — nobody asked for the full-run tree)…
-    assert_eq!(report.get("profile"), Some(&Json::Null));
     let iter_profiles = report.get("iteration_profiles").unwrap().as_arr().unwrap();
     assert!(
         !iter_profiles.is_empty(),
-        "1-in-1 run sampled no iterations"
+        "1-in-1 runs sampled no iterations"
     );
     for ip in iter_profiles {
         let tree = ip.get("profile").unwrap();
@@ -1150,12 +1189,13 @@ fn always_on_sampling_fills_the_profile_ring() {
     }
 
     // …and the ring now serves both kinds of capture.
-    let listing = client.get_ok("/debug/profiles").unwrap();
+    let kind_of = |e: &Json| e.get("kind").and_then(Json::as_str).map(str::to_string);
+    let listing = query_until_profiled(&mut client, "/sessions/ring/query", &q, |e| {
+        kind_of(e).as_deref() == Some("query")
+    });
     let recent = listing.get("recent").unwrap().as_arr().unwrap();
     let slow = listing.get("slow").unwrap().as_arr().unwrap();
-    assert!(!recent.is_empty(), "recent ring empty: {listing}");
     assert!(!slow.is_empty(), "slow_ms=0 captured nothing: {listing}");
-    let kind_of = |e: &Json| e.get("kind").and_then(Json::as_str).map(str::to_string);
     assert!(
         recent
             .iter()
@@ -1319,6 +1359,7 @@ fn restart_recovers_sessions_and_serves_cached_queries() {
         assert!(storage.get("log_bytes").unwrap().as_i64().unwrap() > 0);
 
         // Flush the profile ring to disk; the file must exist.
+        query_until_profiled(&mut client, "/sessions/boot/query", &q, |_| true);
         let flushed = client
             .post_ok("/debug/profiles/flush", &Json::obj(vec![]))
             .unwrap();
@@ -1388,15 +1429,10 @@ fn restart_recovers_sessions_and_serves_cached_queries() {
         Some("hit")
     );
 
-    // The client-supplied request_id landed on the sampled profile entry.
-    let listing = client.get_ok("/debug/profiles").unwrap();
-    let recent = listing.get("recent").unwrap().as_arr().unwrap();
-    assert!(
-        recent
-            .iter()
-            .any(|e| e.get("request_id").and_then(Json::as_str) == Some("req-42")),
-        "no profile entry carries the request id: {listing}"
-    );
+    // The client-supplied request_id lands on the sampled profile entry.
+    query_until_profiled(&mut client, "/sessions/boot/query", &q, |e| {
+        e.get("request_id").and_then(Json::as_str) == Some("req-42")
+    });
 
     // And through a debug job: complaints are session state (not logged),
     // so file one fresh, then tag the run.
