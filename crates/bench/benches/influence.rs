@@ -36,7 +36,8 @@ fn bench_influence() {
             inverse_hvp(&model, &data, &v, &cfg)
         });
         let s = inverse_hvp(&model, &data, &v, &cfg).x;
-        g.bench(&format!("score_records_4t_{}", n), || {
+        // A budget of 4; the input decides how much of it is used.
+        g.bench(&format!("score_records_{}", n), || {
             score_records(&model, &data, &s, 4)
         });
     }

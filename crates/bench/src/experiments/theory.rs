@@ -197,10 +197,7 @@ pub fn thm_c1(quick: bool) -> String {
             .sum::<f64>()
             / k as f64;
         // Mean self-influence of corrupted records.
-        let icfg = InfluenceConfig {
-            threads: 4,
-            ..Default::default()
-        };
+        let icfg = InfluenceConfig::default();
         let mut mean_si = 0.0;
         for &i in &truth {
             let g = model.example_grad(train.x(i), train.y(i));

@@ -48,7 +48,9 @@ pub struct DebugSession {
     pub queries: Vec<QuerySpec>,
     /// Training configuration.
     pub train_cfg: LbfgsConfig,
-    /// Influence-engine configuration.
+    /// Influence-engine configuration (damping, CG). Its `threads` field
+    /// is not read by [`DebugSession::run`]: a run ranks under
+    /// [`RunConfig::threads`] like everything else it does.
     pub influence: InfluenceConfig,
     /// TwoStep SQL-step configuration.
     pub sqlstep: SqlStepConfig,

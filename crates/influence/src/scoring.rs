@@ -18,9 +18,9 @@ pub struct InfluenceConfig {
     /// Conjugate-gradient settings.
     pub cg: CgConfig,
     /// Worker budget (≥1) for per-record scoring and InfLoss's solves.
-    /// The debug driver overrides it with the run's resolved budget
-    /// (`RunConfig::threads` under the session's cap); the default serves
-    /// direct callers of this crate.
+    /// Defaults to 1: a library call stays on its caller's thread unless
+    /// told otherwise. The debug driver sets it to the run's resolved
+    /// budget (`RunConfig::threads` under the session's cap).
     pub threads: usize,
 }
 
@@ -29,7 +29,7 @@ impl Default for InfluenceConfig {
         InfluenceConfig {
             damping: 0.0,
             cg: CgConfig::default(),
-            threads: 4,
+            threads: 1,
         }
     }
 }
@@ -43,7 +43,7 @@ impl InfluenceConfig {
                 max_iters: 100,
                 rel_tol: 1e-4,
             },
-            threads: 4,
+            threads: 1,
         }
     }
 }
@@ -101,20 +101,30 @@ fn solve_damped(hessian: &HvpOp<'_>, g: &[f64], cfg: &InfluenceConfig) -> (CgOut
     (solved, calls.get())
 }
 
-/// Below this many multiply-adds (`rows × n_params`) one batched scoring
-/// pass costs less than spawning workers for it: a millisecond or two of
-/// arithmetic against tens of microseconds per thread start, on cores the
-/// caller's other sessions are also using.
-const PARALLEL_SCORING_MIN_WORK: usize = 1 << 22;
+/// The share of a scoring pass (in multiply-adds, `rows × n_params`) a
+/// worker must have to repay being started.
+///
+/// Scoring runs once per iteration, after tens of milliseconds of
+/// single-threaded training and CG, so a worker starts on a core that is
+/// idle and holds none of the data. Measured that way on the 2-core
+/// reference host (a serial and a two-worker pass interleaved, each after
+/// 30 ms of single-threaded work on the same rows, 101 of each per size,
+/// softmax 196×10 and logistic d = 17): two workers take 0.5–1 ms *longer*
+/// than one up to 2²¹ multiply-adds, win 24–58 % of passes at 2²², and
+/// stop losing at 2²³ (40–90 %; logistic 11 ms against 17 ms). Run back to
+/// back, with both cores hot, they win from 2²⁰ — but that is not how the
+/// driver calls this.
+const MIN_WORK_PER_WORKER: usize = 1 << 22;
 
 /// Score every training record against a solved direction `s = H⁻¹∇q`:
 /// `score(zᵢ) = -∇ℓ(zᵢ)·s`. Returns scores aligned with `data` rows.
 ///
 /// One batched [`Classifier::grad_dots_into`] pass. `threads` is a budget,
-/// not a demand: small inputs (under `PARALLEL_SCORING_MIN_WORK`) stay
-/// on the caller's thread; larger ones fan out over at most `threads`
-/// `std::thread::scope` workers, each owning a disjoint slice of the
-/// output, so scores are identical at every thread count.
+/// not a demand: the pass fans out over as many `std::thread::scope`
+/// workers as have `MIN_WORK_PER_WORKER` multiply-adds each, at most
+/// `threads`, and otherwise stays on the caller's thread. Each worker owns
+/// a disjoint slice of the output, so scores are identical at every
+/// thread count.
 pub fn score_records(
     model: &dyn Classifier,
     data: &Dataset,
@@ -122,11 +132,8 @@ pub fn score_records(
     threads: usize,
 ) -> Vec<f64> {
     let n = data.len();
-    let workers = if n.saturating_mul(model.n_params()) < PARALLEL_SCORING_MIN_WORK {
-        1
-    } else {
-        threads.clamp(1, n)
-    };
+    let work = n.saturating_mul(model.n_params());
+    let workers = (work / MIN_WORK_PER_WORKER).min(threads).clamp(1, n.max(1));
     let mut span = rain_obs::Span::enter("score_records");
     span.add("rows", n as u64);
     span.add("workers", workers as u64);
@@ -184,6 +191,9 @@ pub fn self_influence_scores(
 }
 
 /// Rank records descending by score, breaking ties by id for determinism.
+/// A NaN score (a diverged model or solve) ranks last: a record whose
+/// influence could not be computed is never proposed ahead of one whose
+/// could.
 pub fn rank_descending(data: &Dataset, scores: &[f64]) -> Vec<RankedRecord> {
     assert_eq!(scores.len(), data.len());
     let mut ranked: Vec<RankedRecord> = scores
@@ -194,15 +204,19 @@ pub fn rank_descending(data: &Dataset, scores: &[f64]) -> Vec<RankedRecord> {
             score,
         })
         .collect();
-    // (score desc, id asc) is a total order over distinct ids, so the
+    // (key desc, id asc) is a total order over distinct ids, so the
     // unstable sort has exactly one answer. `+ 0.0` folds -0.0 into +0.0:
     // the two compare equal as numbers and must tie (then order by id),
-    // which `total_cmp` alone would not do.
-    ranked.sort_unstable_by(|a, b| {
-        (b.score + 0.0)
-            .total_cmp(&(a.score + 0.0))
-            .then(a.id.cmp(&b.id))
-    });
+    // which `total_cmp` alone would not do — and it would put a positive
+    // NaN first, so NaN sorts as -∞.
+    let key = |score: f64| {
+        if score.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            score + 0.0
+        }
+    };
+    ranked.sort_unstable_by(|a, b| key(b.score).total_cmp(&key(a.score)).then(a.id.cmp(&b.id)));
     ranked
 }
 
@@ -273,32 +287,50 @@ mod tests {
 
     #[test]
     fn parallel_scoring_matches_serial() {
-        // Wide enough (rows × n_params) to cross the fan-out threshold;
-        // the small blobs elsewhere in this file always score serially.
+        // Wide enough (rows × n_params) to give several workers a full
+        // share; the small blobs elsewhere in this file score serially.
         let mut rng = RainRng::seed_from_u64(4);
-        let (n, dim, classes) = (2100, 249, 8);
+        let (n, dim, classes) = (6400, 249, 8);
         let x = Matrix::from_vec(n, dim, rng.normal_vec(n * dim, 1.0));
         let labels = (0..n).map(|_| rng.below(classes)).collect();
         let data = Dataset::new(x, labels, classes);
         let mut m = rain_model::SoftmaxRegression::new(dim, classes, 0.01);
-        assert!(n * m.n_params() >= PARALLEL_SCORING_MIN_WORK);
+        let shares = n * m.n_params() / MIN_WORK_PER_WORKER;
+        assert_eq!(shares, 3);
         m.set_params(&rng.normal_vec(m.n_params(), 0.1));
         let s = rng.normal_vec(m.n_params(), 1.0);
         let serial = score_records(&m, &data, &s, 1);
         let _tracing = rain_obs::activate();
-        for threads in [2, 4, 7] {
+        // The budget is a ceiling, the input decides below it: never more
+        // workers than asked, never more than have a full share of work.
+        for (threads, workers) in [(0, 1), (2, 2), (64, shares)] {
             let root = rain_obs::Span::enter("budget");
             assert_eq!(score_records(&m, &data, &s, threads), serial, "{threads}");
             let id = root.id();
             drop(root);
-            // The budget is honoured exactly: no more workers than asked.
             let tree = rain_obs::take_subtree(id).expect("traced");
             let span = tree.find("score_records").expect("score_records span");
             assert_eq!(
                 span.counters,
-                [("rows", n as u64), ("workers", threads as u64)]
+                [("rows", n as u64), ("workers", workers as u64)]
             );
         }
+    }
+
+    #[test]
+    fn small_inputs_score_on_the_callers_thread() {
+        // 120 rows × 3 parameters: not one worker's share, whatever the budget.
+        let (data, _) = blobs_with_flips(120, 0, 5);
+        let m = fitted(&data);
+        let s = vec![1.0; m.n_params()];
+        let _tracing = rain_obs::activate();
+        let root = rain_obs::Span::enter("budget");
+        score_records(&m, &data, &s, 8);
+        let id = root.id();
+        drop(root);
+        let tree = rain_obs::take_subtree(id).expect("traced");
+        let span = tree.find("score_records").expect("score_records span");
+        assert_eq!(span.counters, [("rows", 120), ("workers", 1)]);
     }
 
     #[test]
@@ -376,6 +408,21 @@ mod tests {
             .map(|r| r.id)
             .collect();
         assert_eq!(ids, vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn rank_descending_puts_nan_last() {
+        let data = Dataset::new(
+            Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]),
+            vec![0, 1, 1, 0],
+            2,
+        );
+        let scores = [f64::NAN, -5.0, -f64::NAN, 2.0];
+        let ids: Vec<usize> = rank_descending(&data, &scores)
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![3, 1, 0, 2]);
     }
 
     #[test]

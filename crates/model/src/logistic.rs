@@ -167,10 +167,6 @@ impl Classifier for LogisticRegression {
         self.axpy_ext(self.proba1(x) - y as f64, x, out);
     }
 
-    fn example_grad_dot(&self, x: &[f64], y: usize, v: &[f64]) -> f64 {
-        (self.proba1(x) - y as f64) * self.dot_ext(v, x)
-    }
-
     fn loss_grad(&self, data: &Dataset) -> (f64, Vec<f64>) {
         let n = data.len().max(1) as f64;
         let mut sum = 0.0;
@@ -217,6 +213,14 @@ impl Classifier for LogisticRegression {
         // ∇p₁ = p(1-p)·x̃ and ∇p₀ = -∇p₁.
         let p = self.proba1(x);
         self.axpy_ext((weights[1] - weights[0]) * p * (1.0 - p), x, out);
+    }
+
+    fn grad_dots_into(&self, data: &Dataset, start: usize, v: &[f64], out: &mut [f64]) {
+        // ∇ℓ·v = (p - y)(x̃·v): two dots per record, no gradient materialized.
+        for (k, slot) in out.iter_mut().enumerate() {
+            let (x, y) = (data.x(start + k), data.y(start + k));
+            *slot = (self.proba1(x) - y as f64) * self.dot_ext(v, x);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Classifier> {
@@ -315,19 +319,6 @@ mod tests {
             let g = m.grad_proba(&x, class);
             let fd = check::fd_grad_proba(&m, &x, class, 1e-6);
             assert!(vecops::approx_eq(&g, &fd, 1e-6), "class {class}");
-        }
-    }
-
-    #[test]
-    fn example_grad_dot_matches_materialized() {
-        let data = toy_data(10, 7);
-        let m = fitted_model(&data);
-        let mut rng = RainRng::seed_from_u64(8);
-        let v = rng.normal_vec(m.n_params(), 1.0);
-        for i in 0..data.len() {
-            let g = m.example_grad(data.x(i), data.y(i));
-            let direct = m.example_grad_dot(data.x(i), data.y(i), &v);
-            assert!((vecops::dot(&g, &v) - direct).abs() < 1e-10);
         }
     }
 

@@ -100,12 +100,6 @@ pub trait Classifier: Send + Sync {
         g
     }
 
-    /// Dot product `∇θ ℓ(z, θ) · v` (may avoid materializing the gradient).
-    fn example_grad_dot(&self, x: &[f64], y: usize, v: &[f64]) -> f64 {
-        let g = self.example_grad(x, y);
-        rain_linalg::vecops::dot(&g, v)
-    }
-
     /// The full training objective `L(θ) = (1/n) Σ ℓ + λ‖θ‖²` and its
     /// gradient, from one pass over `data`.
     ///
@@ -116,19 +110,24 @@ pub trait Classifier: Send + Sync {
         check::per_example_loss_grad(self, data)
     }
 
-    /// Full training objective (the loss half of [`Classifier::loss_grad`]).
+    /// Full training objective (the loss half of [`Classifier::loss_grad`];
+    /// a caller that wants the gradient too should call that once).
     fn loss(&self, data: &Dataset) -> f64 {
         self.loss_grad(data).0
     }
 
     /// Gradient of the full training objective (the gradient half of
-    /// [`Classifier::loss_grad`]).
+    /// [`Classifier::loss_grad`]; a caller that wants the loss too should
+    /// call that once).
     fn grad(&self, data: &Dataset) -> Vec<f64> {
         self.loss_grad(data).1
     }
 
     /// Hessian-vector product `∇²L(θ)·v` of the full objective (with the
-    /// `2λ v` regularization term included).
+    /// `2λ v` regularization term included). One application of
+    /// [`Classifier::hvp_op`] for the models that override it, paying the
+    /// operator's setup each call: for more than one product at the same
+    /// parameters, build the operator once.
     fn hvp(&self, data: &Dataset, v: &[f64]) -> Vec<f64>;
 
     /// The Hessian of the full objective at the current parameters, as an
@@ -160,10 +159,14 @@ pub trait Classifier: Send + Sync {
 
     /// `out[k] = ∇θ ℓ(z_{start+k}, θ) · v` for the rows
     /// `start .. start + out.len()` of `data` — the unit influence scoring
-    /// shards over. The default walks [`Classifier::example_grad_dot`].
+    /// shards over. The default materializes each gradient
+    /// ([`Classifier::example_grad_into`], one buffer for the range);
+    /// models with a closed form override it and never do.
     fn grad_dots_into(&self, data: &Dataset, start: usize, v: &[f64], out: &mut [f64]) {
+        let mut g = vec![0.0; self.n_params()];
         for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.example_grad_dot(data.x(start + k), data.y(start + k), v);
+            self.example_grad_into(data.x(start + k), data.y(start + k), &mut g);
+            *slot = rain_linalg::vecops::dot(&g, v);
         }
     }
 

@@ -390,17 +390,4 @@ mod tests {
         }
         assert!(vecops::norm_inf(&total) < 1e-10);
     }
-
-    #[test]
-    fn example_grad_dot_matches_materialized() {
-        let data = toy_data(10, 3, 10);
-        let m = fitted(&data);
-        let mut rng = RainRng::seed_from_u64(11);
-        let v = rng.normal_vec(m.n_params(), 1.0);
-        for i in 0..data.len() {
-            let g = m.example_grad(data.x(i), data.y(i));
-            let direct = m.example_grad_dot(data.x(i), data.y(i), &v);
-            assert!((vecops::dot(&g, &v) - direct).abs() < 1e-9);
-        }
-    }
 }

@@ -2,10 +2,10 @@
 //!
 //! `loss_grad`, `hvp_op`, `grad_proba_weighted`, `grad_dots_into` and the
 //! batched predict paths are what train and rank run; the per-example
-//! trait methods (`example_loss`, `example_grad_into`, `example_grad_dot`,
-//! `grad_proba`, per-row `predict`) are what they are defined by. Every
-//! model must agree with its own definition on seeded random data and on
-//! the shapes that break hand-unrolled loops.
+//! trait methods (`example_loss`, `example_grad_into`, `grad_proba`,
+//! per-row `predict`) are what they are defined by. Every model must agree
+//! with its own definition on seeded random data and on the shapes that
+//! break hand-unrolled loops.
 
 use rain_linalg::{vecops, Matrix, RainRng};
 use rain_model::model::check;
@@ -159,14 +159,14 @@ fn batched_predict_equals_per_row_predict() {
 }
 
 #[test]
-fn grad_dots_match_example_grad_dot() {
+fn grad_dots_match_materialized_example_grads() {
     for (si, &(n, d)) in SHAPES.iter().enumerate() {
         for m in models(d, 0.5, 30 + si as u64) {
             let data = random_data(n, d, m.n_classes(), 500 + si as u64);
             let mut rng = RainRng::seed_from_u64(600 + si as u64);
             let v = rng.normal_vec(m.n_params(), 1.0);
             let want: Vec<f64> = (0..n)
-                .map(|i| m.example_grad_dot(data.x(i), data.y(i), &v))
+                .map(|i| vecops::dot(&m.example_grad(data.x(i), data.y(i)), &v))
                 .collect();
             let mut got = vec![0.0; n];
             m.grad_dots_into(&data, 0, &v, &mut got);
