@@ -15,14 +15,18 @@
 //! # Kernels
 //!
 //! The flat layout is what callers, the wire and the commitlog see; it
-//! makes a class's weights a stride-`C` walk. The kernels work on the
-//! **class-major** transpose instead — `C` rows of `[w_c, b_c]`, each
-//! contiguous — so a forward pass is `C` dots of length `dim` against the
-//! feature row and a backward pass is `C` axpys of length `dim`, with no
-//! per-record allocation. The model keeps a class-major mirror of its own
-//! parameters (rebuilt by `set_params`), every forward pass — per-row or
-//! batched — reads it, and batched kernels transpose direction vectors on
-//! entry and gradients on exit.
+//! makes a class's weights a stride-`C` walk. The batched kernels
+//! (`loss_grad`, `hvp_op`, `grad_dots_into`) work on the **class-major**
+//! transpose instead — `C` rows of `[w_c, b_c]`, each contiguous — so a
+//! forward pass is `C` dots of length `dim` against the feature row and a
+//! backward pass is `C` axpys of length `dim`, with no per-record
+//! allocation. They transpose the parameters and direction vectors on
+//! entry and the gradient on exit; the model stores the flat layout only.
+//!
+//! Inference and the per-example methods cannot pay a transpose per row,
+//! so they read the flat layout directly ([`SoftmaxRegression::logits`]).
+//! The two forward passes sum in different orders and agree to rounding,
+//! not bit for bit.
 
 use crate::dataset::Dataset;
 use crate::model::{Classifier, HvpOp};
@@ -34,10 +38,6 @@ use rain_linalg::vecops;
 pub struct SoftmaxRegression {
     /// Flat `(dim+1) × n_classes` weights, row-major.
     params: Vec<f64>,
-    /// Class-major mirror of `params`: `n_classes` rows of
-    /// `[W[0,c] … W[dim-1,c], bias_c]`. Only `new` and `set_params` write
-    /// either, together.
-    class_major: Vec<f64>,
     dim: usize,
     n_classes: usize,
     l2: f64,
@@ -49,6 +49,13 @@ fn affine(class_major: &[f64], x: &[f64], out: &mut [f64]) {
     for (o, row) in out.iter_mut().zip(class_major.chunks_exact(d + 1)) {
         *o = vecops::dot(&row[..d], x) + row[d];
     }
+}
+
+/// Class probabilities of `x` under class-major weights, into `out`
+/// (length C): the batched kernels' forward pass.
+fn proba_class_major(weights: &[f64], x: &[f64], out: &mut [f64]) {
+    affine(weights, x, out);
+    softmax_in_place(out);
 }
 
 /// Rank-one accumulate `acc_c += u_c · [x, 1]` into a class-major block.
@@ -87,27 +94,31 @@ impl SoftmaxRegression {
         assert!(l2 >= 0.0, "l2 must be non-negative");
         SoftmaxRegression {
             params: vec![0.0; (dim + 1) * n_classes],
-            class_major: vec![0.0; (dim + 1) * n_classes],
             dim,
             n_classes,
             l2,
         }
     }
 
-    /// Logits `x̃ᵀW` for one example.
+    /// Logits `x̃ᵀW` for one example, read off the flat layout: the bias
+    /// row plus `xⱼ · W[j,·]` for every non-zero feature.
     pub fn logits(&self, x: &[f64]) -> Vec<f64> {
         debug_assert_eq!(x.len(), self.dim);
-        let mut out = vec![0.0; self.n_classes];
-        affine(&self.class_major, x, &mut out);
+        let c = self.n_classes;
+        let mut out = self.params[self.dim * c..].to_vec();
+        for (&xj, row) in x.iter().zip(self.params.chunks_exact(c)) {
+            if xj != 0.0 {
+                vecops::axpy(xj, row, &mut out);
+            }
+        }
         out
     }
 
-    /// The one forward pass every path shares: class probabilities of `x`
-    /// into `out` (length C).
-    fn proba_into(&self, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.dim);
-        affine(&self.class_major, x, out);
-        softmax_in_place(out);
+    /// The parameters transposed class-major, for a batched kernel's entry.
+    fn class_major(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.n_params()];
+        to_class_major(&self.params, self.n_classes, &mut out);
+        out
     }
 
     /// Rank-one accumulate `out[j,·] += x̃ⱼ · u` in the flat layout (the
@@ -143,7 +154,6 @@ impl Classifier for SoftmaxRegression {
     fn set_params(&mut self, p: &[f64]) {
         assert_eq!(p.len(), self.params.len(), "set_params: length mismatch");
         self.params.copy_from_slice(p);
-        to_class_major(p, self.n_classes, &mut self.class_major);
     }
 
     fn l2(&self) -> f64 {
@@ -151,20 +161,9 @@ impl Classifier for SoftmaxRegression {
     }
 
     fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut p = vec![0.0; self.n_classes];
-        self.proba_into(x, &mut p);
+        let mut p = self.logits(x);
+        softmax_in_place(&mut p);
         p
-    }
-
-    fn predict_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [usize]) {
-        // One probability buffer for the whole range. Per-row `predict`
-        // (the trait default) argmaxes `predict_proba`, which is the same
-        // `proba_into` kernel, so batched and per-row agree bit for bit.
-        let mut p = vec![0.0; self.n_classes];
-        for (k, slot) in out.iter_mut().enumerate() {
-            self.proba_into(x.row(start + k), &mut p);
-            *slot = vecops::argmax(&p).expect("non-empty proba");
-        }
     }
 
     fn example_loss(&self, x: &[f64], y: usize) -> f64 {
@@ -184,11 +183,12 @@ impl Classifier for SoftmaxRegression {
     fn loss_grad(&self, data: &Dataset) -> (f64, Vec<f64>) {
         let n = data.len().max(1) as f64;
         let mut sum = 0.0;
+        let weights = self.class_major();
         let mut acc = vec![0.0; self.n_params()];
         let mut u = vec![0.0; self.n_classes];
         for i in 0..data.len() {
             let (x, y) = (data.x(i), data.y(i));
-            self.proba_into(x, &mut u);
+            proba_class_major(&weights, x, &mut u);
             sum -= u[y].max(1e-12).ln();
             u[y] -= 1.0;
             add_outer(&mut acc, &u, x);
@@ -206,9 +206,10 @@ impl Classifier for SoftmaxRegression {
     fn hvp_op<'a>(&'a self, data: &'a Dataset) -> HvpOp<'a> {
         // The per-record probabilities depend on θ only: once per operator.
         let c = self.n_classes;
+        let weights = self.class_major();
         let mut probs = vec![0.0; data.len() * c];
         for (i, p) in probs.chunks_exact_mut(c).enumerate() {
-            self.proba_into(data.x(i), p);
+            proba_class_major(&weights, data.x(i), p);
         }
         Box::new(move |v| {
             assert_eq!(v.len(), self.n_params(), "hvp: vector length mismatch");
@@ -249,13 +250,14 @@ impl Classifier for SoftmaxRegression {
     fn grad_dots_into(&self, data: &Dataset, start: usize, v: &[f64], out: &mut [f64]) {
         // ∇ℓ·v = Σ_c (p_c - 1[c=y]) (x̃ᵀV)_c — two forward-shaped passes
         // per record, no gradient materialized.
+        let weights = self.class_major();
         let mut dir = vec![0.0; self.n_params()];
         to_class_major(v, self.n_classes, &mut dir);
         let mut p = vec![0.0; self.n_classes];
         let mut a = vec![0.0; self.n_classes];
         for (k, slot) in out.iter_mut().enumerate() {
             let (x, y) = (data.x(start + k), data.y(start + k));
-            self.proba_into(x, &mut p);
+            proba_class_major(&weights, x, &mut p);
             affine(&dir, x, &mut a);
             *slot = vecops::dot(&p, &a) - a[y];
         }
