@@ -3,9 +3,10 @@
 //!
 //! The serving layer mutates a session in exactly four ways — create it,
 //! register/replace a table, append rows, upload a training set — and
-//! each helper here applies the in-memory mutation and (when the session
-//! runs durably) appends the matching [`Record`] and commits, so the log
-//! is never behind the state a client has been acknowledged. Debug runs
+//! each helper here validates, then (when the session runs durably)
+//! appends the matching [`Record`] and commits, then applies the
+//! in-memory mutation — so the log is never behind the state a client has
+//! been acknowledged, and a failed write changes nothing. Debug runs
 //! themselves never mutate session state
 //! ([`DebugSession::run`] takes `&self`), so they need no records.
 //!
@@ -52,6 +53,20 @@ pub fn create_store(dir: &Path, spec: &str) -> Result<SessionStore, StorageError
     Ok(store)
 }
 
+/// Commit `rec` to the session's log, when it has one. Every mutation
+/// below goes validate → log → apply: the record owns its payload while
+/// it is encoded (no clone), and the caller moves the payload back out to
+/// apply it only once the commit returned — so a failed write leaves the
+/// in-memory state exactly as it was.
+fn log(store: Option<&mut SessionStore>, rec: &Record) -> Result<(), StorageError> {
+    let Some(store) = store else { return Ok(()) };
+    let mut span = rain_obs::Span::enter("serve.log_commit");
+    let before = store.log_bytes();
+    store.append_commit(rec)?;
+    span.add("bytes", store.log_bytes() - before);
+    Ok(())
+}
+
 /// Register (or replace) a table, logging the mutation when durable.
 pub fn register_table(
     db: &mut Database,
@@ -59,12 +74,14 @@ pub fn register_table(
     name: &str,
     table: Table,
 ) -> Result<(TableId, TableVersion), StorageError> {
-    if let Some(store) = store {
-        store.append_commit(&Record::RegisterTable {
-            name: name.to_string(),
-            table: table.clone(),
-        })?;
-    }
+    let rec = Record::RegisterTable {
+        name: name.to_string(),
+        table,
+    };
+    log(store, &rec)?;
+    let Record::RegisterTable { table, .. } = rec else {
+        unreachable!("built above")
+    };
     let id = db.register(name, table);
     Ok((id, db.table_version(id)))
 }
@@ -75,7 +92,7 @@ pub enum AppendError {
     /// The batch does not fit the table (arity, types, features) or the
     /// table does not exist — reject the request, nothing was logged.
     Invalid(String),
-    /// The batch was valid but logging it failed.
+    /// The batch was valid but logging it failed; nothing was applied.
     Storage(StorageError),
 }
 
@@ -91,8 +108,9 @@ impl std::fmt::Display for AppendError {
 impl std::error::Error for AppendError {}
 
 /// Append rows to a table, logging the mutation when durable. Validation
-/// runs (and fails) before anything is logged or applied, so an invalid
-/// batch leaves both the catalog and the log untouched.
+/// runs (and fails) before anything is logged, and the log commits before
+/// anything is applied: an invalid batch leaves both the catalog and the
+/// log untouched, a failed write leaves the catalog untouched.
 pub fn append_rows(
     db: &mut Database,
     store: Option<&mut SessionStore>,
@@ -100,30 +118,27 @@ pub fn append_rows(
     rows: Vec<Vec<Value>>,
     features: Option<Vec<Vec<f64>>>,
 ) -> Result<(TableId, TableVersion), AppendError> {
-    let record = store.map(|s| {
-        (
-            s,
-            Record::AppendRows {
-                name: name.to_string(),
-                rows: rows.clone(),
-                features: features.clone(),
-            },
-        )
-    });
-    let (id, version) = db
-        .append_to(name, rows, features)
+    db.validate_append(name, &rows, features.as_deref())
         .map_err(AppendError::Invalid)?;
-    if let Some((store, rec)) = record {
-        store.append_commit(&rec).map_err(AppendError::Storage)?;
-    }
-    Ok((id, version))
+    let rec = Record::AppendRows {
+        name: name.to_string(),
+        rows,
+        features,
+    };
+    log(store, &rec).map_err(AppendError::Storage)?;
+    let Record::AppendRows { rows, features, .. } = rec else {
+        unreachable!("built above")
+    };
+    db.append_to(name, rows, features)
+        .map_err(AppendError::Invalid)
 }
 
 /// Create a secondary index on a registered table's column, logging the
-/// definition when durable. Validation runs (and fails) before anything
-/// is logged, so a bad request leaves both catalog and log untouched.
-/// Only the definition is logged — index *data* is rebuilt from the
-/// table on recovery and on every later table mutation.
+/// definition when durable. Validate → log → apply, like
+/// [`append_rows`]: a bad request leaves both catalog and log untouched,
+/// a failed write leaves the catalog untouched. Only the definition is
+/// logged — index *data* is rebuilt from the table on recovery and on
+/// every later table mutation.
 pub fn create_index(
     db: &mut Database,
     store: Option<&mut SessionStore>,
@@ -131,19 +146,16 @@ pub fn create_index(
     column: &str,
     kind: rain_sql::IndexKind,
 ) -> Result<(TableId, usize), AppendError> {
-    let (id, count) = db
-        .create_index(name, column, kind)
+    db.validate_index(name, column, kind)
         .map_err(AppendError::Invalid)?;
-    if let Some(store) = store {
-        store
-            .append_commit(&Record::CreateIndex {
-                name: name.to_string(),
-                column: column.to_string(),
-                kind: kind.code(),
-            })
-            .map_err(AppendError::Storage)?;
-    }
-    Ok((id, count))
+    let rec = Record::CreateIndex {
+        name: name.to_string(),
+        column: column.to_string(),
+        kind: kind.code(),
+    };
+    log(store, &rec).map_err(AppendError::Storage)?;
+    db.create_index(name, column, kind)
+        .map_err(AppendError::Invalid)
 }
 
 /// Replace the training set, logging the mutation when durable.
@@ -152,9 +164,11 @@ pub fn set_train(
     store: Option<&mut SessionStore>,
     data: Dataset,
 ) -> Result<(), StorageError> {
-    if let Some(store) = store {
-        store.append_commit(&Record::TrainSet { data: data.clone() })?;
-    }
+    let rec = Record::TrainSet { data };
+    log(store, &rec)?;
+    let Record::TrainSet { data } = rec else {
+        unreachable!("built above")
+    };
     sess.train = data;
     Ok(())
 }
@@ -336,6 +350,95 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, AppendError::Invalid(_)));
         assert_eq!(store.log_records(), records_before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_commit_changes_neither_catalog_nor_log() {
+        let dir = temp_dir("failcommit");
+        let mut store = create_store(&dir, "{}").unwrap();
+        let mut sess = DebugSession::new(
+            Database::new(),
+            Dataset::new(Matrix::zeros(0, 2), Vec::new(), 2),
+            Box::new(LogisticRegression::new(2, 0.01)),
+        );
+        register_table(&mut sess.db, Some(&mut store), "t", ints(vec![1, 2])).unwrap();
+        let hash = rain_sql::IndexKind::Hash;
+        create_index(&mut sess.db, Some(&mut store), "t", "x", hash).unwrap();
+        let id = sess.db.resolve("t").unwrap();
+        let state = |db: &Database, store: &SessionStore| {
+            let entry = db.entry("t").unwrap();
+            let indexes: Vec<_> = entry
+                .indexes
+                .iter()
+                .map(|ix| (ix.column.clone(), ix.kind, ix.len()))
+                .collect();
+            (
+                entry.table.n_rows(),
+                db.table_version(id),
+                indexes,
+                store.log_records(),
+                store.log_bytes(),
+            )
+        };
+        let before = state(&sess.db, &store);
+
+        // Every mutation kind: the write fails, the client gets a storage
+        // error, and nothing it asked for is visible.
+        store.fail_next_commit();
+        let err = append_rows(
+            &mut sess.db,
+            Some(&mut store),
+            "t",
+            vec![vec![Value::Int(3)]],
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, AppendError::Storage(_)), "{err}");
+        assert_eq!(state(&sess.db, &store), before);
+
+        store.fail_next_commit();
+        let err = create_index(
+            &mut sess.db,
+            Some(&mut store),
+            "t",
+            "x",
+            rain_sql::IndexKind::Sorted,
+        )
+        .unwrap_err();
+        assert!(matches!(err, AppendError::Storage(_)), "{err}");
+        assert_eq!(state(&sess.db, &store), before);
+
+        store.fail_next_commit();
+        assert!(register_table(&mut sess.db, Some(&mut store), "t", ints(vec![9])).is_err());
+        assert_eq!(state(&sess.db, &store), before);
+
+        store.fail_next_commit();
+        let train = Dataset::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]), vec![1], 2);
+        assert!(set_train(&mut sess, Some(&mut store), train).is_err());
+        assert!(sess.train.is_empty());
+        assert_eq!(state(&sess.db, &store), before);
+
+        // The failed records were dropped, not deferred: the next commit
+        // logs one record, and recovery sees exactly what was acknowledged.
+        append_rows(
+            &mut sess.db,
+            Some(&mut store),
+            "t",
+            vec![vec![Value::Int(4)]],
+            None,
+        )
+        .unwrap();
+        assert_eq!(store.log_records(), before.3 + 1);
+        drop(store);
+        let rec = recover(&dir, &factory(2)).unwrap();
+        let entry = rec.sess.db.entry("t").unwrap();
+        assert_eq!(entry.table.n_rows(), 3);
+        assert_eq!(entry.table.value(2, 0), Value::Int(4));
+        assert_eq!(entry.version, TableVersion { gen: 0, delta: 1 });
+        assert_eq!(entry.indexes.len(), 1);
+        assert_eq!(entry.indexes[0].kind, hash);
+        assert!(rec.sess.train.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -61,6 +61,24 @@ impl Matrix {
         }
     }
 
+    /// Append one row in amortised O(cols): the backing buffer grows
+    /// geometrically, so pushing `n` rows one at a time copies O(n · cols)
+    /// values in total.
+    ///
+    /// # Panics
+    /// Panics if `row.len() != self.cols()`.
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.cols, "Matrix::push_row: width mismatch");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Reserve room for `additional` more rows, so a batch of
+    /// [`Matrix::push_row`] calls grows the buffer at most once.
+    pub fn reserve_rows(&mut self, additional: usize) {
+        self.data.reserve(additional * self.cols);
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -252,6 +270,22 @@ mod tests {
         assert_eq!((m.rows(), m.cols()), (2, 2));
         assert_eq!(m.get(1, 0), 3.0);
         assert_eq!(m.row(0), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn push_row_matches_from_rows() {
+        let mut m = Matrix::zeros(0, 2);
+        m.reserve_rows(2);
+        m.push_row(&[1.0, -0.0]);
+        m.push_row(&[3.0, 4.0]);
+        assert_eq!(m, Matrix::from_rows(&[&[1.0, -0.0], &[3.0, 4.0]]));
+        assert_eq!(m.row(1), &[3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn push_row_checks_width() {
+        Matrix::zeros(1, 2).push_row(&[1.0]);
     }
 
     #[test]

@@ -13,6 +13,10 @@ use std::net::TcpStream;
 /// Largest accepted request body (64 MiB — a featured table upload).
 pub const MAX_BODY: usize = 64 << 20;
 
+/// Initial capacity of a request body's buffer, whatever `Content-Length`
+/// promises; it grows with the bytes actually received.
+const BODY_CHUNK: usize = 64 << 10;
+
 /// Largest accepted request line / header line.
 const MAX_LINE: usize = 16 << 10;
 
@@ -90,8 +94,16 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
             _ => {}
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // The buffer follows the bytes that arrive, not the header: a
+    // connection that declares 64 MiB and sends nothing costs one chunk.
+    let mut body = Vec::with_capacity(content_length.min(BODY_CHUNK));
+    reader
+        .by_ref()
+        .take(content_length as u64)
+        .read_to_end(&mut body)?;
+    if body.len() != content_length {
+        return Err(bad("eof mid-body"));
+    }
     Ok(Some(Request {
         method,
         path,

@@ -109,14 +109,14 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
+            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if !n.is_finite() {
                     f.write_str("null")
                 } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-                    write!(f, "{}", *n as i64)
+                    fmt::Display::fmt(&(*n as i64), f)
                 } else {
-                    write!(f, "{n}")
+                    fmt::Display::fmt(n, f)
                 }
             }
             Json::Str(s) => write_escaped(f, s),
@@ -126,7 +126,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -138,7 +138,7 @@ impl fmt::Display for Json {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
@@ -146,19 +146,28 @@ impl fmt::Display for Json {
     }
 }
 
+/// Write `s` as a JSON string literal: each span between characters that
+/// need escaping goes out in one `write_str`.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // `b` is ASCII, so `i` is a char boundary.
+        f.write_str(&s[start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        start = i + 1;
     }
+    f.write_str(&s[start..])?;
     f.write_str("\"")
 }
 
@@ -186,20 +195,20 @@ const MAX_DEPTH: usize = 64;
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value(0)?;
+    let v = p.value(0, 0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -212,7 +221,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -231,7 +240,7 @@ impl<'a> Parser<'a> {
     }
 
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -239,7 +248,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// One value. `hint` sizes the buffer if it is an array: the length
+    /// of the array before it in the enclosing array, since the rows of a
+    /// matrix are equally long. What a wrong hint can waste is bounded by
+    /// that sibling's real length, which the input already paid for.
+    fn value(&mut self, depth: usize, hint: usize) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -250,15 +263,20 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => {
                 self.pos += 1;
-                let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(Vec::new()));
                 }
+                let mut items = Vec::with_capacity(hint);
+                let mut child_hint = 0;
                 loop {
                     self.skip_ws();
-                    items.push(self.value(depth + 1)?);
+                    let item = self.value(depth + 1, child_hint)?;
+                    if let Json::Arr(a) = &item {
+                        child_hint = a.len();
+                    }
+                    items.push(item);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -284,7 +302,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.eat(b':')?;
                     self.skip_ws();
-                    let val = self.value(depth + 1)?;
+                    let val = self.value(depth + 1, 0)?;
                     pairs.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -305,11 +323,24 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let digits = self.pos;
+        let mut int = 0u64;
+        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
+        }
+        // A plain integer of up to 15 digits is exact in an f64: skip the
+        // general float parser (ids, counts and one-hot features are most
+        // of what the wire carries).
+        if (1..=15).contains(&(self.pos - digits))
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            let n = int as f64;
+            return Ok(Json::Num(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -326,7 +357,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number '{text}'")))
@@ -336,6 +368,14 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one `push_str`. All three are ASCII, so the run
+            // starts and ends on char boundaries of the input `&str`.
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -359,7 +399,7 @@ impl<'a> Parser<'a> {
                             // Surrogate pairs: a high surrogate must be
                             // followed by an escaped low surrogate.
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
                                     if !(0xDC00..0xE000).contains(&lo) {
@@ -383,16 +423,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -400,11 +431,13 @@ impl<'a> Parser<'a> {
     /// Four hex digits at the cursor, advancing past them.
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ascii \\u escape"))?;
+        let s = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("non-ascii \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
@@ -488,6 +521,116 @@ mod tests {
                     .collect(),
             ),
         }
+    }
+
+    /// A random scalar value from every width class: ASCII (controls,
+    /// quote and backslash included), 2-, 3- and 4-byte.
+    fn random_char(rng: &mut rain_linalg::RainRng) -> char {
+        let (lo, hi) = match rng.below(5) {
+            0 => (0x00, 0x20),
+            1 => (0x20, 0x80),
+            2 => (0x80, 0x800),
+            3 => (0x800, 0x1_0000),
+            _ => (0x1_0000, 0x11_0000),
+        };
+        loop {
+            // Surrogates are the one gap in the scalar range.
+            if let Some(c) = char::from_u32(lo + rng.below((hi - lo) as usize) as u32) {
+                return c;
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_random_unicode_strings_roundtrip() {
+        let mut rng = rain_linalg::RainRng::seed_from_u64(0x5EED);
+        for _ in 0..500 {
+            let s: String = (0..rng.below(24)).map(|_| random_char(&mut rng)).collect();
+            roundtrip(&Json::Str(s.clone()));
+            roundtrip(&Json::Obj(vec![(s, Json::Null)]));
+        }
+    }
+
+    #[test]
+    fn strings_at_run_boundaries() {
+        // Escapes right after a multi-byte scalar, at either end of a
+        // run, back to back, and a run that is the whole string.
+        for (text, want) in [
+            (r#""λ\n""#, "λ\n"),
+            (r#""😀\u0041😀""#, "😀A😀"),
+            (r#""\t→\t""#, "\t→\t"),
+            (r#""\\\"\/""#, "\\\"/"),
+            (r#""plain run""#, "plain run"),
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""é\ud83d\ude00é""#, "é😀é"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::str(want), "parsing {text}");
+        }
+    }
+
+    #[test]
+    fn malformed_strings_fail_at_the_offending_byte() {
+        for (text, pos, msg) in [
+            // Lone high surrogate: reported after its four digits.
+            (r#""\ud83d""#, 7, "invalid \\u escape"),
+            (r#""λ\ud83dx""#, 9, "invalid \\u escape"),
+            // High surrogate followed by a non-low escape.
+            (r#""\ud83d\u0041""#, 13, "invalid low surrogate"),
+            // Lone low surrogate.
+            (r#""\ude00""#, 7, "invalid \\u escape"),
+            // Raw control byte in the middle of a run, after a 2-byte scalar.
+            ("\"aλ\u{1}b\"", 4, "control character in string"),
+            ("\"a\nb\"", 2, "control character in string"),
+            // Unterminated: at the end of the input.
+            ("\"abc", 4, "unterminated string"),
+            ("\"λ", 3, "unterminated string"),
+            ("\"ab\\", 4, "invalid escape"),
+            ("\"ab\\q\"", 4, "invalid escape"),
+            ("\"\\u12", 3, "truncated \\u escape"),
+            ("\"\\u123λ\"", 3, "non-ascii \\u escape"),
+            ("\"\\u12λ\"", 3, "invalid \\u escape"),
+            ("\"\\u12zz\"", 3, "invalid \\u escape"),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!((e.pos, e.msg.as_str()), (pos, msg), "parsing {text:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_parse_exactly() {
+        for (text, want) in [
+            ("0", 0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("007", 7.0),
+            ("999999999999999", 999_999_999_999_999.0),
+            ("9007199254740993", 9_007_199_254_740_992.0),
+            ("123456789012345678901234567890", 1.234_567_890_123_456_8e29),
+            ("1.5", 1.5),
+            ("-2.5e-5", -2.5e-5),
+            ("1e308", 1e308),
+            ("5e-324", 5e-324),
+            ("12E2", 1200.0),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Num(want), "parsing {text}");
+        }
+        // The sign of zero survives.
+        let Json::Num(z) = parse("-0").unwrap() else {
+            panic!("-0 is a number")
+        };
+        assert!(z == 0.0 && z.is_sign_negative());
+        for bad in ["-", "1e", "+1", "-a"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn array_capacity_hint_does_not_change_values() {
+        // Sibling arrays of different lengths, in both orders, nested.
+        let text = "[[1,2,3],[],[4],[5,6,7,8],[[9],[10,11]],\"s\",[12]]";
+        let v = parse(text).unwrap();
+        assert_eq!(v.to_string(), text);
     }
 
     #[test]

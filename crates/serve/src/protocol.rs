@@ -37,7 +37,7 @@ use rain_core::driver::{DebugReport, RunConfig};
 use rain_core::rank::Method;
 use rain_linalg::Matrix;
 use rain_model::{Classifier, Dataset, LogisticRegression, Mlp, SoftmaxRegression};
-use rain_sql::table::{ColType, Schema, Table};
+use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{Engine, ExecOptions, QueryError, QueryOutput, Value};
 
 /// A protocol-level failure: an HTTP status plus a message the client can
@@ -271,34 +271,83 @@ pub fn value_to_json(v: &Value) -> Json {
     }
 }
 
-/// Parse a feature matrix: a non-ragged array of equal-length number rows.
-fn matrix_from_json(v: &Json, what: &str) -> Result<Matrix, ApiError> {
+/// The rows of a feature matrix — a non-empty array of number rows — and
+/// the width every row must have (the first row's).
+fn feature_rows<'a>(v: &'a Json, what: &str) -> Result<(&'a [Json], usize), ApiError> {
     let rows = v
         .as_arr()
         .ok_or_else(|| ApiError::bad_request(format!("{what} must be an array of rows")))?;
-    let mut data: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row
-            .as_arr()
-            .ok_or_else(|| ApiError::bad_request(format!("{what} row {i} must be an array")))?;
-        let mut r = Vec::with_capacity(cells.len());
-        for c in cells {
-            r.push(c.as_f64().ok_or_else(|| {
+    let first = rows
+        .first()
+        .ok_or_else(|| ApiError::bad_request(format!("{what} must not be empty")))?;
+    Ok((rows, first.as_arr().map_or(0, <[Json]>::len)))
+}
+
+/// Append the `cols` numbers of feature row `i` to `out`.
+fn push_feature_row(
+    row: &Json,
+    what: &str,
+    i: usize,
+    cols: usize,
+    out: &mut Vec<f64>,
+) -> Result<(), ApiError> {
+    let cells = row
+        .as_arr()
+        .ok_or_else(|| ApiError::bad_request(format!("{what} row {i} must be an array")))?;
+    if cells.len() != cols {
+        return Err(ApiError::bad_request(format!("{what} rows are ragged")));
+    }
+    for c in cells {
+        out.push(
+            c.as_f64().ok_or_else(|| {
                 ApiError::bad_request(format!("{what} row {i} holds a non-number"))
+            })?,
+        );
+    }
+    Ok(())
+}
+
+/// Parse a feature matrix: a non-ragged array of equal-length number
+/// rows, decoded straight into the matrix's row-major buffer.
+fn matrix_from_json(v: &Json, what: &str) -> Result<Matrix, ApiError> {
+    let (rows, cols) = feature_rows(v, what)?;
+    let mut data = Vec::with_capacity(rows.len() * cols);
+    for (i, row) in rows.iter().enumerate() {
+        push_feature_row(row, what, i, cols, &mut data)?;
+    }
+    Ok(Matrix::from_vec(rows.len(), cols, data))
+}
+
+/// Decode one JSON column into typed cells plus a null mask (`None` while
+/// the column holds no `null`; a NULL cell stores the type's zero value,
+/// as [`Column::push_zero`] does).
+fn cells_from_json<T: Default>(
+    vals: &[Json],
+    cell: impl Fn(&Json) -> Option<T>,
+) -> Result<(Vec<T>, Option<Vec<bool>>), ApiError> {
+    let mut cells = Vec::with_capacity(vals.len());
+    let mut nulls: Option<Vec<bool>> = None;
+    for (r, v) in vals.iter().enumerate() {
+        if v.is_null() {
+            nulls.get_or_insert_with(|| vec![false; vals.len()])[r] = true;
+            cells.push(T::default());
+        } else {
+            cells.push(cell(v).ok_or_else(|| {
+                ApiError::bad_request(format!("cell {v} does not fit column type"))
             })?);
         }
-        if let Some(first) = data.first() {
-            if r.len() != first.len() {
-                return Err(ApiError::bad_request(format!("{what} rows are ragged")));
-            }
-        }
-        data.push(r);
     }
-    if data.is_empty() {
-        return Err(ApiError::bad_request(format!("{what} must not be empty")));
+    Ok((cells, nulls))
+}
+
+fn column_from_json(vals: &[Json], ty: ColType) -> Result<(Column, Option<Vec<bool>>), ApiError> {
+    match ty {
+        ColType::Bool => cells_from_json(vals, Json::as_bool).map(|(c, m)| (Column::Bool(c), m)),
+        ColType::Int => cells_from_json(vals, Json::as_i64).map(|(c, m)| (Column::Int(c), m)),
+        ColType::Float => cells_from_json(vals, Json::as_f64).map(|(c, m)| (Column::Float(c), m)),
+        ColType::Str => cells_from_json(vals, |v| v.as_str().map(str::to_string))
+            .map(|(c, m)| (Column::Str(c), m)),
     }
-    let refs: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-    Ok(Matrix::from_rows(&refs))
 }
 
 /// Build a `(name, table)` pair from a table upload.
@@ -311,8 +360,8 @@ pub fn table_from_json(v: &Json) -> Result<(String, Table), ApiError> {
         return Err(ApiError::bad_request("table needs at least one column"));
     }
     let mut schema = Schema::default();
-    let mut types = Vec::with_capacity(cols.len());
-    let mut values: Vec<&[Json]> = Vec::with_capacity(cols.len());
+    let mut columns = Vec::with_capacity(cols.len());
+    let mut nulls = Vec::with_capacity(cols.len());
     let mut n_rows = None;
     for c in cols {
         let cname = str_field(c, "name")?;
@@ -331,8 +380,9 @@ pub fn table_from_json(v: &Json) -> Result<(String, Table), ApiError> {
             }
             _ => {}
         }
-        types.push(ty);
-        values.push(vals);
+        let (column, mask) = column_from_json(vals, ty)?;
+        columns.push(column);
+        nulls.push(mask);
     }
     let n_rows = n_rows.unwrap_or(0);
 
@@ -349,22 +399,7 @@ pub fn table_from_json(v: &Json) -> Result<(String, Table), ApiError> {
             Some(m)
         }
     };
-
-    // Assemble row-wise so NULL cells land in the null bitmaps.
-    let dim = features.as_ref().map(|m| m.cols()).unwrap_or(0);
-    let mut table = Table::empty(schema);
-    if let Some(_m) = &features {
-        table = table.with_features(Matrix::zeros(0, dim));
-    }
-    for r in 0..n_rows {
-        let row: Vec<Value> = types
-            .iter()
-            .zip(&values)
-            .map(|(&ty, vals)| cell_from_json(&vals[r], ty))
-            .collect::<Result<_, _>>()?;
-        table.push_row(row, features.as_ref().map(|m| m.row(r)));
-    }
-    Ok((name, table))
+    Ok((name, Table::from_parts(schema, columns, nulls, features)))
 }
 
 /// JSON form of a table (used by clients to upload generated workloads).
@@ -429,8 +464,16 @@ pub fn append_features_from_json(v: &Json) -> Result<Option<Vec<Vec<f64>>>, ApiE
     match v {
         Json::Null => Ok(None),
         _ => {
-            let m = matrix_from_json(v, "features")?;
-            Ok(Some(m.iter_rows().map(|r| r.to_vec()).collect()))
+            let (rows, cols) = feature_rows(v, "features")?;
+            rows.iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let mut out = Vec::with_capacity(cols);
+                    push_feature_row(row, "features", i, cols, &mut out)?;
+                    Ok(out)
+                })
+                .collect::<Result<_, _>>()
+                .map(Some)
         }
     }
 }
@@ -727,6 +770,151 @@ mod tests {
         assert_eq!(back.to_tsv(), t.to_tsv());
         assert!(back.is_null(1, 1) && back.is_null(1, 2));
         assert_eq!(back.feature_row(1), Some(&[0.0, 2.0][..]));
+    }
+
+    fn assert_same_table(a: &Table, b: &Table, what: &str) {
+        assert_eq!(a.schema(), b.schema(), "{what}: schema");
+        assert_eq!(a.n_rows(), b.n_rows(), "{what}: row count");
+        for c in 0..a.schema().len() {
+            // Column equality covers the filler under NULL cells too.
+            assert_eq!(a.column(c), b.column(c), "{what}: column {c}");
+            assert_eq!(a.null_mask(c), b.null_mask(c), "{what}: null mask {c}");
+        }
+        let bits = |t: &Table| {
+            t.features().map(|m| {
+                let bits: Vec<u64> = m.as_slice().iter().map(|x| x.to_bits()).collect();
+                (m.rows(), m.cols(), bits)
+            })
+        };
+        assert_eq!(bits(a), bits(b), "{what}: feature bits");
+    }
+
+    /// The row-by-row build `table_from_json` used before it decoded
+    /// whole columns: one `cell_from_json` + `push_row` per row.
+    fn reference_table(v: &Json) -> Table {
+        let cols = v.get("columns").unwrap().as_arr().unwrap();
+        let mut schema = Schema::default();
+        for c in cols {
+            let ty = coltype_from_str(c.get("type").unwrap().as_str().unwrap()).unwrap();
+            schema.push(c.get("name").unwrap().as_str().unwrap(), ty);
+        }
+        let types: Vec<ColType> = schema.iter().map(|d| d.ty).collect();
+        let feats = v.get("features").map(|f| f.as_arr().unwrap());
+        let mut table = Table::empty(schema);
+        if let Some(f) = feats {
+            table = table.with_features(Matrix::zeros(0, f[0].as_arr().unwrap().len()));
+        }
+        let n_rows = cols[0].get("values").unwrap().as_arr().unwrap().len();
+        for r in 0..n_rows {
+            let row = cols
+                .iter()
+                .zip(&types)
+                .map(|(c, &ty)| {
+                    cell_from_json(&c.get("values").unwrap().as_arr().unwrap()[r], ty).unwrap()
+                })
+                .collect();
+            let feat: Option<Vec<f64>> = feats.map(|f| {
+                let cells = f[r].as_arr().unwrap();
+                cells.iter().map(|x| x.as_f64().unwrap()).collect()
+            });
+            table.push_row(row, feat.as_deref());
+        }
+        table
+    }
+
+    #[test]
+    fn column_decode_matches_row_by_row_build_on_random_tables() {
+        let mut rng = rain_linalg::RainRng::seed_from_u64(0xDEC0DE);
+        let strings = [
+            "",
+            "a",
+            "male",
+            "λ→∞",
+            "😀",
+            "quote\"back\\slash",
+            "tab\tnl\n",
+        ];
+        let floats = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE,
+            1e308,
+            -1e308,
+            0.1,
+            -2.5,
+        ];
+        let kinds = ["bool", "int", "float", "str"];
+        for case in 0..200 {
+            let n_rows = rng.below(12);
+            let n_cols = 1 + rng.below(5);
+            let columns: Vec<Json> = (0..n_cols)
+                .map(|c| {
+                    let kind = kinds[(case + c) % kinds.len()];
+                    // NULLs nowhere, everywhere, or scattered — and always
+                    // tried at the first and last row.
+                    let null_rate = [0.0_f64, 0.3, 1.0][rng.below(3)];
+                    let values = (0..n_rows)
+                        .map(|r| {
+                            let edge = r == 0 || r + 1 == n_rows;
+                            if rng.bernoulli(if edge { null_rate.max(0.5) } else { null_rate }) {
+                                return Json::Null;
+                            }
+                            match kind {
+                                "bool" => Json::Bool(rng.bernoulli(0.5)),
+                                "int" => Json::Num(rng.below(2001) as f64 - 1000.0),
+                                "float" => Json::Num(floats[rng.below(floats.len())]),
+                                _ => Json::str(strings[rng.below(strings.len())]),
+                            }
+                        })
+                        .collect();
+                    Json::obj(vec![
+                        ("name", Json::str(format!("C{c}"))),
+                        ("type", Json::str(kind)),
+                        ("values", Json::Arr(values)),
+                    ])
+                })
+                .collect();
+            let mut pairs = vec![("name", Json::str("T")), ("columns", Json::Arr(columns))];
+            // `features: []` is rejected, so an empty table carries none.
+            if n_rows > 0 && rng.bernoulli(0.7) {
+                let dim = 1 + rng.below(3);
+                let rows = (0..n_rows)
+                    .map(|_| {
+                        Json::Arr(
+                            (0..dim)
+                                .map(|_| Json::Num(floats[rng.below(floats.len())]))
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                pairs.push(("features", Json::Arr(rows)));
+            }
+            let body = Json::obj(pairs);
+
+            let (name, decoded) = table_from_json(&body).unwrap();
+            assert_eq!(name, "T");
+            assert_same_table(&decoded, &reference_table(&body), &format!("case {case}"));
+            let (_, back) = table_from_json(&table_to_json("T", &decoded)).unwrap();
+            assert_same_table(&back, &decoded, &format!("case {case} re-decoded"));
+        }
+    }
+
+    #[test]
+    fn append_decoders_match_the_matrix_decoder() {
+        let v = json::parse("[[1,-0.0,2.5],[3,4,5e-324]]").unwrap();
+        let rows = append_features_from_json(&v).unwrap().unwrap();
+        let m = matrix_from_json(&v, "features").unwrap();
+        assert_eq!((m.rows(), m.cols()), (2, 3));
+        let flat: Vec<u64> = rows.iter().flatten().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = m.as_slice().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(flat, want);
+        assert_eq!(append_features_from_json(&Json::Null).unwrap(), None);
+        for bad in ["[]", "[[1],[1,2]]", "[[1],2]", "[[1,\"x\"]]", "3"] {
+            let v = json::parse(bad).unwrap();
+            assert_eq!(matrix_from_json(&v, "features").unwrap_err().status, 400);
+            assert_eq!(append_features_from_json(&v).unwrap_err().status, 400);
+        }
     }
 
     #[test]

@@ -471,6 +471,53 @@ fn body_json(req: &Request) -> Result<Json, ApiError> {
     json::parse(text).map_err(|e| ApiError::bad_request(format!("invalid JSON body: {e}")))
 }
 
+/// [`body_json`] for the ingest routes, whose bodies are the large ones:
+/// under a `serve.parse_body` span carrying the body's size.
+fn upload_json(req: &Request) -> Result<Json, ApiError> {
+    let mut span = rain_obs::Span::enter("serve.parse_body");
+    span.add("bytes", req.body.len() as u64);
+    body_json(req)
+}
+
+/// Run an ingest handler — under `?profile`, inside a root span. The
+/// harvested tree attributes the request to `serve.parse_body` (counter
+/// `bytes`), `serve.decode` (`rows`) and `serve.log_commit` (`bytes`) the
+/// way a profiled debug run is attributed to train / execute / rank; it
+/// rides on the response as `"profile"` and is parked in the profile
+/// ring. Without the flag the spans are inert.
+fn profiled(
+    state: &ServerState,
+    req: &Request,
+    session: &str,
+    what: &'static str,
+    run: impl FnOnce() -> Result<(u16, Json), ApiError>,
+) -> Result<(u16, Json), ApiError> {
+    if !req.query_flag("profile") {
+        return run();
+    }
+    let t0 = Instant::now();
+    let _on = rain_obs::activate();
+    let root = rain_obs::Span::enter(what);
+    let root_id = root.id();
+    let res = run();
+    drop(root);
+    let trace = rain_obs::take_subtree(root_id);
+    let (status, mut body) = res?;
+    if let (Json::Obj(pairs), Some(trace)) = (&mut body, trace) {
+        pairs.push(("profile".to_string(), trace_to_json(&trace)));
+        state.profiles.push(
+            "ingest",
+            session,
+            what.to_string(),
+            t0.elapsed().as_secs_f64(),
+            None,
+            Some(trace),
+            false,
+        );
+    }
+    Ok((status, body))
+}
+
 fn str_field(v: &Json, key: &str) -> Result<String, ApiError> {
     v.get(key)
         .and_then(Json::as_str)
@@ -501,15 +548,23 @@ fn handle(state: &ServerState, req: &Request) -> Result<(u16, Json), ApiError> {
             }
             Ok((200, Json::obj(vec![("dropped", Json::str(*name))])))
         }
-        ("POST", ["sessions", name, "tables"]) => register_table(state, name, req),
+        ("POST", ["sessions", name, "tables"]) => {
+            profiled(state, req, name, "register-table", || {
+                register_table(state, name, req)
+            })
+        }
         ("POST", ["sessions", name, "tables", table, "append"]) => {
-            append_to_table(state, name, table, req)
+            profiled(state, req, name, "append-rows", || {
+                append_to_table(state, name, table, req)
+            })
         }
         ("POST", ["sessions", name, "tables", table, "index"]) => {
             create_table_index(state, name, table, req)
         }
         ("GET", ["sessions", name, "tables", table, "stats"]) => table_stats(state, name, table),
-        ("POST", ["sessions", name, "train"]) => upload_train(state, name, req),
+        ("POST", ["sessions", name, "train"]) => profiled(state, req, name, "upload-train", || {
+            upload_train(state, name, req)
+        }),
         ("POST", ["sessions", name, "query"]) => query(state, name, req),
         ("POST", ["sessions", name, "complain"]) => complain(state, name, req),
         ("POST", ["sessions", name, "debug-run"]) => debug_run(state, name, req),
@@ -937,8 +992,13 @@ fn publish_durability(slot: &SessionSlot, st: &mut SessionState) -> Result<(), A
 }
 
 fn register_table(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), ApiError> {
-    let body = body_json(req)?;
-    let (table_name, table) = table_from_json(&body)?;
+    let body = upload_json(req)?;
+    let (table_name, table) = {
+        let mut span = rain_obs::Span::enter("serve.decode");
+        let decoded = table_from_json(&body)?;
+        span.add("rows", decoded.1.n_rows() as u64);
+        decoded
+    };
     let slot = state.pool.get(name)?;
     let mut guard = slot.lock();
     let st = &mut *guard;
@@ -971,10 +1031,11 @@ fn append_to_table(
     table_name: &str,
     req: &Request,
 ) -> Result<(u16, Json), ApiError> {
-    let body = body_json(req)?;
+    let body = upload_json(req)?;
     let slot = state.pool.get(name)?;
     let mut guard = slot.lock();
     let st = &mut *guard;
+    let mut decode_span = rain_obs::Span::enter("serve.decode");
     let types: Vec<ColType> = st
         .sess
         .db
@@ -994,6 +1055,8 @@ fn append_to_table(
         Some(f) => append_features_from_json(f)?,
     };
     let appended = rows.len();
+    decode_span.add("rows", appended as u64);
+    drop(decode_span);
     let (id, version) = rain_core::durable::append_rows(
         &mut st.sess.db,
         st.store.as_mut(),
@@ -1126,8 +1189,13 @@ fn table_stats(state: &ServerState, name: &str, table_name: &str) -> Result<(u16
 }
 
 fn upload_train(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), ApiError> {
-    let body = body_json(req)?;
-    let data = dataset_from_json(&body)?;
+    let body = upload_json(req)?;
+    let data = {
+        let mut span = rain_obs::Span::enter("serve.decode");
+        let data = dataset_from_json(&body)?;
+        span.add("rows", data.len() as u64);
+        data
+    };
     let slot = state.pool.get(name)?;
     let mut st = slot.lock();
     if data.dim() != st.sess.model.dim() {

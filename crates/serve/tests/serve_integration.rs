@@ -1630,3 +1630,167 @@ fn index_and_stats_endpoints_round_trip_and_recover() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }
+
+/// A request's body buffer follows the bytes received, not the header: a
+/// connection that declares the largest legal body and sends none of it
+/// is answered 400 and dropped without reaching a handler, while a
+/// genuinely large body (5 MB of strings) still round-trips.
+#[test]
+fn declared_but_unsent_body_is_dropped_and_large_bodies_round_trip() {
+    use std::io::{Read, Write};
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("big"))
+        .unwrap();
+    let requests = |c: &mut Client| {
+        c.get_ok("/stats")
+            .unwrap()
+            .get("requests")
+            .unwrap()
+            .as_i64()
+            .unwrap()
+    };
+    let before = requests(&mut client);
+
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(
+        format!(
+            "POST /sessions/big/tables HTTP/1.1\r\nHost: rain\r\nContent-Length: {}\r\n\r\n",
+            rain_serve::http::MAX_BODY
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = String::new();
+    raw.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 400 "), "got {answer:?}");
+    assert!(answer.contains("malformed HTTP request"), "got {answer:?}");
+    // Only the `/stats` call above counts: the short request never became one.
+    assert_eq!(requests(&mut client), before + 1);
+
+    // ~5 MB: 50 000 rows of a 100-byte string cell, the last one a needle.
+    let n = 50_000;
+    let cell = "λ-padding-".repeat(9);
+    let body = Json::obj(vec![
+        ("name", Json::str("wide")),
+        (
+            "columns",
+            Json::Arr(vec![Json::obj(vec![
+                ("name", Json::str("note")),
+                ("type", Json::str("str")),
+                (
+                    "values",
+                    Json::Arr(
+                        (0..n)
+                            .map(|i| match i + 1 == n {
+                                true => Json::str("needle"),
+                                false => Json::str(format!("{cell}{i}")),
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])]),
+        ),
+    ]);
+    assert!(body.to_string().len() > 5_000_000);
+    let ack = client.post_ok("/sessions/big/tables", &body).unwrap();
+    assert_eq!(ack.get("rows").and_then(Json::as_usize), Some(n));
+    let out = client
+        .post_ok(
+            "/sessions/big/query",
+            &Json::obj(vec![(
+                "sql",
+                Json::str("SELECT COUNT(*) FROM wide WHERE note = 'needle'"),
+            )]),
+        )
+        .unwrap();
+    let rows = out.get("result").unwrap().get("rows").unwrap();
+    assert_eq!(rows, &Json::Arr(vec![Json::Arr(vec![Json::num(1.0)])]));
+    server.shutdown();
+}
+
+/// `?profile` on the ingest routes returns the request's span tree:
+/// parse, decode and (durable sessions) log commit, each with the counter
+/// that sizes it — and parks the tree in the profile ring. Without the
+/// flag the response carries no profile.
+#[test]
+fn ingest_profile_flag_attributes_parse_decode_and_log() {
+    let data_dir =
+        std::env::temp_dir().join(format!("rain-serve-ingest-profile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let server = start(ServerConfig {
+        data_dir: Some(data_dir.to_string_lossy().into_owned()),
+        ..Default::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("ing"))
+        .unwrap();
+
+    let counter = |node: &Json, key: &str| {
+        node.get("counters")
+            .and_then(|c| c.get(key))
+            .and_then(Json::as_usize)
+            .unwrap_or_else(|| panic!("no counter {key:?} on {node}"))
+    };
+    let table = table_json("pairs", 30, 10);
+    let plain = client.post_ok("/sessions/ing/tables", &table).unwrap();
+    assert_eq!(plain.get("profile"), None);
+
+    let ack = client
+        .post_ok("/sessions/ing/tables?profile", &table)
+        .unwrap();
+    let profile = ack.get("profile").expect("profiled registration");
+    assert_eq!(
+        profile.get("name").and_then(Json::as_str),
+        Some("register-table")
+    );
+    assert_eq!(
+        counter(child(profile, "serve.parse_body"), "bytes"),
+        table.to_string().len()
+    );
+    assert_eq!(counter(child(profile, "serve.decode"), "rows"), 30);
+    assert!(counter(child(profile, "serve.log_commit"), "bytes") > 30 * 8);
+
+    let ack = client
+        .post_ok("/sessions/ing/train?profile=1", &train_json(40, 8))
+        .unwrap();
+    let profile = ack.get("profile").expect("profiled upload");
+    assert_eq!(
+        profile.get("name").and_then(Json::as_str),
+        Some("upload-train")
+    );
+    assert_eq!(counter(child(profile, "serve.decode"), "rows"), 40);
+    child(profile, "serve.log_commit");
+
+    let append = Json::obj(vec![
+        ("rows", Json::Arr(vec![Json::Arr(vec![Json::num(30.0)])])),
+        ("features", Json::Arr(vec![Json::Arr(vec![Json::num(1.0)])])),
+    ]);
+    let ack = client
+        .post_ok("/sessions/ing/tables/pairs/append?profile", &append)
+        .unwrap();
+    let profile = ack.get("profile").expect("profiled append");
+    assert_eq!(
+        profile.get("name").and_then(Json::as_str),
+        Some("append-rows")
+    );
+    assert_eq!(counter(child(profile, "serve.decode"), "rows"), 1);
+    child(profile, "serve.parse_body");
+    child(profile, "serve.log_commit");
+
+    let ring = client.get_ok("/debug/profiles").unwrap();
+    let ingests = ring
+        .get("recent")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("ingest"))
+        .count();
+    assert_eq!(ingests, 3);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}

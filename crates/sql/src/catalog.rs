@@ -170,28 +170,41 @@ impl Database {
     /// tuples survive — this is the cheap ingestion path that lets cached
     /// skeletons distinguish "grown" from "replaced".
     ///
-    /// All rows are validated (arity, cell types, feature presence and
-    /// width) before any mutation, so an `Err` leaves the catalog
-    /// untouched.
+    /// All rows are validated ([`Database::validate_append`]) before any
+    /// mutation, so an `Err` leaves the catalog untouched.
     pub fn append_to(
         &mut self,
         name: &str,
         rows: Vec<Vec<Value>>,
         features: Option<Vec<Vec<f64>>>,
     ) -> Result<(TableId, TableVersion), String> {
-        let name_lc = name.to_ascii_lowercase();
-        let &slot = self
-            .by_name
-            .get(&name_lc)
-            .ok_or_else(|| format!("unknown table {name_lc}"))?;
-        let entry = &self.entries[slot];
-        validate_append(&entry.table, &rows, features.as_deref())?;
+        let slot = self.validate_append(name, &rows, features.as_deref())?.0 as usize;
         let entry = &mut self.entries[slot];
         entry.table.append_rows(rows, features.as_deref());
         entry.version.delta += 1;
         let out = (entry.id, entry.version);
         self.refresh_entry(slot);
         Ok(out)
+    }
+
+    /// The validate-only half of [`Database::append_to`]: does the table
+    /// exist, and does the batch fit it (arity, cell types, feature
+    /// presence and width)? Durable sessions run this, then log, then
+    /// apply, so a batch that reaches the log always applies.
+    pub fn validate_append(
+        &self,
+        name: &str,
+        rows: &[Vec<Value>],
+        features: Option<&[Vec<f64>]>,
+    ) -> Result<TableId, String> {
+        let entry = self.entry_or_err(name)?;
+        validate_append(&entry.table, rows, features)?;
+        Ok(entry.id)
+    }
+
+    fn entry_or_err(&self, name: &str) -> Result<&TableEntry, String> {
+        self.entry(name)
+            .ok_or_else(|| format!("unknown table {}", name.to_ascii_lowercase()))
     }
 
     /// Create (or rebuild) a secondary index on `table.column`. Replaces
@@ -204,18 +217,9 @@ impl Database {
         column: &str,
         kind: IndexKind,
     ) -> Result<(TableId, usize), String> {
-        let name_lc = table.to_ascii_lowercase();
-        let &slot = self
-            .by_name
-            .get(&name_lc)
-            .ok_or_else(|| format!("unknown table {name_lc}"))?;
-        let entry = &mut self.entries[slot];
+        let (id, col) = self.validate_index(table, column, kind)?;
+        let entry = &mut self.entries[id.0 as usize];
         let column = column.to_ascii_lowercase();
-        let col = entry
-            .table
-            .schema()
-            .index_of(&column)
-            .ok_or_else(|| format!("table {name_lc} has no column {column}"))?;
         let ix = TableIndex::build(&entry.table, &column, col, kind)?;
         let entries = ix.len();
         entry
@@ -223,6 +227,26 @@ impl Database {
             .retain(|other| !(other.column == column && other.kind == kind));
         entry.indexes.push(ix);
         Ok((entry.id, entries))
+    }
+
+    /// The validate-only half of [`Database::create_index`]: the table and
+    /// column exist and the column's type supports an index of `kind`.
+    /// Returns the table's id and the column's ordinal.
+    pub fn validate_index(
+        &self,
+        table: &str,
+        column: &str,
+        kind: IndexKind,
+    ) -> Result<(TableId, usize), String> {
+        let entry = self.entry_or_err(table)?;
+        let column = column.to_ascii_lowercase();
+        let col = entry
+            .table
+            .schema()
+            .index_of(&column)
+            .ok_or_else(|| format!("table {} has no column {column}", entry.name))?;
+        TableIndex::check(&entry.table, &column, col, kind)?;
+        Ok((entry.id, col))
     }
 
     /// The index of a given kind on `(table, column ordinal)`, if one

@@ -102,6 +102,18 @@ enum IndexData {
 }
 
 impl TableIndex {
+    /// Whether [`TableIndex::build`] would accept these arguments: it
+    /// fails only for a sorted index on a string column.
+    pub fn check(table: &Table, column: &str, col: usize, kind: IndexKind) -> Result<(), String> {
+        if kind == IndexKind::Sorted && table.schema().col(col).ty == ColType::Str {
+            return Err(format!(
+                "sorted index on string column '{column}' is not supported; \
+                 string predicates use the sequential scan path"
+            ));
+        }
+        Ok(())
+    }
+
     /// Build an index over `table`'s column `col`. Fails for a sorted
     /// index on a string column.
     pub fn build(
@@ -110,12 +122,7 @@ impl TableIndex {
         col: usize,
         kind: IndexKind,
     ) -> Result<TableIndex, String> {
-        if kind == IndexKind::Sorted && table.schema().col(col).ty == ColType::Str {
-            return Err(format!(
-                "sorted index on string column '{column}' is not supported; \
-                 string predicates use the sequential scan path"
-            ));
-        }
+        TableIndex::check(table, column, col, kind)?;
         let data = match kind {
             IndexKind::Hash => IndexData::Hash(build_hash(table, col)),
             IndexKind::Sorted => IndexData::Sorted(build_sorted(table, col)),

@@ -275,7 +275,8 @@ impl Table {
     /// bitmaps, and an optional feature matrix. This is the restore path
     /// for durability snapshots — [`Table::from_columns`] followed by
     /// `push_row` cannot reproduce a null bitmap bit-identically, this
-    /// can.
+    /// can — and the build step of the wire decoder, which fills whole
+    /// columns at a time.
     ///
     /// # Panics
     /// Panics if the parts disagree (column counts/lengths/types, bitmap
@@ -360,13 +361,24 @@ impl Table {
         self.features.as_ref()
     }
 
-    /// Append one row of values (and optionally a feature vector).
+    /// Append one row of values (and optionally a feature vector) in
+    /// O(width): typed columns, null bitmaps and the feature matrix all
+    /// grow in place (amortised), so building a table row by row is
+    /// linear in its size.
     ///
     /// # Panics
     /// Panics if arity/types mismatch, or if `feat` presence disagrees with
     /// whether the table carries features.
     pub fn push_row(&mut self, row: Vec<Value>, feat: Option<&[f64]>) {
         assert_eq!(row.len(), self.columns.len(), "push_row: arity mismatch");
+        match (&mut self.features, feat) {
+            (Some(m), Some(f)) => m.push_row(f),
+            (None, None) => {}
+            (None, Some(f)) if self.n_rows == 0 => {
+                self.features = Some(Matrix::from_vec(1, f.len(), f.to_vec()));
+            }
+            _ => panic!("push_row: feature presence mismatch"),
+        }
         for (ci, (col, v)) in self.columns.iter_mut().zip(row).enumerate() {
             if v == Value::Null {
                 col.push_zero();
@@ -380,84 +392,31 @@ impl Table {
                 }
             }
         }
-        match (&mut self.features, feat) {
-            (Some(m), Some(f)) => {
-                assert_eq!(f.len(), m.cols(), "push_row: feature width mismatch");
-                *m = {
-                    let mut data = Vec::with_capacity((m.rows() + 1) * m.cols());
-                    data.extend_from_slice(m.as_slice());
-                    data.extend_from_slice(f);
-                    Matrix::from_vec(m.rows() + 1, m.cols(), data)
-                };
-            }
-            (None, None) => {}
-            (None, Some(f)) if self.n_rows == 0 => {
-                self.features = Some(Matrix::from_vec(1, f.len(), f.to_vec()));
-            }
-            _ => panic!("push_row: feature presence mismatch"),
-        }
         self.n_rows += 1;
     }
 
-    /// Append many rows (and optionally row-aligned feature vectors) in
-    /// one batch. Equivalent to calling [`Table::push_row`] per row but
-    /// extends the feature matrix once for the whole batch instead of
-    /// rebuilding it per row, so appending `k` rows to an `n`-row table
-    /// costs O(n + k) feature copies rather than O(k · n). This is the
-    /// path commitlog replay and the serving layer's append endpoint go
-    /// through.
+    /// Append many rows (and optionally row-aligned feature vectors):
+    /// [`Table::push_row`] per row, after reserving the feature matrix's
+    /// growth once. This is the path commitlog replay and the serving
+    /// layer's append endpoint go through.
     ///
     /// # Panics
     /// Panics if arity/types mismatch, if `feats` presence disagrees with
     /// whether the table carries features, or if `feats` is not
     /// row-aligned with `rows`.
     pub fn append_rows(&mut self, rows: Vec<Vec<Value>>, feats: Option<&[Vec<f64>]>) {
-        let n_new = rows.len();
         if let Some(fs) = feats {
-            assert_eq!(fs.len(), n_new, "append_rows: feature row count mismatch");
+            assert_eq!(
+                fs.len(),
+                rows.len(),
+                "append_rows: feature row count mismatch"
+            );
         }
-        if n_new == 0 {
-            return;
+        if let Some(m) = &mut self.features {
+            m.reserve_rows(rows.len());
         }
-        match (&mut self.features, feats) {
-            (Some(m), Some(fs)) => {
-                let cols = m.cols();
-                let mut data = Vec::with_capacity((m.rows() + n_new) * cols);
-                data.extend_from_slice(m.as_slice());
-                for f in fs {
-                    assert_eq!(f.len(), cols, "append_rows: feature width mismatch");
-                    data.extend_from_slice(f);
-                }
-                *m = Matrix::from_vec(m.rows() + n_new, cols, data);
-            }
-            (None, None) => {}
-            (None, Some(fs)) if self.n_rows == 0 => {
-                let cols = fs[0].len();
-                let mut data = Vec::with_capacity(n_new * cols);
-                for f in fs {
-                    assert_eq!(f.len(), cols, "append_rows: feature width mismatch");
-                    data.extend_from_slice(f);
-                }
-                self.features = Some(Matrix::from_vec(n_new, cols, data));
-            }
-            _ => panic!("append_rows: feature presence mismatch"),
-        }
-        for row in rows {
-            assert_eq!(row.len(), self.columns.len(), "append_rows: arity mismatch");
-            for (ci, (col, v)) in self.columns.iter_mut().zip(row).enumerate() {
-                if v == Value::Null {
-                    col.push_zero();
-                    self.nulls[ci]
-                        .get_or_insert_with(|| vec![false; self.n_rows])
-                        .push(true);
-                } else {
-                    col.push(v);
-                    if let Some(mask) = &mut self.nulls[ci] {
-                        mask.push(false);
-                    }
-                }
-            }
-            self.n_rows += 1;
+        for (i, row) in rows.into_iter().enumerate() {
+            self.push_row(row, feats.map(|fs| fs[i].as_slice()));
         }
     }
 

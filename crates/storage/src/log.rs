@@ -52,6 +52,7 @@ pub struct Commitlog {
     records: u64,
     pending_records: u64,
     open_stats: OpenStats,
+    fail_next_commit: bool,
 }
 
 impl Commitlog {
@@ -79,6 +80,7 @@ impl Commitlog {
                 records: 0,
                 pending_records: 0,
                 open_stats: OpenStats::default(),
+                fail_next_commit: false,
             });
         }
         let mut magic = [0u8; 8];
@@ -107,6 +109,7 @@ impl Commitlog {
                 records,
                 truncated_bytes: truncated,
             },
+            fail_next_commit: false,
         })
     }
 
@@ -132,19 +135,47 @@ impl Commitlog {
     }
 
     /// Flush every buffered record in one write and fsync. After this
-    /// returns, those records survive a crash.
+    /// returns `Ok`, those records survive a crash. On `Err` the batch is
+    /// lost, not deferred: it is dropped and any partial write cut away,
+    /// so a later commit cannot make durable a mutation whose caller was
+    /// told it failed.
     pub fn commit(&mut self) -> Result<(), StorageError> {
         if self.pending.is_empty() {
             return Ok(());
         }
+        let written = self.write_pending();
+        match written {
+            Ok(()) => {
+                self.durable_end += self.pending.len() as u64;
+                self.records += self.pending_records;
+            }
+            Err(_) => {
+                let _ = self.file.set_len(self.durable_end);
+            }
+        }
+        self.pending.clear();
+        self.pending_records = 0;
+        written
+    }
+
+    fn write_pending(&mut self) -> Result<(), StorageError> {
+        if std::mem::take(&mut self.fail_next_commit) {
+            return Err(StorageError::Io(std::io::Error::other(
+                "injected commit failure",
+            )));
+        }
         self.file.seek(SeekFrom::Start(self.durable_end))?;
         self.file.write_all(&self.pending)?;
         self.file.sync_data()?;
-        self.durable_end += self.pending.len() as u64;
-        self.records += self.pending_records;
-        self.pending.clear();
-        self.pending_records = 0;
         Ok(())
+    }
+
+    /// Fault injection for tests of the layers above the log: the next
+    /// [`Commitlog::commit`] fails the way a full disk would, before
+    /// anything is written.
+    #[doc(hidden)]
+    pub fn fail_next_commit(&mut self) {
+        self.fail_next_commit = true;
     }
 
     /// Offset one past the last durable record (grows only on commit).
@@ -289,6 +320,33 @@ mod tests {
         }
         let log = Commitlog::open(&path).unwrap();
         assert_eq!(log.records(), 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_commit_drops_the_batch() {
+        let path = temp_path("failed");
+        let mut log = Commitlog::open(&path).unwrap();
+        log.append(b"kept");
+        log.commit().unwrap();
+        let end = log.durable_end();
+        log.append(b"lost");
+        log.append(b"lost too");
+        log.fail_next_commit();
+        assert!(log.commit().is_err());
+        assert_eq!((log.records(), log.durable_end()), (1, end));
+        // The failed batch does not ride along with the next commit.
+        log.append(b"next");
+        log.commit().unwrap();
+        drop(log);
+        let mut log = Commitlog::open(&path).unwrap();
+        let mut seen = Vec::new();
+        log.replay(LOG_HEADER_LEN, |_, p| {
+            seen.push(p.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, vec![b"kept".to_vec(), b"next".to_vec()]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -181,6 +181,13 @@ impl SessionStore {
         self.commit()
     }
 
+    /// Fault injection for tests of the layers above the store: see
+    /// [`Commitlog::fail_next_commit`].
+    #[doc(hidden)]
+    pub fn fail_next_commit(&mut self) {
+        self.log.fail_next_commit();
+    }
+
     /// Reassemble session state: newest valid snapshot plus the log tail.
     pub fn recover(&mut self) -> Result<RecoveredState, StorageError> {
         let t0 = Instant::now();
