@@ -118,7 +118,8 @@ pub fn append_rows(
     rows: Vec<Vec<Value>>,
     features: Option<Vec<Vec<f64>>>,
 ) -> Result<(TableId, TableVersion), AppendError> {
-    db.validate_append(name, &rows, features.as_deref())
+    let id = db
+        .validate_append(name, &rows, features.as_deref())
         .map_err(AppendError::Invalid)?;
     let rec = Record::AppendRows {
         name: name.to_string(),
@@ -129,8 +130,7 @@ pub fn append_rows(
     let Record::AppendRows { rows, features, .. } = rec else {
         unreachable!("built above")
     };
-    db.append_to(name, rows, features)
-        .map_err(AppendError::Invalid)
+    Ok(db.apply_append(id, rows, features))
 }
 
 /// Create a secondary index on a registered table's column, logging the
@@ -146,7 +146,8 @@ pub fn create_index(
     column: &str,
     kind: rain_sql::IndexKind,
 ) -> Result<(TableId, usize), AppendError> {
-    db.validate_index(name, column, kind)
+    let (id, col) = db
+        .validate_index(name, column, kind)
         .map_err(AppendError::Invalid)?;
     let rec = Record::CreateIndex {
         name: name.to_string(),
@@ -154,8 +155,7 @@ pub fn create_index(
         kind: kind.code(),
     };
     log(store, &rec).map_err(AppendError::Storage)?;
-    db.create_index(name, column, kind)
-        .map_err(AppendError::Invalid)
+    db.apply_index(id, col, kind).map_err(AppendError::Invalid)
 }
 
 /// Replace the training set, logging the mutation when durable.

@@ -197,9 +197,10 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         text: input,
         pos: 0,
+        stack: Vec::new(),
     };
     p.skip_ws();
-    let v = p.value(0, 0)?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
@@ -210,6 +211,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// The elements of every array still open, innermost on top.
+    stack: Vec<Json>,
 }
 
 impl<'a> Parser<'a> {
@@ -248,11 +251,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// One value. `hint` sizes the buffer if it is an array: the length
-    /// of the array before it in the enclosing array, since the rows of a
-    /// matrix are equally long. What a wrong hint can waste is bounded by
-    /// that sibling's real length, which the input already paid for.
-    fn value(&mut self, depth: usize, hint: usize) -> Result<Json, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -268,21 +267,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Json::Arr(Vec::new()));
                 }
-                let mut items = Vec::with_capacity(hint);
-                let mut child_hint = 0;
+                // Elements gather on the shared stack and a closed array
+                // is cut off its top: one allocation of exactly its
+                // length, where a `Vec` grown by `push` reallocates its
+                // way to the next power of two — for every matrix row.
+                let start = self.stack.len();
                 loop {
                     self.skip_ws();
-                    let item = self.value(depth + 1, child_hint)?;
-                    if let Json::Arr(a) = &item {
-                        child_hint = a.len();
-                    }
-                    items.push(item);
+                    let item = self.value(depth + 1)?;
+                    self.stack.push(item);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
-                            return Ok(Json::Arr(items));
+                            return Ok(Json::Arr(self.stack.split_off(start)));
                         }
                         _ => return Err(self.err("expected ',' or ']'")),
                     }
@@ -302,7 +301,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.eat(b':')?;
                     self.skip_ws();
-                    let val = self.value(depth + 1, 0)?;
+                    let val = self.value(depth + 1)?;
                     pairs.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -323,24 +322,11 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits = self.pos;
-        let mut int = 0u64;
-        while let Some(c) = self.peek().filter(u8::is_ascii_digit) {
-            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
-        }
-        // A plain integer of up to 15 digits is exact in an f64: skip the
-        // general float parser (ids, counts and one-hot features are most
-        // of what the wire carries).
-        if (1..=15).contains(&(self.pos - digits))
-            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
-        {
-            let n = int as f64;
-            return Ok(Json::Num(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -626,11 +612,14 @@ mod tests {
     }
 
     #[test]
-    fn array_capacity_hint_does_not_change_values() {
-        // Sibling arrays of different lengths, in both orders, nested.
-        let text = "[[1,2,3],[],[4],[5,6,7,8],[[9],[10,11]],\"s\",[12]]";
-        let v = parse(text).unwrap();
-        assert_eq!(v.to_string(), text);
+    fn nested_and_sibling_arrays_keep_their_own_elements() {
+        // Arrays share one element stack while open: siblings of every
+        // length in both orders, nesting, scalars after a closed child.
+        let text = "[[1,2,3],[],[4],[5,6,7,8],[[9],[10,11],12],\"s\",[13],{\"k\":[14,[15]]}]";
+        assert_eq!(parse(text).unwrap().to_string(), text);
+        for bad in ["[[1,2],[3,", "[[1,2],[3,x]]", "[1,[2,[3]]"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

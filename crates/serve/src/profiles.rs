@@ -30,13 +30,12 @@ pub const SLOW_CAP: usize = 32;
 pub struct ProfileEntry {
     /// Server-unique, monotonically increasing id (fetch-by-id key).
     pub id: u64,
-    /// `"query"`, `"iteration"` (a debug-run loop pass) or `"ingest"` (a
-    /// `?profile` table registration, append or training-set upload).
+    /// `"query"` or `"iteration"` (a debug-run loop pass).
     pub kind: &'static str,
     /// Session the work ran in.
     pub session: String,
     /// What ran: the SQL text for queries, `method iteration=N` for
-    /// debug-run iterations, the operation's name for ingests.
+    /// debug-run iterations.
     pub detail: String,
     /// Wall-clock latency of the captured work, in seconds.
     pub latency_s: f64,

@@ -271,8 +271,10 @@ pub fn value_to_json(v: &Value) -> Json {
     }
 }
 
-/// The rows of a feature matrix — a non-empty array of number rows — and
-/// the width every row must have (the first row's).
+/// The rows of a feature matrix — a non-empty array of equal-length
+/// arrays — and their common width. Every row's shape is checked here, so
+/// `rows × width` is the number of cells received and safe to size a
+/// buffer from (the width alone is whatever the first row claims).
 fn feature_rows<'a>(v: &'a Json, what: &str) -> Result<(&'a [Json], usize), ApiError> {
     let rows = v
         .as_arr()
@@ -280,24 +282,22 @@ fn feature_rows<'a>(v: &'a Json, what: &str) -> Result<(&'a [Json], usize), ApiE
     let first = rows
         .first()
         .ok_or_else(|| ApiError::bad_request(format!("{what} must not be empty")))?;
-    Ok((rows, first.as_arr().map_or(0, <[Json]>::len)))
+    let cols = first.as_arr().map_or(0, <[Json]>::len);
+    for (i, row) in rows.iter().enumerate() {
+        let cells = row
+            .as_arr()
+            .ok_or_else(|| ApiError::bad_request(format!("{what} row {i} must be an array")))?;
+        if cells.len() != cols {
+            return Err(ApiError::bad_request(format!("{what} rows are ragged")));
+        }
+    }
+    Ok((rows, cols))
 }
 
-/// Append the `cols` numbers of feature row `i` to `out`.
-fn push_feature_row(
-    row: &Json,
-    what: &str,
-    i: usize,
-    cols: usize,
-    out: &mut Vec<f64>,
-) -> Result<(), ApiError> {
-    let cells = row
-        .as_arr()
-        .ok_or_else(|| ApiError::bad_request(format!("{what} row {i} must be an array")))?;
-    if cells.len() != cols {
-        return Err(ApiError::bad_request(format!("{what} rows are ragged")));
-    }
-    for c in cells {
+/// Append the numbers of feature row `i` (one of [`feature_rows`]' rows)
+/// to `out`.
+fn push_feature_row(row: &Json, what: &str, i: usize, out: &mut Vec<f64>) -> Result<(), ApiError> {
+    for c in row.as_arr().into_iter().flatten() {
         out.push(
             c.as_f64().ok_or_else(|| {
                 ApiError::bad_request(format!("{what} row {i} holds a non-number"))
@@ -313,7 +313,7 @@ fn matrix_from_json(v: &Json, what: &str) -> Result<Matrix, ApiError> {
     let (rows, cols) = feature_rows(v, what)?;
     let mut data = Vec::with_capacity(rows.len() * cols);
     for (i, row) in rows.iter().enumerate() {
-        push_feature_row(row, what, i, cols, &mut data)?;
+        push_feature_row(row, what, i, &mut data)?;
     }
     Ok(Matrix::from_vec(rows.len(), cols, data))
 }
@@ -469,7 +469,7 @@ pub fn append_features_from_json(v: &Json) -> Result<Option<Vec<Vec<f64>>>, ApiE
                 .enumerate()
                 .map(|(i, row)| {
                     let mut out = Vec::with_capacity(cols);
-                    push_feature_row(row, "features", i, cols, &mut out)?;
+                    push_feature_row(row, "features", i, &mut out)?;
                     Ok(out)
                 })
                 .collect::<Result<_, _>>()
@@ -915,6 +915,25 @@ mod tests {
             assert_eq!(matrix_from_json(&v, "features").unwrap_err().status, 400);
             assert_eq!(append_features_from_json(&v).unwrap_err().status, 400);
         }
+    }
+
+    /// A long first row followed by many empty ones: sized from
+    /// rows × first-row-width this is a 320 GB allocation, which aborts the
+    /// process instead of answering 400.
+    #[test]
+    fn ragged_features_with_a_long_first_row_are_rejected_not_allocated() {
+        let n = 200_000;
+        let mut rows = vec![Json::Arr(vec![Json::Num(0.0); n])];
+        rows.resize(n + 1, Json::Arr(Vec::new()));
+        let v = Json::Arr(rows);
+        let e = matrix_from_json(&v, "features").unwrap_err();
+        assert_eq!(
+            (e.status, e.message.as_str()),
+            (400, "features rows are ragged")
+        );
+        assert_eq!(append_features_from_json(&v).unwrap_err().status, 400);
+        let upload = Json::obj(vec![("features", v), ("labels", Json::Arr(vec![]))]);
+        assert_eq!(dataset_from_json(&upload).unwrap_err().status, 400);
     }
 
     #[test]

@@ -479,41 +479,35 @@ fn upload_json(req: &Request) -> Result<Json, ApiError> {
     body_json(req)
 }
 
-/// Run an ingest handler — under `?profile`, inside a root span. The
-/// harvested tree attributes the request to `serve.parse_body` (counter
-/// `bytes`), `serve.decode` (`rows`) and `serve.log_commit` (`bytes`) the
-/// way a profiled debug run is attributed to train / execute / rank; it
-/// rides on the response as `"profile"` and is parked in the profile
-/// ring. Without the flag the spans are inert.
+/// Run `f` with tracing live under a root span named `what`, and harvest
+/// that span's tree.
+fn traced<T>(what: &'static str, f: impl FnOnce() -> T) -> (T, Option<rain_obs::TraceNode>) {
+    let _on = rain_obs::activate();
+    let root = rain_obs::Span::enter(what);
+    let root_id = root.id();
+    let out = f();
+    drop(root);
+    (out, rain_obs::take_subtree(root_id))
+}
+
+/// Run an ingest handler; under `?profile` (the flag `/debug-run` has),
+/// [`traced`], with the tree on the response as `"profile"`. It
+/// attributes the request to `serve.parse_body` (counter `bytes`),
+/// `serve.decode` (`rows`) and `serve.log_commit` (`bytes`) the way a
+/// profiled debug run is attributed to train / execute / rank. Without the
+/// flag the spans are inert.
 fn profiled(
-    state: &ServerState,
     req: &Request,
-    session: &str,
     what: &'static str,
     run: impl FnOnce() -> Result<(u16, Json), ApiError>,
 ) -> Result<(u16, Json), ApiError> {
     if !req.query_flag("profile") {
         return run();
     }
-    let t0 = Instant::now();
-    let _on = rain_obs::activate();
-    let root = rain_obs::Span::enter(what);
-    let root_id = root.id();
-    let res = run();
-    drop(root);
-    let trace = rain_obs::take_subtree(root_id);
+    let (res, trace) = traced(what, run);
     let (status, mut body) = res?;
     if let (Json::Obj(pairs), Some(trace)) = (&mut body, trace) {
         pairs.push(("profile".to_string(), trace_to_json(&trace)));
-        state.profiles.push(
-            "ingest",
-            session,
-            what.to_string(),
-            t0.elapsed().as_secs_f64(),
-            None,
-            Some(trace),
-            false,
-        );
     }
     Ok((status, body))
 }
@@ -549,12 +543,10 @@ fn handle(state: &ServerState, req: &Request) -> Result<(u16, Json), ApiError> {
             Ok((200, Json::obj(vec![("dropped", Json::str(*name))])))
         }
         ("POST", ["sessions", name, "tables"]) => {
-            profiled(state, req, name, "register-table", || {
-                register_table(state, name, req)
-            })
+            profiled(req, "register-table", || register_table(state, name, req))
         }
         ("POST", ["sessions", name, "tables", table, "append"]) => {
-            profiled(state, req, name, "append-rows", || {
+            profiled(req, "append-rows", || {
                 append_to_table(state, name, table, req)
             })
         }
@@ -562,9 +554,9 @@ fn handle(state: &ServerState, req: &Request) -> Result<(u16, Json), ApiError> {
             create_table_index(state, name, table, req)
         }
         ("GET", ["sessions", name, "tables", table, "stats"]) => table_stats(state, name, table),
-        ("POST", ["sessions", name, "train"]) => profiled(state, req, name, "upload-train", || {
-            upload_train(state, name, req)
-        }),
+        ("POST", ["sessions", name, "train"]) => {
+            profiled(req, "upload-train", || upload_train(state, name, req))
+        }
         ("POST", ["sessions", name, "query"]) => query(state, name, req),
         ("POST", ["sessions", name, "complain"]) => complain(state, name, req),
         ("POST", ["sessions", name, "debug-run"]) => debug_run(state, name, req),
@@ -1252,10 +1244,7 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
     // join step — and the harvested span tree of this execution. Results
     // are bit-identical either way — tracing is a pure observer.
     let (out, event, analysis, sampled_trace) = if analyze {
-        let _on = rain_obs::activate();
-        let root = rain_obs::Span::enter("query");
-        let root_id = root.id();
-        let res = (|| {
+        let (res, trace) = traced("query", || {
             let cq = st
                 .cache
                 .checkout(&st.sess.db, st.sess.model.as_ref(), &sql)?;
@@ -1276,18 +1265,13 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
             let event = cq.event;
             st.cache.checkin(cq);
             Ok::<_, rain_sql::QueryError>((out, event, explain))
-        })();
-        drop(root);
-        let trace = rain_obs::take_subtree(root_id);
+        });
         let (out, event, explain) = res?;
         (out, event, Some((explain, trace)), None)
     } else if sampled {
-        let _on = rain_obs::activate();
-        let root = rain_obs::Span::enter("query");
-        let root_id = root.id();
-        let res = st.cache.execute(&st.sess.db, st.sess.model.as_ref(), &sql);
-        drop(root);
-        let trace = rain_obs::take_subtree(root_id);
+        let (res, trace) = traced("query", || {
+            st.cache.execute(&st.sess.db, st.sess.model.as_ref(), &sql)
+        });
         let (out, event) = res?;
         (out, event, None, trace)
     } else {

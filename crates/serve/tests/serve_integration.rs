@@ -1713,8 +1713,7 @@ fn declared_but_unsent_body_is_dropped_and_large_bodies_round_trip() {
 
 /// `?profile` on the ingest routes returns the request's span tree:
 /// parse, decode and (durable sessions) log commit, each with the counter
-/// that sizes it — and parks the tree in the profile ring. Without the
-/// flag the response carries no profile.
+/// that sizes it. Without the flag the response carries no profile.
 #[test]
 fn ingest_profile_flag_attributes_parse_decode_and_log() {
     let data_dir =
@@ -1782,15 +1781,6 @@ fn ingest_profile_flag_attributes_parse_decode_and_log() {
     child(profile, "serve.parse_body");
     child(profile, "serve.log_commit");
 
-    let ring = client.get_ok("/debug/profiles").unwrap();
-    let ingests = ring
-        .get("recent")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .iter()
-        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("ingest"))
-        .count();
-    assert_eq!(ingests, 3);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }

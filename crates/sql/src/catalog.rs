@@ -178,19 +178,15 @@ impl Database {
         rows: Vec<Vec<Value>>,
         features: Option<Vec<Vec<f64>>>,
     ) -> Result<(TableId, TableVersion), String> {
-        let slot = self.validate_append(name, &rows, features.as_deref())?.0 as usize;
-        let entry = &mut self.entries[slot];
-        entry.table.append_rows(rows, features.as_deref());
-        entry.version.delta += 1;
-        let out = (entry.id, entry.version);
-        self.refresh_entry(slot);
-        Ok(out)
+        let id = self.validate_append(name, &rows, features.as_deref())?;
+        Ok(self.apply_append(id, rows, features))
     }
 
     /// The validate-only half of [`Database::append_to`]: does the table
     /// exist, and does the batch fit it (arity, cell types, feature
     /// presence and width)? Durable sessions run this, then log, then
-    /// apply, so a batch that reaches the log always applies.
+    /// [`Database::apply_append`], so a batch that reaches the log always
+    /// applies.
     pub fn validate_append(
         &self,
         name: &str,
@@ -200,6 +196,24 @@ impl Database {
         let entry = self.entry_or_err(name)?;
         validate_append(&entry.table, rows, features)?;
         Ok(entry.id)
+    }
+
+    /// The apply-only half of [`Database::append_to`], for a batch that
+    /// [`Database::validate_append`] just accepted for table `id`; panics
+    /// on one it would have rejected.
+    pub fn apply_append(
+        &mut self,
+        id: TableId,
+        rows: Vec<Vec<Value>>,
+        features: Option<Vec<Vec<f64>>>,
+    ) -> (TableId, TableVersion) {
+        let slot = id.0 as usize;
+        let entry = &mut self.entries[slot];
+        entry.table.append_rows(rows, features.as_deref());
+        entry.version.delta += 1;
+        let version = entry.version;
+        self.refresh_entry(slot);
+        (id, version)
     }
 
     fn entry_or_err(&self, name: &str) -> Result<&TableEntry, String> {
@@ -218,15 +232,7 @@ impl Database {
         kind: IndexKind,
     ) -> Result<(TableId, usize), String> {
         let (id, col) = self.validate_index(table, column, kind)?;
-        let entry = &mut self.entries[id.0 as usize];
-        let column = column.to_ascii_lowercase();
-        let ix = TableIndex::build(&entry.table, &column, col, kind)?;
-        let entries = ix.len();
-        entry
-            .indexes
-            .retain(|other| !(other.column == column && other.kind == kind));
-        entry.indexes.push(ix);
-        Ok((entry.id, entries))
+        self.apply_index(id, col, kind)
     }
 
     /// The validate-only half of [`Database::create_index`]: the table and
@@ -247,6 +253,25 @@ impl Database {
             .ok_or_else(|| format!("table {} has no column {column}", entry.name))?;
         TableIndex::check(&entry.table, &column, col, kind)?;
         Ok((entry.id, col))
+    }
+
+    /// The apply-only half of [`Database::create_index`], on the table id
+    /// and column ordinal [`Database::validate_index`] returned.
+    pub fn apply_index(
+        &mut self,
+        id: TableId,
+        col: usize,
+        kind: IndexKind,
+    ) -> Result<(TableId, usize), String> {
+        let entry = &mut self.entries[id.0 as usize];
+        let column = entry.table.schema().col(col).name.clone();
+        let ix = TableIndex::build(&entry.table, &column, col, kind)?;
+        let entries = ix.len();
+        entry
+            .indexes
+            .retain(|other| !(other.column == column && other.kind == kind));
+        entry.indexes.push(ix);
+        Ok((id, entries))
     }
 
     /// The index of a given kind on `(table, column ordinal)`, if one
