@@ -368,15 +368,11 @@ mod tests {
         let id = sess.db.resolve("t").unwrap();
         let state = |db: &Database, store: &SessionStore| {
             let entry = db.entry("t").unwrap();
-            let indexes: Vec<_> = entry
-                .indexes
-                .iter()
-                .map(|ix| (ix.column.clone(), ix.kind, ix.len()))
-                .collect();
             (
                 entry.table.n_rows(),
                 db.table_version(id),
-                indexes,
+                // Full contents: postings, sorted entries, every statistic.
+                (entry.indexes.clone(), entry.stats().clone()),
                 store.log_records(),
                 store.log_bytes(),
             )

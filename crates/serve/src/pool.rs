@@ -91,6 +91,7 @@ pub struct SessionSlot {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_invalidations: AtomicU64,
+    cache_extended: AtomicU64,
     /// Sampling period for always-on profiling: every Nth query (and
     /// debug-run iteration) is traced into the profile ring. `0` = off:
     /// never sample (explicitly — the modulo path is not consulted).
@@ -192,6 +193,7 @@ impl SessionSlot {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_invalidations: AtomicU64::new(0),
+            cache_extended: AtomicU64::new(0),
             sample_every: AtomicU64::new(DEFAULT_SAMPLE_EVERY),
             slow_ms: AtomicU64::new(DEFAULT_SLOW_MS),
             query_seq: AtomicU64::new(0),
@@ -337,6 +339,7 @@ impl SessionSlot {
         self.cache_misses.store(stats.misses, Ordering::Relaxed);
         self.cache_invalidations
             .store(stats.invalidations, Ordering::Relaxed);
+        self.cache_extended.store(stats.extended, Ordering::Relaxed);
     }
 
     /// The lock-free cache-counter snapshot.
@@ -345,6 +348,7 @@ impl SessionSlot {
             hits: self.cache_hits.load(Ordering::Relaxed),
             misses: self.cache_misses.load(Ordering::Relaxed),
             invalidations: self.cache_invalidations.load(Ordering::Relaxed),
+            extended: self.cache_extended.load(Ordering::Relaxed),
         }
     }
 
@@ -677,10 +681,7 @@ impl SessionPool {
             .unwrap_or_else(|p| p.into_inner())
             .remove(name)
             .ok_or_else(|| ApiError::not_found(format!("no session '{name}'")))?;
-        let s = slot.cache_stats_snapshot();
-        retired.cache.hits += s.hits;
-        retired.cache.misses += s.misses;
-        retired.cache.invalidations += s.invalidations;
+        retired.cache += slot.cache_stats_snapshot();
         let (mh, mm) = slot.memo_snapshot();
         retired.memo_hits += mh;
         retired.memo_misses += mm;
@@ -701,10 +702,7 @@ impl SessionPool {
             .unwrap_or_else(|p| p.into_inner())
             .values()
         {
-            let s = slot.cache_stats_snapshot();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.invalidations += s.invalidations;
+            total += slot.cache_stats_snapshot();
         }
         total
     }
@@ -883,16 +881,23 @@ mod tests {
             hits: 5,
             misses: 2,
             invalidations: 1,
+            extended: 1,
         });
         b.publish_cache_stats(CacheStats {
             hits: 3,
             misses: 4,
             invalidations: 0,
+            extended: 0,
         });
         let before = pool.cache_totals();
         assert_eq!(
-            (before.hits, before.misses, before.invalidations),
-            (8, 6, 1)
+            (
+                before.hits,
+                before.misses,
+                before.invalidations,
+                before.extended
+            ),
+            (8, 6, 1, 1)
         );
         // Removing a session must not regress the pool-wide totals.
         pool.remove("a").unwrap();
@@ -905,8 +910,7 @@ mod tests {
         let c = pool.create("c", logistic()).unwrap();
         c.publish_cache_stats(CacheStats {
             hits: 1,
-            misses: 0,
-            invalidations: 0,
+            ..CacheStats::default()
         });
         assert_eq!(pool.cache_totals().hits, 9);
     }

@@ -113,6 +113,7 @@ struct ServerMetrics {
     cache_hits_total: Arc<Counter>,
     cache_misses_total: Arc<Counter>,
     cache_invalidations_total: Arc<Counter>,
+    cache_extended_total: Arc<Counter>,
     cache_hit_ratio: Arc<Gauge>,
     memo_hits_total: Arc<Counter>,
     memo_misses_total: Arc<Counter>,
@@ -196,6 +197,7 @@ impl ServerMetrics {
             cache_hits_total: registry.counter("rain_cache_hits_total"),
             cache_misses_total: registry.counter("rain_cache_misses_total"),
             cache_invalidations_total: registry.counter("rain_cache_invalidations_total"),
+            cache_extended_total: registry.counter("rain_cache_extended_total"),
             cache_hit_ratio: registry.gauge("rain_cache_hit_ratio"),
             memo_hits_total: registry.counter("rain_memo_hits_total"),
             memo_misses_total: registry.counter("rain_memo_misses_total"),
@@ -622,6 +624,7 @@ fn render_metrics(state: &ServerState) -> String {
     m.cache_hits_total.store(cache.hits);
     m.cache_misses_total.store(cache.misses);
     m.cache_invalidations_total.store(cache.invalidations);
+    m.cache_extended_total.store(cache.extended);
     let lookups = cache.hits + cache.misses;
     m.cache_hit_ratio.set(if lookups == 0 {
         0.0
@@ -652,6 +655,17 @@ fn render_metrics(state: &ServerState) -> String {
         .set(state.recovered_sessions as f64);
     m.storage_recovery_seconds.set(state.recovery_seconds);
     m.registry.render()
+}
+
+/// The skeleton-cache counters as every endpoint reports them; `extended`
+/// is the share of `invalidations` answered by extending the skeleton.
+fn cache_stats_json(s: rain_sql::CacheStats) -> Json {
+    Json::obj(vec![
+        ("hits", Json::Num(s.hits as f64)),
+        ("misses", Json::Num(s.misses as f64)),
+        ("invalidations", Json::Num(s.invalidations as f64)),
+        ("extended", Json::Num(s.extended as f64)),
+    ])
 }
 
 fn stats(state: &ServerState) -> Json {
@@ -686,14 +700,7 @@ fn stats(state: &ServerState) -> Json {
             Json::Num(state.requests.load(Ordering::Relaxed) as f64),
         ),
         ("uptime_s", Json::Num(state.started.elapsed().as_secs_f64())),
-        (
-            "cache",
-            Json::obj(vec![
-                ("hits", Json::Num(cache.hits as f64)),
-                ("misses", Json::Num(cache.misses as f64)),
-                ("invalidations", Json::Num(cache.invalidations as f64)),
-            ]),
-        ),
+        ("cache", cache_stats_json(cache)),
         (
             "memo",
             Json::obj(vec![
@@ -872,14 +879,7 @@ fn list_sessions(state: &ServerState) -> Json {
                 ("generation", Json::Num(slot.generation() as f64)),
                 ("engine", Json::str(engine_name(slot.opts.engine))),
                 ("threads", Json::Num(slot.opts.threads as f64)),
-                (
-                    "cache",
-                    Json::obj(vec![
-                        ("hits", Json::Num(s.hits as f64)),
-                        ("misses", Json::Num(s.misses as f64)),
-                        ("invalidations", Json::Num(s.invalidations as f64)),
-                    ]),
-                ),
+                ("cache", cache_stats_json(s)),
                 (
                     "memo",
                     Json::obj(vec![
@@ -1082,7 +1082,7 @@ fn append_to_table(
 /// index on one column. Validation happens before anything is logged, so
 /// a bad column or kind leaves catalog and log untouched; on success the
 /// *definition* is durable while the data is rebuilt from the table on
-/// recovery and on every later table mutation.
+/// recovery and kept current by every later table mutation.
 fn create_table_index(
     state: &ServerState,
     name: &str,
@@ -1114,8 +1114,9 @@ fn create_table_index(
         }
     })?;
     publish_durability(&slot, st)?;
-    // Cached plans were costed without this index; bump the generation so
-    // the next checkout re-optimizes and can pick the new access path.
+    // Cached plans were costed without this index. The skeleton cache sees
+    // the table's index count move and re-plans each on its next checkout;
+    // the generation only records the mutation.
     let generation = slot.bump_generation();
     drop(guard);
     Ok((
@@ -1146,7 +1147,7 @@ fn table_stats(state: &ServerState, name: &str, table_name: &str) -> Result<(u16
         .table
         .schema()
         .iter()
-        .zip(&entry.stats.columns)
+        .zip(&entry.stats().columns)
         .map(|(def, c)| {
             Json::obj(vec![
                 ("name", Json::str(&def.name)),
@@ -1172,7 +1173,7 @@ fn table_stats(state: &ServerState, name: &str, table_name: &str) -> Result<(u16
         200,
         Json::obj(vec![
             ("table", Json::str(&entry.name)),
-            ("rows", Json::Num(entry.stats.row_count as f64)),
+            ("rows", Json::Num(entry.stats().row_count as f64)),
             ("version", version_to_json(entry.version)),
             ("columns", Json::Arr(columns)),
             ("indexes", Json::Arr(indexes)),
@@ -1319,14 +1320,7 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
     let mut pairs = vec![
         ("result", output_to_json(&out)),
         ("cache", Json::str(event.as_str())),
-        (
-            "cache_stats",
-            Json::obj(vec![
-                ("hits", Json::Num(stats.hits as f64)),
-                ("misses", Json::Num(stats.misses as f64)),
-                ("invalidations", Json::Num(stats.invalidations as f64)),
-            ]),
-        ),
+        ("cache_stats", cache_stats_json(stats)),
     ];
     if let Some((explain, trace)) = analysis {
         pairs.push(("explain", Json::str(explain)));

@@ -1631,6 +1631,167 @@ fn index_and_stats_endpoints_round_trip_and_recover() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+/// A query cached before an index existed must not keep its sequential
+/// plan: the first lookup after `POST …/index` reports `invalidated` and
+/// executes the index access path, with the same rows — and it is a
+/// re-plan, not an extension, in every counter that tells them apart.
+#[test]
+fn new_index_makes_cached_queries_replan() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("replan"))
+        .unwrap();
+    client
+        .post_ok("/sessions/replan/tables", &table_json("pairs", 30, 12))
+        .unwrap();
+    let q = Json::obj(vec![
+        (
+            "sql",
+            Json::str("SELECT COUNT(*) FROM pairs WHERE id = 3 AND predict(*) = 1"),
+        ),
+        ("analyze", Json::Bool(true)),
+    ]);
+    let explain = |v: &Json| v.get("explain").unwrap().as_str().unwrap().to_string();
+    let cache = |v: &Json| v.get("cache").unwrap().as_str().unwrap().to_string();
+    let extended = |v: &Json| {
+        v.get("cache_stats")
+            .unwrap()
+            .get("extended")
+            .unwrap()
+            .as_i64()
+    };
+
+    let before = client.post_ok("/sessions/replan/query", &q).unwrap();
+    assert_eq!(cache(&before), "miss");
+    assert!(
+        explain(&before).contains("seq-scan"),
+        "{}",
+        explain(&before)
+    );
+
+    // An append in between is answered by extension, plan kept.
+    client
+        .post_ok(
+            "/sessions/replan/tables/pairs/append",
+            &Json::obj(vec![
+                ("rows", Json::Arr(vec![Json::Arr(vec![Json::num(3.0)])])),
+                ("features", Json::Arr(vec![Json::Arr(vec![Json::num(2.0)])])),
+            ]),
+        )
+        .unwrap();
+    let grown = client.post_ok("/sessions/replan/query", &q).unwrap();
+    assert_eq!(cache(&grown), "invalidated");
+    assert_eq!(extended(&grown), Some(1));
+    assert!(explain(&grown).contains("seq-scan"), "{}", explain(&grown));
+
+    client
+        .post_ok(
+            "/sessions/replan/tables/pairs/index",
+            &Json::obj(vec![
+                ("column", Json::str("id")),
+                ("kind", Json::str("hash")),
+            ]),
+        )
+        .unwrap();
+    let after = client.post_ok("/sessions/replan/query", &q).unwrap();
+    assert_eq!(cache(&after), "invalidated", "a new index must re-plan");
+    assert_eq!(extended(&after), Some(1), "a re-plan is not an extension");
+    assert!(
+        explain(&after).contains("index-scan(id)"),
+        "{}",
+        explain(&after)
+    );
+    assert_eq!(after.get("result"), grown.get("result"));
+    let again = client.post_ok("/sessions/replan/query", &q).unwrap();
+    assert_eq!(cache(&again), "hit");
+
+    // The same counter everywhere the other three are reported.
+    let sessions = client.get_ok("/sessions").unwrap();
+    let listed = &sessions.get("sessions").unwrap().as_arr().unwrap()[0];
+    let counters = listed.get("cache").unwrap();
+    assert_eq!(counters.get("extended").unwrap().as_i64(), Some(1));
+    assert_eq!(counters.get("invalidations").unwrap().as_i64(), Some(2));
+    let metrics = scrape(&mut client);
+    assert_eq!(
+        family(&metrics, "rain_cache_extended_total").samples[0].value,
+        1.0
+    );
+    server.shutdown();
+}
+
+/// Statistics and index contents are derived state: a session recovered
+/// by replaying 16 logged appends must report exactly what the server
+/// that wrote them reports — one statistics computation at the end
+/// equals sixteen along the way, indexes grown in place equal indexes
+/// grown during replay.
+#[test]
+fn recovered_session_reports_the_writers_stats_and_index_entries() {
+    let data_dir = std::env::temp_dir().join(format!("rain-serve-stats16-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let config = || ServerConfig {
+        data_dir: Some(data_dir.to_string_lossy().into_owned()),
+        ..Default::default()
+    };
+    let server = start(config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("grow"))
+        .unwrap();
+    client
+        .post_ok("/sessions/grow/tables", &table_json("pairs", 20, 8))
+        .unwrap();
+    for kind in ["hash", "sorted"] {
+        client
+            .post_ok(
+                "/sessions/grow/tables/pairs/index",
+                &Json::obj(vec![("column", Json::str("id")), ("kind", Json::str(kind))]),
+            )
+            .unwrap();
+    }
+    for round in 0..16 {
+        // Ids repeat across rounds and one per round is NULL.
+        let rows = (0..5)
+            .map(|i| match i {
+                4 => Json::Arr(vec![Json::Null]),
+                _ => Json::Arr(vec![Json::num(((round * 7 + i * 3) % 40) as f64)]),
+            })
+            .collect();
+        let feats = (0..5)
+            .map(|i| Json::Arr(vec![Json::num(i as f64 - 2.5)]))
+            .collect();
+        client
+            .post_ok(
+                "/sessions/grow/tables/pairs/append",
+                &Json::obj(vec![
+                    ("rows", Json::Arr(rows)),
+                    ("features", Json::Arr(feats)),
+                ]),
+            )
+            .unwrap();
+    }
+    let written = client.get_ok("/sessions/grow/tables/pairs/stats").unwrap();
+    assert_eq!(written.get("rows").unwrap().as_i64(), Some(100));
+    let entries: Vec<_> = written
+        .get("indexes")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|ix| ix.get("entries").unwrap().as_i64())
+        .collect();
+    assert_eq!(entries, [Some(84), Some(84)], "16 NULL ids are not indexed");
+    drop(client);
+    server.shutdown();
+
+    let server = start(config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let recovered = client.get_ok("/sessions/grow/tables/pairs/stats").unwrap();
+    assert_eq!(recovered, written);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
 /// A request's body buffer follows the bytes received, not the header: a
 /// connection that declares the largest legal body and sends none of it
 /// is answered 400 and dropped without reaching a handler, while a

@@ -10,9 +10,11 @@
 //! (parse + canonical re-print, so whitespace/case/paren variants share
 //! one entry) and validated against the **catalog versions** recorded in
 //! the cached [`PreparedQuery`] skeleton. A hit turns a full debug
-//! execution into a [`PreparedQuery::refresh`]; a stale entry (queried
-//! table re-registered since capture) is counted as an invalidation and
-//! transparently re-prepared.
+//! execution into a [`PreparedQuery::refresh`]; a stale entry is counted
+//! as an invalidation and transparently brought current — extended over
+//! the appended rows when its one table only grew
+//! ([`PreparedQuery::catch_up`]), re-planned and re-prepared from the SQL
+//! otherwise (a join, a re-registered table, a new index).
 //!
 //! The cache is deliberately single-threaded: a server shards one cache
 //! per session behind the session's mutex, which is what lets unrelated
@@ -33,9 +35,22 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups for SQL never seen (normalized) before.
     pub misses: u64,
-    /// Cached skeletons dropped because a queried table was re-registered
-    /// since capture (each is immediately re-prepared).
+    /// Lookups that found a stale skeleton — a queried table appended to,
+    /// re-registered or newly indexed since capture — and brought it
+    /// current on the spot.
     pub invalidations: u64,
+    /// The subset of `invalidations` answered by extending the skeleton
+    /// over appended rows instead of re-preparing it.
+    pub extended: u64,
+}
+
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
+        self.extended += other.extended;
+    }
 }
 
 /// What one cache lookup did, surfaced to clients in query responses.
@@ -45,7 +60,8 @@ pub enum CacheEvent {
     Hit,
     /// No entry; planned and prepared from scratch.
     Miss,
-    /// Entry existed but was stale; re-planned and re-prepared.
+    /// Entry existed but was stale; extended over appended rows, or
+    /// re-planned and re-prepared.
     Invalidated,
 }
 
@@ -122,9 +138,11 @@ impl QueryCache {
     }
 
     /// Check out the prepared skeleton for `sql`, preparing on a miss and
-    /// transparently re-preparing on invalidation (a stale entry is
-    /// re-planned from the SQL, so even schema-changing re-registrations
-    /// recover). The entry is *removed* from the cache until
+    /// transparently catching up on invalidation: a single-table entry
+    /// whose table only grew is extended in place
+    /// ([`PreparedQuery::catch_up`]); any other stale entry is re-planned
+    /// from the SQL, so even schema-changing re-registrations recover and
+    /// a new index gets costed. The entry is *removed* from the cache until
     /// [`QueryCache::checkin`] returns it — callers hold it across a whole
     /// debug run's refreshes. Captures run under the cache's worker
     /// budget.
@@ -150,18 +168,29 @@ impl QueryCache {
     ) -> Result<CachedQuery, QueryError> {
         let mut span = rain_obs::Span::enter("cache-checkout");
         let key = Self::normalize(sql)?;
-        let event = match self.entries.remove(&key) {
-            Some(prepared) if !prepared.is_stale(db) => {
+        let entry = self.entries.remove(&key);
+        let fresh = entry.as_ref().is_some_and(|p| !p.is_stale(db));
+        span.add("hit", fresh as u64);
+        let event = match entry {
+            Some(prepared) if fresh => {
                 self.stats.hits += 1;
-                span.add("hit", 1);
                 return Ok(CachedQuery {
                     key,
                     prepared,
                     event: CacheEvent::Hit,
                 });
             }
-            Some(_) => {
+            Some(mut prepared) => {
                 self.stats.invalidations += 1;
+                if prepared.can_extend(db, model) {
+                    prepared.catch_up(db, model, threads)?;
+                    self.stats.extended += 1;
+                    return Ok(CachedQuery {
+                        key,
+                        prepared,
+                        event: CacheEvent::Invalidated,
+                    });
+                }
                 CacheEvent::Invalidated
             }
             None => {
@@ -169,7 +198,6 @@ impl QueryCache {
                 CacheEvent::Miss
             }
         };
-        span.add("hit", 0);
         let stmt = crate::parser::parse_select(sql).map_err(QueryError::Parse)?;
         let bound = crate::binder::bind(&stmt, db)?;
         let plan = optimize(bound, db);

@@ -11,6 +11,7 @@ use crate::stats::TableStats;
 use crate::table::{ColType, ColumnDef, Table};
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Stable identifier of a registered table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,11 +28,13 @@ impl std::fmt::Display for TableId {
 /// `gen` counts full replacements (re-registering a name swaps the table
 /// wholesale, so row identities from before the bump are meaningless).
 /// `delta` counts row appends within the current generation: identities of
-/// pre-existing rows survive, only new rows arrived. Cached artifacts that
-/// key on row identity (prepared query skeletons) record the whole pair at
-/// build time; on mismatch they can distinguish "rebuild from scratch"
-/// (`gen` moved) from "extend for appended rows" (`delta` moved) — see
-/// [`StaleKind`](crate::StaleKind).
+/// pre-existing rows survive, only new rows arrived. Everything derived
+/// from a table keys on the pair: prepared query skeletons record it at
+/// build time and, on mismatch, rebuild from scratch when `gen` moved but
+/// only scan the appended rows when `delta` did
+/// ([`PreparedQuery::catch_up`](crate::PreparedQuery::catch_up),
+/// [`StaleKind`](crate::StaleKind)); the entry's statistics are cached per
+/// version; its indexes grow in place with `delta`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct TableVersion {
     /// Full-replacement generation (bumped by [`Database::register`] on an
@@ -70,12 +73,40 @@ pub struct TableEntry {
     pub version: TableVersion,
     /// The table itself.
     pub table: Table,
-    /// Statistics for the cost-based planner, recomputed on every
-    /// mutation and stamped with the version they describe.
-    pub stats: TableStats,
-    /// Secondary indexes, rebuilt eagerly on every mutation. At most one
-    /// per `(column, kind)` pair.
+    /// Statistics for the cost-based planner: a cache for the current
+    /// `version`, emptied by every mutation and filled by the first
+    /// [`TableEntry::stats`] call after it.
+    stats: OnceLock<TableStats>,
+    /// Secondary indexes, always current: extended over the new rows by an
+    /// append, rebuilt by a re-registration. At most one per
+    /// `(column, kind)` pair.
     pub indexes: Vec<TableIndex>,
+}
+
+impl TableEntry {
+    /// Exact statistics of the table as it is now, stamped with the live
+    /// version. Computed on the first call after a mutation (the planner,
+    /// or `GET …/stats`) — an append nobody plans against never pays for
+    /// them.
+    pub fn stats(&self) -> &TableStats {
+        self.stats
+            .get_or_init(|| TableStats::compute(&self.table, self.version))
+    }
+
+    /// Rebuild every index after the table was replaced. Definitions
+    /// survive as long as the column still exists with a compatible type;
+    /// otherwise the index is dropped (a sorted index on a now-string
+    /// column cannot be rebuilt).
+    fn rebuild_indexes(&mut self) {
+        let table = &self.table;
+        self.indexes = std::mem::take(&mut self.indexes)
+            .into_iter()
+            .filter_map(|ix| {
+                let col = table.schema().index_of(&ix.column)?;
+                TableIndex::build(table, &ix.column, col, ix.kind).ok()
+            })
+            .collect();
+    }
 }
 
 /// A named collection of tables (the queried database `D` of the paper).
@@ -98,11 +129,13 @@ impl Database {
         let name = name.to_ascii_lowercase();
         match self.by_name.get(&name) {
             Some(&slot) => {
-                self.entries[slot].table = table;
-                self.entries[slot].version.gen += 1;
-                self.entries[slot].version.delta = 0;
-                self.refresh_entry(slot);
-                self.entries[slot].id
+                let entry = &mut self.entries[slot];
+                entry.table = table;
+                entry.version.gen += 1;
+                entry.version.delta = 0;
+                entry.stats.take();
+                entry.rebuild_indexes();
+                entry.id
             }
             None => {
                 let slot = self.entries.len();
@@ -113,34 +146,10 @@ impl Database {
                     name,
                     version: TableVersion::default(),
                     table,
-                    stats: TableStats::empty(),
+                    stats: OnceLock::new(),
                     indexes: Vec::new(),
                 });
-                self.refresh_entry(slot);
                 id
-            }
-        }
-    }
-
-    /// Recompute stats and rebuild indexes after a mutation of
-    /// `entries[slot]`. Index definitions survive a replacement as long
-    /// as the column still exists with a compatible type; otherwise the
-    /// index is dropped (a sorted index on a now-string column cannot be
-    /// rebuilt).
-    fn refresh_entry(&mut self, slot: usize) {
-        let entry = &mut self.entries[slot];
-        entry.stats = TableStats::compute(&entry.table, entry.version);
-        let defs: Vec<(String, IndexKind)> = entry
-            .indexes
-            .iter()
-            .map(|ix| (ix.column.clone(), ix.kind))
-            .collect();
-        entry.indexes.clear();
-        for (column, kind) in defs {
-            if let Some(col) = entry.table.schema().index_of(&column) {
-                if let Ok(ix) = TableIndex::build(&entry.table, &column, col, kind) {
-                    entry.indexes.push(ix);
-                }
             }
         }
     }
@@ -157,11 +166,9 @@ impl Database {
         version: TableVersion,
     ) -> TableId {
         let id = self.register(name, table);
-        let entry = &mut self.entries[id.0 as usize];
-        entry.version = version;
-        // `register` stamped the stats with the bumped version; re-stamp
-        // with the pinned one so stats always describe the live version.
-        entry.stats.version = version;
+        // `register` left the stats cache empty, so nothing was stamped
+        // with the version it bumped to.
+        self.entries[id.0 as usize].version = version;
         id
     }
 
@@ -207,13 +214,15 @@ impl Database {
         rows: Vec<Vec<Value>>,
         features: Option<Vec<Vec<f64>>>,
     ) -> (TableId, TableVersion) {
-        let slot = id.0 as usize;
-        let entry = &mut self.entries[slot];
+        let entry = &mut self.entries[id.0 as usize];
+        let old_rows = entry.table.n_rows();
         entry.table.append_rows(rows, features.as_deref());
         entry.version.delta += 1;
-        let version = entry.version;
-        self.refresh_entry(slot);
-        (id, version)
+        entry.stats.take();
+        for ix in &mut entry.indexes {
+            ix.extend(&entry.table, old_rows);
+        }
+        (id, entry.version)
     }
 
     fn entry_or_err(&self, name: &str) -> Result<&TableEntry, String> {
@@ -285,12 +294,21 @@ impl Database {
             .find(|ix| ix.col == col && ix.kind == kind)
     }
 
-    /// Planner statistics for a table id.
+    /// Planner statistics for a table id ([`TableEntry::stats`]).
     ///
     /// # Panics
     /// Panics if the id was not issued by this database.
     pub fn stats_of(&self, id: TableId) -> &TableStats {
-        &self.entries[id.0 as usize].stats
+        self.entries[id.0 as usize].stats()
+    }
+
+    /// Number of secondary indexes on a table id. Cached plans record it:
+    /// an index created since is an access path they were costed without.
+    ///
+    /// # Panics
+    /// Panics if the id was not issued by this database.
+    pub(crate) fn index_count(&self, id: TableId) -> usize {
+        self.entries[id.0 as usize].indexes.len()
     }
 
     /// Full two-part data version of a table id.
@@ -555,6 +573,90 @@ mod tests {
         let v = TableVersion { gen: 4, delta: 7 };
         let a = db.register_with_version("a", ints("x", vec![1]), v);
         assert_eq!(db.table_version(a), v);
+    }
+
+    /// NULL, NaN, and `3` / `3.0` cells: the keys indexes and distinct
+    /// counts have to treat specially.
+    fn tricky_rows(seed: i64, n: i64) -> Vec<Vec<Value>> {
+        (0..n)
+            .map(|i| {
+                vec![match (seed + i) % 5 {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    2 => Value::Int(3),
+                    3 => Value::Float(3.0),
+                    _ => Value::Float((seed * 7 + i) as f64 / 2.0),
+                }]
+            })
+            .collect()
+    }
+
+    fn floats(rows: Vec<Vec<Value>>) -> Table {
+        let mut t = Table::empty(Schema::new(&[("f", ColType::Float)]));
+        t.append_rows(rows, None);
+        t
+    }
+
+    #[test]
+    fn stats_are_exact_current_and_computed_once_per_version() {
+        use crate::stats::COMPUTE_CALLS;
+        let calls = || COMPUTE_CALLS.with(|c| c.get());
+        let mut db = Database::new();
+        let mut versions_read = 0;
+        // Every interleaving of the three mutations, three deep.
+        for code in 0..27 {
+            for step in 0..3 {
+                let rows = tricky_rows(code + step, 4 + step);
+                let before = calls();
+                let id = match (code / 3i64.pow(step as u32)) % 3 {
+                    0 => db.register("t", floats(rows)),
+                    1 if db.resolve("t").is_some() => db.append_to("t", rows, None).unwrap().0,
+                    1 => db.register("t", floats(rows)),
+                    _ => {
+                        let v = TableVersion {
+                            gen: 40 + code as u64,
+                            delta: step as u64,
+                        };
+                        db.register_with_version("t", floats(rows), v)
+                    }
+                };
+                assert_eq!(calls(), before, "a mutation must not compute stats");
+                // Read on some steps only, so versions go by unread too.
+                if (code + step) % 2 == 0 {
+                    let want = TableStats::compute(db.table_by_id(id), db.table_version(id));
+                    let before = calls();
+                    assert_eq!(db.stats_of(id), &want, "code {code} step {step}");
+                    assert_eq!(db.stats_of(id).version, db.table_version(id));
+                    assert_eq!(db.entry("t").unwrap().stats(), &want);
+                    assert_eq!(calls() - before, 1, "one computation per version read");
+                    versions_read += 1;
+                }
+            }
+        }
+        assert!(versions_read > 30);
+    }
+
+    #[test]
+    fn indexes_extended_by_appends_equal_a_build_on_the_final_table() {
+        for n_appends in 1..6 {
+            let mut db = Database::new();
+            let id = db.register("t", floats(tricky_rows(n_appends, 7)));
+            db.create_index("t", "f", IndexKind::Hash).unwrap();
+            db.create_index("t", "f", IndexKind::Sorted).unwrap();
+            for i in 0..n_appends {
+                // Includes an empty batch and values sorting before,
+                // between and after the ones already indexed.
+                db.append_to("t", tricky_rows(i * 3 - 4, i % 3 * 5), None)
+                    .unwrap();
+            }
+            let table = db.table_by_id(id);
+            for kind in [IndexKind::Hash, IndexKind::Sorted] {
+                let grown = db.index_on(id, 0, kind).unwrap();
+                let built = TableIndex::build(table, "f", 0, kind).unwrap();
+                assert_eq!(grown, &built, "{kind} after {n_appends} appends");
+                assert_eq!(grown.len(), built.len());
+            }
+        }
     }
 
     #[test]

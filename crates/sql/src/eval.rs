@@ -261,6 +261,10 @@ pub(crate) struct EvalCtx<'a> {
     /// the vectorized engine reads it; 1 means fully sequential.
     pub(crate) threads: usize,
     pub(crate) reg: PredVarRegistry,
+    /// First base row each relation's scan may emit; relations past the
+    /// end start at 0 (so the default, empty, scans everything). Skeleton
+    /// extension sets it to the row count it has already captured.
+    pub(crate) first_row: Vec<usize>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -277,6 +281,7 @@ impl<'a> EvalCtx<'a> {
             debug,
             threads: 1,
             reg: PredVarRegistry::new(),
+            first_row: Vec::new(),
         }
     }
 
@@ -284,6 +289,11 @@ impl<'a> EvalCtx<'a> {
     pub(crate) fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
+    }
+
+    /// The scan floor of relation `rel` (see [`EvalCtx::first_row`]).
+    pub(crate) fn first_row_of(&self, rel: usize) -> usize {
+        self.first_row.get(rel).copied().unwrap_or(0)
     }
 
     /// Base table of the plan's `rel`-th relation (borrowed from the

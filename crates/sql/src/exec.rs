@@ -290,7 +290,11 @@ impl<'a, 'b> TupleExec<'a, 'b> {
     /// identically in normal and debug mode — provenance is unaffected.
     fn scan(&mut self, rel: usize) -> Result<Vec<u32>, QueryError> {
         let mut span = rain_obs::Span::enter("scan");
-        span.add("rows_in", self.ctx.table_of(rel).n_rows() as u64);
+        let n = self.ctx.table_of(rel).n_rows();
+        span.add(
+            "rows_in",
+            n.saturating_sub(self.ctx.first_row_of(rel)) as u64,
+        );
         let out = self.scan_inner(rel)?;
         span.add("rows_out", out.len() as u64);
         if let Some(t) = self.trace.as_deref_mut() {
@@ -301,16 +305,17 @@ impl<'a, 'b> TupleExec<'a, 'b> {
 
     fn scan_inner(&mut self, rel: usize) -> Result<Vec<u32>, QueryError> {
         let n = self.ctx.table_of(rel).n_rows();
+        let first = self.ctx.first_row_of(rel).min(n);
         if self.ctx.query.scan_filters[rel].is_empty() {
-            return Ok((0..n as u32).collect());
+            return Ok((first as u32..n as u32).collect());
         }
         // `ctx.query` is a shared reference with its own lifetime, so
         // reading expressions through a hoisted copy of it does not hold
         // a borrow of `self` — no per-row clones needed.
         let query = self.ctx.query;
         let mut rows_buf = vec![0u32; rel + 1];
-        let mut out = Vec::with_capacity(n);
-        'row: for r in 0..n {
+        let mut out = Vec::with_capacity(n - first);
+        'row: for r in first..n {
             rows_buf[rel] = r as u32;
             for f in &query.scan_filters[rel] {
                 match self.ctx.eval_pred(f, &rows_buf)? {

@@ -37,8 +37,14 @@
 //! queried table was re-registered since prepare. A long-lived server
 //! whose fix path *does* mutate registered tables uses
 //! [`PreparedQuery::refresh_with`] under [`StalePolicy::Rebuild`] instead:
-//! a stale skeleton is transparently re-prepared from its cached plan (the
-//! explicit-error behavior stays available as [`StalePolicy::Error`]).
+//! a stale skeleton is transparently brought current by
+//! [`PreparedQuery::catch_up`] (the explicit-error behavior stays available
+//! as [`StalePolicy::Error`]).
+//!
+//! **Appends.** A single-table skeleton whose table only grew is
+//! *extended* over the appended rows, bit-identically to preparing from
+//! scratch; joins, replaced tables and architecture changes re-prepare
+//! (see [`PreparedQuery::catch_up`]).
 //!
 //! **Memoization.** Between consecutive iterations most feature rows
 //! score the same class, and within one iteration the same base row
@@ -142,7 +148,7 @@ pub(crate) enum KindSkeleton {
 }
 
 /// Prepare-time facts about a skeleton, for introspection and benches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkeletonStats {
     /// Engine that built the candidate set.
     pub engine: Engine,
@@ -172,9 +178,9 @@ pub enum StaleKind {
     /// identities no longer describe the data. Full re-prepare required.
     Replaced,
     /// Queried tables only grew by appends within the same generation:
-    /// cached tuples are still valid, new rows are simply missing. A full
-    /// re-prepare is correct (and what callers do today); a delta-aware
-    /// skeleton extension could instead grow the prepared state in place.
+    /// cached tuples are still valid, new rows are simply missing.
+    /// [`PreparedQuery::catch_up`] extends a single-table skeleton over
+    /// just those rows; a join re-prepares.
     Appended,
 }
 
@@ -201,10 +207,33 @@ pub struct PreparedQuery {
     feature_hashes: Vec<u64>,
     /// Class count the skeleton's formulas were built for.
     n_classes: usize,
-    /// `(table id, catalog version, row count)` per plan relation, used to
-    /// detect stale skeletons.
-    rels: Vec<(TableId, TableVersion, usize)>,
+    /// What each plan relation's catalog entry looked like at capture,
+    /// used to detect stale skeletons.
+    rels: Vec<RelStamp>,
     stats: SkeletonStats,
+}
+
+/// One plan relation's catalog state as a skeleton last saw it.
+#[derive(Debug, Clone)]
+struct RelStamp {
+    id: TableId,
+    version: TableVersion,
+    n_rows: usize,
+    /// Secondary indexes on the table: the plan was costed against
+    /// exactly these access paths.
+    n_indexes: usize,
+}
+
+fn rel_stamps(db: &Database, plan: &QueryPlan) -> Vec<RelStamp> {
+    plan.rels
+        .iter()
+        .map(|r| RelStamp {
+            id: r.id,
+            version: db.table_version(r.id),
+            n_rows: db.table_by_id(r.id).n_rows(),
+            n_indexes: db.index_count(r.id),
+        })
+        .collect()
 }
 
 /// Execute the model-independent part of `plan` once (in debug mode, on
@@ -238,51 +267,15 @@ pub fn prepare_with(
     let mut ctx =
         EvalCtx::new(db, model, plan, true).with_threads(crate::exec::resolve_threads(threads));
     let mut trace = PipelineTrace::default();
-    let (kind, candidate_tuples) = {
-        let _cap = rain_obs::Span::enter("capture");
-        match engine {
-            Engine::Vectorized => {
-                let rows = crate::vexec::join_pipeline(&mut ctx, Some(&mut trace))?;
-                capture(&mut ctx, rows, &plan.kind)?
-            }
-            Engine::Tuple => {
-                let tuples = crate::exec::tuple_pipeline(&mut ctx, Some(&mut trace))?;
-                capture(&mut ctx, tuples, &plan.kind)?
-            }
-        }
-    };
+    let (kind, candidate_tuples) = capture_pipeline(&mut ctx, engine, &mut trace)?;
 
     let reg = std::mem::take(&mut ctx.reg);
     prep_span.add("candidate_tuples", candidate_tuples as u64);
     prep_span.add("n_vars", reg.len() as u64);
-    let _feat_span = rain_obs::Span::enter("pack-features");
-    let dim = model.dim();
-    let mut features = Matrix::zeros(reg.len(), dim);
-    for (i, info) in reg.infos().iter().enumerate() {
-        let table = db
-            .table(&info.table)
-            .expect("prediction variable over an unregistered table");
-        let feat = table
-            .feature_row(info.row)
-            .expect("features checked at bind time");
-        if feat.len() != dim {
-            return Err(QueryError::Exec(format!(
-                "feature width {} of table {} does not match model dim {dim}",
-                feat.len(),
-                info.table
-            )));
-        }
-        features.row_mut(i).copy_from_slice(feat);
-    }
-    let feature_hashes = (0..features.rows())
-        .map(|i| feature_row_hash(features.row(i)))
-        .collect();
+    let mut features = Matrix::zeros(0, model.dim());
+    let mut feature_hashes = Vec::new();
+    pack_features(&reg, db, &mut features, &mut feature_hashes)?;
 
-    let rels = plan
-        .rels
-        .iter()
-        .map(|r| (r.id, db.table_version(r.id), db.table_by_id(r.id).n_rows()))
-        .collect();
     let stats = SkeletonStats {
         engine,
         scan_rows: trace.scan_rows,
@@ -298,9 +291,70 @@ pub fn prepare_with(
         features,
         feature_hashes,
         n_classes: model.n_classes(),
-        rels,
+        rels: rel_stamps(db, plan),
         stats,
     })
+}
+
+/// Run `ctx`'s plan on `engine` from each relation's scan floor and
+/// capture the finalization skeleton of what it yields.
+fn capture_pipeline(
+    ctx: &mut EvalCtx,
+    engine: Engine,
+    trace: &mut PipelineTrace,
+) -> Result<(KindSkeleton, usize), QueryError> {
+    let _cap = rain_obs::Span::enter("capture");
+    let kind = &ctx.query.kind;
+    match engine {
+        Engine::Vectorized => {
+            let rows = crate::vexec::join_pipeline(ctx, Some(trace))?;
+            capture(ctx, rows, kind)
+        }
+        Engine::Tuple => {
+            let tuples = crate::exec::tuple_pipeline(ctx, Some(trace))?;
+            capture(ctx, tuples, kind)
+        }
+    }
+}
+
+/// Pack the feature row (and its content hash) of every variable of `reg`
+/// that `features` does not hold yet — all of them for a fresh prepare,
+/// the new ones for an extension — resolving each base table once per run
+/// of variables over it.
+fn pack_features(
+    reg: &PredVarRegistry,
+    db: &Database,
+    features: &mut Matrix,
+    hashes: &mut Vec<u64>,
+) -> Result<(), QueryError> {
+    let _feat_span = rain_obs::Span::enter("pack-features");
+    let new = &reg.infos()[features.rows()..];
+    features.reserve_rows(new.len());
+    hashes.reserve(new.len());
+    let mut run: Option<(&str, &Table)> = None;
+    for info in new {
+        let table = match run {
+            Some((name, table)) if name == info.table => table,
+            _ => db
+                .table(&info.table)
+                .expect("prediction variable over an unregistered table"),
+        };
+        run = Some((&info.table, table));
+        let feat = table
+            .feature_row(info.row)
+            .expect("features checked at bind time");
+        if feat.len() != features.cols() {
+            return Err(QueryError::Exec(format!(
+                "feature width {} of table {} does not match model dim {}",
+                feat.len(),
+                info.table,
+                features.cols()
+            )));
+        }
+        features.push_row(feat);
+        hashes.push(feature_row_hash(feat));
+    }
+    Ok(())
 }
 
 /// Deterministic content hash of one feature row: the exact `f64` bit
@@ -507,16 +561,11 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::refresh`] with an explicit staleness policy.
     ///
-    /// Under [`StalePolicy::Rebuild`] a stale skeleton (re-registered
-    /// queried table, or a model architecture mismatch) is transparently
-    /// re-prepared from the cached plan on the capture engine before
-    /// refreshing; the returned flag reports whether a rebuild happened.
-    /// Under [`StalePolicy::Error`] this is exactly `refresh`.
-    ///
-    /// Rebuilding assumes the replacement tables are schema-compatible
-    /// with the cached (bound) plan — a column the plan reads must still
-    /// exist with its type. Incompatible replacements surface as
-    /// execution errors from the re-prepare.
+    /// Under [`StalePolicy::Rebuild`] a stale skeleton (a queried table
+    /// appended to or re-registered, or a model architecture mismatch) is
+    /// transparently brought current by [`PreparedQuery::catch_up`] before
+    /// refreshing; the returned flag reports whether that happened. Under
+    /// [`StalePolicy::Error`] this is exactly `refresh`.
     pub fn refresh_with(
         &mut self,
         db: &Database,
@@ -528,7 +577,7 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::refresh_with`] with an explicit worker budget
     /// (`0` = auto, `1` = sequential), applied to both the refresh
-    /// inference and any transparent re-prepare.
+    /// inference and any transparent catch-up.
     pub fn refresh_with_threaded(
         &mut self,
         db: &Database,
@@ -536,22 +585,14 @@ impl PreparedQuery {
         policy: StalePolicy,
         threads: usize,
     ) -> Result<(QueryOutput, bool), QueryError> {
-        let rebuilt = match policy {
-            StalePolicy::Rebuild if self.staleness(db, model).is_some() => {
-                let plan = self.plan.clone();
-                *self = prepare_with(db, model, &plan, self.stats.engine, threads)?;
-                true
-            }
-            _ => false,
-        };
-        Ok((self.refresh_threaded(db, model, threads)?, rebuilt))
+        self.refresh_with_inner(db, model, policy, threads, None)
     }
 
     /// [`PreparedQuery::refresh_with_threaded`] through a [`ScoreMemo`]
-    /// (the driver's per-iteration path). A transparent rebuild replaces
-    /// the skeleton — and with it the feature rows and their hashes — but
-    /// never invalidates the memo: cached scores are keyed by feature
-    /// content, not by variable ids, so they stay correct across
+    /// (the driver's per-iteration path). A transparent catch-up grows or
+    /// replaces the skeleton — and with it the feature rows and their
+    /// hashes — but never invalidates the memo: cached scores are keyed by
+    /// feature content, not by variable ids, so they stay correct across
     /// rebuilds within one model generation.
     pub fn refresh_with_memo_threaded(
         &mut self,
@@ -561,15 +602,89 @@ impl PreparedQuery {
         threads: usize,
         memo: &mut ScoreMemo,
     ) -> Result<(QueryOutput, bool), QueryError> {
-        let rebuilt = match policy {
-            StalePolicy::Rebuild if self.staleness(db, model).is_some() => {
-                let plan = self.plan.clone();
-                *self = prepare_with(db, model, &plan, self.stats.engine, threads)?;
-                true
+        self.refresh_with_inner(db, model, policy, threads, Some(memo))
+    }
+
+    fn refresh_with_inner(
+        &mut self,
+        db: &Database,
+        model: &dyn Classifier,
+        policy: StalePolicy,
+        threads: usize,
+        memo: Option<&mut ScoreMemo>,
+    ) -> Result<(QueryOutput, bool), QueryError> {
+        let caught_up = policy == StalePolicy::Rebuild && self.staleness(db, model).is_some();
+        if caught_up {
+            self.catch_up(db, model, threads)?;
+        }
+        Ok((self.refresh_inner(db, model, threads, memo)?, caught_up))
+    }
+
+    /// Bring a stale skeleton current against `(db, model)`.
+    ///
+    /// When [`PreparedQuery::can_extend`] holds, the cached plan's scan and
+    /// the skeleton capture run over the appended rows only and the
+    /// captured delta is merged in — bit-identical to a fresh [`prepare`]
+    /// (a single relation yields its candidates in ascending row order
+    /// under every access path), at a cost proportional to the append. The
+    /// plan, and the estimates in it, stay as of the last plan.
+    ///
+    /// Otherwise — a re-registered table, a new index, a changed class
+    /// count or feature width, or a join, which a re-plan may order (and
+    /// so number its variables) differently — the cached plan is
+    /// re-prepared from row 0. That assumes replacement tables are
+    /// schema-compatible with the bound plan (a column it reads must still
+    /// exist with its type); incompatible ones surface as execution errors.
+    pub fn catch_up(
+        &mut self,
+        db: &Database,
+        model: &dyn Classifier,
+        threads: usize,
+    ) -> Result<(), QueryError> {
+        if !self.can_extend(db, model) {
+            *self = prepare_with(db, model, &self.plan, self.stats.engine, threads)?;
+            return Ok(());
+        }
+        let mut span = rain_obs::Span::enter("extend");
+        let old_rows = self.rels[0].n_rows;
+        let mut ctx = EvalCtx::new(db, model, &self.plan, true)
+            .with_threads(crate::exec::resolve_threads(threads));
+        ctx.first_row = vec![old_rows];
+        // Moved in, not cloned: new prediction variables continue the id
+        // sequence, and the registry's shared parts are not copied.
+        ctx.reg = std::mem::take(&mut self.reg);
+        let old_vars = ctx.reg.len();
+        let mut trace = PipelineTrace::default();
+        let captured = capture_pipeline(&mut ctx, self.stats.engine, &mut trace);
+        self.reg = std::mem::take(&mut ctx.reg);
+        let (delta, new_tuples) = captured?;
+        pack_features(&self.reg, db, &mut self.features, &mut self.feature_hashes)?;
+        match (&mut self.kind, delta) {
+            (KindSkeleton::Select(s), KindSkeleton::Select(d)) => s.tuples.extend(d.tuples),
+            (KindSkeleton::Aggregate(a), KindSkeleton::Aggregate(d)) => {
+                merge_groups(&mut a.groups, d.groups)
             }
-            _ => false,
-        };
-        Ok((self.refresh_inner(db, model, threads, Some(memo))?, rebuilt))
+            _ => unreachable!("one plan captures one kind of skeleton"),
+        }
+        self.stats.scan_rows[0] += trace.scan_rows[0];
+        self.stats.candidate_tuples += new_tuples;
+        self.stats.n_vars = self.reg.len();
+        self.rels = rel_stamps(db, &self.plan);
+        span.add("delta_rows", (self.rels[0].n_rows - old_rows) as u64);
+        span.add("new_tuples", new_tuples as u64);
+        span.add("new_vars", (self.reg.len() - old_vars) as u64);
+        Ok(())
+    }
+
+    /// True when [`PreparedQuery::catch_up`] would extend this skeleton
+    /// over appended rows instead of re-preparing it: the only change is
+    /// appends ([`StaleKind::Appended`]), the plan reads a single relation
+    /// and the model's architecture is the one captured.
+    pub fn can_extend(&self, db: &Database, model: &dyn Classifier) -> bool {
+        self.plan.rels.len() == 1
+            && self.stale_kind(db) == Some(StaleKind::Appended)
+            && model.n_classes() == self.n_classes
+            && model.dim() == self.features.cols()
     }
 
     /// Hard predictions for every feature row, served from `memo` where
@@ -621,35 +736,45 @@ impl PreparedQuery {
         preds
     }
 
-    /// True when a queried table was re-registered since [`prepare`] (the
-    /// skeleton caches row identities, so its cached tuples no longer
-    /// describe the catalog's data). Model-architecture staleness is
-    /// checked separately at refresh time.
+    /// True when a queried table moved since the skeleton was last brought
+    /// current (see [`PreparedQuery::stale_kind`]). Model-architecture
+    /// staleness is checked separately at refresh time.
     pub fn is_stale(&self, db: &Database) -> bool {
-        self.stale_kind(db).is_some()
+        self.stale_rel(db).is_some()
     }
 
-    /// How the catalog moved since [`prepare`], if it did.
+    /// How the catalog moved since the skeleton was last brought current,
+    /// if it did.
     ///
-    /// Distinguishes a full replacement ([`StaleKind::Replaced`] — cached
-    /// row identities are meaningless, rebuild from scratch) from pure
-    /// appends within the same generation ([`StaleKind::Appended`] — every
-    /// cached tuple is still valid, only new rows arrived). Today both
-    /// trigger a full re-prepare; `Appended` is the hook for delta-aware
-    /// skeleton extension (grow the candidate set and feature matrix for
-    /// the appended rows only).
+    /// Distinguishes pure appends within the same generation
+    /// ([`StaleKind::Appended`] — every cached tuple is still valid, only
+    /// new rows arrived, which [`PreparedQuery::catch_up`] can scan alone)
+    /// from everything that needs the query planned or captured afresh
+    /// ([`StaleKind::Replaced`]): a re-registered table, whose cached row
+    /// identities are meaningless, or a table whose set of indexes changed,
+    /// whose plan was costed without an access path it could now use.
     pub fn stale_kind(&self, db: &Database) -> Option<StaleKind> {
-        let mut appended = false;
-        for &(id, version, n_rows) in &self.rels {
-            let now = db.table_version(id);
-            if now.gen != version.gen || db.table_by_id(id).n_rows() < n_rows {
-                return Some(StaleKind::Replaced);
+        self.stale_rel(db).map(|(_, kind)| kind)
+    }
+
+    /// The first relation that makes this skeleton [`StaleKind::Replaced`],
+    /// else the first one that was appended to.
+    fn stale_rel(&self, db: &Database) -> Option<(TableId, StaleKind)> {
+        let mut appended = None;
+        for rel in &self.rels {
+            let now = db.table_version(rel.id);
+            let n_rows = db.table_by_id(rel.id).n_rows();
+            if now.gen != rel.version.gen
+                || n_rows < rel.n_rows
+                || db.index_count(rel.id) != rel.n_indexes
+            {
+                return Some((rel.id, StaleKind::Replaced));
             }
-            if now.delta != version.delta || db.table_by_id(id).n_rows() != n_rows {
-                appended = true;
+            if now.delta != rel.version.delta || n_rows != rel.n_rows {
+                appended.get_or_insert((rel.id, StaleKind::Appended));
             }
         }
-        appended.then_some(StaleKind::Appended)
+        appended
     }
 
     /// Why this skeleton cannot refresh against `(db, model)`, if anything.
@@ -668,16 +793,19 @@ impl PreparedQuery {
                 model.dim()
             ));
         }
-        for &(id, version, n_rows) in &self.rels {
-            if db.table_version(id) != version || db.table_by_id(id).n_rows() != n_rows {
-                return Some(format!(
-                    "stale query skeleton: table {} changed since prepare; \
-                     re-prepare the query",
-                    db.name_of(id)
-                ));
-            }
-        }
-        None
+        self.stale_rel(db).map(|(id, _)| {
+            format!(
+                "stale query skeleton: table {} changed since prepare; \
+                 re-prepare the query",
+                db.name_of(id)
+            )
+        })
+    }
+
+    /// The packed feature matrix: one row per prediction variable, in
+    /// variable-id order.
+    pub fn features(&self) -> &Matrix {
+        &self.features
     }
 
     /// The physical plan the skeleton was captured from.
@@ -900,6 +1028,37 @@ pub(crate) fn capture_groups(
         },
         candidates,
     ))
+}
+
+/// Merge the groups captured over appended rows into a skeleton's: a key
+/// already present gets the new members and terms appended (candidate
+/// order, as a capture over the whole table would have pushed them), a new
+/// key is inserted at its sorted position. Sums are grown through
+/// [`Arc::make_mut`], so a [`QueryOutput`] still holding the old sums
+/// never sees the new terms.
+fn merge_groups(groups: &mut Vec<GroupSkel>, delta: Vec<GroupSkel>) {
+    fn append(into: &mut [Arc<AggSum>], from: Vec<Arc<AggSum>>) {
+        for (sum, new) in into.iter_mut().zip(from) {
+            if !new.terms.is_empty() {
+                Arc::make_mut(sum)
+                    .terms
+                    .extend(Arc::unwrap_or_clone(new).terms);
+            }
+        }
+    }
+    for d in delta {
+        // `GroupSkel::key` holds output values; order them as capture did.
+        let by_key = |g: &GroupSkel| g.key.iter().map(keyval).cmp(d.key.iter().map(keyval));
+        match groups.binary_search_by(by_key) {
+            Ok(i) => {
+                let g = &mut groups[i];
+                g.members.extend(d.members);
+                append(&mut g.num, d.num);
+                append(&mut g.den, d.den);
+            }
+            Err(i) => groups.insert(i, d),
+        }
+    }
 }
 
 /// Feature matrices below this many rows run through the model's own

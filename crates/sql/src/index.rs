@@ -21,9 +21,11 @@
 //! indexes on and off.
 //!
 //! Index *definitions* are durable (a commitlog record and a snapshot
-//! field, see `rain-storage`); index *data* is rebuilt from table
-//! contents — on recovery, and eagerly by the catalog
-//! ([`Database`](crate::Database)) whenever the indexed table mutates.
+//! field, see `rain-storage`); index *data* is derived from table
+//! contents by one routine (`TableIndex::extend`): a build is an
+//! extension from row 0, an append
+//! ([`Database::append_to`](crate::Database::append_to)) extends over the
+//! new rows only, and only a re-registration rebuilds from scratch.
 
 use crate::eval::{join_key, JoinKey};
 use crate::table::{ColType, Table};
@@ -82,7 +84,7 @@ impl std::fmt::Display for IndexKind {
 
 /// A secondary index on one column of one registered table, owned by
 /// the catalog entry of that table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableIndex {
     /// Indexed column name (lowercased schema name).
     pub column: String,
@@ -93,7 +95,7 @@ pub struct TableIndex {
     data: IndexData,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum IndexData {
     /// Canonical key → ascending row ids.
     Hash(HashMap<JoinKey, Vec<u32>>),
@@ -114,8 +116,9 @@ impl TableIndex {
         Ok(())
     }
 
-    /// Build an index over `table`'s column `col`. Fails for a sorted
-    /// index on a string column.
+    /// Build an index over `table`'s column `col`: an empty index
+    /// extended from row 0. Fails for a sorted index
+    /// on a string column.
     pub fn build(
         table: &Table,
         column: &str,
@@ -123,16 +126,47 @@ impl TableIndex {
         kind: IndexKind,
     ) -> Result<TableIndex, String> {
         TableIndex::check(table, column, col, kind)?;
-        let data = match kind {
-            IndexKind::Hash => IndexData::Hash(build_hash(table, col)),
-            IndexKind::Sorted => IndexData::Sorted(build_sorted(table, col)),
-        };
-        Ok(TableIndex {
+        let mut ix = TableIndex {
             column: column.to_string(),
             col,
             kind,
-            data,
-        })
+            data: match kind {
+                IndexKind::Hash => IndexData::Hash(HashMap::new()),
+                IndexKind::Sorted => IndexData::Sorted(Vec::new()),
+            },
+        };
+        ix.extend(table, 0);
+        Ok(ix)
+    }
+
+    /// Index rows `from_row..` of `table` (the rows an append just added,
+    /// or every row for a build). NULL and NaN cells get no entry. Rows
+    /// arrive in ascending order, so hash postings stay sorted; sorted
+    /// entries are re-sorted by `(value, row)` — a total order over
+    /// distinct rows, so the result is the one a build over the whole
+    /// table produces.
+    pub(crate) fn extend(&mut self, table: &Table, from_row: usize) {
+        let column = table.column(self.col);
+        let mask = table.null_mask(self.col);
+        let keys = (from_row..table.n_rows())
+            .filter(|&row| !mask.is_some_and(|m| m[row]))
+            .filter_map(|row| Some((join_key(&column.get(row))?, row as u32)));
+        match &mut self.data {
+            IndexData::Hash(map) => {
+                for (key, row) in keys {
+                    map.entry(key).or_default().push(row);
+                }
+            }
+            IndexData::Sorted(entries) => {
+                entries.extend(keys.filter_map(|(key, row)| match key {
+                    JoinKey::Num(bits) => Some((f64::from_bits(bits), row)),
+                    JoinKey::Str(_) => None,
+                }));
+                // Stable sort: the already-sorted prefix is one run, so an
+                // extension costs a sort of the new entries plus a merge.
+                entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+            }
+        }
     }
 
     /// Number of indexed entries (NULL/NaN rows are absent).
@@ -156,13 +190,14 @@ impl TableIndex {
         }
     }
 
-    /// Rows whose value lies in `[lo, hi]` (bounds optional, each
-    /// inclusive or strict), returned in ascending row order. Sorted
-    /// indexes only; a hash index returns an empty set.
+    /// Rows at or after `first_row` whose value lies in `[lo, hi]` (bounds
+    /// optional, each inclusive or strict), returned in ascending row
+    /// order. Sorted indexes only; a hash index returns an empty set.
     pub(crate) fn lookup_range(
         &self,
         lo: Option<(f64, bool)>,
         hi: Option<(f64, bool)>,
+        first_row: u32,
     ) -> Vec<u32> {
         let IndexData::Sorted(entries) = &self.data else {
             return Vec::new();
@@ -182,44 +217,13 @@ impl TableIndex {
         let mut rows: Vec<u32> = entries[start..end.max(start)]
             .iter()
             .map(|&(_, row)| row)
+            .filter(|&row| row >= first_row)
             .collect();
         // Back to scan order so index scans emit rows exactly like the
         // sequential scan they replace.
         rows.sort_unstable();
         rows
     }
-}
-
-fn build_hash(table: &Table, col: usize) -> HashMap<JoinKey, Vec<u32>> {
-    let column = table.column(col);
-    let mask = table.null_mask(col);
-    let mut map: HashMap<JoinKey, Vec<u32>> = HashMap::new();
-    for row in 0..table.n_rows() {
-        if mask.is_some_and(|m| m[row]) {
-            continue;
-        }
-        if let Some(key) = join_key(&column.get(row)) {
-            // Rows arrive in ascending order, so postings stay sorted.
-            map.entry(key).or_default().push(row as u32);
-        }
-    }
-    map
-}
-
-fn build_sorted(table: &Table, col: usize) -> Vec<(f64, u32)> {
-    let column = table.column(col);
-    let mask = table.null_mask(col);
-    let mut entries: Vec<(f64, u32)> = Vec::new();
-    for row in 0..table.n_rows() {
-        if mask.is_some_and(|m| m[row]) {
-            continue;
-        }
-        if let Some(JoinKey::Num(bits)) = join_key(&column.get(row)) {
-            entries.push((f64::from_bits(bits), row as u32));
-        }
-    }
-    entries.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    entries
 }
 
 #[cfg(test)]
@@ -271,18 +275,18 @@ mod tests {
     fn sorted_range_probes() {
         let idx = TableIndex::build(&t(), "x", 0, IndexKind::Sorted).unwrap();
         // x < 5
-        assert_eq!(idx.lookup_range(None, Some((5.0, false))), vec![1, 3, 4]);
+        assert_eq!(idx.lookup_range(None, Some((5.0, false)), 0), vec![1, 3, 4]);
         // x <= 5
         assert_eq!(
-            idx.lookup_range(None, Some((5.0, true))),
+            idx.lookup_range(None, Some((5.0, true)), 0),
             vec![0, 1, 2, 3, 4]
         );
         // x > 3
-        assert_eq!(idx.lookup_range(Some((3.0, false)), None), vec![0, 2]);
+        assert_eq!(idx.lookup_range(Some((3.0, false)), None, 0), vec![0, 2]);
         // x >= 3
-        assert_eq!(idx.lookup_range(Some((3.0, true)), None), vec![0, 2, 3]);
+        assert_eq!(idx.lookup_range(Some((3.0, true)), None, 0), vec![0, 2, 3]);
         // empty band
-        assert!(idx.lookup_range(Some((9.0, true)), None).is_empty());
+        assert!(idx.lookup_range(Some((9.0, true)), None, 0).is_empty());
     }
 
     #[test]
@@ -300,7 +304,7 @@ mod tests {
         let hash = TableIndex::build(&table, "f", 0, IndexKind::Hash).unwrap();
         assert_eq!(hash.len(), 2);
         let sorted = TableIndex::build(&table, "f", 0, IndexKind::Sorted).unwrap();
-        assert_eq!(sorted.lookup_range(None, None), vec![0, 3]);
+        assert_eq!(sorted.lookup_range(None, None, 0), vec![0, 3]);
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Per-table statistics feeding the cost-based planner.
 //!
-//! The catalog ([`Database`](crate::Database)) recomputes a
-//! [`TableStats`] whenever a table changes shape — on
-//! [`register`](crate::Database::register) and on every
-//! [`append_to`](crate::Database::append_to) — and stamps it with the
-//! table's [`TableVersion`] at that moment. The
+//! The catalog ([`Database`](crate::Database)) keeps one [`TableStats`]
+//! per table *version*: every mutation
+//! ([`register`](crate::Database::register),
+//! [`append_to`](crate::Database::append_to)) empties the cache, and the
+//! first reader afterwards ([`Database::stats_of`](crate::Database::stats_of)
+//! — the planner, or the serving layer's `GET …/stats`) computes them over
+//! the live table and stamps them with the live [`TableVersion`]. So
+//! whoever reads them sees exact, current statistics, and a run of appends
+//! between two plans pays for one computation, not one per batch. The
 //! cost model ([`cost`](crate::cost)) reads row counts, per-column
 //! distinct estimates, and numeric min/max to estimate scan
-//! selectivities and join cardinalities; because an append bumps
-//! `delta` and invalidates prepared plans, stale queries are re-bound
-//! and re-costed against fresh statistics automatically (see
-//! [`QueryCache`](crate::QueryCache)).
+//! selectivities and join cardinalities. A cached single-table query that
+//! is merely *extended* over appended rows
+//! ([`PreparedQuery::catch_up`](crate::PreparedQuery::catch_up)) keeps its
+//! plan, so its estimates are as of the last time it was planned.
 //!
 //! Distinct counts are exact, computed over the same canonical key
 //! space the join machinery uses (NULLs and NaNs excluded, `3` and
@@ -46,22 +50,19 @@ pub struct TableStats {
     /// One entry per schema column, in schema order.
     pub columns: Vec<ColumnStats>,
     /// The `(gen, delta)` the table had when these stats were computed.
-    /// The catalog recomputes on every mutation, so this always matches
-    /// the live [`TableVersion`].
+    /// The catalog caches per version, so what it hands out always
+    /// matches the live [`TableVersion`].
     pub version: TableVersion,
 }
 
-impl TableStats {
-    /// Stats for a table nobody has registered yet: zero rows, no
-    /// columns.
-    pub fn empty() -> TableStats {
-        TableStats {
-            row_count: 0,
-            columns: Vec::new(),
-            version: TableVersion::default(),
-        }
-    }
+#[cfg(test)]
+thread_local! {
+    /// [`TableStats::compute`] calls made by this thread (tests count
+    /// how often the catalog recomputes).
+    pub(crate) static COMPUTE_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
+impl TableStats {
     /// Compute fresh statistics for `table`, stamped with `version`.
     ///
     /// One full pass per column: distinct values are collected into the
@@ -69,6 +70,8 @@ impl TableStats {
     /// (numerics by canonical `f64` bits, so `3 = 3.0` counts once;
     /// NULL and NaN are excluded and tallied as `null_count`).
     pub fn compute(table: &Table, version: TableVersion) -> TableStats {
+        #[cfg(test)]
+        COMPUTE_CALLS.with(|c| c.set(c.get() + 1));
         let n = table.n_rows();
         let columns = (0..table.schema().len())
             .map(|c| column_stats(table, c, n))

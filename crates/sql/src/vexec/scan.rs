@@ -26,9 +26,11 @@ use crate::incremental::PipelineTrace;
 use crate::table::Table;
 use crate::QueryError;
 
-/// Base-row ids of `rel` surviving its pushed-down scan filters, in
-/// ascending order (the same survivors, in the same order, as the tuple
-/// engine's scan — at every thread count). When a skeleton capture is in
+/// Base-row ids of `rel` — from the context's scan floor
+/// ([`EvalCtx::first_row_of`]) on — surviving its pushed-down scan
+/// filters, in ascending order (the same survivors, in the same order, as
+/// the tuple engine's scan — at every thread count, under either access
+/// path). When a skeleton capture is in
 /// flight, the post-filter selection vector's cardinality is recorded in
 /// `trace` — the scan output *is* the model-independent selection the
 /// prepared skeleton reuses across refreshes.
@@ -47,13 +49,14 @@ pub(crate) fn scan(
 fn scan_inner(ctx: &mut EvalCtx, rel: usize) -> Result<Vec<u32>, QueryError> {
     let table = ctx.table_of(rel);
     let n = table.n_rows();
+    let first = ctx.first_row_of(rel).min(n);
     let query = ctx.query;
     let filters = &query.scan_filters[rel];
     let mut span = rain_obs::Span::enter("scan");
-    span.add("rows_in", n as u64);
+    span.add("rows_in", (n - first) as u64);
     if filters.is_empty() {
-        span.add("rows_out", n as u64);
-        return Ok((0..n as u32).collect());
+        span.add("rows_out", (n - first) as u64);
+        return Ok((first as u32..n as u32).collect());
     }
 
     let tables: Vec<&Table> = query
@@ -66,7 +69,7 @@ fn scan_inner(ctx: &mut EvalCtx, rel: usize) -> Result<Vec<u32>, QueryError> {
     // live catalog and seed the selection from its postings instead of
     // walking the table. Any mismatch (index dropped, shape changed)
     // falls through to the sequential path below — same rows either way.
-    if let Some(out) = index_scan(ctx, rel, &tables, filters)? {
+    if let Some(out) = index_scan(ctx, rel, first as u32, &tables, filters)? {
         span.add("rows_out", out.len() as u64);
         return Ok(out);
     }
@@ -80,10 +83,12 @@ fn scan_inner(ctx: &mut EvalCtx, rel: usize) -> Result<Vec<u32>, QueryError> {
     // filters being model-free (always true for optimizer-built plans) so
     // a worker's scratch context can never observe or create prediction
     // variables — the workers only ever prune concretely.
-    if morsel::worth_parallel(ctx.threads, n) && filters.iter().all(|f| !f.contains_predict()) {
+    if morsel::worth_parallel(ctx.threads, n - first)
+        && filters.iter().all(|f| !f.contains_predict())
+    {
         let (db, model, debug) = (ctx.db, ctx.model, ctx.debug);
         let scan_id = span.id();
-        let parts = morsel::run_morsels(ctx.threads, n, |start, end| {
+        let parts = morsel::run_morsels(ctx.threads, n - first, |start, end| {
             // Workers don't share the spawner's span stack; attach their
             // per-morsel timings to the scan span explicitly. The morsel
             // index is derived from the (deterministic) row range, not
@@ -94,7 +99,14 @@ fn scan_inner(ctx: &mut EvalCtx, rel: usize) -> Result<Vec<u32>, QueryError> {
             mspan.add("items", (end - start) as u64);
             let mut wctx = EvalCtx::new(db, model, query, debug);
             scan_range(
-                &mut wctx, rel, table, &tables, filters, &compiled, start, end,
+                &mut wctx,
+                rel,
+                table,
+                &tables,
+                filters,
+                &compiled,
+                first + start,
+                first + end,
             )
         });
         let out = morsel::concat_results(parts)?;
@@ -102,7 +114,7 @@ fn scan_inner(ctx: &mut EvalCtx, rel: usize) -> Result<Vec<u32>, QueryError> {
         return Ok(out);
     }
 
-    let out = scan_range(ctx, rel, table, &tables, filters, &compiled, 0, n)?;
+    let out = scan_range(ctx, rel, table, &tables, filters, &compiled, first, n)?;
     span.add("rows_out", out.len() as u64);
     Ok(out)
 }
@@ -113,14 +125,15 @@ fn scan_inner(ctx: &mut EvalCtx, rel: usize) -> Result<Vec<u32>, QueryError> {
 /// filter shape drifted) — the caller then runs the sequential scan,
 /// which produces the identical row set.
 ///
-/// The probe seeds the selection with the index's posting rows (always
-/// ascending, i.e. scan order); the relation's *other* filters are then
+/// The probe seeds the selection with the index's posting rows at or after
+/// `first_row` (always ascending, i.e. scan order); the relation's *other* filters are then
 /// applied to just those candidates, compiled kernels first and the
 /// shared row-at-a-time evaluator as fallback — exactly the sequential
 /// scan's semantics on a narrower row set.
 fn index_scan(
     ctx: &mut EvalCtx,
     rel: usize,
+    first_row: u32,
     tables: &[&Table],
     filters: &[BExpr],
 ) -> Result<Option<Vec<u32>>, QueryError> {
@@ -150,7 +163,10 @@ fn index_scan(
                 return Ok(None);
             }
             match crate::eval::join_key(lit) {
-                Some(key) => ix.lookup_eq(&key).to_vec(),
+                Some(key) => {
+                    let rows = ix.lookup_eq(&key);
+                    rows[rows.partition_point(|&r| r < first_row)..].to_vec()
+                }
                 // NULL/NaN literals compare equal to nothing.
                 None => Vec::new(),
             }
@@ -160,10 +176,10 @@ fn index_scan(
                 return Ok(None);
             };
             match op {
-                CmpOp::Lt => ix.lookup_range(None, Some((v, false))),
-                CmpOp::Le => ix.lookup_range(None, Some((v, true))),
-                CmpOp::Gt => ix.lookup_range(Some((v, false)), None),
-                CmpOp::Ge => ix.lookup_range(Some((v, true)), None),
+                CmpOp::Lt => ix.lookup_range(None, Some((v, false)), first_row),
+                CmpOp::Le => ix.lookup_range(None, Some((v, true)), first_row),
+                CmpOp::Gt => ix.lookup_range(Some((v, false)), None, first_row),
+                CmpOp::Ge => ix.lookup_range(Some((v, true)), None, first_row),
                 _ => return Ok(None),
             }
         }

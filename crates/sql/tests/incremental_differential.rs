@@ -10,14 +10,22 @@
 //! `predict != c` atoms, `predict(a) = predict(b)` join predicates,
 //! grouped and predict-keyed aggregates, projections), plus nullable
 //! tables, stale-skeleton detection, and model-architecture mismatches.
+//!
+//! The second half holds skeleton *extension* to the same standard: after
+//! random appends, `catch_up` + `refresh` must equal a fresh re-plan +
+//! `prepare` + `refresh` in every observable — rows, provenance (term
+//! order included), prediction variables, packed features, skeleton
+//! statistics.
 
 use rain_linalg::{Matrix, RainRng};
 use rain_model::{Classifier, LogisticRegression};
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
-    bind, execute, optimize, parse_select, prepare, Database, Engine, ExecOptions, QueryOutput,
-    ScoreMemo, StalePolicy,
+    bind, execute, optimize, parse_select, prepare, prepare_with, AccessPath, CacheEvent, Database,
+    Engine, ExecOptions, IndexKind, PreparedQuery, QueryCache, QueryOutput, ScoreMemo, StaleKind,
+    StalePolicy, Value,
 };
+use std::time::Instant;
 
 const CASES: u64 = 128;
 
@@ -586,4 +594,339 @@ fn skeleton_stats_describe_the_pipeline() {
             prepared.refresh(&db, &step_model()).unwrap().predvars.len()
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Extension ≡ rebuild
+// ---------------------------------------------------------------------
+
+/// One append batch: value rows plus row-aligned features.
+type Batch = (Vec<Vec<Value>>, Vec<Vec<f64>>);
+
+/// `ext(g int?, x int, n int?, f float, s str)`, featured. `g` is the
+/// group key and `n` the nullable filter column; both carry NULLs.
+fn ext_schema() -> Schema {
+    Schema::new(&[
+        ("g", ColType::Int),
+        ("x", ColType::Int),
+        ("n", ColType::Int),
+        ("f", ColType::Float),
+        ("s", ColType::Str),
+    ])
+}
+
+/// `n` random rows whose group keys fall in `g_lo..g_hi` (NULL one time in
+/// eight), so a caller can open groups before, between and after the ones
+/// a table already has.
+fn ext_rows(rng: &mut RainRng, n: usize, g_lo: i64, g_hi: i64) -> Batch {
+    let words = ["http", "deal", "spam", ""];
+    let null_or = |rng: &mut RainRng, v: i64| {
+        if rng.bernoulli(0.125) {
+            Value::Null
+        } else {
+            Value::Int(v)
+        }
+    };
+    let rows = (0..n)
+        .map(|_| {
+            let g = rng.int_range(g_lo, g_hi);
+            let nn = rng.int_range(0, 6);
+            vec![
+                null_or(rng, 2 * g), // even keys: odd ones can land between
+                Value::Int(rng.int_range(0, 5)),
+                null_or(rng, nn),
+                Value::Float(rng.uniform_range(-2.0, 4.0)),
+                Value::Str(words[rng.below(words.len())].to_string()),
+            ]
+        })
+        .collect();
+    let feats = (0..n)
+        .map(|_| vec![if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
+        .collect();
+    (rows, feats)
+}
+
+fn ext_table(batch: Batch) -> Table {
+    let mut t = Table::empty(ext_schema()).with_features(Matrix::zeros(0, 1));
+    t.append_rows(batch.0, Some(&batch.1));
+    t
+}
+
+/// The single-relation shapes extension must reproduce, plus (last two)
+/// joins, which must take the rebuild branch and still agree.
+const EXT_QUERIES: [&str; 10] = [
+    "SELECT x, predict(a) FROM ext a WHERE a.f < 3",
+    "SELECT x, s FROM ext a WHERE a.x > 1",
+    "SELECT COUNT(*) FROM ext a WHERE predict(a) = 1",
+    "SELECT g, AVG(predict(a)) FROM ext a GROUP BY g",
+    "SELECT COUNT(*), SUM(f) FROM ext a GROUP BY predict(a)",
+    "SELECT SUM(f) FROM ext a WHERE a.n > 2 AND predict(a) = 0",
+    "SELECT COUNT(*) FROM ext a WHERE a.x = 2 AND predict(a) = 1",
+    "SELECT g, COUNT(*) FROM ext a WHERE a.f < 1.5 AND a.n >= 1 GROUP BY g",
+    "SELECT COUNT(*) FROM ext a, side b WHERE a.x = b.x AND predict(a) = 1",
+    "SELECT a.g, COUNT(*) FROM ext a, side b WHERE predict(a) = predict(b) GROUP BY a.g",
+];
+
+fn plan_of(db: &Database, sql: &str) -> rain_sql::QueryPlan {
+    optimize(bind(&parse_select(sql).unwrap(), db).unwrap(), db)
+}
+
+/// `caught_up` (a skeleton extended or rebuilt in place) against a fresh
+/// prepare on the same catalog: every observable must agree. A
+/// single-relation query is re-planned from its SQL first — extension must
+/// not depend on what the planner would choose today; a join is prepared
+/// from the plan the skeleton kept, since a re-plan may order the join the
+/// other way round and number its prediction variables differently.
+fn assert_same_skeleton(
+    label: &str,
+    db: &Database,
+    sql: &str,
+    caught_up: &PreparedQuery,
+    engine: Engine,
+    threads: usize,
+) {
+    let plan = match caught_up.plan().rels.len() {
+        1 => plan_of(db, sql),
+        _ => caught_up.plan().clone(),
+    };
+    let fresh = prepare_with(db, &step_model(), &plan, engine, threads).unwrap();
+    assert!(!caught_up.is_stale(db), "{label}: still stale");
+    assert_eq!(caught_up.stats(), fresh.stats(), "{label}: skeleton stats");
+    assert_eq!(
+        caught_up.features().as_slice(),
+        fresh.features().as_slice(),
+        "{label}: packed features"
+    );
+    for model in [step_model(), flipped_model()] {
+        let want = fresh.refresh_threaded(db, &model, threads).unwrap();
+        let got = caught_up.refresh_threaded(db, &model, threads).unwrap();
+        assert_identical(label, &want, &got);
+        // Feature hashes feed the memo: a stale or misaligned hash would
+        // serve some row another row's score.
+        let mut memo = ScoreMemo::new();
+        let memod = caught_up
+            .refresh_memo_threaded(db, &model, threads, &mut memo)
+            .unwrap();
+        assert_identical(&format!("{label} [memo]"), &want, &memod);
+    }
+}
+
+/// The headline property of extension: over seeded tables, queries and
+/// append sequences (1–3 batches between queries; zero-row batches; a
+/// table registered empty; groups opened before, between and after the
+/// existing ones; NULL keys; hash and sorted index scans), on both engines
+/// at 1 and 2 threads, a skeleton caught up after the appends equals one
+/// prepared from scratch.
+#[test]
+fn extension_matches_rebuild_bit_for_bit() {
+    let mut extended = 0usize;
+    let mut index_scans = [false; 2];
+    for seed in 0..CASES / 2 {
+        let mut rng = RainRng::seed_from_u64(0xE87 ^ seed);
+        let start_empty = seed % 8 == 0;
+        let n_base = if start_empty { 0 } else { 4 + rng.below(30) };
+        let base = ext_table(ext_rows(&mut rng, n_base, 2, 5));
+        // A small second table so join queries have something to join.
+        let side = ext_table(ext_rows(&mut rng, 6, 0, 3));
+        let sql = EXT_QUERIES[seed as usize % EXT_QUERIES.len()];
+        // Three query points, 1..4 batches before each.
+        let steps: Vec<Vec<Batch>> = (0..3)
+            .map(|_| {
+                (0..1 + rng.below(3))
+                    .map(|_| {
+                        let n = if rng.bernoulli(0.2) {
+                            0
+                        } else {
+                            1 + rng.below(12)
+                        };
+                        ext_rows(&mut rng, n, 0, 8)
+                    })
+                    .collect()
+            })
+            .collect();
+        for engine in [Engine::Tuple, Engine::Vectorized] {
+            for threads in [1, 2] {
+                let label = format!("seed {seed} `{sql}` [{engine:?}, threads={threads}]");
+                let mut db = Database::new();
+                db.register("ext", base.clone());
+                db.register("side", side.clone());
+                db.create_index("ext", "x", IndexKind::Hash).unwrap();
+                db.create_index("ext", "f", IndexKind::Sorted).unwrap();
+                let plan = plan_of(&db, sql);
+                if let AccessPath::IndexScan { kind, .. } = plan.access[0] {
+                    index_scans[(kind == IndexKind::Sorted) as usize] = true;
+                }
+                let single = plan.rels.len() == 1;
+                let mut pq = prepare_with(&db, &step_model(), &plan, engine, threads).unwrap();
+                for (si, batches) in steps.iter().enumerate() {
+                    for (rows, feats) in batches {
+                        db.append_to("ext", rows.clone(), Some(feats.clone()))
+                            .unwrap();
+                    }
+                    assert_eq!(pq.stale_kind(&db), Some(StaleKind::Appended), "{label}");
+                    assert_eq!(pq.can_extend(&db, &step_model()), single, "{label}");
+                    extended += single as usize;
+                    pq.catch_up(&db, &step_model(), threads).unwrap();
+                    assert_same_skeleton(
+                        &format!("{label} step {si}"),
+                        &db,
+                        sql,
+                        &pq,
+                        engine,
+                        threads,
+                    );
+                }
+                // A re-registration takes the rebuild branch.
+                db.register("ext", side.clone());
+                assert_eq!(pq.stale_kind(&db), Some(StaleKind::Replaced), "{label}");
+                assert!(!pq.can_extend(&db, &step_model()), "{label}");
+                pq.catch_up(&db, &step_model(), threads).unwrap();
+                assert_same_skeleton(
+                    &format!("{label} re-registered"),
+                    &db,
+                    sql,
+                    &pq,
+                    engine,
+                    threads,
+                );
+            }
+        }
+    }
+    assert!(extended > 100, "extension branch barely ran: {extended}");
+    assert!(index_scans[0], "no case planned a hash index scan");
+    assert!(index_scans[1], "no case planned a sorted index scan");
+}
+
+/// Morsel-parallel scans honour the floor too: on a table big enough to
+/// shard, an appended suffix that itself spans several morsels extends to
+/// what a rebuild captures, at every thread count.
+#[test]
+fn extension_matches_rebuild_across_morsels() {
+    let mut rng = RainRng::seed_from_u64(0x0E57);
+    let base = ext_table(ext_rows(&mut rng, 3_000, 0, 6));
+    let delta = ext_rows(&mut rng, 9_500, 0, 9);
+    let sql = "SELECT g, AVG(predict(a)) FROM ext a WHERE a.s LIKE '%a%' AND a.f < 3 GROUP BY g";
+    for threads in [1, 2, 8] {
+        let mut db = Database::new();
+        db.register("ext", base.clone());
+        let mut pq = prepare_with(
+            &db,
+            &step_model(),
+            &plan_of(&db, sql),
+            Engine::Vectorized,
+            threads,
+        )
+        .unwrap();
+        db.append_to("ext", delta.0.clone(), Some(delta.1.clone()))
+            .unwrap();
+        assert!(pq.can_extend(&db, &step_model()));
+        pq.catch_up(&db, &step_model(), threads).unwrap();
+        assert_same_skeleton(
+            &format!("morsels, threads={threads}"),
+            &db,
+            sql,
+            &pq,
+            Engine::Vectorized,
+            threads,
+        );
+    }
+}
+
+/// An output handed out before the append must not change when the
+/// skeleton it came from is extended: the provenance sums it shares with
+/// the skeleton are copied on write, never grown in place.
+#[test]
+fn outputs_taken_before_an_append_are_untouched_by_extension() {
+    let mut rng = RainRng::seed_from_u64(0x0A7C);
+    for sql in EXT_QUERIES.iter().take(8) {
+        let mut db = Database::new();
+        db.register("ext", ext_table(ext_rows(&mut rng, 20, 2, 5)));
+        let mut pq = prepare(&db, &step_model(), &plan_of(&db, sql), Engine::Vectorized).unwrap();
+        let before = pq.refresh(&db, &step_model()).unwrap();
+        let snapshot = format!("{before:?}");
+        let (rows, feats) = ext_rows(&mut rng, 15, 0, 8);
+        db.append_to("ext", rows, Some(feats)).unwrap();
+        assert!(pq.can_extend(&db, &step_model()), "`{sql}`");
+        pq.catch_up(&db, &step_model(), 1).unwrap();
+        let after = pq.refresh(&db, &step_model()).unwrap();
+        assert_eq!(format!("{before:?}"), snapshot, "`{sql}`: old output moved");
+        assert_ne!(
+            format!("{after:?}"),
+            snapshot,
+            "`{sql}`: append not visible"
+        );
+    }
+}
+
+/// Through the cache: appends are `invalidated` lookups answered by
+/// extension (counted in both `invalidations` and `extended`); a new
+/// index re-plans — same answer, new access path, not an extension.
+#[test]
+fn cache_extends_on_append_and_replans_on_a_new_index() {
+    let mut rng = RainRng::seed_from_u64(0xCAC);
+    let mut db = Database::new();
+    db.register("ext", ext_table(ext_rows(&mut rng, 40, 0, 4)));
+    let mut cache = QueryCache::new(Engine::Vectorized);
+    let sql = "SELECT COUNT(*) FROM ext a WHERE a.x = 2 AND predict(a) = 1";
+    let model = step_model();
+    let (_, ev) = cache.execute(&db, &model, sql).unwrap();
+    assert_eq!(ev, CacheEvent::Miss);
+
+    let (rows, feats) = ext_rows(&mut rng, 10, 0, 4);
+    db.append_to("ext", rows, Some(feats)).unwrap();
+    let (out, ev) = cache.execute(&db, &model, sql).unwrap();
+    assert_eq!(ev, CacheEvent::Invalidated);
+    let stats = cache.stats();
+    assert_eq!((stats.invalidations, stats.extended), (1, 1));
+    let full = execute(&db, &model, &plan_of(&db, sql), ExecOptions::debug()).unwrap();
+    assert_identical("extended through the cache", &full, &out);
+
+    db.create_index("ext", "x", IndexKind::Hash).unwrap();
+    let cq = cache.checkout(&db, &model, sql).unwrap();
+    assert_eq!(cq.event, CacheEvent::Invalidated, "a new index is news");
+    assert!(
+        matches!(cq.prepared.plan().access[0], AccessPath::IndexScan { .. }),
+        "the re-plan must pick up the index"
+    );
+    let replanned = cq.prepared.refresh(&db, &model).unwrap();
+    cache.checkin(cq);
+    assert_identical("re-planned onto the index", &full, &replanned);
+    let stats = cache.stats();
+    assert_eq!((stats.invalidations, stats.extended), (2, 1));
+    assert_eq!(cache.execute(&db, &model, sql).unwrap().1, CacheEvent::Hit);
+}
+
+/// Ratio guard for O(delta) append → query, in the style of
+/// `ingest_linearity`: on a 16 000-row table the first query after a
+/// 250-row append must cost < 4× a cache hit at that size. Re-preparing
+/// the skeleton reads ≈ 20×. Min of 3 on both sides.
+#[test]
+fn first_query_after_a_small_append_costs_like_a_hit() {
+    let mut rng = RainRng::seed_from_u64(0x16_000);
+    let mut db = Database::new();
+    db.register("ext", ext_table(ext_rows(&mut rng, 16_000, 0, 6)));
+    let model = step_model();
+    let mut cache = QueryCache::new(Engine::Vectorized);
+    let sql = "SELECT COUNT(*) FROM ext a WHERE predict(a) = 1";
+    cache.execute(&db, &model, sql).unwrap();
+    let (mut invalidated, mut hit) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (rows, feats) = ext_rows(&mut rng, 250, 0, 6);
+        db.append_to("ext", rows, Some(feats)).unwrap();
+        let t = Instant::now();
+        let (_, ev) = cache.execute(&db, &model, sql).unwrap();
+        invalidated = invalidated.min(t.elapsed().as_secs_f64());
+        assert_eq!(ev, CacheEvent::Invalidated);
+        let t = Instant::now();
+        let (_, ev) = cache.execute(&db, &model, sql).unwrap();
+        hit = hit.min(t.elapsed().as_secs_f64());
+        assert_eq!(ev, CacheEvent::Hit);
+    }
+    assert_eq!(cache.stats().extended, 3);
+    assert!(
+        invalidated < 4.0 * hit,
+        "first query after a 250-row append took {:.3} ms, a hit {:.3} ms",
+        invalidated * 1e3,
+        hit * 1e3
+    );
 }
