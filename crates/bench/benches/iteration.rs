@@ -16,12 +16,11 @@ use rain_core::rank::{rank, Method as M, RankContext};
 use rain_data::dblp::DblpConfig;
 use rain_data::flip_labels_where;
 use rain_data::tables::dataset_to_table;
-use rain_linalg::{Matrix, RainRng};
-use rain_model::{train_lbfgs, Classifier, LbfgsConfig, LogisticRegression};
-use rain_sql::table::{ColType, Column, Schema, Table};
+use rain_model::{train_lbfgs, LbfgsConfig, LogisticRegression};
+use rain_sql::table::Column;
 use rain_sql::{
     bind, execute, optimize, parse_select, prepare, run_query, Database, Engine, ExecOptions,
-    QueryPlan, ScoreMemo,
+    QueryPlan,
 };
 
 struct Fixture {
@@ -96,8 +95,8 @@ fn plan_for(sql: &str, db: &Database) -> QueryPlan {
 
 /// Incremental refresh vs full debug-mode re-execution, per iteration of
 /// the loop: the tentpole comparison, exported as `BENCH_iteration.json`.
-/// Returns the artifact's JSON body (unterminated — `main` appends the
-/// memo section before closing and writing it).
+/// Returns the artifact's JSON body (unterminated — `main` closes and
+/// writes it).
 fn bench_incremental() -> String {
     let quick = rain_bench::is_quick();
     let n_query = 2000;
@@ -144,7 +143,7 @@ fn bench_incremental() -> String {
         .map(|(name, plan)| {
             let p = prepare(&db, &model, plan, Engine::Vectorized).expect(name);
             let full = execute(&db, &model, plan, ExecOptions::debug()).unwrap();
-            let refreshed = p.refresh(&db, &model).unwrap();
+            let refreshed = p.refresh(&db, &model, 0).unwrap();
             assert_eq!(
                 full.table.to_tsv(),
                 refreshed.table.to_tsv(),
@@ -170,7 +169,7 @@ fn bench_incremental() -> String {
             execute(&db, &model, plan, ExecOptions::debug()).unwrap()
         });
         g.bench(&format!("refresh_{name}"), || {
-            p.refresh(&db, &model).unwrap()
+            p.refresh(&db, &model, 0).unwrap()
         });
     }
     g.finish();
@@ -199,118 +198,9 @@ fn bench_incremental() -> String {
     json
 }
 
-/// Memoized vs plain refresh on a duplicate-heavy, low-flip workload:
-/// feature rows drawn from a small pool of distinct vectors scored by an
-/// MLP (per-row inference far dearer than a hash lookup — the regime the
-/// memo exists for), and a model nudge that flips fewer than 10% of
-/// predictions between iterations. Each memoized sample advances the
-/// generation first (the driver's per-retrain discipline), so the memo
-/// pays purely through within-generation deduplication: 64 distinct
-/// inferences instead of one per row. Appends a `memo` section to
-/// `BENCH_iteration.json` gated by `bench_floors.json`.
-fn bench_memo(json: &mut String) {
-    let quick = rain_bench::is_quick();
-    let n = if quick { 20_000 } else { 40_000 };
-    const POOL: usize = 64;
-    const DIM: usize = 16;
-    let mut rng = RainRng::seed_from_u64(0x3E30);
-    let pool: Vec<Vec<f64>> = (0..POOL)
-        .map(|_| (0..DIM).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
-        .collect();
-    let rows: Vec<&[f64]> = (0..n).map(|i| &pool[i % POOL][..]).collect();
-    let feats = Matrix::from_rows(&rows);
-    let table = Table::from_columns(
-        Schema::new(&[("id", ColType::Int)]),
-        vec![Column::Int((0..n as i64).collect())],
-    )
-    .with_features(feats.clone());
-    let mut db = Database::new();
-    db.register("pool", table);
-
-    // A seeded MLP and a single-bias nudge of it: only rows whose logit
-    // gap falls inside the nudge band flip, which must be <10%.
-    let model_a = rain_model::Mlp::new(DIM, 32, 2, 0.0, 7);
-    let mut model_b = model_a.clone();
-    let mut nudged = model_a.params().to_vec();
-    *nudged.last_mut().unwrap() += 0.08;
-    model_b.set_params(&nudged);
-    let (pa, pb) = (model_a.predict_batch(&feats), model_b.predict_batch(&feats));
-    let flips = pa.iter().zip(&pb).filter(|(a, b)| a != b).count();
-    let flip_fraction = flips as f64 / n as f64;
-    assert!(
-        flip_fraction < 0.10,
-        "memo workload must flip <10% of predictions per nudge, got {flip_fraction:.3}"
-    );
-
-    let plan = plan_for("SELECT COUNT(*) FROM pool WHERE predict(*) = 1", &db);
-    let prepared = prepare(&db, &model_a, &plan, Engine::Vectorized).unwrap();
-
-    // Correctness before timing: memoized ≡ plain under both models,
-    // within a generation and across an advance.
-    let mut memo = ScoreMemo::new();
-    memo.advance(1);
-    let plain = prepared.refresh_threaded(&db, &model_b, 1).unwrap();
-    let memod = prepared
-        .refresh_memo_threaded(&db, &model_b, 1, &mut memo)
-        .unwrap();
-    assert_eq!(plain.table.to_tsv(), memod.table.to_tsv(), "memo: rows");
-    assert_eq!(
-        plain.predvars.preds(),
-        memod.predvars.preds(),
-        "memo: predictions"
-    );
-    assert_eq!(memo.misses(), POOL as u64, "one inference per distinct row");
-    let again = prepared
-        .refresh_memo_threaded(&db, &model_b, 1, &mut memo)
-        .unwrap();
-    assert_eq!(plain.predvars.preds(), again.predvars.preds());
-    assert_eq!(memo.misses(), POOL as u64, "same generation: all hits");
-    memo.advance(2);
-    let back = prepared
-        .refresh_memo_threaded(&db, &model_a, 1, &mut memo)
-        .unwrap();
-    let back_plain = prepared.refresh_threaded(&db, &model_a, 1).unwrap();
-    assert_eq!(back_plain.predvars.preds(), back.predvars.preds());
-
-    let samples = if quick { 3 } else { 30 };
-    let mut g = BenchGroup::new("iteration_memo", samples);
-    g.bench("refresh_plain", || {
-        prepared.refresh_threaded(&db, &model_b, 1).unwrap()
-    });
-    let bench_memo = std::cell::RefCell::new((ScoreMemo::new(), 0u64));
-    g.bench("refresh_memo", || {
-        let (memo, generation) = &mut *bench_memo.borrow_mut();
-        *generation += 1;
-        memo.advance(*generation);
-        prepared
-            .refresh_memo_threaded(&db, &model_b, 1, memo)
-            .unwrap()
-    });
-    g.finish();
-
-    let (plain_s, memo_s) = (
-        g.median_secs("refresh_plain").unwrap(),
-        g.median_secs("refresh_memo").unwrap(),
-    );
-    println!(
-        "memo speedup: {:.2}x (plain {:.3} ms → memo {:.3} ms, flip fraction {flip_fraction:.4})",
-        plain_s / memo_s,
-        plain_s * 1e3,
-        memo_s * 1e3
-    );
-    json.push_str(&format!(
-        ",\n  \"memo\": {{ \"plain_ms\": {:.6}, \"memo_ms\": {:.6}, \"speedup\": {:.3}, \
-         \"flip_fraction\": {flip_fraction:.6}, \"pool\": {POOL}, \"rows\": {n} }}",
-        plain_s * 1e3,
-        memo_s * 1e3,
-        plain_s / memo_s
-    ));
-}
-
 fn main() {
     bench_iteration();
     let mut json = bench_incremental();
-    bench_memo(&mut json);
     json.push_str("\n}\n");
     let path =
         std::env::var("RAIN_BENCH_JSON").unwrap_or_else(|_| "BENCH_iteration.json".to_string());

@@ -86,9 +86,9 @@ fn main() {
         }
     }
     let prepared = prepare(&db, &model, &debug_plan, Engine::Vectorized).unwrap();
-    let refresh_1 = prepared.refresh_threaded(&db, &model, 1).unwrap();
+    let refresh_1 = prepared.refresh(&db, &model, 1).unwrap();
     for &t in &thread_counts {
-        let out = prepared.refresh_threaded(&db, &model, t).unwrap();
+        let out = prepared.refresh(&db, &model, t).unwrap();
         assert_eq!(
             refresh_1.table.to_tsv(),
             out.table.to_tsv(),
@@ -129,7 +129,7 @@ fn main() {
     }
     for &t in &[1usize, 4] {
         g.bench(&format!("refresh_{t}t"), || {
-            prepared.refresh_threaded(&db, &model, t).unwrap()
+            prepared.refresh(&db, &model, t).unwrap()
         });
     }
     g.finish();

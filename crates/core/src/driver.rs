@@ -7,11 +7,13 @@
 //! The concatenation of the deleted batches is the explanation `D`; with
 //! batch size k the driver runs `|D|/k` iterations (§5.1).
 //!
-//! Step (2) runs through the incremental subsystem by default
-//! ([`RunConfig::incremental`]): each query's model-independent skeleton
-//! is prepared once per run and refreshed per iteration — bit-identical
-//! output to a full debug execution, at a fraction of the per-iteration
-//! cost (see `rain_sql::incremental`).
+//! Step (2) runs through the incremental subsystem: each query's
+//! model-independent skeleton is prepared once per run, then per iteration
+//! brought current (`catch_up`, a no-op unless a queried table moved) and
+//! refreshed — bit-identical output to a full debug execution, at a
+//! fraction of the per-iteration cost (see `rain_sql::incremental`).
+//! [`RunConfig::incremental`]` = false` is the test oracle for that claim,
+//! not a deployment choice.
 
 use crate::complaint::QuerySpec;
 use crate::metrics;
@@ -21,7 +23,7 @@ use rain_influence::InfluenceConfig;
 use rain_model::{train_lbfgs, Classifier, Dataset, LbfgsConfig};
 use rain_sql::{
     execute, prepare_with, Database, Engine, ExecOptions, PreparedQuery, QueryError, QueryOutput,
-    QueryPlan, ScoreMemo, StalePolicy,
+    QueryPlan,
 };
 use std::time::Instant;
 
@@ -93,25 +95,17 @@ impl DebugSession {
     /// Plan — and, when `incremental` is on, *prepare* — every attached
     /// query: the model-independent skeleton (joined candidate tuples,
     /// group partitions, provenance sums, feature bindings) is captured
-    /// once, and each loop iteration re-runs only the model — a batched
-    /// inference plus a discrete re-evaluation.
+    /// once under `threads` workers (`0` = auto, `1` = sequential), and
+    /// each loop iteration re-runs only the model — a batched inference
+    /// plus a discrete re-evaluation.
     ///
     /// The result is deliberately separable from the session: a serving
     /// layer keeps it (or the skeletons inside it, via its query cache)
     /// alive across runs, so a follow-up debug run skips planning and
     /// skeleton capture entirely.
-    pub fn prepare_queries(&self, incremental: bool) -> Result<PreparedQueries, QueryError> {
-        self.prepare_queries_with(incremental, Engine::Vectorized, 0)
-    }
-
-    /// [`DebugSession::prepare_queries`] with an explicit capture engine
-    /// and worker budget (`threads`: `0` = auto, `1` = sequential) — what
-    /// [`DebugSession::run`] calls with [`RunConfig::engine`] /
-    /// [`RunConfig::threads`].
-    pub fn prepare_queries_with(
+    pub fn prepare_queries(
         &self,
         incremental: bool,
-        engine: Engine,
         threads: usize,
     ) -> Result<PreparedQueries, QueryError> {
         let t_prepare = Instant::now();
@@ -119,7 +113,15 @@ impl DebugSession {
         let prepared: Vec<PreparedQuery> = if incremental {
             plans
                 .iter()
-                .map(|p| prepare_with(&self.db, self.model.as_ref(), p, engine, threads))
+                .map(|p| {
+                    prepare_with(
+                        &self.db,
+                        self.model.as_ref(),
+                        p,
+                        Engine::Vectorized,
+                        threads,
+                    )
+                })
                 .collect::<Result<_, _>>()?
         } else {
             Vec::new()
@@ -142,7 +144,7 @@ impl DebugSession {
         let root_id = root.id();
         let pq = {
             let _s = rain_obs::Span::enter("prepare-queries");
-            self.prepare_queries_with(cfg.incremental, cfg.engine, cfg.threads)
+            self.prepare_queries(cfg.incremental, cfg.threads)
         };
         let result = pq.and_then(|mut pq| self.run_loop(method, cfg, &mut pq));
         drop(root);
@@ -159,8 +161,8 @@ impl DebugSession {
     }
 
     /// [`DebugSession::run`] against externally held planned/prepared
-    /// state. `pq` is borrowed mutably because refreshes transparently
-    /// re-prepare stale skeletons ([`StalePolicy::Rebuild`]) — a
+    /// state. `pq` is borrowed mutably because each iteration brings
+    /// stale skeletons current first ([`PreparedQuery::catch_up`]) — a
     /// long-lived server's fix path may re-register queried tables
     /// between runs; inside the library loop fixes mutate only the
     /// training set, so rebuilds never trigger there.
@@ -221,11 +223,6 @@ impl DebugSession {
         // iteration subtree here would tear that full profile apart.
         let mut sampled: Vec<(usize, rain_obs::SpanId)> = Vec::new();
         let mut exec_err: Option<QueryError> = None;
-        // Prediction memo shared by every refresh of the run: within one
-        // iteration the queries' duplicate feature rows score once; the
-        // retrain at the top of each iteration advances the generation,
-        // which drops every cached score before it could go stale.
-        let mut memo = (cfg.memo && !pq.prepared.is_empty()).then(ScoreMemo::new);
         // Ranking works under the run's worker budget like everything
         // else, not under the session's stand-alone influence default.
         let influence = InfluenceConfig {
@@ -255,16 +252,10 @@ impl DebugSession {
             // (`train_lbfgs` opens the iteration's `train` span itself.)
             let report = train_lbfgs(model.as_mut(), &train, &warm);
             let train_s = t_train.elapsed().as_secs_f64();
-            if let Some(m) = memo.as_mut() {
-                // The retrain produced a new model generation (numbered
-                // by loop pass); scores cached under the old one are dead.
-                m.advance(iterations.len() as u64 + 1);
-            }
 
-            // (1-2) Execute the queries in debug mode. Re-execution runs
-            // on `cfg.engine` (the vectorized engine by default — it
-            // dominates per-iteration cost and is provenance-identical
-            // to the tuple oracle) under the run's worker budget.
+            // (1-2) Execute the queries in debug mode under the run's
+            // worker budget: refresh the prepared skeleton, or — the
+            // `incremental: false` oracle — re-execute the plan in full.
             let t_exec = Instant::now();
             let mut outputs: Vec<QueryOutput> = Vec::with_capacity(pq.plans.len());
             {
@@ -272,51 +263,31 @@ impl DebugSession {
                 // or scan/join/… on the full path) nest under this one.
                 let _s = rain_obs::Span::enter("execute");
                 for qi in 0..pq.plans.len() {
-                    // Errors break to the post-loop harvest (instead of
-                    // `?`-returning) so sampled iteration records never
-                    // linger in the trace buffers.
-                    outputs.push(if pq.prepared.is_empty() {
-                        match execute(
+                    let out = match pq.prepared.get_mut(qi) {
+                        None => execute(
                             &self.db,
                             model.as_ref(),
                             &pq.plans[qi],
-                            ExecOptions::debug()
-                                .with_engine(cfg.engine)
-                                .with_threads(cfg.threads),
-                        ) {
-                            Ok(out) => out,
-                            Err(e) => {
-                                exec_err = Some(e);
-                                break 'run;
-                            }
+                            ExecOptions::debug().with_threads(cfg.threads),
+                        ),
+                        Some(p) => {
+                            p.catch_up(&self.db, model.as_ref(), cfg.threads)
+                                .and_then(|rebuilt| {
+                                    skeleton_rebuilds += rebuilt as usize;
+                                    p.refresh(&self.db, model.as_ref(), cfg.threads)
+                                })
                         }
-                    } else {
-                        let refreshed = match memo.as_mut() {
-                            Some(m) => pq.prepared[qi].refresh_with_memo_threaded(
-                                &self.db,
-                                model.as_ref(),
-                                StalePolicy::Rebuild,
-                                cfg.threads,
-                                m,
-                            ),
-                            None => pq.prepared[qi].refresh_with_threaded(
-                                &self.db,
-                                model.as_ref(),
-                                StalePolicy::Rebuild,
-                                cfg.threads,
-                            ),
-                        };
-                        match refreshed {
-                            Ok((out, rebuilt)) => {
-                                skeleton_rebuilds += rebuilt as usize;
-                                out
-                            }
-                            Err(e) => {
-                                exec_err = Some(e);
-                                break 'run;
-                            }
+                    };
+                    // Errors break to the post-loop harvest (instead of
+                    // `?`-returning) so sampled iteration records never
+                    // linger in the trace buffers.
+                    match out {
+                        Ok(out) => outputs.push(out),
+                        Err(e) => {
+                            exec_err = Some(e);
+                            break 'run;
                         }
-                    });
+                    }
                 }
             }
             let exec_s = t_exec.elapsed().as_secs_f64();
@@ -419,13 +390,10 @@ impl DebugSession {
         if let Some(e) = exec_err {
             return Err(e);
         }
-        let (memo_hits, memo_misses) = memo.map_or((0, 0), |m| (m.hits(), m.misses()));
         Ok(DebugReport {
             removed,
             iterations,
             skeleton_rebuilds,
-            memo_hits,
-            memo_misses,
             failure,
             profile: None,
             iteration_profiles,
@@ -490,10 +458,6 @@ pub struct RunConfig {
     /// each iteration only refreshes predictions. Off = full debug-mode
     /// re-execution per iteration (the oracle path; output is identical).
     pub incremental: bool,
-    /// Engine for query capture and (non-incremental) re-execution.
-    /// Results and provenance are engine-independent; the tuple engine is
-    /// the slow differential oracle.
-    pub engine: Engine,
     /// Worker budget for morsel-parallel execution and batched refresh
     /// inference: `0` (the default) = the machine's available
     /// parallelism, `1` = fully sequential. Output is bit-identical at
@@ -514,14 +478,6 @@ pub struct RunConfig {
     /// bit-identical at every setting. Default 16 (1-in-16); the serving
     /// layer overrides it per session.
     pub sample_every: usize,
-    /// Route incremental refreshes through a run-scoped
-    /// [`ScoreMemo`]: classifier scores are cached by (model generation,
-    /// feature-row hash), so within one iteration duplicate feature rows
-    /// — across tuples and across queries — run inference once. On by
-    /// default; outputs are bit-identical either way (the memo only
-    /// changes which rows reach the model). No effect when
-    /// [`RunConfig::incremental`] is off.
-    pub memo: bool,
 }
 
 impl RunConfig {
@@ -532,11 +488,9 @@ impl RunConfig {
             budget,
             stop_when_satisfied: false,
             incremental: true,
-            engine: Engine::Vectorized,
             threads: 0,
             profile: false,
             sample_every: 16,
-            memo: true,
         }
     }
 }
@@ -569,15 +523,9 @@ pub struct DebugReport {
     pub removed: Vec<usize>,
     /// Per-iteration statistics.
     pub iterations: Vec<IterStats>,
-    /// Stale query skeletons transparently re-prepared during the run
+    /// Stale query skeletons brought current during the run
     /// (non-zero only when queried tables changed under the session).
     pub skeleton_rebuilds: usize,
-    /// Feature rows whose refresh inference was served from the run's
-    /// [`ScoreMemo`] (0 when [`RunConfig::memo`] or
-    /// [`RunConfig::incremental`] was off).
-    pub memo_hits: u64,
-    /// Feature rows the memoized refreshes actually ran inference for.
-    pub memo_misses: u64,
     /// Set when the method failed (e.g. TwoStep ILP timeout).
     pub failure: Option<String>,
     /// Span tree of the run — one `iteration` child per loop pass, each

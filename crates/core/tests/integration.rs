@@ -512,7 +512,7 @@ fn run_prepared_reuses_state_and_skips_static_complaint_checks() {
     };
     let budget = 20.min(truth.len());
     let cfg = RunConfig::paper(budget);
-    let mut pq = session.prepare_queries(true).unwrap();
+    let mut pq = session.prepare_queries(true, 0).unwrap();
     let first = session.run_prepared(Method::Loss, &cfg, &mut pq).unwrap();
     assert_eq!(
         first.skeleton_rebuilds, 0,

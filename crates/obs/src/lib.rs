@@ -11,8 +11,8 @@
 //!   exactly that subtree with [`take_subtree`], stitched into a
 //!   deterministic `(start, id)`-ordered tree, so concurrent traces
 //!   don't bleed into each other.
-//! - [`metrics`]: a [`Registry`] of named [`Counter`]s, [`Gauge`]s,
-//!   fixed-bucket [`Histogram`]s and quantile [`Sketch`]es (optionally
+//! - [`metrics`]: a [`Registry`] of named [`Counter`]s, [`Gauge`]s and
+//!   quantile [`Sketch`]es (optionally
 //!   labeled, e.g. per-endpoint) with lock-free updates, rendered in
 //!   Prometheus text exposition format (served by `rain-serve` at
 //!   `GET /metrics`) and re-parseable via [`parse_exposition`].
@@ -29,10 +29,7 @@ pub mod metrics;
 pub mod sketch;
 pub mod trace;
 
-pub use metrics::{
-    parse_exposition, Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registry, Sample,
-    LATENCY_BUCKETS_S,
-};
+pub use metrics::{parse_exposition, Counter, Gauge, Metric, Registry, Sample};
 pub use sketch::{
     Sketch, SketchSnapshot, SKETCH_GAMMA, SKETCH_MIN, SKETCH_REL_ERROR, SLO_QUANTILES,
 };

@@ -1,18 +1,16 @@
-//! Metrics registry: counters, gauges, fixed-bucket histograms, and
-//! log-bucketed quantile sketches with a Prometheus text-exposition
-//! renderer and a small parser for it.
+//! Metrics registry: counters, gauges and log-bucketed quantile sketches
+//! with a Prometheus text-exposition renderer and a small parser for it.
 //!
-//! All instruments are lock-free on the hot path — counters and
-//! histogram buckets are `AtomicU64`s, gauges and histogram sums store
-//! `f64` bits in an `AtomicU64` (the sum via a CAS loop). The
+//! All instruments are lock-free on the hot path — counters and sketch
+//! buckets are `AtomicU64`s, gauges and sketch sums store `f64` bits in
+//! an `AtomicU64` (the sum via a CAS loop). The
 //! [`Registry`] hands out `Arc` handles (get-or-create by name, plus an
 //! optional label set so one family can carry per-endpoint series like
 //! `rain_http_request_seconds{endpoint="query"}`) and renders every
 //! registered instrument in the [Prometheus text exposition
 //! format](https://prometheus.io/docs/instrumenting/exposition_formats/):
-//! `# TYPE` comments, `_bucket{le="..."}` cumulative buckets ending at
-//! `+Inf`, `summary` families with `quantile` labels for sketches, and
-//! `_sum`/`_count` series. [`parse_exposition`] inverts the renderer far
+//! `# TYPE` comments, `summary` families with `quantile` labels for
+//! sketches, and `_sum`/`_count` series. [`parse_exposition`] inverts the renderer far
 //! enough for round-trip tests and scrape assertions.
 
 use crate::sketch::{Sketch, SLO_QUANTILES};
@@ -63,124 +61,9 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram. Bucket `i` counts observations `<= bounds[i]`
-/// (non-cumulative internally; the renderer and [`HistogramSnapshot::cumulative`]
-/// produce the Prometheus cumulative view); one overflow bucket catches
-/// the rest.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-/// Default latency buckets in seconds: 100µs .. 10s, roughly 1-2.5-5.
-pub const LATENCY_BUCKETS_S: [f64; 12] = [
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 10.0,
-];
-
-impl Histogram {
-    /// Build a histogram over strictly increasing finite `bounds`.
-    pub fn new(bounds: &[f64]) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
-            "histogram bounds must be strictly increasing and finite"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, v: f64) {
-        let idx = self.bounds.partition_point(|&b| v > b);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                new,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Consistent-enough point-in-time copy (buckets are read
-    /// individually; a scrape racing `observe` may be off by in-flight
-    /// observations, never corrupted).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of a [`Histogram`]; mergeable across shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Upper bounds, strictly increasing.
-    pub bounds: Vec<f64>,
-    /// Per-bucket (non-cumulative) counts; `bounds.len() + 1` entries,
-    /// the last is the overflow bucket.
-    pub buckets: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: f64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl HistogramSnapshot {
-    /// Fold `other` into `self`. Panics when bucket bounds differ.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(self.bounds, other.bounds, "merging mismatched histograms");
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-
-    /// Cumulative bucket counts the way Prometheus exposes them; the
-    /// final entry is the `+Inf` bucket and equals `count`.
-    pub fn cumulative(&self) -> Vec<u64> {
-        let mut acc = 0;
-        self.buckets
-            .iter()
-            .map(|&b| {
-                acc += b;
-                acc
-            })
-            .collect()
-    }
-}
-
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
     Sketch(Arc<Sketch>),
 }
 
@@ -189,7 +72,6 @@ impl Instrument {
         match self {
             Instrument::Counter(_) => "counter",
             Instrument::Gauge(_) => "gauge",
-            Instrument::Histogram(_) => "histogram",
             Instrument::Sketch(_) => "summary",
         }
     }
@@ -306,24 +188,6 @@ impl Registry {
         )
     }
 
-    /// Get or create the histogram `name` over `bounds` (bounds are fixed
-    /// at first registration; later calls ignore the argument).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        self.entry(
-            name,
-            &[],
-            "histogram",
-            |i| match i {
-                Instrument::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            || {
-                let h = Arc::new(Histogram::new(bounds));
-                (Arc::clone(&h), Instrument::Histogram(h))
-            },
-        )
-    }
-
     /// Get or create the (unlabeled) quantile sketch `name`, exposed as a
     /// Prometheus `summary` with `quantile` labels.
     pub fn sketch(&self, name: &str) -> Arc<Sketch> {
@@ -372,21 +236,6 @@ impl Registry {
                 Instrument::Gauge(g) => {
                     out.push_str(&format!("{name}{lbl} {}\n", fmt_f64(g.get())))
                 }
-                Instrument::Histogram(h) => {
-                    let snap = h.snapshot();
-                    let cum = snap.cumulative();
-                    for (bound, c) in snap.bounds.iter().zip(&cum) {
-                        let l = fmt_labels(labels, Some(("le", &fmt_f64(*bound))));
-                        out.push_str(&format!("{name}_bucket{l} {c}\n"));
-                    }
-                    let l = fmt_labels(labels, Some(("le", "+Inf")));
-                    out.push_str(&format!(
-                        "{name}_bucket{l} {}\n",
-                        cum.last().copied().unwrap_or(0)
-                    ));
-                    out.push_str(&format!("{name}_sum{lbl} {}\n", fmt_f64(snap.sum)));
-                    out.push_str(&format!("{name}_count{lbl} {}\n", snap.count));
-                }
                 Instrument::Sketch(s) => {
                     let snap = s.snapshot();
                     for q in SLO_QUANTILES {
@@ -428,12 +277,10 @@ fn parse_f64(s: &str) -> Result<f64, String> {
 /// One sample line of a parsed exposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
-    /// Full series name as written (`foo`, `foo_bucket`, `foo_sum`, ...).
+    /// Full series name as written (`foo`, `foo_sum`, `foo_count`).
     pub name: String,
-    /// All labels, in written order (`le` and `quantile` included).
+    /// All labels, in written order (`quantile` included).
     pub labels: Vec<(String, String)>,
-    /// The `le` label for histogram buckets, parsed, if present.
-    pub le: Option<f64>,
     /// Sample value.
     pub value: f64,
 }
@@ -458,7 +305,7 @@ impl Sample {
 pub struct Metric {
     /// Family name from the `# TYPE` line.
     pub name: String,
-    /// `counter`, `gauge`, `histogram`, or `summary`.
+    /// `counter`, `gauge`, or `summary`.
     pub kind: String,
     /// Samples in exposition order.
     pub samples: Vec<Sample>,
@@ -505,7 +352,7 @@ fn parse_labels(text: &str, line: &str) -> Result<Vec<(String, String)>, String>
 
 /// Parse the subset of the Prometheus text format that [`Registry::render`]
 /// emits: `# TYPE` comments, comma-separated `key="value"` labels, float
-/// values (`le` additionally parsed as a float).
+/// values.
 pub fn parse_exposition(text: &str) -> Result<Vec<Metric>, String> {
     let mut metrics: Vec<Metric> = Vec::new();
     for line in text.lines() {
@@ -542,11 +389,6 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Metric>, String> {
                 (base.to_string(), parse_labels(labels, line)?)
             }
         };
-        let le = labels
-            .iter()
-            .find(|(k, _)| k == "le")
-            .map(|(_, v)| parse_f64(v))
-            .transpose()?;
         let fam = metrics
             .last_mut()
             .filter(|m| name.starts_with(m.name.as_str()))
@@ -554,7 +396,6 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Metric>, String> {
         fam.samples.push(Sample {
             name,
             labels,
-            le,
             value,
         });
     }
@@ -566,58 +407,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_count_and_sum() {
-        let h = Histogram::new(&[0.001, 0.01, 0.1]);
-        for v in [0.0005, 0.001, 0.004, 0.05, 7.0] {
-            h.observe(v);
-        }
-        let s = h.snapshot();
-        // <=0.001 gets 0.0005 and the exact-boundary 0.001.
-        assert_eq!(s.buckets, vec![2, 1, 1, 1]);
-        assert_eq!(s.cumulative(), vec![2, 3, 4, 5]);
-        assert_eq!(s.count, 5);
-        assert!((s.sum - 7.0555).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_merge_adds_bucketwise() {
-        let a = Histogram::new(&[1.0, 2.0]);
-        let b = Histogram::new(&[1.0, 2.0]);
-        a.observe(0.5);
-        a.observe(1.5);
-        b.observe(1.5);
-        b.observe(9.0);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.buckets, vec![1, 2, 1]);
-        assert_eq!(m.count, 4);
-        assert!((m.sum - 12.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched")]
-    fn histogram_merge_rejects_different_bounds() {
-        let mut a = Histogram::new(&[1.0]).snapshot();
-        a.merge(&Histogram::new(&[2.0]).snapshot());
-    }
-
-    #[test]
     fn concurrent_observes_are_not_lost() {
-        let h = std::sync::Arc::new(Histogram::new(&[0.5]));
+        let reg = Registry::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let h = std::sync::Arc::clone(&h);
+                let c = reg.counter("hits");
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        h.observe(0.25);
+                        c.inc();
                     }
                 });
             }
         });
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 8000);
-        assert_eq!(snap.buckets[0], 8000);
-        assert!((snap.sum - 2000.0).abs() < 1e-6);
+        assert_eq!(reg.counter("hits").get(), 8000);
     }
 
     #[test]
@@ -625,7 +427,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("rain_requests_total").add(42);
         reg.gauge("rain_sessions").set(3.0);
-        let h = reg.histogram("rain_request_seconds", &[0.001, 0.01]);
+        let h = reg.sketch("rain_request_seconds");
         h.observe(0.0005);
         h.observe(0.5);
         let text = reg.render();
@@ -647,22 +449,9 @@ mod tests {
             .iter()
             .find(|m| m.name == "rain_request_seconds")
             .unwrap();
-        assert_eq!(lat.kind, "histogram");
+        assert_eq!(lat.kind, "summary");
         assert_eq!(lat.value_of("rain_request_seconds_count"), Some(2.0));
         assert_eq!(lat.value_of("rain_request_seconds_sum"), Some(0.5005));
-        let buckets: Vec<(f64, f64)> = lat
-            .samples
-            .iter()
-            .filter_map(|s| s.le.map(|le| (le, s.value)))
-            .collect();
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0], (0.001, 1.0));
-        assert_eq!(buckets[2], (f64::INFINITY, 2.0));
-        // Cumulative +Inf bucket equals _count.
-        assert_eq!(
-            buckets[2].1,
-            lat.value_of("rain_request_seconds_count").unwrap()
-        );
     }
 
     #[test]
@@ -671,10 +460,9 @@ mod tests {
         reg.counter("c").inc();
         reg.counter("c").inc();
         assert_eq!(reg.counter("c").get(), 2);
-        let h1 = reg.histogram("h", &[1.0]);
-        let h2 = reg.histogram("h", &[99.0]); // bounds fixed at first registration
+        let h1 = reg.sketch("h");
+        let h2 = reg.sketch("h");
         h1.observe(0.5);
-        assert_eq!(h2.snapshot().bounds, vec![1.0]);
         assert_eq!(h2.count(), 1);
     }
 

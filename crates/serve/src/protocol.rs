@@ -17,19 +17,20 @@
 //!   "right_row":…}`, or `{"kind":"prediction_is","table":…,"row":…,
 //!   "class":…}`.
 //! - **run config** — `{"method":M,"budget":B,"k_per_iter":K,
-//!   "stop_when_satisfied":bool,"incremental":bool,"threads":T,
-//!   "profile":bool}` (method required, budget required, rest defaulted;
-//!   `threads` `0`/absent = the session's budget, otherwise capped by
-//!   it). `profile` (also settable as `?profile=1` on the debug-run URL)
-//!   attaches the run's span tree to the finished report.
+//!   "stop_when_satisfied":bool,"profile":bool,"sample_every":N}` (method
+//!   and budget required, rest defaulted). `profile` (also settable as
+//!   `?profile=1` on the debug-run URL) attaches the run's span tree to
+//!   the finished report. A run works under its session's `threads`.
 //! - **trace node** — `{"name":…,"start_ns":…,"dur_ns":…,
 //!   "counters":{…},"children":[…]}`; `start_ns` is relative to the
 //!   enclosing subtree's root.
-//! - **session exec config** — optional on session creation:
-//!   `{"engine":"vectorized"|"tuple","threads":T}`. The engine drives the
-//!   session's skeleton cache and debug runs; `threads` caps the worker
-//!   budget of every execution in the session (`0`/absent = the
-//!   machine's available parallelism).
+//! - **session threads** — optional `"threads":T` on session creation:
+//!   the worker budget of every execution in the session (`0`/absent =
+//!   the machine's available parallelism).
+//!
+//! Keys this module does not name are ignored, not rejected — among them
+//! the retired `engine`, `memo`, `incremental` and per-run `threads`, so
+//! a creation body logged by an older server still recovers.
 
 use crate::json::Json;
 use rain_core::complaint::{Complaint, ValueOp};
@@ -38,7 +39,7 @@ use rain_core::rank::Method;
 use rain_linalg::Matrix;
 use rain_model::{Classifier, Dataset, LogisticRegression, Mlp, SoftmaxRegression};
 use rain_sql::table::{ColType, Column, Schema, Table};
-use rain_sql::{Engine, ExecOptions, QueryError, QueryOutput, Value};
+use rain_sql::{QueryError, QueryOutput, Value};
 
 /// A protocol-level failure: an HTTP status plus a message the client can
 /// read. Every handler error funnels through this.
@@ -176,10 +177,14 @@ pub fn model_from_json(v: &Json) -> Result<Box<dyn Classifier>, ApiError> {
 /// unauthenticated request must not even *ask* for a thread-spawn storm.
 pub const MAX_THREADS: usize = rain_sql::MAX_EXEC_THREADS;
 
-/// Parse a `"threads"` field: a non-negative integer up to
-/// [`MAX_THREADS`] (`0` = automatic).
-fn threads_field(v: &Json) -> Result<usize, ApiError> {
-    let n = v
+/// Parse the optional `"threads"` of a session-creation body — the
+/// session's worker budget: a non-negative integer up to [`MAX_THREADS`]
+/// (`0`/absent = automatic).
+pub fn session_threads_from_json(v: &Json) -> Result<usize, ApiError> {
+    let Some(t) = v.get("threads") else {
+        return Ok(0);
+    };
+    let n = t
         .as_usize()
         .ok_or_else(|| ApiError::bad_request("field 'threads' must be a non-negative integer"))?;
     if n > MAX_THREADS {
@@ -188,42 +193,6 @@ fn threads_field(v: &Json) -> Result<usize, ApiError> {
         )));
     }
     Ok(n)
-}
-
-/// Parse an engine name off the wire.
-pub fn engine_from_str(s: &str) -> Result<Engine, ApiError> {
-    match s.to_ascii_lowercase().as_str() {
-        "vectorized" | "vexec" => Ok(Engine::Vectorized),
-        "tuple" => Ok(Engine::Tuple),
-        other => Err(ApiError::bad_request(format!(
-            "unknown engine '{other}' (want vectorized/tuple)"
-        ))),
-    }
-}
-
-/// Wire name of an engine.
-pub fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Vectorized => "vectorized",
-        Engine::Tuple => "tuple",
-    }
-}
-
-/// Parse the optional per-session execution config off a session-creation
-/// body: `"engine"` selects the session's capture/execution engine,
-/// `"threads"` caps its worker budget (`0`/absent = auto).
-pub fn exec_options_from_json(v: &Json) -> Result<ExecOptions, ApiError> {
-    let mut opts = ExecOptions::default();
-    if let Some(e) = v.get("engine") {
-        let name = e
-            .as_str()
-            .ok_or_else(|| ApiError::bad_request("field 'engine' must be a string"))?;
-        opts = opts.with_engine(engine_from_str(name)?);
-    }
-    if let Some(t) = v.get("threads") {
-        opts = opts.with_threads(threads_field(t)?);
-    }
-    Ok(opts)
 }
 
 fn coltype_from_str(s: &str) -> Result<ColType, ApiError> {
@@ -598,21 +567,12 @@ pub fn run_request_from_json(v: &Json) -> Result<(Method, RunConfig), ApiError> 
     if let Some(s) = v.get("stop_when_satisfied").and_then(Json::as_bool) {
         cfg.stop_when_satisfied = s;
     }
-    if let Some(i) = v.get("incremental").and_then(Json::as_bool) {
-        cfg.incremental = i;
-    }
-    if let Some(t) = v.get("threads") {
-        cfg.threads = threads_field(t)?;
-    }
     if let Some(p) = v.get("profile").and_then(Json::as_bool) {
         cfg.profile = p;
     }
     if let Some(n) = v.get("sample_every").and_then(Json::as_usize) {
         // `0` disables iteration sampling for this run.
         cfg.sample_every = n;
-    }
-    if let Some(m) = v.get("memo").and_then(Json::as_bool) {
-        cfg.memo = m;
     }
     Ok((method, cfg))
 }
@@ -702,8 +662,6 @@ pub fn report_to_json(report: &DebugReport) -> Json {
             "skeleton_rebuilds",
             Json::Num(report.skeleton_rebuilds as f64),
         ),
-        ("memo_hits", Json::Num(report.memo_hits as f64)),
-        ("memo_misses", Json::Num(report.memo_misses as f64)),
         (
             "failure",
             match &report.failure {
@@ -1011,26 +969,19 @@ mod tests {
     #[test]
     fn session_exec_config_parses_with_defaults() {
         let v = json::parse(r#"{"name":"s","engine":"tuple","threads":2}"#).unwrap();
-        let opts = exec_options_from_json(&v).unwrap();
-        assert_eq!(opts.engine, Engine::Tuple);
-        assert_eq!(opts.threads, 2);
+        assert_eq!(session_threads_from_json(&v).unwrap(), 2);
         let v = json::parse(r#"{"name":"s"}"#).unwrap();
-        let opts = exec_options_from_json(&v).unwrap();
-        assert_eq!(opts.engine, Engine::Vectorized);
-        assert_eq!(opts.threads, 0);
+        assert_eq!(session_threads_from_json(&v).unwrap(), 0);
+        // The retired engine key is ignored like any unknown key.
         let v = json::parse(r#"{"engine":"turbo"}"#).unwrap();
-        assert_eq!(exec_options_from_json(&v).unwrap_err().status, 400);
+        assert_eq!(session_threads_from_json(&v).unwrap(), 0);
         let v = json::parse(r#"{"threads":"many"}"#).unwrap();
-        assert_eq!(exec_options_from_json(&v).unwrap_err().status, 400);
+        assert_eq!(session_threads_from_json(&v).unwrap_err().status, 400);
         // Thread-spawn storms are rejected at the protocol boundary.
         let v = json::parse(&format!(r#"{{"threads":{}}}"#, MAX_THREADS + 1)).unwrap();
-        assert_eq!(exec_options_from_json(&v).unwrap_err().status, 400);
+        assert_eq!(session_threads_from_json(&v).unwrap_err().status, 400);
         let v = json::parse(&format!(r#"{{"threads":{MAX_THREADS}}}"#)).unwrap();
-        assert_eq!(exec_options_from_json(&v).unwrap().threads, MAX_THREADS);
-        assert_eq!(
-            engine_from_str(engine_name(Engine::Tuple)).unwrap(),
-            Engine::Tuple
-        );
+        assert_eq!(session_threads_from_json(&v).unwrap(), MAX_THREADS);
     }
 
     #[test]
@@ -1040,25 +991,21 @@ mod tests {
         assert_eq!(m, Method::Holistic);
         assert_eq!(cfg.budget, 30);
         assert_eq!(cfg.k_per_iter, 10);
-        assert!(cfg.incremental);
-        assert_eq!(cfg.threads, 0, "threads default to the session budget");
-        let v = json::parse(r#"{"method":"loss","budget":5,"threads":3}"#).unwrap();
-        let (_, cfg) = run_request_from_json(&v).unwrap();
-        assert_eq!(cfg.threads, 3);
-        let v = json::parse(r#"{"method":"loss","budget":5,"threads":true}"#).unwrap();
-        assert_eq!(run_request_from_json(&v).unwrap_err().status, 400);
-        let v = json::parse(r#"{"method":"loss","budget":5,"threads":1000000000}"#).unwrap();
-        assert_eq!(run_request_from_json(&v).unwrap_err().status, 400);
+        // Retired path-selecting keys are ignored, whatever they hold.
         let v = json::parse(
-            r#"{"method":"auto","budget":8,"k_per_iter":2,"stop_when_satisfied":true,"incremental":false}"#,
+            r#"{"method":"loss","budget":5,"threads":true,"incremental":false,"memo":7}"#,
+        )
+        .unwrap();
+        let (_, cfg) = run_request_from_json(&v).unwrap();
+        assert!(cfg.incremental);
+        assert_eq!(cfg.threads, 0);
+        let v = json::parse(
+            r#"{"method":"auto","budget":8,"k_per_iter":2,"stop_when_satisfied":true}"#,
         )
         .unwrap();
         let (m, cfg) = run_request_from_json(&v).unwrap();
         assert_eq!(m, Method::Auto);
-        assert_eq!(
-            (cfg.k_per_iter, cfg.stop_when_satisfied, cfg.incremental),
-            (2, true, false)
-        );
+        assert_eq!((cfg.k_per_iter, cfg.stop_when_satisfied), (2, true));
         let v = json::parse(r#"{"method":"holistic","budget":0}"#).unwrap();
         assert!(run_request_from_json(&v).is_err());
         // Profile defaults off; the body flag switches it on.

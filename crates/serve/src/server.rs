@@ -5,12 +5,12 @@
 //! | method & path                     | body → effect |
 //! |-----------------------------------|---------------|
 //! | `GET  /healthz`                   | liveness probe |
-//! | `GET  /stats`                     | server-wide counters (sessions, requests, cache + prediction-memo totals, job runner, per-endpoint latency quantiles) |
-//! | `GET  /metrics`                   | Prometheus text exposition (per-endpoint request-latency summaries with p50/p95/p99/p999, queue/lock waits, cache + memo + job counters) |
+//! | `GET  /stats`                     | server-wide counters (sessions, requests, cache totals, job runner, per-endpoint latency quantiles) |
+//! | `GET  /metrics`                   | Prometheus text exposition (per-endpoint request-latency summaries with p50/p95/p99/p999, queue/lock waits, cache + job counters) |
 //! | `GET  /debug/profiles`            | the always-on sampled profile ring: recent + slow captures (see [`crate::profiles`]) |
 //! | `GET  /debug/profiles/{id}`       | one captured profile with its full span tree |
 //! | `POST /debug/profiles/flush`      | dump both rings (full span trees) to a JSON file under the data dir |
-//! | `POST /sessions`                  | `{"name":…,"model":…[,"engine":…,"threads":…,"sample_every":…,"slow_ms":…]}` → create a session (engine + worker-budget cap fixed at creation; sampling knobs adjustable); against a recovered session the same request *re-attaches* (200 with `"recovered":true`) instead of conflicting |
+//! | `POST /sessions`                  | `{"name":…,"model":…[,"threads":…,"sample_every":…,"slow_ms":…]}` → create a session (worker budget fixed at creation; sampling knobs adjustable); against a recovered session the same request *re-attaches* (200 with `"recovered":true`) instead of conflicting |
 //! | `GET  /sessions`                  | list sessions (generation + cache + storage counters) |
 //! | `DELETE /sessions/{s}`            | drop a session (and its on-disk directory, in durable mode) |
 //! | `POST /sessions/{s}/tables`       | table upload → register (replacing invalidates cached skeletons) |
@@ -20,7 +20,7 @@
 //! | `POST /sessions/{s}/train`        | training-set upload |
 //! | `POST /sessions/{s}/query`        | `{"sql":…[,"analyze":true]}` → debug-mode execution through the skeleton cache; `analyze` adds an `EXPLAIN ANALYZE`-style plan + span tree |
 //! | `POST /sessions/{s}/complain`     | `{"sql":…,"complaints":[…]}` → attach complaints |
-//! | `POST /sessions/{s}/debug-run`    | `{"method":…,"budget":…}` → enqueue job, `202 {"job":id}`; `?profile=1` (or `"profile":true`) attaches the run's span tree to the report |
+//! | `POST /sessions/{s}/debug-run`    | `{"method":…,"budget":…[,"k_per_iter":…,"stop_when_satisfied":…,"profile":…,"sample_every":…]}` → enqueue job, `202 {"job":id}`; `?profile=1` (or `"profile":true`) attaches the run's span tree to the report |
 //! | `GET  /jobs/{id}`                 | poll status; the report rides on `"done"` |
 //!
 //! Connections are HTTP/1.1 keep-alive, one thread per connection; every
@@ -48,8 +48,8 @@ use crate::pool::{SessionPool, SessionSlot, SessionState, StorageCounters};
 use crate::profiles::{ProfileEntry, ProfileRing};
 use crate::protocol::{
     append_features_from_json, append_rows_from_json, complaint_from_json, dataset_from_json,
-    engine_name, exec_options_from_json, model_from_json, output_to_json, report_to_json,
-    run_request_from_json, table_from_json, trace_to_json, version_to_json, ApiError,
+    model_from_json, output_to_json, report_to_json, run_request_from_json,
+    session_threads_from_json, table_from_json, trace_to_json, version_to_json, ApiError,
 };
 use rain_model::Classifier;
 use rain_obs::{Counter, Gauge, Registry, Sketch};
@@ -115,8 +115,6 @@ struct ServerMetrics {
     cache_invalidations_total: Arc<Counter>,
     cache_extended_total: Arc<Counter>,
     cache_hit_ratio: Arc<Gauge>,
-    memo_hits_total: Arc<Counter>,
-    memo_misses_total: Arc<Counter>,
     storage_log_bytes: Arc<Gauge>,
     storage_log_records: Arc<Gauge>,
     storage_snapshots_total: Arc<Counter>,
@@ -199,8 +197,6 @@ impl ServerMetrics {
             cache_invalidations_total: registry.counter("rain_cache_invalidations_total"),
             cache_extended_total: registry.counter("rain_cache_extended_total"),
             cache_hit_ratio: registry.gauge("rain_cache_hit_ratio"),
-            memo_hits_total: registry.counter("rain_memo_hits_total"),
-            memo_misses_total: registry.counter("rain_memo_misses_total"),
             storage_log_bytes: registry.gauge("rain_storage_log_bytes"),
             storage_log_records: registry.gauge("rain_storage_log_records"),
             storage_snapshots_total: registry.counter("rain_storage_snapshots_total"),
@@ -281,14 +277,14 @@ fn recover_sessions(data_dir: &Path, pool: &SessionPool) -> (u64, f64) {
         };
         match rain_core::durable::recover(&dir, &model_factory) {
             Ok(rec) => {
-                // The exec config and sampling knobs ride on the same
+                // The worker budget and sampling knobs ride on the same
                 // verbatim spec the model was rebuilt from.
                 let spec_json = json::parse(&rec.spec).ok();
-                let opts = spec_json
+                let threads = spec_json
                     .as_ref()
-                    .and_then(|v| exec_options_from_json(v).ok())
+                    .and_then(|v| session_threads_from_json(v).ok())
                     .unwrap_or_default();
-                match pool.insert_recovered(&name, rec.sess, opts, rec.spec, rec.store) {
+                match pool.insert_recovered(&name, rec.sess, threads, rec.spec, rec.store) {
                     Ok(slot) => {
                         if let Some(v) = &spec_json {
                             apply_sampling_knobs(&slot, v);
@@ -631,9 +627,6 @@ fn render_metrics(state: &ServerState) -> String {
     } else {
         cache.hits as f64 / lookups as f64
     });
-    let (memo_hits, memo_misses) = state.pool.memo_totals();
-    m.memo_hits_total.store(memo_hits);
-    m.memo_misses_total.store(memo_misses);
     let jobs = state.jobs.stats();
     m.jobs_queued.set(jobs.queued as f64);
     m.jobs_running.set(jobs.running as f64);
@@ -670,7 +663,6 @@ fn cache_stats_json(s: rain_sql::CacheStats) -> Json {
 
 fn stats(state: &ServerState) -> Json {
     let cache = state.pool.cache_totals();
-    let memo = state.pool.memo_totals();
     let jobs = state.jobs.stats();
     // Per-endpoint latency quantiles from the same sketches `/metrics`
     // renders; endpoints nothing has hit yet are omitted.
@@ -701,13 +693,6 @@ fn stats(state: &ServerState) -> Json {
         ),
         ("uptime_s", Json::Num(state.started.elapsed().as_secs_f64())),
         ("cache", cache_stats_json(cache)),
-        (
-            "memo",
-            Json::obj(vec![
-                ("hits", Json::Num(memo.0 as f64)),
-                ("misses", Json::Num(memo.1 as f64)),
-            ]),
-        ),
         (
             "jobs",
             Json::obj(vec![
@@ -873,20 +858,11 @@ fn list_sessions(state: &ServerState) -> Json {
         .iter()
         .map(|slot| {
             let s = slot.cache_stats_snapshot();
-            let (memo_hits, memo_misses) = slot.memo_snapshot();
             Json::obj(vec![
                 ("name", Json::str(slot.name.clone())),
                 ("generation", Json::Num(slot.generation() as f64)),
-                ("engine", Json::str(engine_name(slot.opts.engine))),
-                ("threads", Json::Num(slot.opts.threads as f64)),
+                ("threads", Json::Num(slot.threads as f64)),
                 ("cache", cache_stats_json(s)),
-                (
-                    "memo",
-                    Json::obj(vec![
-                        ("hits", Json::Num(memo_hits as f64)),
-                        ("misses", Json::Num(memo_misses as f64)),
-                    ]),
-                ),
                 ("recovered", Json::Bool(slot.recovered())),
                 (
                     "storage",
@@ -921,8 +897,7 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
                 Json::obj(vec![
                     ("session", Json::str(name)),
                     ("model", Json::str(kind)),
-                    ("engine", Json::str(engine_name(slot.opts.engine))),
-                    ("threads", Json::Num(slot.opts.threads as f64)),
+                    ("threads", Json::Num(slot.threads as f64)),
                     ("sample_every", Json::Num(slot.sample_every() as f64)),
                     ("slow_ms", Json::Num(slot.slow_ms() as f64)),
                     ("recovered", Json::Bool(true)),
@@ -934,7 +909,7 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
         body.get("model")
             .ok_or_else(|| ApiError::bad_request("missing field 'model'"))?,
     )?;
-    let opts = exec_options_from_json(&body)?;
+    let threads = session_threads_from_json(&body)?;
     let kind = model.name();
     let slot = match &state.data_dir {
         Some(root) => {
@@ -950,9 +925,11 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
             let spec = String::from_utf8_lossy(&req.body).into_owned();
             let store = rain_core::durable::create_store(&dir, &spec)
                 .map_err(|e| ApiError::internal(format!("open session store: {e}")))?;
-            state.pool.create_durable(&name, model, opts, spec, store)?
+            state
+                .pool
+                .create_durable(&name, model, threads, spec, store)?
         }
-        None => state.pool.create_with(&name, model, opts)?,
+        None => state.pool.create_with(&name, model, threads)?,
     };
     // Optional sampling knobs; anything omitted keeps the always-on
     // defaults (1-in-16, 500 ms slow threshold).
@@ -962,8 +939,7 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
         Json::obj(vec![
             ("session", Json::str(name)),
             ("model", Json::str(kind)),
-            ("engine", Json::str(engine_name(opts.engine))),
-            ("threads", Json::Num(opts.threads as f64)),
+            ("threads", Json::Num(threads as f64)),
             ("sample_every", Json::Num(slot.sample_every() as f64)),
             ("slow_ms", Json::Num(slot.slow_ms() as f64)),
             ("recovered", Json::Bool(false)),
@@ -1239,50 +1215,46 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
     let t_exec = Instant::now();
     let mut st = slot.lock();
     let st = &mut *st;
-    // `EXPLAIN ANALYZE` flavor: the response carries the executed plan —
+    // One body for every flavor: checkout → refresh → checkin. Under
+    // `analyze` (`EXPLAIN ANALYZE`) it also renders the executed plan —
     // the *cached skeleton's* plan, with resolved engine, thread, and
     // morsel counts plus estimated-vs-actual row counts per scan and
-    // join step — and the harvested span tree of this execution. Results
-    // are bit-identical either way — tracing is a pure observer.
-    let (out, event, analysis, sampled_trace) = if analyze {
-        let (res, trace) = traced("query", || {
-            let cq = st
-                .cache
-                .checkout(&st.sess.db, st.sess.model.as_ref(), &sql)?;
-            let out = cq.prepared.refresh_threaded(
-                &st.sess.db,
-                st.sess.model.as_ref(),
-                st.cache.threads(),
-            )?;
+    // join step. Analyzed and sampled queries run it traced; results are
+    // bit-identical either way — tracing is a pure observer.
+    let mut run = || {
+        let (db, model, threads) = (&st.sess.db, st.sess.model.as_ref(), st.cache.threads());
+        let cq = st.cache.checkout(db, model, &sql)?;
+        let out = cq.prepared.refresh(db, model, threads)?;
+        let explain = analyze.then(|| {
             let sk = cq.prepared.stats();
             let join_rows: Vec<usize> = sk.join_steps.iter().map(|&(_, n)| n).collect();
-            let explain = cq.prepared.plan().explain_analyze(
-                &st.sess.db,
-                slot.opts.engine,
-                st.cache.threads(),
-                &sk.scan_rows,
-                &join_rows,
-            );
-            let event = cq.event;
-            st.cache.checkin(cq);
-            Ok::<_, rain_sql::QueryError>((out, event, explain))
+            cq.prepared
+                .plan()
+                .explain_analyze(db, sk.engine, threads, &sk.scan_rows, &join_rows)
         });
-        let (out, event, explain) = res?;
-        (out, event, Some((explain, trace)), None)
-    } else if sampled {
-        let (res, trace) = traced("query", || {
-            st.cache.execute(&st.sess.db, st.sess.model.as_ref(), &sql)
-        });
-        let (out, event) = res?;
-        (out, event, None, trace)
-    } else {
-        let (out, event) = st
-            .cache
-            .execute(&st.sess.db, st.sess.model.as_ref(), &sql)?;
-        (out, event, None, None)
+        let event = cq.event;
+        st.cache.checkin(cq);
+        Ok::<_, rain_sql::QueryError>((out, event, explain))
     };
+    let (res, trace) = if analyze || sampled {
+        traced("query", run)
+    } else {
+        (run(), None)
+    };
+    let (out, event, explain) = res?;
     let stats = st.cache.stats();
     slot.publish_cache_stats(stats);
+    let latency_s = t_exec.elapsed().as_secs_f64();
+    let slow = slot.is_slow_capture(latency_s);
+    let mut pairs = vec![
+        ("result", output_to_json(&out)),
+        ("cache", Json::str(event.as_str())),
+        ("cache_stats", cache_stats_json(stats)),
+    ];
+    if let Some(explain) = explain {
+        pairs.push(("explain", Json::str(explain)));
+        pairs.push(("profile", trace.as_ref().map_or(Json::Null, trace_to_json)));
+    }
     // Park the capture (sampled or analyze) in the profile ring; slow
     // queries the sampler skipped still get a traceless slow-ring entry
     // (the latency is known, the trace can't be reconstructed after the
@@ -1290,47 +1262,13 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
     // untraced spans can record orphan records nobody will harvest —
     // drain the buffer when it crosses half capacity and no trace is
     // live, so always-on sampling never pins stale records.
-    let latency_s = t_exec.elapsed().as_secs_f64();
-    let slow = slot.is_slow_capture(latency_s);
-    let captured = sampled_trace.or_else(|| analysis.as_ref().and_then(|(_, t)| t.clone()));
-    if let Some(trace) = captured {
-        state.profiles.push(
-            "query",
-            &slot.name,
-            sql.clone(),
-            latency_s,
-            request_id.clone(),
-            Some(trace),
-            slow,
-        );
-    } else if slow {
-        state.profiles.push(
-            "query",
-            &slot.name,
-            sql.clone(),
-            latency_s,
-            request_id.clone(),
-            None,
-            true,
-        );
+    if trace.is_some() || slow {
+        state
+            .profiles
+            .push("query", &slot.name, sql, latency_s, request_id, trace, slow);
     }
     if !rain_obs::enabled() && rain_obs::buffered_records() > rain_obs::MAX_RECORDS / 2 {
         rain_obs::clear();
-    }
-    let mut pairs = vec![
-        ("result", output_to_json(&out)),
-        ("cache", Json::str(event.as_str())),
-        ("cache_stats", cache_stats_json(stats)),
-    ];
-    if let Some((explain, trace)) = analysis {
-        pairs.push(("explain", Json::str(explain)));
-        pairs.push((
-            "profile",
-            match trace {
-                Some(t) => trace_to_json(&t),
-                None => Json::Null,
-            },
-        ));
     }
     Ok((200, Json::obj(pairs)))
 }

@@ -120,11 +120,6 @@ impl QueryCache {
         self
     }
 
-    /// The cache's capture engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// The cache's worker budget (`0` = auto).
     pub fn threads(&self) -> usize {
         self.threads
@@ -152,20 +147,6 @@ impl QueryCache {
         model: &dyn Classifier,
         sql: &str,
     ) -> Result<CachedQuery, QueryError> {
-        self.checkout_threaded(db, model, sql, self.threads)
-    }
-
-    /// [`QueryCache::checkout`] with an explicit worker budget for any
-    /// capture this lookup triggers (`0` = auto) — a debug run passes
-    /// its own (session-capped) budget so a throttled run's skeleton
-    /// capture is throttled too, not just its refreshes.
-    pub fn checkout_threaded(
-        &mut self,
-        db: &Database,
-        model: &dyn Classifier,
-        sql: &str,
-        threads: usize,
-    ) -> Result<CachedQuery, QueryError> {
         let mut span = rain_obs::Span::enter("cache-checkout");
         let key = Self::normalize(sql)?;
         let entry = self.entries.remove(&key);
@@ -183,7 +164,7 @@ impl QueryCache {
             Some(mut prepared) => {
                 self.stats.invalidations += 1;
                 if prepared.can_extend(db, model) {
-                    prepared.catch_up(db, model, threads)?;
+                    prepared.catch_up(db, model, self.threads)?;
                     self.stats.extended += 1;
                     return Ok(CachedQuery {
                         key,
@@ -201,7 +182,7 @@ impl QueryCache {
         let stmt = crate::parser::parse_select(sql).map_err(QueryError::Parse)?;
         let bound = crate::binder::bind(&stmt, db)?;
         let plan = optimize(bound, db);
-        let prepared = prepare_with(db, model, &plan, self.engine, threads)?;
+        let prepared = prepare_with(db, model, &plan, self.engine, self.threads)?;
         Ok(CachedQuery {
             key,
             prepared,
@@ -224,7 +205,7 @@ impl QueryCache {
         sql: &str,
     ) -> Result<(QueryOutput, CacheEvent), QueryError> {
         let cq = self.checkout(db, model, sql)?;
-        let out = cq.prepared.refresh_threaded(db, model, self.threads)?;
+        let out = cq.prepared.refresh(db, model, self.threads)?;
         let event = cq.event;
         self.checkin(cq);
         Ok((out, event))
@@ -354,7 +335,7 @@ mod tests {
         assert!(cache.is_empty(), "checked-out entry is not resident");
         // Multiple refreshes on the checked-out skeleton (a debug run).
         for _ in 0..3 {
-            let out = cq.prepared.refresh(&db, &m).unwrap();
+            let out = cq.prepared.refresh(&db, &m, 0).unwrap();
             assert_eq!(out.scalar().unwrap(), crate::Value::Int(2));
         }
         cache.checkin(cq);

@@ -34,25 +34,15 @@
 //! Fixes in the loop mutate the training set, never the queried database,
 //! so the driver can refresh for the whole run; [`PreparedQuery::refresh`]
 //! still revalidates table versions and row counts and fails loudly if a
-//! queried table was re-registered since prepare. A long-lived server
-//! whose fix path *does* mutate registered tables uses
-//! [`PreparedQuery::refresh_with`] under [`StalePolicy::Rebuild`] instead:
-//! a stale skeleton is transparently brought current by
-//! [`PreparedQuery::catch_up`] (the explicit-error behavior stays available
-//! as [`StalePolicy::Error`]).
+//! queried table moved since prepare. A caller whose tables *do* move — a
+//! long-lived server, the driver between runs — calls
+//! [`PreparedQuery::catch_up`] first: a no-op on a current skeleton, and
+//! otherwise the one place a stale one is brought current.
 //!
 //! **Appends.** A single-table skeleton whose table only grew is
 //! *extended* over the appended rows, bit-identically to preparing from
 //! scratch; joins, replaced tables and architecture changes re-prepare
 //! (see [`PreparedQuery::catch_up`]).
-//!
-//! **Memoization.** Between consecutive iterations most feature rows
-//! score the same class, and within one iteration the same base row
-//! often feeds several queries. A [`ScoreMemo`] shared across
-//! [`PreparedQuery::refresh_memo`] calls caches scores by (model
-//! generation, feature-row content hash) so inference runs only for
-//! rows whose features or model actually changed — with output
-//! bit-identical to the unmemoized refresh.
 
 use crate::ast::AggFunc;
 use crate::binder::{BExpr, BoundAgg, BoundAggArg, GroupKey, QueryKind};
@@ -67,9 +57,7 @@ use crate::value::Value;
 use crate::QueryError;
 use rain_linalg::Matrix;
 use rain_model::Classifier;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// What the join pipeline saw while building the candidate set; captured
@@ -188,8 +176,7 @@ pub enum StaleKind {
 pub struct PreparedQuery {
     kind: KindSkeleton,
     /// The physical plan the skeleton was captured from, kept so a stale
-    /// skeleton can be transparently re-prepared
-    /// ([`PreparedQuery::refresh_with`] under [`StalePolicy::Rebuild`]).
+    /// skeleton can be re-prepared ([`PreparedQuery::catch_up`]).
     plan: QueryPlan,
     /// The prepare-time registry, kept as a structurally shared template:
     /// each refresh derives its registry via
@@ -199,12 +186,6 @@ pub struct PreparedQuery {
     /// One feature row per prediction variable, packed at prepare time so
     /// refresh inference is a single batched call.
     features: Matrix,
-    /// Content hash of each feature row (`f64` bit patterns through a
-    /// deterministic hasher), aligned with `features`. Computed once at
-    /// prepare time; [`ScoreMemo`] keys cached scores by these, so rows
-    /// with identical features — within this query or across queries —
-    /// share one inference per model generation.
-    feature_hashes: Vec<u64>,
     /// Class count the skeleton's formulas were built for.
     n_classes: usize,
     /// What each plan relation's catalog entry looked like at capture,
@@ -273,8 +254,7 @@ pub fn prepare_with(
     prep_span.add("candidate_tuples", candidate_tuples as u64);
     prep_span.add("n_vars", reg.len() as u64);
     let mut features = Matrix::zeros(0, model.dim());
-    let mut feature_hashes = Vec::new();
-    pack_features(&reg, db, &mut features, &mut feature_hashes)?;
+    pack_features(&reg, db, &mut features)?;
 
     let stats = SkeletonStats {
         engine,
@@ -289,7 +269,6 @@ pub fn prepare_with(
         plan: plan.clone(),
         reg,
         features,
-        feature_hashes,
         n_classes: model.n_classes(),
         rels: rel_stamps(db, plan),
         stats,
@@ -317,7 +296,7 @@ fn capture_pipeline(
     }
 }
 
-/// Pack the feature row (and its content hash) of every variable of `reg`
+/// Pack the feature row of every variable of `reg`
 /// that `features` does not hold yet — all of them for a fresh prepare,
 /// the new ones for an extension — resolving each base table once per run
 /// of variables over it.
@@ -325,12 +304,10 @@ fn pack_features(
     reg: &PredVarRegistry,
     db: &Database,
     features: &mut Matrix,
-    hashes: &mut Vec<u64>,
 ) -> Result<(), QueryError> {
     let _feat_span = rain_obs::Span::enter("pack-features");
     let new = &reg.infos()[features.rows()..];
     features.reserve_rows(new.len());
-    hashes.reserve(new.len());
     let mut run: Option<(&str, &Table)> = None;
     for info in new {
         let table = match run {
@@ -352,171 +329,29 @@ fn pack_features(
             )));
         }
         features.push_row(feat);
-        hashes.push(feature_row_hash(feat));
     }
     Ok(())
-}
-
-/// Deterministic content hash of one feature row: the exact `f64` bit
-/// patterns through a seed-free hasher, so equal rows hash equal across
-/// queries, prepares, and processes — and any feature change (including
-/// `-0.0` vs `0.0` or a different NaN payload) changes the hash.
-fn feature_row_hash(row: &[f64]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for &v in row {
-        v.to_bits().hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Memoized classifier scores, keyed by (model generation, feature-row
-/// hash).
-///
-/// The debug loop re-scores a mostly-unchanged feature matrix every
-/// iteration, and within one iteration the same base row feeds prediction
-/// variables in several queries. A `ScoreMemo` shared across
-/// [`PreparedQuery::refresh_memo`] calls serves those repeats from cache:
-/// inference runs only for feature rows not seen under the current model
-/// generation. [`ScoreMemo::advance`] declares a generation (the driver
-/// uses its retrain counter); a generation change clears every cached
-/// score, so a stale model can never serve a hit.
-///
-/// Memoized refreshes are bit-identical to plain ones: a cached score is
-/// the score `predict_batch` computed for that exact feature row under
-/// the current generation, and by the [`Classifier`] contract inference
-/// is a pure per-row function of (model, features).
-#[derive(Debug, Clone, Default)]
-pub struct ScoreMemo {
-    generation: u64,
-    scores: HashMap<u64, usize>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ScoreMemo {
-    /// An empty memo at generation 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declare the current model generation. Any change — forward after a
-    /// retrain, backward after a rollback — drops every cached score;
-    /// hit/miss totals survive (they describe the memo's lifetime, not
-    /// one generation).
-    pub fn advance(&mut self, generation: u64) {
-        if generation != self.generation {
-            self.generation = generation;
-            self.scores.clear();
-        }
-    }
-
-    /// Feature rows served from cache since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Feature rows that required inference since creation.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Distinct feature rows cached under the current generation.
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// True when no score is cached under the current generation.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-}
-
-/// How a refresh reacts to a stale skeleton — a queried table
-/// re-registered (data version or row count changed) or a model whose
-/// architecture no longer matches the captured feature bindings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StalePolicy {
-    /// Transparently re-run [`prepare`] on the cached plan and refresh the
-    /// fresh skeleton. This is what a long-lived service wants: fixes that
-    /// mutate registered tables invalidate skeletons mid-session, and the
-    /// next refresh should pay one re-prepare, not fail.
-    #[default]
-    Rebuild,
-    /// Fail with the explicit staleness error (the behavior of
-    /// [`PreparedQuery::refresh`]).
-    Error,
 }
 
 impl PreparedQuery {
     /// Re-assemble the debug-mode [`QueryOutput`] under (possibly new)
     /// model parameters: one batched inference over the cached feature
     /// matrix, then a discrete re-evaluation of the cached formulas.
-    /// Inference fans out over feature-matrix chunks with the machine's
-    /// available parallelism; use [`PreparedQuery::refresh_threaded`] to
-    /// cap it.
+    /// Inference fans out over feature-matrix chunks under `threads`
+    /// workers (`0` = the machine's available parallelism, `1` =
+    /// sequential); output is bit-identical at every thread count —
+    /// workers write hard predictions for disjoint variable ranges and
+    /// each prediction is a pure per-row function of the model.
     ///
-    /// Fails if the model architecture changed (class count, feature
-    /// dimension) or a queried table was re-registered since [`prepare`]
-    /// (the skeleton caches row identities, so it must be rebuilt).
+    /// Strict: fails if the model architecture changed (class count,
+    /// feature dimension) or a queried table moved since the skeleton was
+    /// last brought current (it caches row identities). Call
+    /// [`PreparedQuery::catch_up`] first wherever that can happen.
     pub fn refresh(
         &self,
         db: &Database,
         model: &dyn Classifier,
-    ) -> Result<QueryOutput, QueryError> {
-        self.refresh_threaded(db, model, 0)
-    }
-
-    /// [`PreparedQuery::refresh`] with an explicit worker budget for the
-    /// batched inference (`0` = auto, `1` = sequential). Output is
-    /// bit-identical at every thread count: workers write hard
-    /// predictions for disjoint variable ranges and each prediction is a
-    /// pure per-row function of the model.
-    pub fn refresh_threaded(
-        &self,
-        db: &Database,
-        model: &dyn Classifier,
         threads: usize,
-    ) -> Result<QueryOutput, QueryError> {
-        self.refresh_inner(db, model, threads, None)
-    }
-
-    /// [`PreparedQuery::refresh`] through a [`ScoreMemo`]: feature rows
-    /// already scored under the memo's current generation skip inference
-    /// and read their cached class; only the (deduplicated) misses run
-    /// through the model, batched. Output is bit-identical to a plain
-    /// refresh under the same parameters — the memo only changes *which
-    /// rows* reach the model, never what any row scores.
-    ///
-    /// The caller owns the generation discipline: call
-    /// [`ScoreMemo::advance`] with a new generation after every parameter
-    /// update, or the memo will serve scores of the model it last saw.
-    pub fn refresh_memo(
-        &self,
-        db: &Database,
-        model: &dyn Classifier,
-        memo: &mut ScoreMemo,
-    ) -> Result<QueryOutput, QueryError> {
-        self.refresh_memo_threaded(db, model, 0, memo)
-    }
-
-    /// [`PreparedQuery::refresh_memo`] with an explicit worker budget for
-    /// the miss inference (`0` = auto, `1` = sequential).
-    pub fn refresh_memo_threaded(
-        &self,
-        db: &Database,
-        model: &dyn Classifier,
-        threads: usize,
-        memo: &mut ScoreMemo,
-    ) -> Result<QueryOutput, QueryError> {
-        self.refresh_inner(db, model, threads, Some(memo))
-    }
-
-    fn refresh_inner(
-        &self,
-        db: &Database,
-        model: &dyn Classifier,
-        threads: usize,
-        memo: Option<&mut ScoreMemo>,
     ) -> Result<QueryOutput, QueryError> {
         if let Some(why) = self.staleness(db, model) {
             return Err(QueryError::Exec(why));
@@ -524,15 +359,7 @@ impl PreparedQuery {
 
         let mut refresh_span = rain_obs::Span::enter("refresh");
         refresh_span.add("n_vars", self.reg.len() as u64);
-        let preds = match memo {
-            None => predict_batch_sharded(model, &self.features, threads),
-            Some(memo) => {
-                let preds = self.predict_memoized(model, threads, memo);
-                refresh_span.add("memo_hits", memo.hits);
-                refresh_span.add("memo_misses", memo.misses);
-                preds
-            }
-        };
+        let preds = predict_batch_sharded(model, &self.features, threads);
         let reg = self.reg.with_preds(preds);
         let _reeval = rain_obs::Span::enter("re-eval");
         Ok(match &self.kind {
@@ -559,68 +386,10 @@ impl PreparedQuery {
         })
     }
 
-    /// [`PreparedQuery::refresh`] with an explicit staleness policy.
-    ///
-    /// Under [`StalePolicy::Rebuild`] a stale skeleton (a queried table
-    /// appended to or re-registered, or a model architecture mismatch) is
-    /// transparently brought current by [`PreparedQuery::catch_up`] before
-    /// refreshing; the returned flag reports whether that happened. Under
-    /// [`StalePolicy::Error`] this is exactly `refresh`.
-    pub fn refresh_with(
-        &mut self,
-        db: &Database,
-        model: &dyn Classifier,
-        policy: StalePolicy,
-    ) -> Result<(QueryOutput, bool), QueryError> {
-        self.refresh_with_threaded(db, model, policy, 0)
-    }
-
-    /// [`PreparedQuery::refresh_with`] with an explicit worker budget
-    /// (`0` = auto, `1` = sequential), applied to both the refresh
-    /// inference and any transparent catch-up.
-    pub fn refresh_with_threaded(
-        &mut self,
-        db: &Database,
-        model: &dyn Classifier,
-        policy: StalePolicy,
-        threads: usize,
-    ) -> Result<(QueryOutput, bool), QueryError> {
-        self.refresh_with_inner(db, model, policy, threads, None)
-    }
-
-    /// [`PreparedQuery::refresh_with_threaded`] through a [`ScoreMemo`]
-    /// (the driver's per-iteration path). A transparent catch-up grows or
-    /// replaces the skeleton — and with it the feature rows and their
-    /// hashes — but never invalidates the memo: cached scores are keyed by
-    /// feature content, not by variable ids, so they stay correct across
-    /// rebuilds within one model generation.
-    pub fn refresh_with_memo_threaded(
-        &mut self,
-        db: &Database,
-        model: &dyn Classifier,
-        policy: StalePolicy,
-        threads: usize,
-        memo: &mut ScoreMemo,
-    ) -> Result<(QueryOutput, bool), QueryError> {
-        self.refresh_with_inner(db, model, policy, threads, Some(memo))
-    }
-
-    fn refresh_with_inner(
-        &mut self,
-        db: &Database,
-        model: &dyn Classifier,
-        policy: StalePolicy,
-        threads: usize,
-        memo: Option<&mut ScoreMemo>,
-    ) -> Result<(QueryOutput, bool), QueryError> {
-        let caught_up = policy == StalePolicy::Rebuild && self.staleness(db, model).is_some();
-        if caught_up {
-            self.catch_up(db, model, threads)?;
-        }
-        Ok((self.refresh_inner(db, model, threads, memo)?, caught_up))
-    }
-
-    /// Bring a stale skeleton current against `(db, model)`.
+    /// Bring the skeleton current against `(db, model)`: `Ok(false)` and
+    /// nothing done when it already is, `Ok(true)` when it was stale — a
+    /// queried table appended to, re-registered or newly indexed, or a
+    /// model of another architecture — and has been extended or rebuilt.
     ///
     /// When [`PreparedQuery::can_extend`] holds, the cached plan's scan and
     /// the skeleton capture run over the appended rows only and the
@@ -640,10 +409,13 @@ impl PreparedQuery {
         db: &Database,
         model: &dyn Classifier,
         threads: usize,
-    ) -> Result<(), QueryError> {
+    ) -> Result<bool, QueryError> {
+        if self.staleness(db, model).is_none() {
+            return Ok(false);
+        }
         if !self.can_extend(db, model) {
             *self = prepare_with(db, model, &self.plan, self.stats.engine, threads)?;
-            return Ok(());
+            return Ok(true);
         }
         let mut span = rain_obs::Span::enter("extend");
         let old_rows = self.rels[0].n_rows;
@@ -658,7 +430,7 @@ impl PreparedQuery {
         let captured = capture_pipeline(&mut ctx, self.stats.engine, &mut trace);
         self.reg = std::mem::take(&mut ctx.reg);
         let (delta, new_tuples) = captured?;
-        pack_features(&self.reg, db, &mut self.features, &mut self.feature_hashes)?;
+        pack_features(&self.reg, db, &mut self.features)?;
         match (&mut self.kind, delta) {
             (KindSkeleton::Select(s), KindSkeleton::Select(d)) => s.tuples.extend(d.tuples),
             (KindSkeleton::Aggregate(a), KindSkeleton::Aggregate(d)) => {
@@ -673,7 +445,7 @@ impl PreparedQuery {
         span.add("delta_rows", (self.rels[0].n_rows - old_rows) as u64);
         span.add("new_tuples", new_tuples as u64);
         span.add("new_vars", (self.reg.len() - old_vars) as u64);
-        Ok(())
+        Ok(true)
     }
 
     /// True when [`PreparedQuery::catch_up`] would extend this skeleton
@@ -685,55 +457,6 @@ impl PreparedQuery {
             && self.stale_kind(db) == Some(StaleKind::Appended)
             && model.n_classes() == self.n_classes
             && model.dim() == self.features.cols()
-    }
-
-    /// Hard predictions for every feature row, served from `memo` where
-    /// the row's feature hash is already cached under the current
-    /// generation. Misses are deduplicated by hash, gathered into a
-    /// compact matrix, scored in one sharded batch
-    /// ([`predict_batch_sharded`], so the inference span and its shard
-    /// children appear exactly when inference runs), scattered back, and
-    /// cached. A hit is any row that skipped inference — including the
-    /// second and later occurrences of a hash first seen this refresh.
-    fn predict_memoized(
-        &self,
-        model: &dyn Classifier,
-        threads: usize,
-        memo: &mut ScoreMemo,
-    ) -> Vec<usize> {
-        let n = self.features.rows();
-        let mut preds = vec![0usize; n];
-        // hash → rows of this refresh awaiting that hash's one inference;
-        // `miss_rows` holds each distinct hash's first row, in row order.
-        let mut pending: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut miss_rows: Vec<usize> = Vec::new();
-        for (i, &h) in self.feature_hashes.iter().enumerate() {
-            if let Some(&class) = memo.scores.get(&h) {
-                preds[i] = class;
-            } else {
-                pending
-                    .entry(h)
-                    .or_insert_with(|| {
-                        miss_rows.push(i);
-                        Vec::new()
-                    })
-                    .push(i);
-            }
-        }
-        memo.misses += miss_rows.len() as u64;
-        memo.hits += (n - miss_rows.len()) as u64;
-        if !miss_rows.is_empty() {
-            let compact = self.features.select_rows(&miss_rows);
-            let scored = predict_batch_sharded(model, &compact, threads);
-            for (j, &row) in miss_rows.iter().enumerate() {
-                let h = self.feature_hashes[row];
-                memo.scores.insert(h, scored[j]);
-                for &i in &pending[&h] {
-                    preds[i] = scored[j];
-                }
-            }
-        }
-        preds
     }
 
     /// True when a queried table moved since the skeleton was last brought

@@ -63,8 +63,9 @@ pub fn tokenize(input: &str) -> Result<Vec<(Token, usize)>, SqlError> {
     let bytes = input.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // `i` only ever advances over ASCII bytes or whole string-literal runs,
+    // so it is always a char boundary and `c` is the real character there.
+    while let Some(c) = input[i..].chars().next() {
         if c.is_ascii_whitespace() {
             i += 1;
             continue;
@@ -115,56 +116,46 @@ pub fn tokenize(input: &str) -> Result<Vec<(Token, usize)>, SqlError> {
             let mut s = String::new();
             i += 1;
             loop {
-                if i >= bytes.len() {
+                // Contents are copied as `&str` runs between quotes (a quote
+                // byte never occurs inside a multi-byte character).
+                let Some(run) = bytes[i..].iter().position(|&b| b == b'\'') else {
                     return Err(SqlError {
                         message: "unterminated string literal".into(),
                         offset: start,
                     });
+                };
+                s.push_str(&input[i..i + run]);
+                i += run + 1;
+                if bytes.get(i) != Some(&b'\'') {
+                    break;
                 }
-                if bytes[i] == b'\'' {
-                    if bytes.get(i + 1) == Some(&b'\'') {
-                        s.push('\'');
-                        i += 2;
-                    } else {
-                        i += 1;
-                        break;
-                    }
-                } else {
-                    s.push(bytes[i] as char);
-                    i += 1;
-                }
+                s.push('\'');
+                i += 1;
             }
             toks.push((Token::Str(s), start));
         } else {
-            let two = if i + 1 < bytes.len() {
-                &input[i..i + 2]
-            } else {
-                ""
-            };
-            let sym: &'static str = match two {
-                "!=" => "!=",
-                "<>" => "<>",
-                "<=" => "<=",
-                ">=" => ">=",
-                _ => match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    '.' => ".",
-                    '*' => "*",
-                    '=' => "=",
-                    '<' => "<",
-                    '>' => ">",
-                    '+' => "+",
-                    '-' => "-",
-                    '/' => "/",
-                    _ => {
-                        return Err(SqlError {
-                            message: format!("unexpected character {c:?}"),
-                            offset: i,
-                        })
-                    }
-                },
+            let sym: &'static str = match (c, bytes.get(i + 1)) {
+                ('!', Some(b'=')) => "!=",
+                ('<', Some(b'>')) => "<>",
+                ('<', Some(b'=')) => "<=",
+                ('>', Some(b'=')) => ">=",
+                ('(', _) => "(",
+                (')', _) => ")",
+                (',', _) => ",",
+                ('.', _) => ".",
+                ('*', _) => "*",
+                ('=', _) => "=",
+                ('<', _) => "<",
+                ('>', _) => ">",
+                ('+', _) => "+",
+                ('-', _) => "-",
+                ('/', _) => "/",
+                _ => {
+                    return Err(SqlError {
+                        message: format!("unexpected character {c:?}"),
+                        offset: i,
+                    })
+                }
             };
             i += sym.len();
             toks.push((Token::Sym(sym), start));
@@ -266,6 +257,37 @@ mod tests {
         let err = tokenize("a ; b").unwrap_err();
         assert_eq!(err.offset, 2);
         assert!(tokenize("'oops").is_err());
+    }
+
+    #[test]
+    fn non_ascii_is_an_error_outside_literals_and_verbatim_inside() {
+        // Each of the first three used to panic slicing `input[i..i + 2]`
+        // inside a multi-byte character.
+        for (sql, offset) in [
+            ("SELECT € FROM t", 7),
+            ("SELECT (é FROM t", 8),
+            ("SELECT a FROM t WHERE a =€", 25),
+        ] {
+            let err = tokenize(sql).unwrap_err();
+            let bad = sql[offset..].chars().next().unwrap();
+            assert_eq!(err.offset, offset, "{sql}");
+            assert_eq!(err.message, format!("unexpected character {bad:?}"));
+        }
+        assert_eq!(
+            toks("note = 'λ'"),
+            vec![
+                Token::Ident("note".into()),
+                Token::Sym("="),
+                Token::Str("λ".into()),
+                Token::Eof
+            ]
+        );
+        assert_eq!(
+            toks("'it''s λ'"),
+            vec![Token::Str("it's λ".into()), Token::Eof]
+        );
+        assert_eq!(toks("''''"), vec![Token::Str("'".into()), Token::Eof]);
+        assert!(tokenize("'λ").is_err());
     }
 
     #[test]

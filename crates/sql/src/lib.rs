@@ -106,9 +106,7 @@ pub use exec::{
     execute, resolve_threads, run_query, run_stmt, Engine, ExecOptions, QueryOutput, ScalarResult,
     MAX_EXEC_THREADS,
 };
-pub use incremental::{
-    prepare, prepare_with, PreparedQuery, ScoreMemo, SkeletonStats, StaleKind, StalePolicy,
-};
+pub use incremental::{prepare, prepare_with, PreparedQuery, SkeletonStats, StaleKind};
 pub use index::{IndexKind, TableIndex};
 pub use lexer::SqlError;
 pub use optimize::{optimize, optimize_with, OptimizerConfig};

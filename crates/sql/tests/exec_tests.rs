@@ -690,3 +690,33 @@ fn two_predict_keys_group_and_uniquify() {
         }
     }
 }
+
+#[test]
+fn non_ascii_string_literals_match_their_rows() {
+    // The lexer used to push a literal's UTF-8 bytes as chars, so `'λ'`
+    // compared as mojibake and matched nothing.
+    use rain_sql::Engine;
+    let mut db = Database::new();
+    db.register(
+        "notes",
+        Table::from_columns(
+            Schema::new(&[("id", ColType::Int), ("note", ColType::Str)]),
+            vec![
+                Column::Int(vec![0, 1, 2]),
+                Column::Str(vec!["l".into(), "λ".into(), "Î»".into()]),
+            ],
+        ),
+    );
+    let model = step_model();
+    for engine in [Engine::Tuple, Engine::Vectorized] {
+        let out = run_query(
+            &db,
+            &model,
+            "SELECT id FROM notes WHERE note = 'λ'",
+            ExecOptions::default().on(engine),
+        )
+        .unwrap();
+        assert_eq!(out.table.n_rows(), 1, "{engine:?}");
+        assert_eq!(out.table.value(0, 0), Value::Int(1), "{engine:?}");
+    }
+}

@@ -22,8 +22,7 @@ use rain_model::{Classifier, LogisticRegression};
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
     bind, execute, optimize, parse_select, prepare, prepare_with, AccessPath, CacheEvent, Database,
-    Engine, ExecOptions, IndexKind, PreparedQuery, QueryCache, QueryOutput, ScoreMemo, StaleKind,
-    StalePolicy, Value,
+    Engine, ExecOptions, IndexKind, PreparedQuery, QueryCache, QueryOutput, StaleKind, Value,
 };
 use std::time::Instant;
 
@@ -231,11 +230,9 @@ fn check_case(label: &str, db: &Database, sql: &str, refresh_models: &[&dyn Clas
         });
         for (pq, prep_engine) in prepared.iter().zip(["tuple", "vexec"]) {
             for threads in [1, 2, 8] {
-                let refreshed = pq
-                    .refresh_threaded(db, *model, threads)
-                    .unwrap_or_else(|e| {
-                        panic!("{label} `{sql}` refresh[{prep_engine}, threads={threads}]: {e}")
-                    });
+                let refreshed = pq.refresh(db, *model, threads).unwrap_or_else(|e| {
+                    panic!("{label} `{sql}` refresh[{prep_engine}, threads={threads}]: {e}")
+                });
                 for (full, full_engine) in fulls.iter().zip(["tuple", "vexec"]) {
                     assert_identical(
                         &format!(
@@ -364,9 +361,7 @@ fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
             .unwrap();
             assert!(prepared.stats().n_vars >= 1024, "fan-out must shard");
             for refresh_threads in [1, 2, 8] {
-                let out = prepared
-                    .refresh_threaded(&db, &flipped, refresh_threads)
-                    .unwrap();
+                let out = prepared.refresh(&db, &flipped, refresh_threads).unwrap();
                 assert_identical(
                     &format!("`{sql}` [capture={capture_threads}, refresh={refresh_threads}]"),
                     &full,
@@ -374,76 +369,6 @@ fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
                 );
             }
         }
-    }
-}
-
-/// The prediction memo is invisible to results: a refresh trajectory
-/// through several model generations (retrain steps) with a `ScoreMemo`
-/// is bit-identical to the same trajectory without one, at every thread
-/// count — and the hit/miss counters account for exactly the rows the
-/// memo served vs. inferred. Within one generation every row after the
-/// first refresh is a hit; advancing the generation drops the cache and
-/// the next refresh re-infers.
-#[test]
-fn memoized_refresh_matches_unmemoized_across_generations() {
-    let same = step_model();
-    let flipped = flipped_model();
-    for seed in 0..CASES / 4 {
-        let mut rng = RainRng::seed_from_u64(0x3E30 ^ seed);
-        let db = random_db(&mut rng);
-        let sql = random_query(&mut rng);
-        let random = random_model(&mut rng);
-        let stmt = parse_select(&sql).unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
-        let plan = optimize(bind(&stmt, &db).unwrap(), &db);
-        let prepared = prepare(&db, &same, &plan, Engine::Vectorized)
-            .unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
-        let n_vars = prepared.stats().n_vars as u64;
-
-        let mut memo = ScoreMemo::new();
-        let mut expected_rows = 0u64;
-        let models: [&dyn Classifier; 3] = [&same, &flipped, &random];
-        for (generation, model) in models.iter().enumerate() {
-            memo.advance(generation as u64 + 1);
-            let mut misses_after_first = None;
-            for pass in 0..2 {
-                for threads in [1, 2, 8] {
-                    let label = format!(
-                        "seed {seed} `{sql}` [gen={generation}, pass={pass}, threads={threads}]"
-                    );
-                    let plain = prepared
-                        .refresh_threaded(&db, *model, threads)
-                        .unwrap_or_else(|e| panic!("{label} plain: {e}"));
-                    let memod = prepared
-                        .refresh_memo_threaded(&db, *model, threads, &mut memo)
-                        .unwrap_or_else(|e| panic!("{label} memo: {e}"));
-                    assert_identical(&label, &plain, &memod);
-                    expected_rows += n_vars;
-                    match misses_after_first {
-                        None => misses_after_first = Some(memo.misses()),
-                        // Later refreshes under the same generation must
-                        // be pure cache hits.
-                        Some(m) => assert_eq!(
-                            memo.misses(),
-                            m,
-                            "{label}: within-generation refresh re-inferred"
-                        ),
-                    }
-                }
-            }
-        }
-        // Every feature row of every memoized refresh was either served
-        // or inferred — and with 1-D ±1 features at most two distinct
-        // rows exist per generation, so misses stay tiny while hits
-        // absorb the rest.
-        assert_eq!(
-            memo.hits() + memo.misses(),
-            expected_rows,
-            "seed {seed} `{sql}`: counters must account for every row"
-        );
-        assert!(
-            memo.misses() <= 2 * models.len() as u64,
-            "seed {seed} `{sql}`: at most two distinct feature rows per generation"
-        );
     }
 }
 
@@ -460,8 +385,8 @@ fn model_free_skeleton_refreshes_identically_under_any_model() {
     let prepared = prepare(&db, &step_model(), &plan, Engine::Vectorized).unwrap();
     assert!(prepared.stats().model_free);
     assert_eq!(prepared.stats().n_vars, 0);
-    let a = prepared.refresh(&db, &step_model()).unwrap();
-    let b = prepared.refresh(&db, &flipped_model()).unwrap();
+    let a = prepared.refresh(&db, &step_model(), 0).unwrap();
+    let b = prepared.refresh(&db, &flipped_model(), 0).unwrap();
     assert_identical("model-free", &a, &b);
 }
 
@@ -476,12 +401,12 @@ fn refresh_rejects_stale_skeletons() {
     let plan = optimize(bind(&stmt, &db).unwrap(), &db);
     let prepared = prepare(&db, &step_model(), &plan, Engine::Vectorized).unwrap();
     prepared
-        .refresh(&db, &step_model())
+        .refresh(&db, &step_model(), 0)
         .expect("fresh skeleton");
     // Same data, re-registered: the version bump alone must invalidate.
     let t1 = db.table("t1").unwrap().clone();
     db.register("t1", t1);
-    let err = prepared.refresh(&db, &step_model()).unwrap_err();
+    let err = prepared.refresh(&db, &step_model(), 0).unwrap_err();
     assert!(err.to_string().contains("stale"), "unexpected error: {err}");
 }
 
@@ -496,16 +421,16 @@ fn refresh_rejects_model_architecture_changes() {
     let plan = optimize(bind(&stmt, &db).unwrap(), &db);
     let prepared = prepare(&db, &step_model(), &plan, Engine::Tuple).unwrap();
     let tri = rain_model::SoftmaxRegression::new(1, 3, 0.0);
-    let err = prepared.refresh(&db, &tri).unwrap_err();
+    let err = prepared.refresh(&db, &tri, 0).unwrap_err();
     assert!(
         err.to_string().contains("classes"),
         "unexpected error: {err}"
     );
 }
 
-/// Under `StalePolicy::Rebuild` a stale skeleton transparently
-/// re-prepares from its cached plan and matches a fresh execution —
-/// including when the re-registered table has entirely different rows.
+/// `catch_up` re-prepares a stale skeleton from its cached plan, and the
+/// refresh after it matches a fresh execution — including when the
+/// re-registered table has entirely different rows.
 #[test]
 fn refresh_with_rebuild_recovers_from_reregistration() {
     let mut rng = RainRng::seed_from_u64(19);
@@ -514,9 +439,8 @@ fn refresh_with_rebuild_recovers_from_reregistration() {
     let stmt = parse_select(sql).unwrap();
     let plan = optimize(bind(&stmt, &db).unwrap(), &db);
     let mut prepared = prepare(&db, &step_model(), &plan, Engine::Vectorized).unwrap();
-    let (_, rebuilt) = prepared
-        .refresh_with(&db, &step_model(), StalePolicy::Rebuild)
-        .unwrap();
+    let rebuilt = prepared.catch_up(&db, &step_model(), 0).unwrap();
+    prepared.refresh(&db, &step_model(), 0).unwrap();
     assert!(!rebuilt, "fresh skeleton must not rebuild");
     assert!(!prepared.is_stale(&db));
 
@@ -524,27 +448,23 @@ fn refresh_with_rebuild_recovers_from_reregistration() {
     let other = random_db(&mut rng);
     db.register("t1", other.table("t1").unwrap().clone());
     assert!(prepared.is_stale(&db));
-    let (out, rebuilt) = prepared
-        .refresh_with(&db, &step_model(), StalePolicy::Rebuild)
-        .unwrap();
-    assert!(rebuilt, "stale skeleton must transparently re-prepare");
+    let rebuilt = prepared.catch_up(&db, &step_model(), 0).unwrap();
+    let out = prepared.refresh(&db, &step_model(), 0).unwrap();
+    assert!(rebuilt, "stale skeleton must re-prepare");
     let fresh = execute(&db, &step_model(), &plan, ExecOptions::debug()).unwrap();
     assert_identical("rebuild", &fresh, &out);
 
     // The rebuilt skeleton is warm again...
-    let (_, again) = prepared
-        .refresh_with(&db, &step_model(), StalePolicy::Rebuild)
-        .unwrap();
+    let again = prepared.catch_up(&db, &step_model(), 0).unwrap();
+    prepared.refresh(&db, &step_model(), 0).unwrap();
     assert!(!again);
-    // ...and the explicit-error path is still available as an option.
+    // ...and without `catch_up`, refresh is still the explicit error.
     let t1 = db.table("t1").unwrap().clone();
     db.register("t1", t1);
-    assert!(prepared
-        .refresh_with(&db, &step_model(), StalePolicy::Error)
-        .is_err());
+    assert!(prepared.refresh(&db, &step_model(), 0).is_err());
 }
 
-/// Rebuild also recovers from a model-architecture change: the class
+/// `catch_up` also recovers from a model-architecture change: the class
 /// fan-out of predict-keyed groups is re-captured for the new class set.
 #[test]
 fn refresh_with_rebuild_recaptures_for_new_architecture() {
@@ -555,10 +475,10 @@ fn refresh_with_rebuild_recaptures_for_new_architecture() {
     let plan = optimize(bind(&stmt, &db).unwrap(), &db);
     let mut prepared = prepare(&db, &step_model(), &plan, Engine::Tuple).unwrap();
     let tri = rain_model::SoftmaxRegression::new(1, 3, 0.0);
-    let (out, rebuilt) = prepared
-        .refresh_with(&db, &tri, StalePolicy::Rebuild)
-        .unwrap();
+    let rebuilt = prepared.catch_up(&db, &tri, 0).unwrap();
+    let out = prepared.refresh(&db, &tri, 0).unwrap();
     assert!(rebuilt);
+    assert!(!prepared.catch_up(&db, &tri, 0).unwrap());
     let fresh = execute(&db, &tri, &plan, ExecOptions::debug().on(Engine::Tuple)).unwrap();
     assert_identical("arch rebuild", &fresh, &out);
 }
@@ -591,7 +511,11 @@ fn skeleton_stats_describe_the_pipeline() {
         assert!(!stats.model_free);
         assert_eq!(
             stats.n_vars,
-            prepared.refresh(&db, &step_model()).unwrap().predvars.len()
+            prepared
+                .refresh(&db, &step_model(), 0)
+                .unwrap()
+                .predvars
+                .len()
         );
     }
 }
@@ -698,16 +622,9 @@ fn assert_same_skeleton(
         "{label}: packed features"
     );
     for model in [step_model(), flipped_model()] {
-        let want = fresh.refresh_threaded(db, &model, threads).unwrap();
-        let got = caught_up.refresh_threaded(db, &model, threads).unwrap();
+        let want = fresh.refresh(db, &model, threads).unwrap();
+        let got = caught_up.refresh(db, &model, threads).unwrap();
         assert_identical(label, &want, &got);
-        // Feature hashes feed the memo: a stale or misaligned hash would
-        // serve some row another row's score.
-        let mut memo = ScoreMemo::new();
-        let memod = caught_up
-            .refresh_memo_threaded(db, &model, threads, &mut memo)
-            .unwrap();
-        assert_identical(&format!("{label} [memo]"), &want, &memod);
     }
 }
 
@@ -842,13 +759,13 @@ fn outputs_taken_before_an_append_are_untouched_by_extension() {
         let mut db = Database::new();
         db.register("ext", ext_table(ext_rows(&mut rng, 20, 2, 5)));
         let mut pq = prepare(&db, &step_model(), &plan_of(&db, sql), Engine::Vectorized).unwrap();
-        let before = pq.refresh(&db, &step_model()).unwrap();
+        let before = pq.refresh(&db, &step_model(), 0).unwrap();
         let snapshot = format!("{before:?}");
         let (rows, feats) = ext_rows(&mut rng, 15, 0, 8);
         db.append_to("ext", rows, Some(feats)).unwrap();
         assert!(pq.can_extend(&db, &step_model()), "`{sql}`");
         pq.catch_up(&db, &step_model(), 1).unwrap();
-        let after = pq.refresh(&db, &step_model()).unwrap();
+        let after = pq.refresh(&db, &step_model(), 0).unwrap();
         assert_eq!(format!("{before:?}"), snapshot, "`{sql}`: old output moved");
         assert_ne!(
             format!("{after:?}"),
@@ -888,7 +805,7 @@ fn cache_extends_on_append_and_replans_on_a_new_index() {
         matches!(cq.prepared.plan().access[0], AccessPath::IndexScan { .. }),
         "the re-plan must pick up the index"
     );
-    let replanned = cq.prepared.refresh(&db, &model).unwrap();
+    let replanned = cq.prepared.refresh(&db, &model, 0).unwrap();
     cache.checkin(cq);
     assert_identical("re-planned onto the index", &full, &replanned);
     let stats = cache.stats();

@@ -430,7 +430,7 @@ fn prepare_and_refresh_record_their_stages() {
     let root = Span::enter("run");
     let id = root.id();
     let pq = prepare_with(&db, &model, &plan, Engine::Vectorized, 4).unwrap();
-    let out = pq.refresh_threaded(&db, &model, 4).unwrap();
+    let out = pq.refresh(&db, &model, 4).unwrap();
     drop(root);
     assert!(!out.predvars.is_empty());
 

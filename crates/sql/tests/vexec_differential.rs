@@ -374,22 +374,25 @@ fn partitioned_build_and_grouped_agg_match_under_skew_nulls_and_nans() {
     )
     .with_features(feats(&mut rng, n1));
     db.register("t1", t1);
-    // t2: nullable skewed int key (every tenth NULL, a third of the rest
-    // pile onto 7 — the hot t1 key) and a mask-free float column with
-    // NaN holes, so `a.x = b.k` takes the general strategy and
-    // `a.f = b.f2` stays on the typed-numeric one.
+    // t2: nullable skewed int key (every tenth NULL, one row in thirty
+    // on 7 — the hot t1 key) and a mask-free float column with NaN holes
+    // and one row in twenty on t1's hot 1.5, so `a.x = b.k` takes the
+    // general strategy and `a.f = b.f2` stays on the typed-numeric one.
+    // The hot shares are thin on this side only: hot × hot is what the
+    // tuple oracle pays for (4 500 × 400 tuples, not 4 500 × 3 600), and
+    // the skew under test is t1's.
     let mut t2 = Table::empty(Schema::new(&[("k", ColType::Int), ("f2", ColType::Float)]));
     for i in 0..n2 {
         let k = if i % 10 == 0 {
             rain_sql::Value::Null
-        } else if i % 3 == 0 {
+        } else if i % 30 == 3 {
             rain_sql::Value::Int(7)
         } else {
             rain_sql::Value::Int((i % 97) as i64)
         };
         let f2 = if i % 7 == 0 {
             f64::NAN
-        } else if i % 2 == 0 {
+        } else if i % 20 == 2 {
             1.5
         } else {
             (i % 13) as f64
