@@ -2,10 +2,10 @@
 //!
 //! Times the model-free DBLP equi-join (the `BENCH_parallel.json` join
 //! shape) twice: with tracing disabled (the default — every span is
-//! inert, no clock reads) and with a live trace harvested per run the
-//! way `?profile=1` does it (activate, root span, execute, take the
-//! subtree). Before timing, the two modes' outputs are asserted
-//! bit-identical — instrumentation is a pure observer.
+//! inert, no clock reads) and with a live trace finished per run the
+//! way `?profile=1` does it (start a trace, execute, finish it). Before
+//! timing, the two modes' outputs are asserted bit-identical —
+//! instrumentation is a pure observer.
 //!
 //! A second section measures **always-on sampling** end to end: the
 //! 16-client serve workload (one session per client, cached debug-mode
@@ -126,16 +126,13 @@ fn main() {
 
     // One profiled execution, exactly as the serving layer runs it.
     let run_traced = || {
-        let _on = rain_obs::activate();
-        let root = rain_obs::Span::enter("query");
-        let root_id = root.id();
+        let trace = rain_obs::Trace::start("query");
         let out = execute(&db, &model, &plan, opts()).unwrap();
-        drop(root);
-        (out, rain_obs::take_subtree(root_id))
+        (out, trace.finish())
     };
 
     // Correctness before timing: tracing must not perturb results, and
-    // the harvested tree must actually cover the execution.
+    // the finished tree must actually cover the execution.
     let baseline = execute(&db, &model, &plan, opts()).unwrap();
     let (traced_out, tree) = run_traced();
     assert_eq!(
@@ -143,10 +140,12 @@ fn main() {
         traced_out.table.to_tsv(),
         "tracing changed query results"
     );
-    let tree = tree.expect("no trace harvested");
     assert!(tree.find("join").is_some(), "trace misses the join span");
     assert!(tree.find("scan").is_some(), "trace misses the scan span");
-    assert!(!rain_obs::enabled(), "trace guard leaked past its scope");
+    assert!(
+        !rain_obs::enabled(),
+        "this thread still carries the finished trace"
+    );
 
     let samples = if quick { 3 } else { 20 };
     let mut g = BenchGroup::new("obs_overhead", samples);

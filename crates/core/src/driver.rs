@@ -21,6 +21,7 @@ use crate::rank::{rank, Method, RankContext, RankError};
 use crate::twostep::SqlStepConfig;
 use rain_influence::InfluenceConfig;
 use rain_model::{train_lbfgs, Classifier, Dataset, LbfgsConfig};
+use rain_obs::{Span, Trace};
 use rain_sql::{
     execute, prepare_with, Database, Engine, ExecOptions, PreparedQuery, QueryError, QueryOutput,
     QueryPlan,
@@ -136,28 +137,15 @@ impl DebugSession {
     /// Run the train–rank–fix loop with one method.
     ///
     /// With [`RunConfig::profile`] on, the whole run — including the
-    /// one-time plan/prepare — executes under a `debug-run` trace span
-    /// and the harvested tree lands in [`DebugReport::profile`].
+    /// one-time plan/prepare — is one `debug-run` trace, and its tree
+    /// lands in [`DebugReport::profile`].
     pub fn run(&self, method: Method, cfg: &RunConfig) -> Result<DebugReport, QueryError> {
-        let _tracing = cfg.profile.then(rain_obs::activate);
-        let root = rain_obs::Span::enter("debug-run");
-        let root_id = root.id();
-        let pq = {
-            let _s = rain_obs::Span::enter("prepare-queries");
-            self.prepare_queries(cfg.incremental, cfg.threads)
+        let trace = cfg.profile.then(|| Trace::start("debug-run"));
+        let mut pq = {
+            let _s = Span::enter("prepare-queries");
+            self.prepare_queries(cfg.incremental, cfg.threads)?
         };
-        let result = pq.and_then(|mut pq| self.run_loop(method, cfg, &mut pq));
-        drop(root);
-        // Drain this run's subtree even on error so the bounded global
-        // buffer never accumulates orphaned records. The tree is attached
-        // only when this run asked for it: an ambient trace (another
-        // run's sampling window, a live `EXPLAIN ANALYZE`) may have
-        // recorded our root, and attaching that would make the report's
-        // shape depend on unrelated concurrent activity.
-        let profile = rain_obs::take_subtree(root_id);
-        let mut report = result?;
-        report.profile = cfg.profile.then_some(profile).flatten();
-        Ok(report)
+        self.run_loop(method, cfg, &mut pq, trace)
     }
 
     /// [`DebugSession::run`] against externally held planned/prepared
@@ -172,25 +160,19 @@ impl DebugSession {
         cfg: &RunConfig,
         pq: &mut PreparedQueries,
     ) -> Result<DebugReport, QueryError> {
-        let _tracing = cfg.profile.then(rain_obs::activate);
-        let root = rain_obs::Span::enter("debug-run");
-        let root_id = root.id();
-        let result = self.run_loop(method, cfg, pq);
-        drop(root);
-        let profile = rain_obs::take_subtree(root_id);
-        let mut report = result?;
-        report.profile = cfg.profile.then_some(profile).flatten();
-        Ok(report)
+        let trace = cfg.profile.then(|| Trace::start("debug-run"));
+        self.run_loop(method, cfg, pq, trace)
     }
 
     /// The iteration loop shared by [`DebugSession::run`] and
-    /// [`DebugSession::run_prepared`]; the callers own the trace root so
-    /// a run's profile is harvested exactly once.
+    /// [`DebugSession::run_prepared`]; `trace` is the run's `debug-run`
+    /// trace when it is profiled, finished into [`DebugReport::profile`].
     fn run_loop(
         &self,
         method: Method,
         cfg: &RunConfig,
         pq: &mut PreparedQueries,
+        trace: Option<Trace>,
     ) -> Result<DebugReport, QueryError> {
         // The one-time plan/prepare cost is charged to the first
         // iteration's encode phase so incremental timing trajectories
@@ -216,13 +198,7 @@ impl DebugSession {
         let mut removed: Vec<usize> = Vec::new();
         let mut iterations = Vec::new();
         let mut failure = None;
-        // Always-on sampled profiling: 1-in-N iterations run under a
-        // scoped trace of their own and are harvested after the loop.
-        // Skipped whenever a trace is already live — a `?profile=1` run
-        // (or ambient trace) records everything, and claiming the
-        // iteration subtree here would tear that full profile apart.
-        let mut sampled: Vec<(usize, rain_obs::SpanId)> = Vec::new();
-        let mut exec_err: Option<QueryError> = None;
+        let mut iteration_profiles = Vec::new();
         // Ranking works under the run's worker budget like everything
         // else, not under the session's stand-alone influence default.
         let influence = InfluenceConfig {
@@ -230,172 +206,160 @@ impl DebugSession {
             ..self.influence.clone()
         };
 
-        'run: while removed.len() < cfg.budget {
-            let sampling = cfg.sample_every > 0
-                && !rain_obs::enabled()
-                && iterations.len() % cfg.sample_every == 0;
-            let _iter_trace = sampling.then(rain_obs::activate);
-            let mut iter_span = rain_obs::Span::enter("iteration");
-            if sampling && iter_span.is_recording() {
-                sampled.push((iterations.len(), iter_span.id()));
-            }
-            // (0) Train, warm-started.
-            let t_train = Instant::now();
-            let warm = if iterations.is_empty() {
-                self.train_cfg.clone()
-            } else {
-                LbfgsConfig {
-                    max_iters: self.train_cfg.max_iters.min(60),
-                    ..self.train_cfg.clone()
-                }
+        while removed.len() < cfg.budget {
+            // Always-on sampled profiling: 1-in-N iterations are a trace
+            // of their own. In a run that is itself traced, every
+            // iteration is a span of that trace instead.
+            let iteration = iterations.len();
+            let mut sampled =
+                (cfg.sample_every > 0 && !rain_obs::enabled() && iteration % cfg.sample_every == 0)
+                    .then(|| Trace::start("iteration"));
+            let mut unsampled = None;
+            let iter_span: &mut Span = match sampled.as_mut() {
+                Some(trace) => trace,
+                None => unsampled.insert(Span::enter("iteration")),
             };
-            // (`train_lbfgs` opens the iteration's `train` span itself.)
-            let report = train_lbfgs(model.as_mut(), &train, &warm);
-            let train_s = t_train.elapsed().as_secs_f64();
-
-            // (1-2) Execute the queries in debug mode under the run's
-            // worker budget: refresh the prepared skeleton, or — the
-            // `incremental: false` oracle — re-execute the plan in full.
-            let t_exec = Instant::now();
-            let mut outputs: Vec<QueryOutput> = Vec::with_capacity(pq.plans.len());
-            {
-                // The sql layer's own spans (refresh/inference/re-eval,
-                // or scan/join/… on the full path) nest under this one.
-                let _s = rain_obs::Span::enter("execute");
-                for qi in 0..pq.plans.len() {
-                    let out = match pq.prepared.get_mut(qi) {
-                        None => execute(
-                            &self.db,
-                            model.as_ref(),
-                            &pq.plans[qi],
-                            ExecOptions::debug().with_threads(cfg.threads),
-                        ),
-                        Some(p) => {
-                            p.catch_up(&self.db, model.as_ref(), cfg.threads)
-                                .and_then(|rebuilt| {
-                                    skeleton_rebuilds += rebuilt as usize;
-                                    p.refresh(&self.db, model.as_ref(), cfg.threads)
-                                })
-                        }
-                    };
-                    // Errors break to the post-loop harvest (instead of
-                    // `?`-returning) so sampled iteration records never
-                    // linger in the trace buffers.
-                    match out {
-                        Ok(out) => outputs.push(out),
-                        Err(e) => {
-                            exec_err = Some(e);
-                            break 'run;
-                        }
-                    }
-                }
-            }
-            let exec_s = t_exec.elapsed().as_secs_f64();
-
-            // (3) Complaint check, skipping queries whose depended-on
-            // predictions did not flip this iteration.
-            let mut checks_skipped = 0usize;
-            let mut satisfied = true;
-            let check_span = rain_obs::Span::enter("check");
-            for (qi, (q, out)) in self.queries.iter().zip(&outputs).enumerate() {
-                let preds = out.predvars.preds();
-                let q_sat = match &last_verdict[qi] {
-                    Some((prev, sat)) if model_free[qi] || prev == preds => {
-                        checks_skipped += q.complaints.len();
-                        *sat
-                    }
-                    _ => {
-                        let sat = q.complaints.iter().all(|c| c.satisfied(out));
-                        last_verdict[qi] = Some((preds.to_vec(), sat));
-                        sat
+            let stop = 'iter: {
+                // (0) Train, warm-started.
+                let t_train = Instant::now();
+                let warm = if iterations.is_empty() {
+                    self.train_cfg.clone()
+                } else {
+                    LbfgsConfig {
+                        max_iters: self.train_cfg.max_iters.min(60),
+                        ..self.train_cfg.clone()
                     }
                 };
-                satisfied &= q_sat;
-            }
-            drop(check_span);
-            iter_span.add("checks_skipped", checks_skipped as u64);
-            if satisfied && cfg.stop_when_satisfied {
+                // (`train_lbfgs` opens the iteration's `train` span itself.)
+                let report = train_lbfgs(model.as_mut(), &train, &warm);
+                let train_s = t_train.elapsed().as_secs_f64();
+
+                // (1-2) Execute the queries in debug mode under the run's
+                // worker budget: refresh the prepared skeleton, or — the
+                // `incremental: false` oracle — re-execute the plan in full.
+                let t_exec = Instant::now();
+                let mut outputs: Vec<QueryOutput> = Vec::with_capacity(pq.plans.len());
+                {
+                    // The sql layer's own spans (refresh/inference/re-eval,
+                    // or scan/join/… on the full path) nest under this one.
+                    let _s = Span::enter("execute");
+                    for qi in 0..pq.plans.len() {
+                        let out = match pq.prepared.get_mut(qi) {
+                            None => execute(
+                                &self.db,
+                                model.as_ref(),
+                                &pq.plans[qi],
+                                ExecOptions::debug().with_threads(cfg.threads),
+                            ),
+                            Some(p) => p.catch_up(&self.db, model.as_ref(), cfg.threads).and_then(
+                                |rebuilt| {
+                                    skeleton_rebuilds += rebuilt as usize;
+                                    p.refresh(&self.db, model.as_ref(), cfg.threads)
+                                },
+                            ),
+                        };
+                        outputs.push(out?);
+                    }
+                }
+                let exec_s = t_exec.elapsed().as_secs_f64();
+
+                // (3) Complaint check, skipping queries whose depended-on
+                // predictions did not flip this iteration.
+                let mut checks_skipped = 0usize;
+                let mut satisfied = true;
+                let check_span = Span::enter("check");
+                for (qi, (q, out)) in self.queries.iter().zip(&outputs).enumerate() {
+                    let preds = out.predvars.preds();
+                    let q_sat = match &last_verdict[qi] {
+                        Some((prev, sat)) if model_free[qi] || prev == preds => {
+                            checks_skipped += q.complaints.len();
+                            *sat
+                        }
+                        _ => {
+                            let sat = q.complaints.iter().all(|c| c.satisfied(out));
+                            last_verdict[qi] = Some((preds.to_vec(), sat));
+                            sat
+                        }
+                    };
+                    satisfied &= q_sat;
+                }
+                drop(check_span);
+                iter_span.add("checks_skipped", checks_skipped as u64);
+                if satisfied && cfg.stop_when_satisfied {
+                    iterations.push(IterStats {
+                        train_s,
+                        encode_s: exec_s + std::mem::take(&mut pending_prepare_s),
+                        rank_s: 0.0,
+                        removed: Vec::new(),
+                        complaints_satisfied: true,
+                        checks_skipped,
+                        train_loss: report.final_loss,
+                    });
+                    break 'iter true;
+                }
+
+                // (4) Rank.
+                let sqlstep = SqlStepConfig {
+                    seed: self.sqlstep.seed ^ (iterations.len() as u64).wrapping_mul(0x9E37),
+                    ..self.sqlstep.clone()
+                };
+                let ctx = RankContext {
+                    db: &self.db,
+                    model: model.as_ref(),
+                    train: &train,
+                    outputs: &outputs,
+                    queries: &self.queries,
+                    influence: &influence,
+                    sqlstep: &sqlstep,
+                };
+                let rank_span = Span::enter("rank");
+                let ranking = match rank(method, &ctx) {
+                    Ok(r) => r,
+                    Err(e @ (RankError::IlpTimeout | RankError::Infeasible)) => {
+                        failure = Some(e.to_string());
+                        break 'iter true;
+                    }
+                };
+                drop(rank_span);
+
+                // (5) Remove the top-k.
+                let k = cfg.k_per_iter.min(cfg.budget - removed.len());
+                let batch: Vec<usize> = ranking.records.iter().take(k).map(|r| r.id).collect();
+                if batch.is_empty() {
+                    break 'iter true;
+                }
+                train = train.remove_ids(&batch);
+                removed.extend(batch.iter().copied());
+                iter_span.add("removed", batch.len() as u64);
                 iterations.push(IterStats {
                     train_s,
-                    encode_s: exec_s + std::mem::take(&mut pending_prepare_s),
-                    rank_s: 0.0,
-                    removed: Vec::new(),
-                    complaints_satisfied: true,
+                    encode_s: exec_s + ranking.encode_s + std::mem::take(&mut pending_prepare_s),
+                    rank_s: ranking.rank_s,
+                    removed: batch,
+                    complaints_satisfied: satisfied,
                     checks_skipped,
                     train_loss: report.final_loss,
                 });
-                break;
-            }
-
-            // (4) Rank.
-            let sqlstep = SqlStepConfig {
-                seed: self.sqlstep.seed ^ (iterations.len() as u64).wrapping_mul(0x9E37),
-                ..self.sqlstep.clone()
+                train.is_empty()
             };
-            let ctx = RankContext {
-                db: &self.db,
-                model: model.as_ref(),
-                train: &train,
-                outputs: &outputs,
-                queries: &self.queries,
-                influence: &influence,
-                sqlstep: &sqlstep,
-            };
-            let rank_span = rain_obs::Span::enter("rank");
-            let ranking = match rank(method, &ctx) {
-                Ok(r) => r,
-                Err(e @ (RankError::IlpTimeout | RankError::Infeasible)) => {
-                    failure = Some(e.to_string());
-                    break;
-                }
-            };
-            drop(rank_span);
-
-            // (5) Remove the top-k.
-            let k = cfg.k_per_iter.min(cfg.budget - removed.len());
-            let batch: Vec<usize> = ranking.records.iter().take(k).map(|r| r.id).collect();
-            if batch.is_empty() {
-                break;
-            }
-            train = train.remove_ids(&batch);
-            removed.extend(batch.iter().copied());
-            iter_span.add("removed", batch.len() as u64);
-            iterations.push(IterStats {
-                train_s,
-                encode_s: exec_s + ranking.encode_s + std::mem::take(&mut pending_prepare_s),
-                rank_s: ranking.rank_s,
-                removed: batch,
-                complaints_satisfied: satisfied,
-                checks_skipped,
-                train_loss: report.final_loss,
-            });
-            if train.is_empty() {
-                break;
-            }
-        }
-        // Harvest the sampled iteration subtrees (in iteration order),
-        // retaining the most recent [`MAX_ITERATION_PROFILES`]. Older
-        // ones are still drained from the trace buffers — sampling must
-        // never leak records — and harvest happens even when the run
-        // failed, before the error propagates.
-        let mut iteration_profiles = Vec::new();
-        for (iteration, id) in sampled {
-            if let Some(profile) = rain_obs::take_subtree(id) {
+            // The most recent [`MAX_ITERATION_PROFILES`] samples are kept.
+            if let Some(trace) = sampled {
+                let profile = trace.finish();
                 iteration_profiles.push(IterationProfile { iteration, profile });
                 if iteration_profiles.len() > MAX_ITERATION_PROFILES {
                     iteration_profiles.remove(0);
                 }
             }
-        }
-        if let Some(e) = exec_err {
-            return Err(e);
+            if stop {
+                break;
+            }
         }
         Ok(DebugReport {
             removed,
             iterations,
             skeleton_rebuilds,
             failure,
-            profile: None,
+            profile: trace.map(Trace::finish),
             iteration_profiles,
         })
     }
@@ -472,10 +436,10 @@ pub struct RunConfig {
     /// (starting with the first) runs under a scoped trace and its span
     /// tree lands in [`DebugReport::iteration_profiles`] — so the
     /// profile of the iteration that went wrong already exists when the
-    /// operator asks for it. `0` disables sampling; sampling also stands
-    /// down while any trace is already live ([`RunConfig::profile`] or
-    /// an ambient [`rain_obs::activate`] covers everything). Outputs are
-    /// bit-identical at every setting. Default 16 (1-in-16); the serving
+    /// operator asks for it. `0` disables sampling. A run that is traced
+    /// as a whole ([`RunConfig::profile`], or a caller's own
+    /// [`rain_obs::Trace`] on the calling thread) has every iteration in
+    /// that trace instead. Outputs are bit-identical at every setting. Default 16 (1-in-16); the serving
     /// layer overrides it per session.
     pub sample_every: usize,
 }

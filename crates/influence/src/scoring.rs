@@ -300,15 +300,12 @@ mod tests {
         m.set_params(&rng.normal_vec(m.n_params(), 0.1));
         let s = rng.normal_vec(m.n_params(), 1.0);
         let serial = score_records(&m, &data, &s, 1);
-        let _tracing = rain_obs::activate();
         // The budget is a ceiling, the input decides below it: never more
         // workers than asked, never more than have a full share of work.
         for (threads, workers) in [(0, 1), (2, 2), (64, shares)] {
-            let root = rain_obs::Span::enter("budget");
+            let trace = rain_obs::Trace::start("budget");
             assert_eq!(score_records(&m, &data, &s, threads), serial, "{threads}");
-            let id = root.id();
-            drop(root);
-            let tree = rain_obs::take_subtree(id).expect("traced");
+            let tree = trace.finish();
             let span = tree.find("score_records").expect("score_records span");
             assert_eq!(
                 span.counters,
@@ -323,12 +320,9 @@ mod tests {
         let (data, _) = blobs_with_flips(120, 0, 5);
         let m = fitted(&data);
         let s = vec![1.0; m.n_params()];
-        let _tracing = rain_obs::activate();
-        let root = rain_obs::Span::enter("budget");
+        let trace = rain_obs::Trace::start("budget");
         score_records(&m, &data, &s, 8);
-        let id = root.id();
-        drop(root);
-        let tree = rain_obs::take_subtree(id).expect("traced");
+        let tree = trace.finish();
         let span = tree.find("score_records").expect("score_records span");
         assert_eq!(span.counters, [("rows", 120), ("workers", 1)]);
     }

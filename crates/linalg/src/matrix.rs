@@ -129,9 +129,11 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Iterator over rows as slices.
+    /// Iterator over rows as slices — `rows` of them, empty ones when the
+    /// matrix has no columns.
     pub fn iter_rows(&self) -> impl ExactSizeIterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1)).take(self.rows)
+        let cols = self.cols;
+        (0..self.rows).map(move |i| &self.data[i * cols..(i + 1) * cols])
     }
 
     /// Matrix–vector product `A·x`.
@@ -286,6 +288,15 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn push_row_checks_width() {
         Matrix::zeros(1, 2).push_row(&[1.0]);
+    }
+
+    #[test]
+    fn zero_width_matrix_still_has_its_rows() {
+        let m = Matrix::zeros(3, 0);
+        assert_eq!(m.iter_rows().len(), 3);
+        assert!(m.iter_rows().all(<[f64]>::is_empty));
+        assert_eq!(m.matvec(&[]), vec![0.0, 0.0, 0.0]);
+        assert_eq!(m.matvec_t(&[1.0, 2.0, 3.0]), Vec::<f64>::new());
     }
 
     #[test]

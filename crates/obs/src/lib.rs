@@ -2,15 +2,16 @@
 //!
 //! Three halves, all dependency-free and thread-safe:
 //!
-//! - [`trace`]: an RAII span API ([`Span::enter`] / [`Span::enter_under`])
-//!   over monotonic clocks with a global atomic enable switch. Disabled
-//!   spans cost one relaxed load and a branch — cheap enough to leave
-//!   compiled into every operator of the query pipeline. Enabled spans
-//!   record into bounded per-thread shards (writers never contend on a
-//!   shared lock); a consumer wraps its work in a root span and harvests
-//!   exactly that subtree with [`take_subtree`], stitched into a
-//!   deterministic `(start, id)`-ordered tree, so concurrent traces
-//!   don't bleed into each other.
+//! - [`trace`]: request-scoped tracing. A [`Trace`] guard gives one
+//!   request its own record buffer and makes it the calling thread's
+//!   context; [`Span::enter`] records into the trace its thread carries
+//!   and is an inert zero (one thread-local read) on a thread that
+//!   carries none — cheap enough to leave compiled into every operator
+//!   of the query pipeline. Worker threads join their parent's trace
+//!   through [`Span::enter_under`]. [`Trace::finish`] stitches the
+//!   records into a deterministic `(start, id)`-ordered [`TraceNode`]
+//!   tree; concurrent traces share no buffer, so they never bleed into
+//!   each other.
 //! - [`metrics`]: a [`Registry`] of named [`Counter`]s, [`Gauge`]s and
 //!   quantile [`Sketch`]es (optionally
 //!   labeled, e.g. per-endpoint) with lock-free updates, rendered in
@@ -20,7 +21,7 @@
 //!   the registry's `summary` families — p50/p95/p99/p999 within ~2%
 //!   relative error, mergeable across shards.
 //!
-//! The serve layer turns harvested [`TraceNode`] trees into the JSON
+//! The serve layer turns finished [`TraceNode`] trees into the JSON
 //! profiles returned by `?profile=1` debug runs, `EXPLAIN ANALYZE`
 //! queries, and the always-on sampled profile ring at
 //! `GET /debug/profiles`; `rain-core` attaches them to `DebugReport`s.
@@ -33,7 +34,4 @@ pub use metrics::{parse_exposition, Counter, Gauge, Metric, Registry, Sample};
 pub use sketch::{
     Sketch, SketchSnapshot, SKETCH_GAMMA, SKETCH_MIN, SKETCH_REL_ERROR, SLO_QUANTILES,
 };
-pub use trace::{
-    activate, buffered_records, clear, dropped_records, enabled, set_enabled, take_subtree,
-    ActiveTrace, Span, SpanId, TraceNode, MAX_RECORDS,
-};
+pub use trace::{enabled, Span, Trace, TraceNode, MAX_RECORDS};

@@ -1,209 +1,127 @@
-//! Lightweight spans with near-zero disabled cost and sharded collection.
+//! Request-scoped spans with near-zero cost outside a trace.
 //!
-//! A [`Span`] is an RAII guard around a region of work: [`Span::enter`]
-//! stamps a monotonic start time ([`Instant`]), `Drop` records the
-//! duration plus any counters attached with [`Span::add`] into a
-//! **per-thread shard**. Recording is gated by one global switch read
-//! with a single `Relaxed` atomic load — when tracing is off, `enter`
-//! costs a load and a branch and allocates nothing, so instrumentation
-//! can stay compiled into every hot path (the `benches/obs.rs` gate holds
-//! the *enabled* overhead under 5% on the DBLP join; disabled overhead is
-//! not measurable).
+//! A [`Trace`] is one request's record buffer — one `?profile=1` debug
+//! run, one analyzed or sampled query, one sampled iteration.
+//! [`Trace::start`] opens the trace's root span and makes the trace the
+//! calling thread's context; [`Trace::finish`] closes the root and
+//! stitches the trace's records into a [`TraceNode`] tree; dropping the
+//! guard unfinished discards them.
 //!
-//! ## Sharded collection
+//! A [`Span`] is an RAII guard around a region of work. [`Span::enter`]
+//! nests under the calling thread's innermost open span and, on `Drop`,
+//! records its duration plus any counters attached with [`Span::add`]
+//! into that span's trace. On a thread with no open trace it is inert:
+//! one thread-local read, no clock read, no allocation — so
+//! instrumentation stays compiled into every hot path. Worker threads
+//! (morsels, partitions, inference shards) don't share the spawner's
+//! stack: [`Span::enter_under`] opens a worker's span under a borrowed
+//! parent and makes the parent's trace the worker's context while that
+//! span is open, so a `Span::enter` inside the worker records too.
 //!
-//! Each recording thread owns a shard (a small mutexed `Vec` it alone
-//! writes) registered once in a global shard list. Concurrent cached
-//! queries and morsel workers therefore never contend on a shared lock:
-//! a span drop locks only its own thread's shard. Harvesting
-//! ([`take_subtree`]) locks the shard list plus every shard, stitches
-//! the claimed records into one tree, and removes exactly those records
-//! — records belonging to other in-flight traces stay where they are.
-//! Shards of exited threads are drained and pruned on the next harvest,
-//! so short-lived worker threads don't leak. The total buffered record
-//! count is bounded across all shards ([`MAX_RECORDS`]); records past
-//! the cap are dropped (counted, never blocking).
+//! Traces share nothing. Concurrent requests record into their own
+//! buffers, and a thread without a trace never records, whatever other
+//! threads are tracing. A trace holds at most [`MAX_RECORDS`] records;
+//! spans past the cap are counted in a `dropped` counter on the root.
+//! A trace started inside another takes the thread over until it ends:
+//! its spans are in its own tree, not in the outer one.
 //!
-//! Stitching is deterministic: children sort by `(start_ns, span id)`,
-//! not by buffer arrival order, so a harvested tree is stable no matter
-//! which worker thread flushed first.
-//!
-//! Parentage is tracked per thread: `enter` nests under the innermost
-//! live span on the calling thread. Worker threads (morsel scans, refresh
-//! inference shards) don't inherit the spawner's stack, so they attach
-//! explicitly with [`Span::enter_under`], passing the parent's
-//! [`Span::id`] into the closure. Multiple concurrent traces coexist:
-//! each consumer wraps its work in a root span and harvests exactly that
-//! subtree with [`take_subtree`].
-//!
-//! Enablement composes: [`set_enabled`] flips a process-wide switch (used
-//! by benches), while [`activate`] returns a guard for scoped enablement
-//! (used by `?profile=1` runs, sampled serve-layer profiles, and
-//! `EXPLAIN ANALYZE`) — tracing records whenever either is on.
+//! Stitching is deterministic: siblings sort by `(start_ns, span id)`,
+//! not by the order worker threads closed them.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Identifier of a recorded span; `0` means "no span" (disabled or root).
-pub type SpanId = u64;
-
-/// Cap on buffered span records, summed across all shards; pushes past it
-/// are dropped (counted by [`dropped_records`]) so an unharvested trace
-/// can never grow unbounded.
+/// Cap on the records one trace holds, its root included; spans past it
+/// are counted (a `dropped` counter on the finished root), not recorded.
 pub const MAX_RECORDS: usize = 1 << 16;
 
-static FORCED: AtomicBool = AtomicBool::new(false);
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-/// Records currently buffered across every shard (the [`MAX_RECORDS`]
-/// budget). Reserved with a `fetch_add` before the shard push so the cap
-/// holds without any cross-shard lock.
-static BUFFERED: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static STACK: RefCell<Vec<SpanId>> = const { RefCell::new(Vec::new()) };
-    /// This thread's shard; lazily created and registered on first record,
-    /// dropped (leaving the registry's Arc as sole owner) at thread exit.
-    static LOCAL: RefCell<Option<Arc<Shard>>> = const { RefCell::new(None) };
+    /// This thread's open spans, innermost last, each with the trace it
+    /// records into. Non-empty exactly while the thread carries a trace.
+    static STACK: RefCell<Vec<(u64, Arc<Buf>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Process-wide monotonic epoch; span start times are offsets from it.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+/// True when the calling thread carries a live trace, i.e. a
+/// [`Span::enter`] here would record.
+#[inline]
+pub fn enabled() -> bool {
+    STACK.with(|s| !s.borrow().is_empty())
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Rec {
-    id: SpanId,
-    parent: SpanId,
+    id: u64,
+    parent: u64,
     name: &'static str,
     start_ns: u64,
     dur_ns: u64,
     counters: Vec<(&'static str, u64)>,
 }
 
-/// One thread's record buffer. Only its owner thread pushes; harvesters
-/// lock it to drain, so writer contention is zero in steady state.
 #[derive(Debug, Default)]
-struct Shard {
-    recs: Mutex<Vec<Rec>>,
+struct Recs {
+    list: Vec<Rec>,
+    dropped: u64,
+}
+
+/// One trace's records, shared by every thread that records into it.
+#[derive(Debug)]
+struct Buf {
+    /// Span start times are offsets from here.
+    t0: Instant,
+    /// Next span id; `0` is "no parent", so the root gets `1`.
+    next_id: AtomicU64,
+    recs: Mutex<Recs>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// All live (and recently-exited, not-yet-pruned) shards. Writers touch
-/// this once per thread lifetime, at registration.
-fn registry() -> &'static Mutex<Vec<Arc<Shard>>> {
-    static R: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
-    R.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// `Sync` but not `Send`: a span sits on the stack of the thread that
+/// opened it and must close there, while workers may borrow it as a
+/// parent.
+type ThreadBound = PhantomData<MutexGuard<'static, ()>>;
 
-/// This thread's shard, creating and registering it on first use.
-fn local_shard() -> Arc<Shard> {
-    LOCAL.with(|l| {
-        let mut slot = l.borrow_mut();
-        if let Some(s) = slot.as_ref() {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(Shard::default());
-        lock(registry()).push(Arc::clone(&s));
-        *slot = Some(Arc::clone(&s));
-        s
-    })
-}
-
-/// Force tracing on or off process-wide (benches, tests). Scoped
-/// consumers should prefer [`activate`].
-pub fn set_enabled(on: bool) {
-    FORCED.store(on, Ordering::Relaxed);
-}
-
-/// True when spans record: the forced switch or any live [`ActiveTrace`].
-#[inline]
-pub fn enabled() -> bool {
-    FORCED.load(Ordering::Relaxed) || ACTIVE.load(Ordering::Relaxed) > 0
-}
-
-/// RAII guard that keeps tracing enabled while alive; guards nest.
-#[derive(Debug)]
-pub struct ActiveTrace(());
-
-/// Enable tracing for the lifetime of the returned guard.
-pub fn activate() -> ActiveTrace {
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
-    ActiveTrace(())
-}
-
-impl Drop for ActiveTrace {
-    fn drop(&mut self) {
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Records dropped because the buffers were at [`MAX_RECORDS`].
-pub fn dropped_records() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
-/// Records currently buffered and unharvested, across all shards.
-pub fn buffered_records() -> usize {
-    BUFFERED.load(Ordering::Relaxed)
-}
-
-/// Drop every buffered record (tests and bench isolation).
-pub fn clear() {
-    let mut reg = lock(registry());
-    let mut cleared = 0usize;
-    for shard in reg.iter() {
-        let mut recs = lock(&shard.recs);
-        cleared += recs.len();
-        recs.clear();
-    }
-    // Prune shards whose owning thread has exited (the registry holds the
-    // only reference once the thread-local Arc dropped).
-    reg.retain(|s| Arc::strong_count(s) > 1);
-    BUFFERED.fetch_sub(cleared, Ordering::Relaxed);
-    DROPPED.store(0, Ordering::Relaxed);
-}
-
-/// An in-flight span. Inert (no allocation, no clock read) when tracing
-/// was disabled at `enter` time; its `Drop` then does nothing.
+/// An in-flight span. Inert (no allocation, no clock read) when its
+/// thread carried no trace at `enter` time; its `Drop` then does nothing.
 #[derive(Debug)]
 pub struct Span {
-    id: SpanId,
-    parent: SpanId,
+    id: u64,
+    parent: u64,
     name: &'static str,
-    start: Option<Instant>,
     start_ns: u64,
     counters: Vec<(&'static str, u64)>,
+    /// The trace this span records into and its start; `None` = inert.
+    live: Option<(Arc<Buf>, Instant)>,
+    _thread: ThreadBound,
 }
 
 impl Span {
-    /// Open a span nested under the innermost live span on this thread.
+    /// Open a span nested under the innermost open span on this thread.
     #[inline]
     pub fn enter(name: &'static str) -> Span {
-        if !enabled() {
-            return Span::inert(name);
+        let top = STACK.with(|s| s.borrow().last().map(|(id, buf)| (*id, Arc::clone(buf))));
+        match top {
+            Some((parent, buf)) => Span::open(name, parent, buf),
+            None => Span::inert(name),
         }
-        let parent = STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-        Span::open(name, parent)
     }
 
-    /// Open a span under an explicit parent — for worker threads that
-    /// don't share the spawner's thread-local span stack.
+    /// Open a span under `parent` and record it into `parent`'s trace —
+    /// for worker threads, which don't share the spawner's span stack.
+    /// While it is open, spans entered on this thread nest under it.
     #[inline]
-    pub fn enter_under(parent: SpanId, name: &'static str) -> Span {
-        if !enabled() {
-            return Span::inert(name);
+    pub fn enter_under(parent: &Span, name: &'static str) -> Span {
+        match &parent.live {
+            Some((buf, _)) => Span::open(name, parent.id, Arc::clone(buf)),
+            None => Span::inert(name),
         }
-        Span::open(name, parent)
     }
 
     fn inert(name: &'static str) -> Span {
@@ -211,41 +129,36 @@ impl Span {
             id: 0,
             parent: 0,
             name,
-            start: None,
             start_ns: 0,
             counters: Vec::new(),
+            live: None,
+            _thread: PhantomData,
         }
     }
 
-    fn open(name: &'static str, parent: SpanId) -> Span {
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        STACK.with(|s| s.borrow_mut().push(id));
-        let ep = epoch();
+    fn open(name: &'static str, parent: u64, buf: Arc<Buf>) -> Span {
+        let id = buf.next_id.fetch_add(1, Ordering::Relaxed);
+        STACK.with(|s| s.borrow_mut().push((id, Arc::clone(&buf))));
         let now = Instant::now();
         Span {
             id,
             parent,
             name,
-            start: Some(now),
-            start_ns: now.duration_since(ep).as_nanos() as u64,
+            start_ns: now.duration_since(buf.t0).as_nanos() as u64,
             counters: Vec::new(),
+            live: Some((buf, now)),
+            _thread: PhantomData,
         }
-    }
-
-    /// This span's id (`0` when tracing was disabled at `enter` time) —
-    /// pass into worker closures for [`Span::enter_under`].
-    pub fn id(&self) -> SpanId {
-        self.id
     }
 
     /// True when this span will record on drop.
     pub fn is_recording(&self) -> bool {
-        self.start.is_some()
+        self.live.is_some()
     }
 
     /// Attach a counter (e.g. `rows_in` / `rows_out`). No-op when inert.
     pub fn add(&mut self, key: &'static str, value: u64) {
-        if self.start.is_some() {
+        if self.live.is_some() {
             self.counters.push((key, value));
         }
     }
@@ -253,38 +166,87 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+        let Some((buf, start)) = self.live.take() else {
+            return;
+        };
         let dur_ns = start.elapsed().as_nanos() as u64;
-        STACK.with(|s| {
+        // The innermost entry, unless spans moved across an early return
+        // close out of order: remove just this one, keep the rest.
+        let _ = STACK.try_with(|s| {
             let mut st = s.borrow_mut();
-            if st.last() == Some(&self.id) {
-                st.pop();
-            } else if let Some(pos) = st.iter().rposition(|&x| x == self.id) {
-                // Out-of-order drop (spans moved across an early return):
-                // remove just this entry, keep the rest of the stack.
+            if let Some(pos) = st
+                .iter()
+                .rposition(|(id, b)| *id == self.id && Arc::ptr_eq(b, &buf))
+            {
                 st.remove(pos);
             }
         });
-        // Reserve budget before touching the shard; undo on overflow so
-        // the global cap holds without a cross-shard lock.
-        if BUFFERED.fetch_add(1, Ordering::Relaxed) >= MAX_RECORDS {
-            BUFFERED.fetch_sub(1, Ordering::Relaxed);
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut recs = lock(&buf.recs);
+        // The root always records: a finished trace must have its top.
+        if self.parent == 0 || recs.list.len() < MAX_RECORDS - 1 {
+            recs.list.push(Rec {
+                id: self.id,
+                parent: self.parent,
+                name: self.name,
+                start_ns: self.start_ns,
+                dur_ns,
+                counters: std::mem::take(&mut self.counters),
+            });
+        } else {
+            recs.dropped += 1;
         }
-        let shard = local_shard();
-        lock(&shard.recs).push(Rec {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            start_ns: self.start_ns,
-            dur_ns,
-            counters: std::mem::take(&mut self.counters),
-        });
     }
 }
 
-/// One node of a harvested trace tree. Times are nanoseconds; `start_ns`
+/// A live trace: the guard that owns one request's records. Derefs to
+/// its root [`Span`], so counters attach with [`Span::add`] and workers
+/// attach with `Span::enter_under(&trace, ..)`.
+#[derive(Debug)]
+pub struct Trace {
+    root: Span,
+    buf: Arc<Buf>,
+}
+
+impl Trace {
+    /// Open a trace whose root span is `name` and make it the calling
+    /// thread's context until the guard is finished or dropped.
+    pub fn start(name: &'static str) -> Trace {
+        let buf = Arc::new(Buf {
+            t0: Instant::now(),
+            next_id: AtomicU64::new(1),
+            recs: Mutex::default(),
+        });
+        Trace {
+            root: Span::open(name, 0, Arc::clone(&buf)),
+            buf,
+        }
+    }
+
+    /// Close the root span and return the trace's tree. Spans still open
+    /// (none, when every worker was joined) are not in it.
+    pub fn finish(self) -> TraceNode {
+        let Trace { root, buf } = self;
+        drop(root);
+        let recs = std::mem::take(&mut *lock(&buf.recs));
+        build_tree(recs)
+    }
+}
+
+impl Deref for Trace {
+    type Target = Span;
+
+    fn deref(&self) -> &Span {
+        &self.root
+    }
+}
+
+impl DerefMut for Trace {
+    fn deref_mut(&mut self) -> &mut Span {
+        &mut self.root
+    }
+}
+
+/// One node of a finished trace tree. Times are nanoseconds; `start_ns`
 /// is relative to the tree's root start, so a tree is self-contained.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceNode {
@@ -297,7 +259,7 @@ pub struct TraceNode {
     /// Counters attached with [`Span::add`], in attach order.
     pub counters: Vec<(&'static str, u64)>,
     /// Child spans, ordered by `(start_ns, span id)` — deterministic even
-    /// when concurrent workers flushed to different shards in any order.
+    /// when concurrent workers closed them in any order.
     pub children: Vec<TraceNode>,
 }
 
@@ -316,139 +278,70 @@ impl TraceNode {
     }
 }
 
-/// Harvest the subtree rooted at `root` (a [`Span::id`] whose span has
-/// already dropped): claimed records are removed from the shards they
-/// landed in, records belonging to other traces stay. Returns `None`
-/// when `root` is `0` or was never recorded (tracing disabled, or the
-/// buffer cap dropped it).
-///
-/// Concurrent harvesters serialize on the shard list; each claims a
-/// disjoint subtree, so two drains never lose or duplicate a record.
-pub fn take_subtree(root: SpanId) -> Option<TraceNode> {
-    if root == 0 {
-        return None;
+/// Stitch a trace's records into a tree under its root (the one record
+/// without a parent). Siblings are ordered by `(start_ns, id)`, so the
+/// result is independent of which thread closed its span first.
+fn build_tree(recs: Recs) -> TraceNode {
+    let mut kids: HashMap<u64, Vec<Rec>> = HashMap::new();
+    for r in recs.list {
+        kids.entry(r.parent).or_default().push(r);
     }
-    let mut reg = lock(registry());
-    // Hold every shard lock for the whole claim so the view is consistent
-    // (children complete — and record — before their parent, so once the
-    // root is visible the full subtree is too).
-    let mut guards: Vec<MutexGuard<'_, Vec<Rec>>> = reg.iter().map(|s| lock(&s.recs)).collect();
-    let root_pos = guards
-        .iter()
-        .enumerate()
-        .find_map(|(si, g)| g.iter().position(|r| r.id == root).map(|ri| (si, ri)))?;
-    let mut kids: HashMap<SpanId, Vec<(usize, usize)>> = HashMap::new();
-    for (si, g) in guards.iter().enumerate() {
-        for (ri, r) in g.iter().enumerate() {
-            kids.entry(r.parent).or_default().push((si, ri));
-        }
-    }
-    let mut claimed: Vec<(usize, usize)> = vec![root_pos];
-    let mut frontier = vec![root];
-    while let Some(id) = frontier.pop() {
-        for &(si, ri) in kids.get(&id).into_iter().flatten() {
-            claimed.push((si, ri));
-            frontier.push(guards[si][ri].id);
-        }
-    }
-    let taken: Vec<Rec> = claimed
-        .iter()
-        .map(|&(si, ri)| guards[si][ri].clone())
-        .collect();
-    // Remove the claimed records shard by shard (position masks — indices
-    // stay valid because nothing else can mutate under our guards).
-    let mut masks: Vec<Vec<bool>> = guards.iter().map(|g| vec![true; g.len()]).collect();
-    for &(si, ri) in &claimed {
-        masks[si][ri] = false;
-    }
-    for (g, mask) in guards.iter_mut().zip(&masks) {
-        let mut idx = 0;
-        g.retain(|_| {
-            let keep = mask[idx];
-            idx += 1;
-            keep
-        });
-    }
-    BUFFERED.fetch_sub(taken.len(), Ordering::Relaxed);
-    drop(guards);
-    // Prune shards of exited threads once drained: the registry's Arc is
-    // the only reference left and the shard is empty.
-    reg.retain(|s| Arc::strong_count(s) > 1 || !lock(&s.recs).is_empty());
-    drop(reg);
-
-    Some(build_tree(taken))
-}
-
-/// Stitch a flat claimed record set into a tree. Children are ordered by
-/// `(start_ns, id)`: start-tick first, span id as the tie-break, so the
-/// result is independent of which shard (thread) flushed first.
-fn build_tree(taken: Vec<Rec>) -> TraceNode {
-    let root_start = taken[0].start_ns;
-    let mut children: HashMap<SpanId, Vec<&Rec>> = HashMap::new();
-    for r in taken.iter().skip(1) {
-        children.entry(r.parent).or_default().push(r);
-    }
-    fn build(r: &Rec, root_start: u64, children: &HashMap<SpanId, Vec<&Rec>>) -> TraceNode {
-        let mut kids: Vec<&Rec> = children.get(&r.id).into_iter().flatten().copied().collect();
-        kids.sort_by_key(|c| (c.start_ns, c.id));
+    let root = kids
+        .remove(&0)
+        .and_then(|mut roots| roots.pop())
+        .expect("a finished trace has recorded its root");
+    fn build(r: Rec, root_start: u64, kids: &mut HashMap<u64, Vec<Rec>>) -> TraceNode {
+        let mut mine = kids.remove(&r.id).unwrap_or_default();
+        mine.sort_by_key(|c| (c.start_ns, c.id));
         TraceNode {
             name: r.name,
             start_ns: r.start_ns.saturating_sub(root_start),
             dur_ns: r.dur_ns,
-            counters: r.counters.clone(),
-            children: kids
+            counters: r.counters,
+            children: mine
                 .into_iter()
-                .map(|c| build(c, root_start, children))
+                .map(|c| build(c, root_start, kids))
                 .collect(),
         }
     }
-    build(&taken[0], root_start, &children)
+    let root_start = root.start_ns;
+    let mut tree = build(root, root_start, &mut kids);
+    if recs.dropped > 0 {
+        tree.counters.push(("dropped", recs.dropped));
+    }
+    tree
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Trace tests share the global shard registry; run under one lock so
-    // parallel test threads don't interleave spans.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static L: Mutex<()> = Mutex::new(());
-        L.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
     fn disabled_spans_are_inert_and_record_nothing() {
-        let _g = serial();
         assert!(!enabled());
         let mut s = Span::enter("noop");
         s.add("rows", 5);
-        assert_eq!(s.id(), 0);
         assert!(!s.is_recording());
+        assert!(!Span::enter_under(&s, "worker").is_recording());
         drop(s);
-        assert!(take_subtree(1).is_none());
-        assert!(take_subtree(0).is_none());
+        assert!(!enabled());
     }
 
     #[test]
     fn nested_spans_build_a_tree_with_counters() {
-        let _g = serial();
-        clear();
-        let t = activate();
-        let root_id;
+        let root = Trace::start("root");
+        assert!(enabled());
         {
-            let root = Span::enter("root");
-            root_id = root.id();
-            {
-                let mut a = Span::enter("a");
-                a.add("rows_in", 10);
-                a.add("rows_out", 7);
-                let _a1 = Span::enter("a1");
-            }
-            let _b = Span::enter("b");
+            let mut a = Span::enter("a");
+            a.add("rows_in", 10);
+            a.add("rows_out", 7);
+            let _a1 = Span::enter("a1");
         }
-        drop(t);
-        let tree = take_subtree(root_id).expect("root recorded");
+        drop(Span::enter("b"));
+        let tree = root.finish();
+        assert!(!enabled(), "finishing the trace leaves the thread untraced");
         assert_eq!(tree.name, "root");
+        assert_eq!(tree.start_ns, 0);
         assert_eq!(tree.size(), 4);
         assert_eq!(tree.children.len(), 2);
         assert_eq!(tree.children[0].name, "a");
@@ -457,110 +350,119 @@ mod tests {
         assert_eq!(a.counters, vec![("rows_in", 10), ("rows_out", 7)]);
         assert_eq!(a.children[0].name, "a1");
         assert!(tree.dur_ns >= a.dur_ns);
-        // The subtree was drained: a second take finds nothing.
-        assert!(take_subtree(root_id).is_none());
-        assert_eq!(buffered_records(), 0);
     }
 
     #[test]
     fn enter_under_attaches_worker_spans_to_an_explicit_parent() {
-        let _g = serial();
-        clear();
-        let t = activate();
-        let root = Span::enter("root");
-        let rid = root.id();
+        let mut trace = Trace::start("root");
+        trace.add("root_counter", 1);
+        let parent = &*trace;
         std::thread::scope(|s| {
             for i in 0..3u64 {
                 s.spawn(move || {
-                    let mut m = Span::enter_under(rid, "morsel");
+                    // A worker thread carries no trace of its own...
+                    assert!(!Span::enter("stray").is_recording());
+                    let mut m = Span::enter_under(parent, "morsel");
                     m.add("items", i);
+                    // ...until a span opened under a traced parent hands
+                    // it the parent's trace: plain `enter` nests below.
+                    let inner = Span::enter("inner");
+                    assert!(inner.is_recording());
                 });
             }
         });
-        drop(root);
-        drop(t);
-        let tree = take_subtree(rid).unwrap();
+        let tree = trace.finish();
+        assert_eq!(tree.counters, vec![("root_counter", 1)]);
         assert_eq!(tree.children.len(), 3);
-        assert!(tree.children.iter().all(|c| c.name == "morsel"));
+        for m in &tree.children {
+            assert_eq!(m.name, "morsel");
+            assert_eq!(m.children.len(), 1);
+            assert_eq!(m.children[0].name, "inner");
+        }
     }
 
     #[test]
     fn concurrent_traces_harvest_their_own_subtrees() {
-        let _g = serial();
-        clear();
-        let t = activate();
-        let (r1, r2);
-        {
-            let a = Span::enter("trace-a");
-            r1 = a.id();
-            let _c = Span::enter("child-a");
-        }
-        {
-            let b = Span::enter("trace-b");
-            r2 = b.id();
-            let _c = Span::enter("child-b");
-        }
-        drop(t);
-        let ta = take_subtree(r1).unwrap();
-        assert_eq!(ta.size(), 2);
-        assert!(ta.find("child-b").is_none());
-        let tb = take_subtree(r2).unwrap();
-        assert_eq!(tb.find("child-b").unwrap().name, "child-b");
+        let a = Trace::start("trace-a");
+        let _ca = Span::enter("child-a");
+        // A trace started inside another takes the thread over until it
+        // finishes; the outer trace resumes afterwards.
+        let b = Trace::start("trace-b");
+        drop(Span::enter("child-b"));
+        let tb = b.finish();
+        drop(Span::enter("child-a2"));
+        drop(_ca);
+        let ta = a.finish();
+        assert_eq!(tb.size(), 2);
+        assert_eq!(tb.children[0].name, "child-b");
+        assert_eq!(ta.size(), 3);
+        assert!(ta.find("child-b").is_none(), "inner trace bled out");
+        assert!(ta.find("child-a").unwrap().find("child-a2").is_some());
     }
 
     #[test]
-    fn worker_threads_record_into_their_own_shards() {
-        let _g = serial();
-        clear();
-        let t = activate();
-        let root = Span::enter("root");
-        let rid = root.id();
-        let shards_before = lock(registry()).len();
-        // Plain spawn + join (join waits for full thread exit, so the
-        // workers' thread-local shard handles have been dropped too).
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    let _m = Span::enter_under(rid, "w");
+    fn spans_on_other_threads_are_inert_while_one_thread_traces() {
+        let trace = Trace::start("a");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!enabled());
+                let mut b = Span::enter("b");
+                b.add("rows", 1);
+                assert!(!b.is_recording(), "thread B recorded into A's trace");
+            });
+        });
+        drop(Span::enter("a-child"));
+        let tree = trace.finish();
+        assert_eq!(tree.size(), 2);
+        assert!(tree.find("b").is_none());
+    }
+
+    #[test]
+    fn two_threads_tracing_at_once_each_finish_their_own_tree() {
+        let barrier = std::sync::Barrier::new(2);
+        let trees: Vec<TraceNode> = std::thread::scope(|s| {
+            let hs: Vec<_> = ["left", "right"]
+                .into_iter()
+                .map(|name| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let trace = Trace::start(name);
+                        // Both traces are live while either records.
+                        barrier.wait();
+                        for i in 0..50u64 {
+                            let mut c = Span::enter(name);
+                            c.add("i", i);
+                        }
+                        barrier.wait();
+                        trace.finish()
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                .collect();
+            hs.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for tree in &trees {
+            assert_eq!(tree.children.len(), 50);
+            assert!(tree.children.iter().all(|c| c.name == tree.name));
+            let order: Vec<u64> = tree.children.iter().map(|c| c.counters[0].1).collect();
+            assert_eq!(order, (0..50).collect::<Vec<_>>());
         }
-        // Each worker registered its own shard.
-        assert!(lock(registry()).len() >= shards_before + 4);
-        drop(root);
-        drop(t);
-        let tree = take_subtree(rid).unwrap();
-        assert_eq!(tree.children.len(), 4);
-        // The workers exited and their shards drained: harvest pruned them.
-        assert!(lock(registry()).len() <= shards_before + 1);
     }
 
     #[test]
-    fn stitching_orders_children_by_start_then_id_across_shards() {
-        let _g = serial();
-        clear();
-        let t = activate();
-        let root = Span::enter("root");
-        let rid = root.id();
-        // Sequential worker threads: each lands in a different shard, and
-        // arrival order at the registry differs from start order only if
-        // stitching were arrival-dependent — spans here strictly increase
-        // in both start tick and id, so the harvested order must match
-        // spawn order regardless of shard layout.
+    fn stitching_orders_children_by_start_then_id_across_threads() {
+        let trace = Trace::start("root");
+        // Sequential worker threads: spans strictly increase in both
+        // start tick and id, so the stitched order must match spawn
+        // order whichever thread's record landed first.
         for i in 0..6u64 {
             std::thread::scope(|s| {
-                s.spawn(move || {
-                    let mut m = Span::enter_under(rid, "step");
+                s.spawn(|| {
+                    let mut m = Span::enter_under(&trace, "step");
                     m.add("i", i);
                 });
             });
         }
-        drop(root);
-        drop(t);
-        let tree = take_subtree(rid).unwrap();
+        let tree = trace.finish();
         let order: Vec<u64> = tree
             .children
             .iter()
@@ -574,31 +476,47 @@ mod tests {
     }
 
     #[test]
-    fn buffer_cap_holds_across_shards() {
-        let _g = serial();
-        clear();
-        let t = activate();
-        // Record the root up front so the flood below can't evict it.
-        let root = Span::enter("cap-root");
-        let rid = root.id();
-        drop(root);
+    fn buffer_cap_holds_per_trace() {
         let n_threads = 4;
         let per_thread = MAX_RECORDS / n_threads + 64;
+        let flooded = Trace::start("cap-root");
         std::thread::scope(|s| {
             for _ in 0..n_threads {
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..per_thread {
-                        let _x = Span::enter_under(rid, "x");
+                        let _x = Span::enter_under(&flooded, "x");
                     }
                 });
             }
+            // A trace on another thread at the same time has its own
+            // budget: the flood costs it nothing.
+            s.spawn(|| {
+                let other = Trace::start("other");
+                for _ in 0..10 {
+                    drop(Span::enter("y"));
+                }
+                let tree = other.finish();
+                assert_eq!(tree.size(), 11);
+                assert!(tree.counters.is_empty());
+            });
         });
-        drop(t);
-        assert!(buffered_records() <= MAX_RECORDS);
-        assert!(dropped_records() > 0);
-        let tree = take_subtree(rid).expect("root survived the cap");
-        assert!(tree.size() <= MAX_RECORDS);
-        clear();
-        assert_eq!(buffered_records(), 0);
+        let tree = flooded.finish();
+        assert_eq!(tree.size(), MAX_RECORDS, "the root survives the cap");
+        let dropped = tree.counters.iter().find(|(k, _)| *k == "dropped");
+        let emitted = (n_threads * per_thread) as u64;
+        // Every emitted span is either in the tree or counted as dropped.
+        assert_eq!(
+            dropped.map(|d| d.1),
+            Some(emitted - (MAX_RECORDS as u64 - 1))
+        );
+    }
+
+    #[test]
+    fn dropping_an_unfinished_trace_discards_it() {
+        let trace = Trace::start("abandoned");
+        drop(Span::enter("child"));
+        drop(trace);
+        assert!(!enabled());
+        assert!(!Span::enter("after").is_recording());
     }
 }

@@ -358,12 +358,10 @@ impl SessionSlot {
         //
         // A profiled run traces the checkout phase too — cache lookups and
         // (on a miss) skeleton capture happen here, before the driver
-        // opens its own `debug-run` root — and the harvested `checkout`
-        // subtree is grafted onto the report's profile below so
+        // starts the run's own `debug-run` trace — and the `checkout`
+        // tree is grafted onto the report's profile below so
         // `?profile=1` covers prepare as well as refresh/rank.
-        let _checkout_trace = cfg.profile.then(rain_obs::activate);
-        let checkout_span = rain_obs::Span::enter("checkout");
-        let checkout_id = checkout_span.id();
+        let checkout_trace = cfg.profile.then(|| rain_obs::Trace::start("checkout"));
         let mut checked = Vec::with_capacity(st.sess.queries.len());
         let mut checkout_err = None;
         for q in &st.sess.queries {
@@ -378,8 +376,7 @@ impl SessionSlot {
                 }
             }
         }
-        drop(checkout_span);
-        let checkout_tree = rain_obs::take_subtree(checkout_id);
+        let checkout_tree = checkout_trace.map(rain_obs::Trace::finish);
         let result = match checkout_err {
             Some(e) => Err(e),
             None => {

@@ -834,9 +834,10 @@ mod tests {
                 })
                 .collect();
             let mut pairs = vec![("name", Json::str("T")), ("columns", Json::Arr(columns))];
-            // `features: []` is rejected, so an empty table carries none.
+            // Zero-width feature rows round-trip as `[[],…]`; a featured
+            // table has at least one row (`features: []` is rejected).
             if n_rows > 0 && rng.bernoulli(0.7) {
-                let dim = 1 + rng.below(3);
+                let dim = rng.below(3);
                 let rows = (0..n_rows)
                     .map(|_| {
                         Json::Arr(

@@ -477,23 +477,12 @@ fn upload_json(req: &Request) -> Result<Json, ApiError> {
     body_json(req)
 }
 
-/// Run `f` with tracing live under a root span named `what`, and harvest
-/// that span's tree.
-fn traced<T>(what: &'static str, f: impl FnOnce() -> T) -> (T, Option<rain_obs::TraceNode>) {
-    let _on = rain_obs::activate();
-    let root = rain_obs::Span::enter(what);
-    let root_id = root.id();
-    let out = f();
-    drop(root);
-    (out, rain_obs::take_subtree(root_id))
-}
-
 /// Run an ingest handler; under `?profile` (the flag `/debug-run` has),
-/// [`traced`], with the tree on the response as `"profile"`. It
-/// attributes the request to `serve.parse_body` (counter `bytes`),
-/// `serve.decode` (`rows`) and `serve.log_commit` (`bytes`) the way a
-/// profiled debug run is attributed to train / execute / rank. Without the
-/// flag the spans are inert.
+/// as a trace named `what`, with the tree on the response as
+/// `"profile"`. It attributes the request to `serve.parse_body` (counter
+/// `bytes`), `serve.decode` (`rows`) and `serve.log_commit` (`bytes`) the
+/// way a profiled debug run is attributed to train / execute / rank.
+/// Without the flag the spans are inert.
 fn profiled(
     req: &Request,
     what: &'static str,
@@ -502,10 +491,10 @@ fn profiled(
     if !req.query_flag("profile") {
         return run();
     }
-    let (res, trace) = traced(what, run);
-    let (status, mut body) = res?;
-    if let (Json::Obj(pairs), Some(trace)) = (&mut body, trace) {
-        pairs.push(("profile".to_string(), trace_to_json(&trace)));
+    let trace = rain_obs::Trace::start(what);
+    let (status, mut body) = run()?;
+    if let Json::Obj(pairs) = &mut body {
+        pairs.push(("profile".to_string(), trace_to_json(&trace.finish())));
     }
     Ok((status, body))
 }
@@ -1207,11 +1196,8 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
         body.get("analyze").and_then(Json::as_bool).unwrap_or(false) || req.query_flag("analyze");
     let slot = state.pool.get(name)?;
     // Always-on sampling: 1-in-N queries per session get the analyze
-    // path's tracing treatment and land in the profile ring. The sampler
-    // stands down while any trace is already live — an `analyze` request
-    // or a `?profile=1` run owns the collector then, and stealing its
-    // window would perturb *its* profile.
-    let sampled = !analyze && slot.should_sample() && !rain_obs::enabled();
+    // path's tracing treatment and land in the profile ring.
+    let sampled = !analyze && slot.should_sample();
     let t_exec = Instant::now();
     let mut st = slot.lock();
     let st = &mut *st;
@@ -1219,29 +1205,22 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
     // `analyze` (`EXPLAIN ANALYZE`) it also renders the executed plan —
     // the *cached skeleton's* plan, with resolved engine, thread, and
     // morsel counts plus estimated-vs-actual row counts per scan and
-    // join step. Analyzed and sampled queries run it traced; results are
-    // bit-identical either way — tracing is a pure observer.
-    let mut run = || {
-        let (db, model, threads) = (&st.sess.db, st.sess.model.as_ref(), st.cache.threads());
-        let cq = st.cache.checkout(db, model, &sql)?;
-        let out = cq.prepared.refresh(db, model, threads)?;
-        let explain = analyze.then(|| {
-            let sk = cq.prepared.stats();
-            let join_rows: Vec<usize> = sk.join_steps.iter().map(|&(_, n)| n).collect();
-            cq.prepared
-                .plan()
-                .explain_analyze(db, sk.engine, threads, &sk.scan_rows, &join_rows)
-        });
-        let event = cq.event;
-        st.cache.checkin(cq);
-        Ok::<_, rain_sql::QueryError>((out, event, explain))
-    };
-    let (res, trace) = if analyze || sampled {
-        traced("query", run)
-    } else {
-        (run(), None)
-    };
-    let (out, event, explain) = res?;
+    // join step. Analyzed and sampled queries run as a trace; results
+    // are bit-identical either way — tracing is a pure observer.
+    let trace = (analyze || sampled).then(|| rain_obs::Trace::start("query"));
+    let (db, model, threads) = (&st.sess.db, st.sess.model.as_ref(), st.cache.threads());
+    let cq = st.cache.checkout(db, model, &sql)?;
+    let out = cq.prepared.refresh(db, model, threads)?;
+    let explain = analyze.then(|| {
+        let sk = cq.prepared.stats();
+        let join_rows: Vec<usize> = sk.join_steps.iter().map(|&(_, n)| n).collect();
+        cq.prepared
+            .plan()
+            .explain_analyze(db, sk.engine, threads, &sk.scan_rows, &join_rows)
+    });
+    let event = cq.event;
+    st.cache.checkin(cq);
+    let trace = trace.map(rain_obs::Trace::finish);
     let stats = st.cache.stats();
     slot.publish_cache_stats(stats);
     let latency_s = t_exec.elapsed().as_secs_f64();
@@ -1258,17 +1237,11 @@ fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), 
     // Park the capture (sampled or analyze) in the profile ring; slow
     // queries the sampler skipped still get a traceless slow-ring entry
     // (the latency is known, the trace can't be reconstructed after the
-    // fact). While a sampling window is open here, *other* sessions'
-    // untraced spans can record orphan records nobody will harvest —
-    // drain the buffer when it crosses half capacity and no trace is
-    // live, so always-on sampling never pins stale records.
+    // fact).
     if trace.is_some() || slow {
         state
             .profiles
             .push("query", &slot.name, sql, latency_s, request_id, trace, slow);
-    }
-    if !rain_obs::enabled() && rain_obs::buffered_records() > rain_obs::MAX_RECORDS / 2 {
-        rain_obs::clear();
     }
     Ok((200, Json::obj(pairs)))
 }

@@ -113,35 +113,6 @@ fn await_job(client: &mut Client, id: i64) -> Json {
     }
 }
 
-/// Repeat a sampled query until `/debug/profiles` lists a recent entry
-/// `want` accepts, and return that listing.
-///
-/// Samplers stand down while an explicit trace is live anywhere in the
-/// process (the trace switch is process-global), and the test harness runs
-/// other tests' `?profile=1` and `analyze` requests on parallel threads —
-/// so any one sampled query may legitimately record nothing.
-fn query_until_profiled(
-    client: &mut Client,
-    path: &str,
-    q: &Json,
-    want: impl Fn(&Json) -> bool,
-) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        client.post_ok(path, q).unwrap();
-        let listing = client.get_ok("/debug/profiles").unwrap();
-        let recent = listing.get("recent").and_then(Json::as_arr);
-        if recent.is_some_and(|r| r.iter().any(&want)) {
-            return listing;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "sampled queries on {path} never reached the profile ring: {listing}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// The acceptance-criteria scenario: 16 client threads, one session
 /// each, concurrently registering tables, querying (twice — the repeat
 /// must hit the skeleton cache), filing complaints, and running debug
@@ -1083,36 +1054,27 @@ fn always_on_sampling_fills_the_profile_ring() {
             &count_complaint("SELECT COUNT(*) FROM pairs WHERE predict(*) = 1", 10.0),
         )
         .unwrap();
-    // (Repeated while iteration samplers stood down for another test's
-    // trace, like `query_until_profiled`.)
-    let mut done = Json::Null;
-    for _ in 0..50 {
-        let run = client
-            .post_ok(
-                "/sessions/ring/debug-run",
-                &Json::obj(vec![
-                    ("method", Json::str("loss")),
-                    ("budget", Json::num(4.0)),
-                    ("k_per_iter", Json::num(2.0)),
-                    ("sample_every", Json::num(1.0)),
-                ]),
-            )
-            .unwrap();
-        done = await_job(&mut client, run.get("job").unwrap().as_i64().unwrap());
-        // The report itself carries the sampled iteration trees (profile
-        // stays null — nobody asked for the full-run tree)…
-        let report = done.get("report").unwrap();
-        assert_eq!(report.get("profile"), Some(&Json::Null));
-        let sampled = report.get("iteration_profiles").unwrap().as_arr().unwrap();
-        if !sampled.is_empty() {
-            break;
-        }
-    }
+    let run = client
+        .post_ok(
+            "/sessions/ring/debug-run",
+            &Json::obj(vec![
+                ("method", Json::str("loss")),
+                ("budget", Json::num(4.0)),
+                ("k_per_iter", Json::num(2.0)),
+                ("sample_every", Json::num(1.0)),
+            ]),
+        )
+        .unwrap();
+    let done = await_job(&mut client, run.get("job").unwrap().as_i64().unwrap());
+    // The report itself carries the sampled iteration trees (profile
+    // stays null — nobody asked for the full-run tree)…
     let report = done.get("report").unwrap();
+    assert_eq!(report.get("profile"), Some(&Json::Null));
     let iter_profiles = report.get("iteration_profiles").unwrap().as_arr().unwrap();
-    assert!(
-        !iter_profiles.is_empty(),
-        "1-in-1 runs sampled no iterations"
+    assert_eq!(
+        iter_profiles.len(),
+        report.get("iterations").unwrap().as_arr().unwrap().len(),
+        "a 1-in-1 run samples every iteration"
     );
     for ip in iter_profiles {
         let tree = ip.get("profile").unwrap();
@@ -1122,9 +1084,7 @@ fn always_on_sampling_fills_the_profile_ring() {
 
     // …and the ring now serves both kinds of capture.
     let kind_of = |e: &Json| e.get("kind").and_then(Json::as_str).map(str::to_string);
-    let listing = query_until_profiled(&mut client, "/sessions/ring/query", &q, |e| {
-        kind_of(e).as_deref() == Some("query")
-    });
+    let listing = client.get_ok("/debug/profiles").unwrap();
     let recent = listing.get("recent").unwrap().as_arr().unwrap();
     let slow = listing.get("slow").unwrap().as_arr().unwrap();
     assert!(!slow.is_empty(), "slow_ms=0 captured nothing: {listing}");
@@ -1175,6 +1135,141 @@ fn always_on_sampling_fills_the_profile_ring() {
     // Unknown ids 404.
     let (status, _) = client.get("/debug/profiles/999999").unwrap();
     assert_eq!(status, 404);
+    server.shutdown();
+}
+
+/// Traces are per request. While session A runs a `?profile=1` debug
+/// job and then loops `analyze` queries, session B (sampling 1-in-1)
+/// issues M queries: the ring holds exactly M `query` entries from B,
+/// each with a span tree, and none of A's profiles contains a span of
+/// B's — B's table is 4 321 rows, A's data at most 600, so a B span
+/// carries a row count A's never do.
+#[test]
+fn concurrent_sessions_trace_only_their_own_requests() {
+    const M: usize = 24;
+    const B_ROWS: usize = 4321;
+    let server = start(ServerConfig::default()).unwrap();
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    client.post_ok("/sessions", &logistic_session("a")).unwrap();
+    client
+        .post_ok("/sessions/a/tables", &table_json("pairs", 30, 10))
+        .unwrap();
+    client
+        .post_ok("/sessions/a/train", &train_json(600, 100))
+        .unwrap();
+    let a_sql = "SELECT COUNT(*) FROM pairs WHERE predict(*) = 1";
+    client
+        .post_ok("/sessions/a/complain", &count_complaint(a_sql, 10.0))
+        .unwrap();
+    let b = with_keys(
+        logistic_session("b"),
+        vec![("sample_every", Json::num(1.0))],
+    );
+    client.post_ok("/sessions", &b).unwrap();
+    client
+        .post_ok("/sessions/b/tables", &table_json("big", B_ROWS, 100))
+        .unwrap();
+
+    // A's profiled run is a live trace for as long as the job runs.
+    let run = client
+        .post_ok(
+            "/sessions/a/debug-run?profile=1",
+            &Json::obj(vec![
+                ("method", Json::str("loss")),
+                ("budget", Json::num(100.0)),
+                ("k_per_iter", Json::num(2.0)),
+            ]),
+        )
+        .unwrap();
+    let job = run.get("job").unwrap().as_i64().unwrap();
+    while client
+        .get_ok(&format!("/jobs/{job}"))
+        .unwrap()
+        .get("status")
+        == Some(&Json::str("queued"))
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let b_done = std::sync::atomic::AtomicBool::new(false);
+    let (mut a_profiles, b_rows) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            let mut c = Client::connect(addr).unwrap();
+            let analyze = Json::obj(vec![
+                ("sql", Json::str(a_sql)),
+                ("analyze", Json::Bool(true)),
+            ]);
+            let mut profiles = Vec::new();
+            // At least 5, and bounded so A's and B's entries together
+            // fit the ring.
+            while profiles.len() < 5
+                || (profiles.len() < 30 && !b_done.load(std::sync::atomic::Ordering::Relaxed))
+            {
+                let out = c.post_ok("/sessions/a/query", &analyze).unwrap();
+                profiles.push(out.get("profile").unwrap().clone());
+            }
+            profiles
+        });
+        let mut c = Client::connect(addr).unwrap();
+        let q = Json::obj(vec![("sql", Json::str("SELECT COUNT(*) FROM big"))]);
+        let rows: Vec<Json> = (0..M)
+            .map(|_| {
+                c.post_ok("/sessions/b/query", &q)
+                    .unwrap()
+                    .get("result")
+                    .unwrap()
+                    .clone()
+            })
+            .collect();
+        b_done.store(true, std::sync::atomic::Ordering::Relaxed);
+        (a.join().unwrap(), rows)
+    });
+    assert!(b_rows.windows(2).all(|w| w[0] == w[1]));
+    let done = await_job(&mut client, job);
+    a_profiles.push(done.get("report").unwrap().get("profile").unwrap().clone());
+
+    let listing = client.get_ok("/debug/profiles").unwrap();
+    let field = |v: &Json, k: &str| v.get(k).cloned().unwrap_or(Json::Null);
+    let b_entries: Vec<&Json> = listing
+        .get("recent")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter(|e| field(e, "session").as_str() == Some("b"))
+        .collect();
+    assert_eq!(b_entries.len(), M, "B's sampler missed queries: {listing}");
+    for e in b_entries {
+        assert_eq!(field(e, "kind").as_str(), Some("query"));
+        let spans = field(e, "spans").as_f64().unwrap();
+        assert!(spans > 1.0, "B entry without a tree: {e}");
+        let id = field(e, "id").as_i64().unwrap();
+        let full = client.get_ok(&format!("/debug/profiles/{id}")).unwrap();
+        let tree = field(&full, "profile");
+        assert_eq!(field(&tree, "name").as_str(), Some("query"));
+    }
+
+    fn max_row_count(t: &Json) -> f64 {
+        let own = ["rows_in", "rows_out", "n_vars", "rows"]
+            .iter()
+            .filter_map(|k| {
+                t.get("counters")
+                    .and_then(|c| c.get(k))
+                    .and_then(Json::as_f64)
+            })
+            .fold(0.0, f64::max);
+        t.get("children")
+            .and_then(Json::as_arr)
+            .map_or(own, |cs| cs.iter().map(max_row_count).fold(own, f64::max))
+    }
+    let run = a_profiles.last().unwrap();
+    assert_eq!(field(run, "name").as_str(), Some("debug-run"));
+    for p in a_profiles.iter() {
+        assert!(
+            max_row_count(p) < B_ROWS as f64,
+            "a span of B's in A's profile: {p}"
+        );
+    }
     server.shutdown();
 }
 
@@ -1291,7 +1386,6 @@ fn restart_recovers_sessions_and_serves_cached_queries() {
         assert!(storage.get("log_bytes").unwrap().as_i64().unwrap() > 0);
 
         // Flush the profile ring to disk; the file must exist.
-        query_until_profiled(&mut client, "/sessions/boot/query", &q, |_| true);
         let flushed = client
             .post_ok("/debug/profiles/flush", &Json::obj(vec![]))
             .unwrap();
@@ -1300,7 +1394,8 @@ fn restart_recovers_sessions_and_serves_cached_queries() {
             std::path::Path::new(&path).exists(),
             "no flush file at {path}"
         );
-        assert!(flushed.get("recent").unwrap().as_i64().unwrap() >= 1);
+        // Every query sampled: the miss, the invalidated one and the hit.
+        assert_eq!(flushed.get("recent").unwrap().as_i64(), Some(3));
     }
     server.shutdown();
 
@@ -1361,10 +1456,18 @@ fn restart_recovers_sessions_and_serves_cached_queries() {
         Some("hit")
     );
 
-    // The client-supplied request_id lands on the sampled profile entry.
-    query_until_profiled(&mut client, "/sessions/boot/query", &q, |e| {
-        e.get("request_id").and_then(Json::as_str) == Some("req-42")
-    });
+    // The client-supplied request_id lands on both sampled profile
+    // entries.
+    let listing = client.get_ok("/debug/profiles").unwrap();
+    let tagged = listing
+        .get("recent")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("request_id").and_then(Json::as_str) == Some("req-42"))
+        .count();
+    assert_eq!(tagged, 2, "{listing}");
 
     // And through a debug job: complaints are session state (not logged),
     // so file one fresh, then tag the run.

@@ -811,14 +811,14 @@ pub(crate) fn predict_batch_sharded(
     }
     let mut preds = vec![0usize; n];
     let chunk = n.div_ceil(workers);
-    let span_id = span.id();
+    let span = &span;
     std::thread::scope(|scope| {
         for (w, out) in preds.chunks_mut(chunk).enumerate() {
             let start = w * chunk;
             scope.spawn(move || {
                 // Shard index is the worker's (deterministic) chunk
                 // position, not its scheduling order.
-                let mut shard = rain_obs::Span::enter_under(span_id, "shard");
+                let mut shard = rain_obs::Span::enter_under(span, "shard");
                 shard.add("index", w as u64);
                 shard.add("items", out.len() as u64);
                 model.predict_range_into(features, start, out)

@@ -223,9 +223,8 @@ fn grouped_fast_path(
         // A partition's indices concatenate in morsel order — globally
         // ascending — so per-group accumulation order matches the
         // sequential pass and float sums stay bit-identical.
-        let agg_id = agg_span.id();
         let parts = morsel::run_tasks(ctx.threads, n_parts, |p| {
-            let mut pspan = rain_obs::Span::enter_under(agg_id, "partition");
+            let mut pspan = rain_obs::Span::enter_under(agg_span, "partition");
             pspan.add("index", p as u64);
             let mut group_of: std::collections::HashMap<i64, usize> =
                 std::collections::HashMap::new();

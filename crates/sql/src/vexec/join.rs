@@ -113,9 +113,8 @@ pub(crate) fn cross_join(left: RowSet, right_rows: &[u32], debug: bool, threads:
         out
     };
     let out = if morsel::worth_parallel(threads, n) {
-        let span_id = span.id();
         let parts = morsel::run_morsels(threads, n, |start, end| {
-            let mut mspan = rain_obs::Span::enter_under(span_id, "morsel");
+            let mut mspan = rain_obs::Span::enter_under(&span, "morsel");
             mspan.add("index", (start / morsel::MORSEL_SIZE) as u64);
             mspan.add("items", (end - start) as u64);
             expand(start, end)
@@ -164,13 +163,13 @@ fn fill_partitions<K>(
     threads: usize,
     routed: &[Vec<Vec<(u32, K)>>],
     n_parts: usize,
-    build_id: rain_obs::SpanId,
+    build_span: &rain_obs::Span,
 ) -> Vec<HashMap<K, Vec<u32>>>
 where
     K: Hash + Eq + Clone + Send + Sync,
 {
     morsel::run_tasks(threads, n_parts, |p| {
-        let mut pspan = rain_obs::Span::enter_under(build_id, "partition");
+        let mut pspan = rain_obs::Span::enter_under(build_span, "partition");
         pspan.add("index", p as u64);
         let mut map: HashMap<K, Vec<u32>> = HashMap::new();
         let mut items = 0u64;
@@ -223,7 +222,7 @@ where
         }
         lists
     });
-    let parts = fill_partitions(threads, &routed, n_parts, build_span.id());
+    let parts = fill_partitions(threads, &routed, n_parts, &build_span);
     PartitionedIndex { parts }
 }
 
@@ -306,9 +305,8 @@ pub(crate) fn hash_join(
                 let (db, model, query) = (ctx.db, ctx.model, ctx.query);
                 let index_ref = &index;
                 let left_ref = &left;
-                let probe_id = probe_span.id();
                 let parts = morsel::run_morsels(threads, n, |start, end| {
-                    let mut mspan = rain_obs::Span::enter_under(probe_id, "morsel");
+                    let mut mspan = rain_obs::Span::enter_under(&probe_span, "morsel");
                     mspan.add("index", (start / morsel::MORSEL_SIZE) as u64);
                     mspan.add("items", (end - start) as u64);
                     let mut wctx = EvalCtx::new(db, model, query, debug);
@@ -353,9 +351,8 @@ pub(crate) fn inl_join(
     let out = if morsel::worth_parallel(threads, n) && !probe.contains_predict() {
         let (db, model, query) = (ctx.db, ctx.model, ctx.query);
         let left_ref = &left;
-        let probe_id = probe_span.id();
         let parts = morsel::run_morsels(threads, n, |start, end| {
-            let mut mspan = rain_obs::Span::enter_under(probe_id, "morsel");
+            let mut mspan = rain_obs::Span::enter_under(&probe_span, "morsel");
             mspan.add("index", (start / morsel::MORSEL_SIZE) as u64);
             mspan.add("items", (end - start) as u64);
             let mut wctx = EvalCtx::new(db, model, query, debug);
@@ -461,7 +458,7 @@ fn general_build(
     });
     // Surface the first (lowest-morsel) error, like a sequential pass.
     let routed = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let parts = fill_partitions(threads, &routed, n_parts, build_span.id());
+    let parts = fill_partitions(threads, &routed, n_parts, &build_span);
     Ok(PartitionedIndex { parts })
 }
 
@@ -531,9 +528,8 @@ where
     let mut probe_span = rain_obs::Span::enter("probe");
     probe_span.add("rows_in", n as u64);
     let out = if morsel::worth_parallel(threads, n) {
-        let probe_id = probe_span.id();
         let parts = morsel::run_morsels(threads, n, |start, end| {
-            let mut mspan = rain_obs::Span::enter_under(probe_id, "morsel");
+            let mut mspan = rain_obs::Span::enter_under(&probe_span, "morsel");
             mspan.add("index", (start / morsel::MORSEL_SIZE) as u64);
             mspan.add("items", (end - start) as u64);
             probe_range(start, end)

@@ -87,14 +87,13 @@ fn scan_inner(ctx: &mut EvalCtx, rel: usize) -> Result<Vec<u32>, QueryError> {
         && filters.iter().all(|f| !f.contains_predict())
     {
         let (db, model, debug) = (ctx.db, ctx.model, ctx.debug);
-        let scan_id = span.id();
         let parts = morsel::run_morsels(ctx.threads, n - first, |start, end| {
             // Workers don't share the spawner's span stack; attach their
             // per-morsel timings to the scan span explicitly. The morsel
             // index is derived from the (deterministic) row range, not
             // from claim order, so traces of the same query agree on
             // which morsel is which across runs and thread interleavings.
-            let mut mspan = rain_obs::Span::enter_under(scan_id, "morsel");
+            let mut mspan = rain_obs::Span::enter_under(&span, "morsel");
             mspan.add("index", (start / morsel::MORSEL_SIZE) as u64);
             mspan.add("items", (end - start) as u64);
             let mut wctx = EvalCtx::new(db, model, query, debug);

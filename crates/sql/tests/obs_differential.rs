@@ -10,7 +10,7 @@
 
 use rain_linalg::{Matrix, RainRng};
 use rain_model::{Classifier, LogisticRegression};
-use rain_obs::{take_subtree, Span, TraceNode};
+use rain_obs::{Span, Trace, TraceNode};
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
     bind, optimize, parse_select, prepare_with, run_query, Database, Engine, ExecOptions,
@@ -79,16 +79,10 @@ fn enabled_instrumentation_is_bit_identical_to_disabled() {
                 let opts = ExecOptions::with_debug(debug).with_threads(threads);
                 let label = format!("`{sql}` [debug={debug}, threads={threads}]");
                 let off = run_query(&db, &model, sql, opts).unwrap();
-                let traced = {
-                    let _on = rain_obs::activate();
-                    let root = Span::enter("query");
-                    let id = root.id();
-                    let out = run_query(&db, &model, sql, opts).unwrap();
-                    drop(root);
-                    (out, take_subtree(id))
-                };
-                assert_identical(&label, &off, &traced.0);
-                let tree = traced.1.unwrap_or_else(|| panic!("{label}: no trace"));
+                let trace = Trace::start("query");
+                let on = run_query(&db, &model, sql, opts).unwrap();
+                let tree = trace.finish();
+                assert_identical(&label, &off, &on);
                 assert!(tree.size() > 1, "{label}: empty trace tree");
             }
         }
@@ -108,12 +102,9 @@ fn trace_tree_covers_the_pipeline_operators() {
     let db = big_db(12_000);
     let model = step_model();
     let sql = "SELECT COUNT(*) FROM t a, t b WHERE a.x = b.x AND a.k < 5 AND predict(a) = 1";
-    let _on = rain_obs::activate();
-    let root = Span::enter("query");
-    let id = root.id();
+    let trace = Trace::start("query");
     run_query(&db, &model, sql, ExecOptions::debug().with_threads(8)).unwrap();
-    drop(root);
-    let tree = take_subtree(id).expect("trace recorded");
+    let tree = trace.finish();
     for stage in [
         "parse",
         "bind",
@@ -161,12 +152,9 @@ fn explain_exec_matches_traced_morsel_counts() {
         .unwrap();
     assert!(morsels > 1, "large scan should shard: {explain}");
 
-    let _on = rain_obs::activate();
-    let root = Span::enter("query");
-    let id = root.id();
+    let trace = Trace::start("query");
     run_query(&db, &model, sql, ExecOptions::default().with_threads(4)).unwrap();
-    drop(root);
-    let tree = take_subtree(id).unwrap();
+    let tree = trace.finish();
     let scan = tree.find("scan").unwrap();
     let worker_spans = scan.children.iter().filter(|c| c.name == "morsel").count();
     assert_eq!(
@@ -188,62 +176,50 @@ fn explain_exec_matches_traced_morsel_counts() {
     assert!(!tuple.contains("morsels="), "{tuple}");
 }
 
-/// 16 emitter threads record nested span trees while 2 harvesters drain
-/// completed roots concurrently: no span is lost, none is duplicated,
-/// and each harvested tree is stitched in deterministic emission order
-/// — even though writers land in per-thread shards and harvests race
-/// both the writers and each other.
+/// 16 emitter threads each record a nested span tree into a trace of
+/// their own, all live at once, and harvest it themselves: no span is
+/// lost, none is duplicated, no tree bleeds into another, and each tree
+/// is stitched in emission order — even though half of every tree's
+/// grandchildren are recorded by worker threads attached with
+/// `enter_under`.
 #[test]
 fn concurrent_emitters_and_harvesters_lose_and_duplicate_nothing() {
-    use std::sync::{mpsc, Arc, Mutex};
+    use std::sync::{mpsc, Barrier};
     const EMITTERS: usize = 16;
     const SPANS_PER: usize = 24;
 
-    let (tx, rx) = mpsc::channel::<(rain_obs::SpanId, u64)>();
-    let rx = Arc::new(Mutex::new(rx));
-    let emitters: Vec<_> = (0..EMITTERS)
-        .map(|w| {
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let _on = rain_obs::activate();
-                let mut root = Span::enter("stress-root");
-                root.add("worker", w as u64);
+    let (tx, rx) = mpsc::channel::<(u64, TraceNode)>();
+    let start = Barrier::new(EMITTERS);
+    std::thread::scope(|s| {
+        for w in 0..EMITTERS {
+            let (tx, start) = (tx.clone(), &start);
+            s.spawn(move || {
+                let mut trace = Trace::start("stress-root");
+                trace.add("worker", w as u64);
+                // Every emitter's trace is live before any records.
+                start.wait();
                 for i in 0..SPANS_PER {
                     let mut child = Span::enter("stress-child");
                     child.add("i", i as u64);
-                    let _grand = Span::enter("stress-grand");
+                    if i % 2 == 0 {
+                        let _grand = Span::enter("stress-grand");
+                    } else {
+                        let child = &child;
+                        std::thread::scope(|ws| {
+                            ws.spawn(move || {
+                                let _m = Span::enter_under(child, "stress-worker");
+                                let _grand = Span::enter("stress-grand");
+                            });
+                        });
+                    }
                 }
-                let id = root.id();
-                drop(root);
-                tx.send((id, w as u64)).unwrap();
-            })
-        })
-        .collect();
+                tx.send((w as u64, trace.finish())).unwrap();
+            });
+        }
+    });
     drop(tx);
 
-    let harvested = Arc::new(Mutex::new(Vec::<(u64, TraceNode)>::new()));
-    let harvesters: Vec<_> = (0..2)
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let harvested = Arc::clone(&harvested);
-            std::thread::spawn(move || loop {
-                // Hold the receiver lock only for the recv, not the
-                // harvest, so both harvesters actually drain in parallel.
-                let msg = rx.lock().unwrap().recv();
-                let Ok((id, w)) = msg else { break };
-                let tree = take_subtree(id).expect("completed root is harvestable");
-                harvested.lock().unwrap().push((w, tree));
-            })
-        })
-        .collect();
-    for h in emitters {
-        h.join().unwrap();
-    }
-    for h in harvesters {
-        h.join().unwrap();
-    }
-
-    let harvested = harvested.lock().unwrap();
+    let harvested: Vec<(u64, TraceNode)> = rx.into_iter().collect();
     assert_eq!(
         harvested.len(),
         EMITTERS,
@@ -253,6 +229,8 @@ fn concurrent_emitters_and_harvesters_lose_and_duplicate_nothing() {
         .iter()
         .map(|(w, tree)| {
             assert_eq!(counter(tree, "worker"), Some(*w), "trees don't bleed");
+            assert_eq!(tree.children.len(), SPANS_PER, "trees don't bleed");
+            assert_eq!(tree.size(), 1 + SPANS_PER * 2 + SPANS_PER / 2);
             let children: Vec<&TraceNode> = tree
                 .children
                 .iter()
@@ -264,9 +242,18 @@ fn concurrent_emitters_and_harvesters_lose_and_duplicate_nothing() {
             let idxs: Vec<u64> = children.iter().map(|c| counter(c, "i").unwrap()).collect();
             let want: Vec<u64> = (0..SPANS_PER as u64).collect();
             assert_eq!(idxs, want, "children out of emission order");
-            for c in children {
+            for (i, c) in children.into_iter().enumerate() {
                 assert_eq!(c.children.len(), 1, "grandchild lost or duplicated");
-                assert_eq!(c.children[0].name, "stress-grand");
+                let grand = if i % 2 == 0 {
+                    &c.children[0]
+                } else {
+                    let worker = &c.children[0];
+                    assert_eq!(worker.name, "stress-worker");
+                    assert_eq!(worker.children.len(), 1, "worker's span lost");
+                    &worker.children[0]
+                };
+                assert_eq!(grand.name, "stress-grand");
+                assert!(grand.children.is_empty());
             }
             *w
         })
@@ -291,15 +278,11 @@ fn sampled_execution_is_bit_identical_to_unsampled() {
         // Alternate sampling windows the way the serve layer does.
         for pass in 0..4 {
             let sampling = pass % 2 == 0;
-            let _window = sampling.then(rain_obs::activate);
-            let root = Span::enter("query");
-            let id = root.id();
+            let window = sampling.then(|| Trace::start("query"));
             let out = run_query(&db, &model, sql, opts).unwrap();
-            drop(root);
-            let tree = take_subtree(id);
+            let tree = window.map(Trace::finish);
             assert_identical(&format!("{label} pass {pass}"), &baseline, &out);
-            if sampling {
-                let tree = tree.unwrap_or_else(|| panic!("{label}: sampled pass lost its trace"));
+            if let Some(tree) = tree {
                 assert!(tree.size() > 1, "{label}: sampled trace is empty");
             }
         }
@@ -366,9 +349,7 @@ fn parallel_span_shape_is_thread_independent() {
     for sql in cases {
         let mut shapes = Vec::new();
         for threads in [2, 8] {
-            let _on = rain_obs::activate();
-            let root = Span::enter("query");
-            let id = root.id();
+            let trace = Trace::start("query");
             run_query(
                 &db,
                 &model,
@@ -376,8 +357,7 @@ fn parallel_span_shape_is_thread_independent() {
                 ExecOptions::default().with_threads(threads),
             )
             .unwrap();
-            drop(root);
-            let tree = take_subtree(id).unwrap();
+            let tree = trace.finish();
             if threads == 8 {
                 // The parallel operators actually recorded worker spans.
                 if sql.contains("a.x = b.x") {
@@ -426,15 +406,12 @@ fn prepare_and_refresh_record_their_stages() {
     let sql = "SELECT COUNT(*) FROM t WHERE x < 500 AND predict(t) = 1";
     let plan = optimize(bind(&parse_select(sql).unwrap(), &db).unwrap(), &db);
 
-    let _on = rain_obs::activate();
-    let root = Span::enter("run");
-    let id = root.id();
+    let trace = Trace::start("run");
     let pq = prepare_with(&db, &model, &plan, Engine::Vectorized, 4).unwrap();
     let out = pq.refresh(&db, &model, 4).unwrap();
-    drop(root);
+    let tree = trace.finish();
     assert!(!out.predvars.is_empty());
 
-    let tree = take_subtree(id).unwrap();
     let prep = tree.find("prepare").expect("prepare span");
     assert!(prep.find("capture").is_some(), "capture under prepare");
     assert!(prep.find("pack-features").is_some());
