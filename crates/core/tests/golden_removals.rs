@@ -3,12 +3,16 @@
 //! removing the same records in the same order, and L-BFGS must take the
 //! same number of iterations to get there.
 //!
-//! The lists were captured at the commit *before* the batched kernels
-//! (per-example `loss`/`grad`/`hvp` loops) and are asserted unchanged
-//! after. Holistic only: TwoStep picks among ILP optima through `HashMap`
+//! The DBLP and digits COUNT lists were captured at the commit *before*
+//! the batched kernels (per-example `loss`/`grad`/`hvp` loops) and are
+//! asserted unchanged after. The Adult AVG, digits-join and
+//! labelled-prediction lists pin the other provenance shapes the complaint
+//! encoding differentiates (`Ratio` / `PredValue`, `PredEq`, `PredictionIs`);
+//! they were captured before that encoding moved to flat buffers. Holistic only: TwoStep picks among ILP optima through `HashMap`
 //! iteration order, so its removal order is not reproducible at a seed.
 
 use rain_core::prelude::*;
+use rain_data::adult::AdultConfig;
 use rain_data::dblp::DblpConfig;
 use rain_data::digits::{DigitsConfig, N_CLASSES, N_PIXELS};
 use rain_data::flip_labels_where;
@@ -54,18 +58,119 @@ fn digits_session() -> DebugSession {
     )
 }
 
+/// Adult with half of (low income ∧ male ∧ 40s) flipped to high, AVG
+/// complaint on the forties' group — the `Ratio` / `PredValue` provenance
+/// of an `AVG(predict(*)) … GROUP BY` (§6.5).
+fn adult_session() -> DebugSession {
+    let w = AdultConfig {
+        n_train: 300,
+        n_query: 200,
+    }
+    .generate(3);
+    let mut train = w.train.clone();
+    flip_labels_where(&mut train, w.corruption_predicate(), 0.5, |_| 1, 3);
+    let mut decades: Vec<i64> = w.query_records.iter().map(|r| r.age_decade()).collect();
+    decades.sort_unstable();
+    decades.dedup();
+    let row = decades.iter().position(|&d| d == 40).expect("a 40s group");
+    let target = w.true_avg_where(|r| r.age_decade() == 40);
+    let mut db = Database::new();
+    db.register("adult", w.query_table());
+    DebugSession::new(
+        db,
+        train,
+        Box::new(LogisticRegression::new(rain_data::adult::N_FEATURES, 0.01)),
+    )
+    .with_query(
+        QuerySpec::new("SELECT AVG(predict(*)) FROM adult GROUP BY agedecade")
+            .with_complaint(Complaint::value_eq(row, 0, target)),
+    )
+}
+
+/// Digits split into disjoint low / high sides, half of the training 1s
+/// relabelled 7, `COUNT(join) = 0` over `predict(l) = predict(r)` — the
+/// `PredEq` provenance of a prediction join (§6.3, Q4).
+fn digits_join_session() -> DebugSession {
+    let w = DigitsConfig {
+        n_train: 200,
+        n_query: 160,
+    }
+    .generate(13);
+    let mut train = w.train.clone();
+    flip_labels_where(&mut train, |_, _, y| y == 1, 0.5, |_| 7, 13);
+    let mut db = Database::new();
+    db.register("left", w.query_table_for(&[1, 2, 3, 4, 5], 30));
+    db.register("right", w.query_table_for(&[6, 7, 8, 9, 0], 30));
+    DebugSession::new(
+        db,
+        train,
+        Box::new(SoftmaxRegression::new(N_PIXELS, N_CLASSES, 0.01)),
+    )
+    .with_query(
+        QuerySpec::new("SELECT COUNT(*) FROM left l, right r WHERE predict(l) = predict(r)")
+            .with_complaint(Complaint::scalar_eq(0.0)),
+    )
+}
+
+/// DBLP pairs as in [`dblp_session`], complained about through labelled
+/// predictions instead of a count: the first twelve true matches should
+/// be predicted as matches (§6.4).
+fn dblp_prediction_session() -> DebugSession {
+    let w = DblpConfig::small().generate(5);
+    let mut train = w.train.clone();
+    flip_labels_where(&mut train, |_, _, y| y == 1, 0.5, |_| 0, 5);
+    let mut db = Database::new();
+    db.register("pairs", w.query_table());
+    let complaints: Vec<Complaint> = (0..w.query.len())
+        .filter(|&i| w.query.y(i) == 1)
+        .take(12)
+        .map(|i| Complaint::prediction_is("pairs", i, 1))
+        .collect();
+    DebugSession::new(db, train, Box::new(LogisticRegression::new(17, 0.01))).with_query(
+        QuerySpec::new("SELECT COUNT(*) FROM pairs WHERE predict(*) = 1")
+            .with_complaints(complaints),
+    )
+}
+
+/// Removed ids of a `method` run removing `budget` records.
+fn run_method(session: &DebugSession, method: Method, budget: usize) -> Vec<usize> {
+    let report = session
+        .run(method, &RunConfig::paper(budget))
+        .expect("debug run");
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    report.removed
+}
+
 /// Removed ids of a Holistic run, plus the L-BFGS iteration counts of the
 /// cold fit and of the warm refit after the first batch is gone.
 fn run(session: &DebugSession, budget: usize) -> (Vec<usize>, usize, usize) {
-    let report = session
-        .run(Method::Holistic, &RunConfig::paper(budget))
-        .expect("holistic run");
-    assert!(report.failure.is_none());
+    let removed = run_method(session, Method::Holistic, budget);
     let mut model = session.model.clone();
     let cold = train_lbfgs(model.as_mut(), &session.train, &session.train_cfg);
-    let reduced = session.train.remove_ids(&report.removed[..10]);
+    let reduced = session.train.remove_ids(&removed[..10]);
     let warm = train_lbfgs(model.as_mut(), &reduced, &LbfgsConfig::warm());
-    (report.removed, cold.iters, warm.iters)
+    (removed, cold.iters, warm.iters)
+}
+
+#[test]
+fn holistic_adult_avg_group_by_removals_are_pinned() {
+    let report = run_method(&adult_session(), Method::Holistic, 30);
+    assert_eq!(report, GOLDEN_ADULT, "removed ids (in removal order)");
+}
+
+#[test]
+fn holistic_digits_join_removals_are_pinned() {
+    let report = run_method(&digits_join_session(), Method::Holistic, 30);
+    assert_eq!(report, GOLDEN_DIGITS_JOIN, "removed ids (in removal order)");
+}
+
+#[test]
+fn holistic_prediction_complaint_removals_are_pinned() {
+    let report = run_method(&dblp_prediction_session(), Method::Holistic, 30);
+    assert_eq!(
+        report, GOLDEN_DBLP_PREDICTION,
+        "removed ids (in removal order)"
+    );
 }
 
 #[test]
@@ -96,3 +201,15 @@ const GOLDEN_DIGITS: [usize; 30] = [
     236, 137, 150, 15, 203, 211, 233, 12, 82, 29,
 ];
 const GOLDEN_DIGITS_ITERS: (usize, usize) = (57, 44);
+const GOLDEN_ADULT: [usize; 30] = [
+    193, 244, 6, 55, 39, 57, 154, 18, 140, 156, 207, 240, 262, 265, 289, 82, 93, 259, 272, 38, 16,
+    31, 181, 2, 83, 84, 92, 42, 34, 41,
+];
+const GOLDEN_DIGITS_JOIN: [usize; 30] = [
+    143, 187, 160, 37, 181, 172, 96, 74, 79, 129, 109, 31, 84, 127, 148, 22, 41, 6, 195, 28, 123,
+    82, 94, 92, 70, 29, 120, 86, 17, 170,
+];
+const GOLDEN_DBLP_PREDICTION: [usize; 30] = [
+    216, 73, 96, 188, 202, 72, 33, 17, 8, 190, 25, 217, 154, 257, 126, 57, 53, 16, 208, 150, 76,
+    50, 270, 56, 207, 141, 240, 269, 121, 0,
+];
