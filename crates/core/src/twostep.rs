@@ -25,7 +25,7 @@ use rain_ilp::{
 };
 use rain_linalg::RainRng;
 use rain_sql::{AggTerm, BoolProv, CellProv, QueryOutput, VarId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Outcome of the SQL step for one query.
 #[derive(Debug, Clone, PartialEq)]
@@ -295,8 +295,11 @@ fn try_join_partition(
     let CellProv::Sum(s) = cell else {
         return Recognized::Unmatched;
     };
-    let mut lefts: HashSet<VarId> = HashSet::new();
-    let mut rights: HashSet<VarId> = HashSet::new();
+    // Ordered sets: the repair loops below draw classes from `rng` while
+    // walking them, so their order must be a function of the seed, not of
+    // the process's hash keys.
+    let mut lefts: BTreeSet<VarId> = BTreeSet::new();
+    let mut rights: BTreeSet<VarId> = BTreeSet::new();
     for (f, t) in &s.terms {
         match (f, t) {
             (BoolProv::PredEq { left, right }, AggTerm::One) => {

@@ -1,15 +1,19 @@
-//! Golden removal lists: the ML kernels under train and rank may be
-//! reorganised for speed, but a Holistic run on a seeded fixture must keep
-//! removing the same records in the same order, and L-BFGS must take the
-//! same number of iterations to get there.
+//! Golden removal lists: the ML kernels under train and rank and the
+//! complaint encoding may be reorganised for speed, but a debug run on a
+//! seeded fixture must keep removing the same records in the same order,
+//! and L-BFGS must take the same number of iterations to get there.
 //!
 //! The DBLP and digits COUNT lists were captured at the commit *before*
 //! the batched kernels (per-example `loss`/`grad`/`hvp` loops) and are
 //! asserted unchanged after. The Adult AVG, digits-join and
 //! labelled-prediction lists pin the other provenance shapes the complaint
 //! encoding differentiates (`Ratio` / `PredValue`, `PredEq`, `PredictionIs`);
-//! they were captured before that encoding moved to flat buffers. Holistic only: TwoStep picks among ILP optima through `HashMap`
-//! iteration order, so its removal order is not reproducible at a seed.
+//! they were captured before that encoding moved to flat buffers.
+//!
+//! TwoStep is pinned too: its SQL step picks among ILP optima with a seeded
+//! RNG and walks variables in id order, so a run is a function of its seed
+//! in every process. CI runs this file in several fresh processes to check
+//! exactly that.
 
 use rain_core::prelude::*;
 use rain_data::adult::AdultConfig;
@@ -153,6 +157,35 @@ fn run(session: &DebugSession, budget: usize) -> (Vec<usize>, usize, usize) {
 }
 
 #[test]
+fn twostep_is_a_function_of_its_seed() {
+    // The join-partition repair draws classes from the seeded RNG while
+    // walking each side's variables; two runs in one process (different
+    // hash keys) must walk them in the same order.
+    let session = digits_join_session();
+    let first = run_method(&session, Method::TwoStep, 30);
+    let second = run_method(&session, Method::TwoStep, 30);
+    assert_eq!(first, second);
+}
+
+#[test]
+fn twostep_dblp_removals_are_pinned() {
+    let removed = run_method(&dblp_session(), Method::TwoStep, 40);
+    assert_eq!(
+        removed, GOLDEN_TWOSTEP_DBLP,
+        "removed ids (in removal order)"
+    );
+}
+
+#[test]
+fn twostep_digits_join_removals_are_pinned() {
+    let removed = run_method(&digits_join_session(), Method::TwoStep, 30);
+    assert_eq!(
+        removed, GOLDEN_TWOSTEP_DIGITS_JOIN,
+        "removed ids (in removal order)"
+    );
+}
+
+#[test]
 fn holistic_adult_avg_group_by_removals_are_pinned() {
     let report = run_method(&adult_session(), Method::Holistic, 30);
     assert_eq!(report, GOLDEN_ADULT, "removed ids (in removal order)");
@@ -212,4 +245,12 @@ const GOLDEN_DIGITS_JOIN: [usize; 30] = [
 const GOLDEN_DBLP_PREDICTION: [usize; 30] = [
     216, 73, 96, 188, 202, 72, 33, 17, 8, 190, 25, 217, 154, 257, 126, 57, 53, 16, 208, 150, 76,
     50, 270, 56, 207, 141, 240, 269, 121, 0,
+];
+const GOLDEN_TWOSTEP_DBLP: [usize; 40] = [
+    216, 73, 96, 72, 188, 202, 17, 33, 8, 190, 25, 217, 154, 257, 57, 126, 53, 16, 208, 270, 76,
+    56, 150, 50, 207, 141, 0, 240, 269, 121, 293, 256, 231, 280, 91, 183, 85, 254, 39, 239,
+];
+const GOLDEN_TWOSTEP_DIGITS_JOIN: [usize; 30] = [
+    119, 37, 172, 151, 17, 122, 177, 87, 148, 49, 195, 94, 82, 44, 71, 23, 127, 42, 6, 123, 181,
+    84, 194, 129, 31, 101, 117, 34, 128, 143,
 ];
