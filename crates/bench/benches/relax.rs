@@ -21,18 +21,14 @@ fn join_count_cell(n_left: usize, n_right: usize) -> (CellProv, Probs) {
     }
     let mut rng = RainRng::seed_from_u64(42);
     let p = (0..n_left + n_right)
-        .map(|_| {
-            let mut row = vec![0.0; 10];
+        .flat_map(|_| {
             let hot = rng.below(10);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = if c == hot { 0.82 } else { 0.02 };
-            }
-            row
+            (0..10).map(move |c| if c == hot { 0.82 } else { 0.02 })
         })
         .collect();
     (
         CellProv::Sum(std::sync::Arc::new(AggSum { terms })),
-        Probs { p },
+        Probs::new(10, p),
     )
 }
 

@@ -14,24 +14,30 @@
 //! gradient flows  `∂q/∂p[var][class]`  (reverse-mode over the provenance
 //! DAG, from `rain-sql`)  →  `∇θ p_class(x_var)`  (from `rain-model`)  →
 //! `∇θ q`, which is what the influence engine inverts.
+//!
+//! The encode path allocates three buffers per query whatever the number
+//! of variables: the probabilities and their gradient, both dense
+//! `n_vars × n_classes` ([`Probs`], [`ProbGrad`]), and `∇θ q` itself.
+//! Feature rows come through one [`FeatureRows`] per pass, which looks
+//! each base table up in the catalog once. The result is bit-identical
+//! to a sparse per-variable encoding: every gradient slot accumulates its
+//! terms in the same order, and variables are chained through the model
+//! in ascending id order with all-zero rows skipped.
 
 use crate::complaint::{Complaint, ValueOp};
 use rain_model::Classifier;
-use rain_sql::{CellProv, Database, ProbGrad, Probs, QueryOutput};
+use rain_sql::{CellProv, Database, FeatureRows, ProbGrad, Probs, QueryOutput, VarId};
 
-/// Class probabilities for every prediction variable of a query output.
+/// Class probabilities for every prediction variable of a query output:
+/// one forward pass per variable, straight into its row of one buffer.
 pub fn probs_for(db: &Database, out: &QueryOutput, model: &dyn Classifier) -> Probs {
-    let p = out
-        .predvars
-        .infos()
-        .iter()
-        .map(|info| {
-            let table = db.table(&info.table).expect("predvar table exists");
-            let x = table.feature_row(info.row).expect("predvar features exist");
-            model.predict_proba(x)
-        })
-        .collect();
-    Probs { p }
+    let c = model.n_classes();
+    let mut p = vec![0.0; out.predvars.len() * c];
+    let mut x = FeatureRows::new(db, &out.predvars);
+    for (var, row) in p.chunks_exact_mut(c).enumerate() {
+        model.predict_proba_into(x.row(var as VarId), row);
+    }
+    Probs::new(c, p)
 }
 
 /// Map a gradient over variable probabilities into parameter space:
@@ -43,20 +49,17 @@ pub fn prob_grad_to_theta(
     pg: &ProbGrad,
 ) -> Vec<f64> {
     let mut grad = vec![0.0; model.n_params()];
-    // Ascending variable order: the map's own order changes from process
-    // to process, and with it the rounding of this sum.
-    let mut vars: Vec<_> = pg.g.iter().collect();
-    vars.sort_unstable_by_key(|(&var, _)| var);
-    for (&var, gs) in vars {
+    let mut x = FeatureRows::new(db, &out.predvars);
+    // Ascending variable order fixes the rounding of this sum; rows of
+    // variables `q` does not depend on are all zero and skipped.
+    for var in 0..pg.n_vars() as VarId {
+        let gs = pg.row(var);
         if gs.iter().all(|&g| g == 0.0) {
             continue;
         }
-        let info = out.predvars.info(var);
-        let table = db.table(&info.table).expect("predvar table exists");
-        let x = table.feature_row(info.row).expect("predvar features exist");
         // One forward + one backward pass per variable, whatever the
         // number of classes carrying weight.
-        model.grad_proba_weighted(x, gs, &mut grad);
+        model.grad_proba_weighted(x.row(var), gs, &mut grad);
     }
     grad
 }
@@ -69,7 +72,7 @@ pub fn q_value_and_prob_grad(
     probs: &Probs,
 ) -> (f64, ProbGrad) {
     let mut value = 0.0;
-    let mut grad = ProbGrad::default();
+    let mut grad = ProbGrad::zeros_like(probs);
     for c in complaints {
         match c {
             Complaint::Value {
@@ -129,12 +132,9 @@ pub fn q_value_and_prob_grad(
                 let Some(var) = out.predvars.lookup(table, *row) else {
                     continue;
                 };
-                let p = probs.p[var as usize][*class];
+                let p = probs.row(var)[*class];
                 value += (p - 1.0) * (p - 1.0);
-                let n = probs.p[var as usize].len();
-                let mut one = ProbGrad::default();
-                one.g.entry(var).or_insert_with(|| vec![0.0; n])[*class] = 1.0;
-                grad.add_scaled(&one, 2.0 * (p - 1.0));
+                grad.row_mut(var)[*class] += 2.0 * (p - 1.0);
             }
         }
     }
@@ -200,7 +200,7 @@ mod tests {
                 .feature_row(info.row)
                 .unwrap()
                 .to_vec();
-            assert_eq!(probs.p[v], m.predict_proba(&x));
+            assert_eq!(probs.row(v as VarId), m.predict_proba(&x));
         }
     }
 
@@ -268,8 +268,9 @@ mod tests {
             }],
             &probs,
         );
+        let is_zero = |g: &ProbGrad| (0..g.n_vars() as VarId).all(|v| g.row(v) == [0.0, 0.0]);
         assert_eq!(v, 0.0);
-        assert!(g.g.is_empty());
+        assert!(is_zero(&g));
         // "should be ≥ 3" is violated → active, positive value.
         let (v, g) = q_value_and_prob_grad(
             &out,
@@ -282,7 +283,7 @@ mod tests {
             &probs,
         );
         assert!(v > 0.0);
-        assert!(!g.g.is_empty());
+        assert!(!is_zero(&g));
     }
 
     #[test]

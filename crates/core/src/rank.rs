@@ -16,7 +16,7 @@ use rain_influence::{
     RankedRecord,
 };
 use rain_model::{Classifier, Dataset};
-use rain_sql::{Database, QueryOutput};
+use rain_sql::{Database, FeatureRows, QueryOutput};
 use std::time::Instant;
 
 /// Which debugging method to run.
@@ -180,21 +180,23 @@ fn rank_holistic(ctx: &RankContext<'_>) -> Ranking {
 
 fn rank_twostep(ctx: &RankContext<'_>) -> Result<Ranking, RankError> {
     let t0 = Instant::now();
-    // SQL step per query, then q = -Σ p_target(x) over the repairs.
+    // SQL step per query, then q = -Σ p_target(x) over the repairs: each
+    // adds -∇θ p_class(x), a weighted probability gradient with weight -1
+    // on its class, straight into ∇θ q.
     let mut grad_q = vec![0.0; ctx.model.n_params()];
+    let mut weights = vec![0.0; ctx.model.n_classes()];
     for (out, query) in ctx.outputs.iter().zip(ctx.queries) {
         let repairs = match sql_step(out, &query.complaints, ctx.model.n_classes(), ctx.sqlstep) {
             SqlStep::Repairs(r) => r,
             SqlStep::Timeout => return Err(RankError::IlpTimeout),
             SqlStep::Infeasible => return Err(RankError::Infeasible),
         };
+        let mut x = FeatureRows::new(ctx.db, &out.predvars);
         for (var, class) in repairs {
-            let info = out.predvars.info(var);
-            let table = ctx.db.table(&info.table).expect("predvar table");
-            let x = table.feature_row(info.row).expect("predvar features");
-            // ∇θ q += -∇θ p_class(x).
-            let gp = ctx.model.grad_proba(x, class);
-            rain_linalg::vecops::axpy(-1.0, &gp, &mut grad_q);
+            weights[class] = -1.0;
+            ctx.model
+                .grad_proba_weighted(x.row(var), &weights, &mut grad_q);
+            weights[class] = 0.0;
         }
     }
     let encode_s = t0.elapsed().as_secs_f64();

@@ -130,9 +130,9 @@ impl Classifier for LogisticRegression {
         self.l2
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         let p1 = self.proba1(x);
-        vec![1.0 - p1, p1]
+        out.copy_from_slice(&[1.0 - p1, p1]);
     }
 
     fn predict_batch(&self, x: &rain_linalg::Matrix) -> Vec<usize> {

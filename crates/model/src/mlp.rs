@@ -181,8 +181,8 @@ impl Classifier for Mlp {
         self.l2
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        self.forward(x).p
+    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(&self.forward(x).p);
     }
 
     fn example_loss(&self, x: &[f64], y: usize) -> f64 {

@@ -51,8 +51,19 @@ pub trait Classifier: Send + Sync {
     /// L2 regularization strength λ.
     fn l2(&self) -> f64;
 
-    /// Class probabilities for one example (length `n_classes`, sums to 1).
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64>;
+    /// Class probabilities for one example, written into `out` (length
+    /// `n_classes`; overwritten, summing to 1). The model's one forward
+    /// pass for a single example: every per-example method and
+    /// [`Classifier::predict_proba`] go through it.
+    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]);
+
+    /// Class probabilities for one example (length `n_classes`, sums to 1):
+    /// [`Classifier::predict_proba_into`] into a fresh vector.
+    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+        let mut p = vec![0.0; self.n_classes()];
+        self.predict_proba_into(x, &mut p);
+        p
+    }
 
     /// Hard prediction: argmax of [`Classifier::predict_proba`].
     fn predict(&self, x: &[f64]) -> usize {

@@ -24,7 +24,8 @@
 //! entry and the gradient on exit; the model stores the flat layout only.
 //!
 //! Inference and the per-example methods cannot pay a transpose per row,
-//! so they read the flat layout directly ([`SoftmaxRegression::logits`]).
+//! so they read the flat layout directly
+//! ([`Classifier::predict_proba_into`]).
 //! The two forward passes sum in different orders and agree to rounding,
 //! not bit for bit.
 
@@ -100,20 +101,6 @@ impl SoftmaxRegression {
         }
     }
 
-    /// Logits `x̃ᵀW` for one example, read off the flat layout: the bias
-    /// row plus `xⱼ · W[j,·]` for every non-zero feature.
-    pub fn logits(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.dim);
-        let c = self.n_classes;
-        let mut out = self.params[self.dim * c..].to_vec();
-        for (&xj, row) in x.iter().zip(self.params.chunks_exact(c)) {
-            if xj != 0.0 {
-                vecops::axpy(xj, row, &mut out);
-            }
-        }
-        out
-    }
-
     /// The parameters transposed class-major, for a batched kernel's entry.
     fn class_major(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.n_params()];
@@ -160,10 +147,18 @@ impl Classifier for SoftmaxRegression {
         self.l2
     }
 
-    fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut p = self.logits(x);
-        softmax_in_place(&mut p);
-        p
+    fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
+        // Logits `x̃ᵀW` off the flat layout: the bias row plus
+        // `xⱼ · W[j,·]` for every non-zero feature.
+        debug_assert_eq!(x.len(), self.dim);
+        let c = self.n_classes;
+        out.copy_from_slice(&self.params[self.dim * c..]);
+        for (&xj, row) in x.iter().zip(self.params.chunks_exact(c)) {
+            if xj != 0.0 {
+                vecops::axpy(xj, row, out);
+            }
+        }
+        softmax_in_place(out);
     }
 
     fn example_loss(&self, x: &[f64], y: usize) -> f64 {

@@ -159,6 +159,29 @@ fn batched_predict_equals_per_row_predict() {
 }
 
 #[test]
+fn predict_proba_into_overwrites_and_equals_predict_proba() {
+    for (si, &(n, d)) in SHAPES.iter().enumerate() {
+        for m in models(d, 2.0, 50 + si as u64) {
+            let data = random_data(n, d, m.n_classes(), 700 + si as u64);
+            // A dirty buffer, reused across rows: the output is
+            // overwritten, never accumulated into.
+            let mut out = vec![f64::NAN; m.n_classes()];
+            for i in 0..n {
+                m.predict_proba_into(data.x(i), &mut out);
+                let want = m.predict_proba(data.x(i));
+                assert_eq!(
+                    out.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                    "{} n={n} d={d} row {i}",
+                    m.name()
+                );
+                assert!((out.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            }
+        }
+    }
+}
+
+#[test]
 fn grad_dots_match_materialized_example_grads() {
     for (si, &(n, d)) in SHAPES.iter().enumerate() {
         for m in models(d, 0.5, 30 + si as u64) {

@@ -1268,6 +1268,17 @@ fn complain(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json
     }
     let slot = state.pool.get(name)?;
     let mut st = slot.lock();
+    // A class the model does not have would fail the next debug run.
+    let n_classes = st.sess.model.n_classes();
+    for c in &complaints {
+        if let rain_core::complaint::Complaint::PredictionIs { class, .. } = c {
+            if *class >= n_classes {
+                return Err(ApiError::bad_request(format!(
+                    "complaint class {class} is out of range for a {n_classes}-class model"
+                )));
+            }
+        }
+    }
     let n = complaints.len();
     let spec = st
         .sess

@@ -605,6 +605,68 @@ fn protocol_error_paths() {
     server.shutdown();
 }
 
+/// A labelled-prediction complaint naming a class the session's model does
+/// not have is a 400 at `…/complain`, and adds nothing: accepted, it would
+/// fail the next debug run.
+#[test]
+fn out_of_range_complaint_class_is_rejected() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("cls"))
+        .unwrap();
+    client
+        .post_ok("/sessions/cls/tables", &table_json("pairs", 6, 3))
+        .unwrap();
+    let sql = "SELECT COUNT(*) FROM pairs WHERE predict(*) = 1";
+    let labelled = |class: f64| {
+        Json::obj(vec![
+            ("kind", Json::str("prediction_is")),
+            ("table", Json::str("pairs")),
+            ("row", Json::num(4.0)),
+            ("class", Json::num(class)),
+        ])
+    };
+    let (status, body) = client
+        .post(
+            "/sessions/cls/complain",
+            &Json::obj(vec![("sql", Json::str(sql)), ("complaint", labelled(99.0))]),
+        )
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.to_string().contains("class 99"), "{body}");
+    // One bad complaint in a batch rejects the whole batch.
+    let batch = Json::obj(vec![
+        ("sql", Json::str(sql)),
+        ("complaints", Json::Arr(vec![labelled(1.0), labelled(2.0)])),
+    ]);
+    assert_eq!(
+        client.post("/sessions/cls/complain", &batch).unwrap().0,
+        400
+    );
+    let ok = client
+        .post_ok(
+            "/sessions/cls/complain",
+            &Json::obj(vec![("sql", Json::str(sql)), ("complaint", labelled(1.0))]),
+        )
+        .unwrap();
+    assert_eq!(ok.get("total_complaints").and_then(Json::as_f64), Some(1.0));
+    client
+        .post_ok("/sessions/cls/train", &train_json(40, 4))
+        .unwrap();
+    let ack = client
+        .post_ok(
+            "/sessions/cls/debug-run",
+            &Json::obj(vec![
+                ("method", Json::str("holistic")),
+                ("budget", Json::num(4.0)),
+            ]),
+        )
+        .unwrap();
+    await_job(&mut client, ack.get("job").and_then(Json::as_i64).unwrap());
+    server.shutdown();
+}
+
 fn family<'a>(metrics: &'a [Metric], name: &str) -> &'a Metric {
     metrics
         .iter()

@@ -50,7 +50,7 @@ use crate::catalog::{Database, TableId, TableVersion};
 use crate::eval::{self, keyval, keyval_to_value, EvalCtx, KeyVal, Tuples};
 use crate::exec::{Engine, QueryOutput};
 use crate::plan::QueryPlan;
-use crate::predvar::PredVarRegistry;
+use crate::predvar::{FeatureRows, PredVarRegistry};
 use crate::prov::{AggSum, AggTerm, BoolProv, CellProv, VarId};
 use crate::table::{Schema, Table};
 use crate::value::Value;
@@ -298,33 +298,23 @@ fn capture_pipeline(
 
 /// Pack the feature row of every variable of `reg`
 /// that `features` does not hold yet — all of them for a fresh prepare,
-/// the new ones for an extension — resolving each base table once per run
-/// of variables over it.
+/// the new ones for an extension.
 fn pack_features(
     reg: &PredVarRegistry,
     db: &Database,
     features: &mut Matrix,
 ) -> Result<(), QueryError> {
     let _feat_span = rain_obs::Span::enter("pack-features");
-    let new = &reg.infos()[features.rows()..];
-    features.reserve_rows(new.len());
-    let mut run: Option<(&str, &Table)> = None;
-    for info in new {
-        let table = match run {
-            Some((name, table)) if name == info.table => table,
-            _ => db
-                .table(&info.table)
-                .expect("prediction variable over an unregistered table"),
-        };
-        run = Some((&info.table, table));
-        let feat = table
-            .feature_row(info.row)
-            .expect("features checked at bind time");
+    let first = features.rows();
+    features.reserve_rows(reg.len() - first);
+    let mut rows = FeatureRows::new(db, reg);
+    for var in first..reg.len() {
+        let feat = rows.row(var as VarId);
         if feat.len() != features.cols() {
             return Err(QueryError::Exec(format!(
                 "feature width {} of table {} does not match model dim {}",
                 feat.len(),
-                info.table,
+                reg.info(var as VarId).table,
                 features.cols()
             )));
         }

@@ -112,7 +112,7 @@ pub use lexer::SqlError;
 pub use optimize::{optimize, optimize_with, OptimizerConfig};
 pub use parser::parse_select;
 pub use plan::{AccessPath, JoinAlgo, ModelDeps, PlanEstimates, QueryPlan};
-pub use predvar::{PredVarInfo, PredVarRegistry};
+pub use predvar::{FeatureRows, PredVarInfo, PredVarRegistry};
 pub use prov::{AggSum, AggTerm, BoolProv, CellProv, ProbGrad, Probs, VarId};
 pub use stats::{ColumnStats, TableStats};
 pub use value::Value;

@@ -11,7 +11,9 @@
 //! one variable per record — predicting the same record twice is the same
 //! random variable, as the paper's provenance semantics require.
 
+use crate::catalog::Database;
 use crate::prov::VarId;
+use crate::table::Table;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -119,6 +121,52 @@ impl PredVarRegistry {
     /// Info for one variable.
     pub fn info(&self, var: VarId) -> &PredVarInfo {
         &self.infos[var as usize]
+    }
+}
+
+/// The feature rows of a registry's variables, read from a database: the
+/// one place a variable's `(table, row)` becomes the vector the model sees.
+///
+/// A catalog lookup lowercases and hashes the name, so each base table is
+/// resolved once — on the first variable over it — and remembered; the
+/// rows after that cost a name comparison and a slice.
+pub struct FeatureRows<'a> {
+    db: &'a Database,
+    reg: &'a PredVarRegistry,
+    tables: Vec<(&'a str, &'a Table)>,
+}
+
+impl<'a> FeatureRows<'a> {
+    /// Feature rows of `reg`'s variables in `db`.
+    pub fn new(db: &'a Database, reg: &'a PredVarRegistry) -> Self {
+        FeatureRows {
+            db,
+            reg,
+            tables: Vec::new(),
+        }
+    }
+
+    /// The feature row of `var`.
+    ///
+    /// # Panics
+    /// Panics if the variable's table is no longer registered or has no
+    /// features (binding checks both before any variable exists).
+    pub fn row(&mut self, var: VarId) -> &'a [f64] {
+        let info = self.reg.info(var);
+        let table = match self.tables.iter().find(|(name, _)| *name == info.table) {
+            Some(&(_, table)) => table,
+            None => {
+                let table = self
+                    .db
+                    .table(&info.table)
+                    .expect("prediction variable over an unregistered table");
+                self.tables.push((&info.table, table));
+                table
+            }
+        };
+        table
+            .feature_row(info.row)
+            .expect("prediction variable over a table without features")
     }
 }
 

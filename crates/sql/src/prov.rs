@@ -19,8 +19,16 @@
 //!    class probabilities, by reverse-mode accumulation over the formula
 //!    DAG — this is what turns a user complaint into `∇q` for influence
 //!    analysis.
+//!
+//! Probabilities ([`Probs`]) and their gradient ([`ProbGrad`]) are dense
+//! `n_vars × n_classes` buffers, row `var` for variable `var`, read and
+//! written only through `row(var)` so a class index past the row panics.
+//! Dense rather than sparse: the probabilities of every variable are
+//! computed anyway (one forward pass each), so a gradient row per variable
+//! adds no asymptotic cost, and accumulating into it is an index instead
+//! of a hash-map probe and a per-variable allocation. Variables the value
+//! does not depend on keep all-zero rows.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of a prediction variable (one model inference instance).
@@ -101,41 +109,77 @@ pub enum CellProv {
     Ratio(Arc<AggSum>, Arc<AggSum>),
 }
 
-/// Per-variable class probabilities: `probs[var][class]`.
+/// Per-variable class probabilities in one flat `n_vars × n_classes`
+/// buffer: variable `v`'s row `p[v][·]` is [`Probs::row`]`(v)`.
 #[derive(Debug, Clone)]
 pub struct Probs {
-    /// `p[var][class]`, each row summing to 1.
-    pub p: Vec<Vec<f64>>,
+    n_classes: usize,
+    p: Vec<f64>,
 }
 
 impl Probs {
+    /// Probabilities from consecutive `n_classes`-wide rows, one per
+    /// variable in id order, each summing to 1.
+    ///
+    /// # Panics
+    /// Panics if `n_classes` is 0 or does not divide `p.len()`.
+    pub fn new(n_classes: usize, p: Vec<f64>) -> Self {
+        assert!(
+            n_classes > 0 && p.len() % n_classes == 0,
+            "{} probabilities do not split into {n_classes}-class rows",
+            p.len()
+        );
+        Probs { n_classes, p }
+    }
+
     /// Number of variables.
     pub fn n_vars(&self) -> usize {
-        self.p.len()
+        self.p.len() / self.n_classes
+    }
+
+    /// Class probabilities of `var`. Every read goes through here, so a
+    /// class index past the row panics instead of reading the next
+    /// variable's row.
+    pub fn row(&self, var: VarId) -> &[f64] {
+        let c = self.n_classes;
+        &self.p[var as usize * c..][..c]
     }
 }
 
-/// Gradient of a relaxed value w.r.t. every `p[var][class]`; sparse over
-/// variables, dense over classes.
-#[derive(Debug, Clone, Default)]
+/// Gradient of a relaxed value w.r.t. every `p[var][class]`, laid out like
+/// the [`Probs`] it was taken at; the rows of variables the value does not
+/// depend on stay zero.
+#[derive(Debug, Clone)]
 pub struct ProbGrad {
-    /// `d value / d p[var][class]`.
-    pub g: HashMap<VarId, Vec<f64>>,
+    n_classes: usize,
+    g: Vec<f64>,
 }
 
 impl ProbGrad {
-    fn slot(&mut self, var: VarId, n_classes: usize) -> &mut Vec<f64> {
-        self.g.entry(var).or_insert_with(|| vec![0.0; n_classes])
+    /// An all-zero gradient shaped like `probs`.
+    pub fn zeros_like(probs: &Probs) -> Self {
+        ProbGrad {
+            n_classes: probs.n_classes,
+            g: vec![0.0; probs.p.len()],
+        }
     }
 
-    /// Accumulate `other × scale` into `self`.
-    pub fn add_scaled(&mut self, other: &ProbGrad, scale: f64) {
-        for (&var, gs) in &other.g {
-            let slot = self.slot(var, gs.len());
-            for (s, &g) in slot.iter_mut().zip(gs) {
-                *s += scale * g;
-            }
-        }
+    /// Number of variables.
+    pub fn n_vars(&self) -> usize {
+        self.g.len() / self.n_classes
+    }
+
+    /// `d value / d p[var][·]`.
+    pub fn row(&self, var: VarId) -> &[f64] {
+        let c = self.n_classes;
+        &self.g[var as usize * c..][..c]
+    }
+
+    /// Mutable [`ProbGrad::row`]: as there, a class index past the row
+    /// panics instead of writing into the next variable's row.
+    pub fn row_mut(&mut self, var: VarId) -> &mut [f64] {
+        let c = self.n_classes;
+        &mut self.g[var as usize * c..][..c]
     }
 }
 
@@ -206,11 +250,9 @@ impl BoolProv {
     pub fn eval_relaxed(&self, probs: &Probs) -> f64 {
         match self {
             BoolProv::Const(b) => *b as u8 as f64,
-            BoolProv::PredIs { var, class } => probs.p[*var as usize][*class],
+            BoolProv::PredIs { var, class } => probs.row(*var)[*class],
             BoolProv::PredEq { left, right } => {
-                let l = &probs.p[*left as usize];
-                let r = &probs.p[*right as usize];
-                rain_linalg::vecops::dot(l, r)
+                rain_linalg::vecops::dot(probs.row(*left), probs.row(*right))
             }
             BoolProv::Not(inner) => 1.0 - inner.eval_relaxed(probs),
             BoolProv::And(terms) => terms.iter().map(|t| t.eval_relaxed(probs)).product(),
@@ -231,19 +273,13 @@ impl BoolProv {
         }
         match self {
             BoolProv::Const(_) => {}
-            BoolProv::PredIs { var, class } => {
-                let n = probs.p[*var as usize].len();
-                grad.slot(*var, n)[*class] += adj;
-            }
+            BoolProv::PredIs { var, class } => grad.row_mut(*var)[*class] += adj,
             BoolProv::PredEq { left, right } => {
-                let l = probs.p[*left as usize].clone();
-                let r = probs.p[*right as usize].clone();
-                let ls = grad.slot(*left, l.len());
-                for (s, &rc) in ls.iter_mut().zip(&r) {
+                let (l, r) = (probs.row(*left), probs.row(*right));
+                for (s, &rc) in grad.row_mut(*left).iter_mut().zip(r) {
                     *s += adj * rc;
                 }
-                let rs = grad.slot(*right, r.len());
-                for (s, &lc) in rs.iter_mut().zip(&l) {
+                for (s, &lc) in grad.row_mut(*right).iter_mut().zip(l) {
                     *s += adj * lc;
                 }
             }
@@ -320,14 +356,16 @@ impl AggTerm {
         match self {
             AggTerm::One => 1.0,
             AggTerm::Const(v) => *v,
-            AggTerm::PredValue(var) => probs.p[*var as usize]
+            AggTerm::PredValue(var) => probs
+                .row(*var)
                 .iter()
                 .enumerate()
                 .map(|(c, &p)| c as f64 * p)
                 .sum(),
             AggTerm::ScaledPred { var, weight } => {
                 weight
-                    * probs.p[*var as usize]
+                    * probs
+                        .row(*var)
                         .iter()
                         .enumerate()
                         .map(|(c, &p)| c as f64 * p)
@@ -336,19 +374,15 @@ impl AggTerm {
         }
     }
 
-    fn accumulate_grad(&self, probs: &Probs, adj: f64, grad: &mut ProbGrad) {
+    fn accumulate_grad(&self, adj: f64, grad: &mut ProbGrad) {
         match self {
             AggTerm::PredValue(var) => {
-                let n = probs.p[*var as usize].len();
-                let slot = grad.slot(*var, n);
-                for (c, s) in slot.iter_mut().enumerate() {
+                for (c, s) in grad.row_mut(*var).iter_mut().enumerate() {
                     *s += adj * c as f64;
                 }
             }
             AggTerm::ScaledPred { var, weight } => {
-                let n = probs.p[*var as usize].len();
-                let slot = grad.slot(*var, n);
-                for (c, s) in slot.iter_mut().enumerate() {
+                for (c, s) in grad.row_mut(*var).iter_mut().enumerate() {
                     *s += adj * weight * c as f64;
                 }
             }
@@ -384,7 +418,7 @@ impl AggSum {
             let fv = f.eval_relaxed(probs);
             let tv = t.eval_relaxed(probs);
             f.accumulate_grad(probs, adj * tv, grad);
-            t.accumulate_grad(probs, adj * fv, grad);
+            t.accumulate_grad(adj * fv, grad);
         }
     }
 }
@@ -421,7 +455,7 @@ impl CellProv {
 
     /// Gradient of the relaxed value w.r.t. all probabilities.
     pub fn grad(&self, probs: &Probs) -> ProbGrad {
-        let mut g = ProbGrad::default();
+        let mut g = ProbGrad::zeros_like(probs);
         self.accumulate_grad(probs, 1.0, &mut g);
         g
     }
@@ -474,9 +508,7 @@ mod tests {
     use super::*;
 
     fn binary_probs(ps: &[f64]) -> Probs {
-        Probs {
-            p: ps.iter().map(|&p| vec![1.0 - p, p]).collect(),
-        }
+        Probs::new(2, ps.iter().flat_map(|&p| [1.0 - p, p]).collect())
     }
 
     fn atom(var: VarId) -> BoolProv {
@@ -532,16 +564,7 @@ mod tests {
         ]);
         for bits in 0..8u32 {
             let preds: Vec<usize> = (0..3).map(|i| ((bits >> i) & 1) as usize).collect();
-            let probs = Probs {
-                p: preds
-                    .iter()
-                    .map(|&c| {
-                        let mut row = vec![0.0, 0.0];
-                        row[c] = 1.0;
-                        row
-                    })
-                    .collect(),
-            };
+            let probs = binary_probs(&preds.iter().map(|&c| c as f64).collect::<Vec<_>>());
             assert_eq!(
                 f.eval_discrete(&preds) as u8 as f64,
                 f.eval_relaxed(&probs),
@@ -573,26 +596,34 @@ mod tests {
 
     #[test]
     fn pred_eq_relaxes_to_dot_product() {
-        let probs = Probs {
-            p: vec![vec![0.2, 0.5, 0.3], vec![0.1, 0.8, 0.1]],
-        };
+        let probs = Probs::new(3, vec![0.2, 0.5, 0.3, 0.1, 0.8, 0.1]);
         let f = BoolProv::PredEq { left: 0, right: 1 };
         let expect = 0.2 * 0.1 + 0.5 * 0.8 + 0.3 * 0.1;
         assert!((f.eval_relaxed(&probs) - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_range_class_panics_instead_of_reaching_the_next_row() {
+        // Flat, row 0 class 2 would be row 1 class 0.
+        let probs = binary_probs(&[0.3, 0.6]);
+        let f = CellProv::Bool(BoolProv::PredIs { var: 0, class: 2 });
+        f.grad(&probs);
     }
 
     /// Finite-difference check of a cell gradient.
     fn check_grad(cell: &CellProv, probs: &Probs) {
         let g = cell.grad(probs);
         let eps = 1e-6;
+        let n = probs.n_classes;
         for var in 0..probs.n_vars() {
-            for c in 0..probs.p[var].len() {
+            for c in 0..n {
                 let mut up = probs.clone();
-                up.p[var][c] += eps;
+                up.p[var * n + c] += eps;
                 let mut dn = probs.clone();
-                dn.p[var][c] -= eps;
+                dn.p[var * n + c] -= eps;
                 let fd = (cell.eval_relaxed(&up) - cell.eval_relaxed(&dn)) / (2.0 * eps);
-                let got = g.g.get(&(var as VarId)).map_or(0.0, |v| v[c]);
+                let got = g.row(var as VarId)[c];
                 assert!(
                     (fd - got).abs() < 1e-6,
                     "var {var} class {c}: fd {fd} vs {got}"
@@ -603,9 +634,7 @@ mod tests {
 
     #[test]
     fn gradients_match_finite_differences() {
-        let probs = Probs {
-            p: vec![vec![0.7, 0.3], vec![0.4, 0.6], vec![0.9, 0.1]],
-        };
+        let probs = binary_probs(&[0.3, 0.6, 0.1]);
         // Shared-variable formula exercises the product rules.
         let f = BoolProv::or(vec![
             BoolProv::and(vec![atom(0), atom(1)]),
@@ -636,9 +665,7 @@ mod tests {
         };
         check_grad(&CellProv::Ratio(Arc::new(num), Arc::new(den)), &probs);
         // PredEq gradient.
-        let probs3 = Probs {
-            p: vec![vec![0.2, 0.5, 0.3], vec![0.1, 0.8, 0.1]],
-        };
+        let probs3 = Probs::new(3, vec![0.2, 0.5, 0.3, 0.1, 0.8, 0.1]);
         check_grad(
             &CellProv::Bool(BoolProv::PredEq { left: 0, right: 1 }),
             &probs3,

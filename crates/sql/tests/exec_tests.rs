@@ -352,7 +352,9 @@ fn relaxed_count_gradient_points_toward_complaint() {
     .unwrap();
     let probs = probs_of(&out.predvars, &db, &model);
     let g = out.agg_cells[0][0].grad(&probs);
-    for gs in g.g.values() {
+    assert_eq!(g.n_vars(), 5);
+    for var in 0..g.n_vars() as rain_sql::VarId {
+        let gs = g.row(var);
         assert!(gs[1] > 0.0, "class-1 gradient must be positive");
         assert_eq!(gs[0], 0.0, "class-0 prob does not appear in the formula");
     }
@@ -360,15 +362,11 @@ fn relaxed_count_gradient_points_toward_complaint() {
 
 /// Model probabilities for every prediction variable of an output.
 fn probs_of(reg: &rain_sql::PredVarRegistry, db: &Database, model: &dyn Classifier) -> Probs {
-    let p = reg
-        .infos()
-        .iter()
-        .map(|info| {
-            let t = db.table(&info.table).unwrap();
-            model.predict_proba(t.feature_row(info.row).unwrap())
-        })
+    let mut x = rain_sql::FeatureRows::new(db, reg);
+    let p = (0..reg.len() as rain_sql::VarId)
+        .flat_map(|var| model.predict_proba(x.row(var)))
         .collect();
-    Probs { p }
+    Probs::new(model.n_classes(), p)
 }
 
 #[test]

@@ -47,14 +47,12 @@ fn formula(rng: &mut RainRng, n_vars: u32, depth: u32) -> BoolProv {
 
 /// Random well-formed binary class probabilities for `n_vars` variables.
 fn probs(rng: &mut RainRng, n_vars: usize) -> Probs {
-    Probs {
-        p: (0..n_vars)
-            .map(|_| {
-                let p = rng.uniform_range(0.01, 0.99);
-                vec![1.0 - p, p]
-            })
-            .collect(),
-    }
+    binary_probs((0..n_vars).map(|_| rng.uniform_range(0.01, 0.99)))
+}
+
+/// Binary class probabilities `[1 − p, p]` per variable, in order.
+fn binary_probs(ps: impl IntoIterator<Item = f64>) -> Probs {
+    Probs::new(2, ps.into_iter().flat_map(|p| [1.0 - p, p]).collect())
 }
 
 /// At degenerate (0/1) probabilities the relaxation must agree with the
@@ -67,16 +65,7 @@ fn relaxation_exact_at_corners() {
         let f = formula(&mut rng, 4, 4);
         let bits = rng.below(16) as u32;
         let preds: Vec<usize> = (0..4).map(|i| ((bits >> i) & 1) as usize).collect();
-        let p = Probs {
-            p: preds
-                .iter()
-                .map(|&c| {
-                    let mut row = vec![0.0, 0.0];
-                    row[c] = 1.0;
-                    row
-                })
-                .collect(),
-        };
+        let p = binary_probs(preds.iter().map(|&c| c as f64));
         assert_eq!(
             f.eval_discrete(&preds) as u8 as f64,
             f.eval_relaxed(&p),
@@ -107,14 +96,18 @@ fn formula_gradients_match_fd() {
         let p = probs(&mut rng, 3);
         let g = cell.grad(&p);
         let eps = 1e-6;
+        // `p` with `delta` added to one probability.
+        let moved = |var: u32, class: usize, delta: f64| {
+            let mut flat: Vec<f64> = (0..3).flat_map(|v| p.row(v).to_vec()).collect();
+            flat[var as usize * 2 + class] += delta;
+            Probs::new(2, flat)
+        };
         for var in 0..3u32 {
             for class in 0..2usize {
-                let mut up = p.clone();
-                up.p[var as usize][class] += eps;
-                let mut dn = p.clone();
-                dn.p[var as usize][class] -= eps;
+                let up = moved(var, class, eps);
+                let dn = moved(var, class, -eps);
                 let fd = (cell.eval_relaxed(&up) - cell.eval_relaxed(&dn)) / (2.0 * eps);
-                let got = g.g.get(&var).map_or(0.0, |v| v[class]);
+                let got = g.row(var)[class];
                 assert!(
                     (fd - got).abs() < 1e-5,
                     "seed {seed} var {var} class {class}: fd {fd} vs {got}"
@@ -148,7 +141,11 @@ fn count_relaxation_is_exact_expectation() {
             })
             .collect();
         let cell = CellProv::Sum(std::sync::Arc::new(AggSum { terms }));
-        let expect: f64 = classes.iter().enumerate().map(|(i, &c)| p.p[i][c]).sum();
+        let expect: f64 = classes
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| p.row(i as u32)[c])
+            .sum();
         assert!(
             (cell.eval_relaxed(&p) - expect).abs() < 1e-12,
             "seed {seed}"
@@ -355,16 +352,11 @@ fn preds_for(reg: &PredVarRegistry, assign: &HashMap<(String, usize), usize>) ->
 }
 
 fn probs_for(reg: &PredVarRegistry, assign: &HashMap<(String, usize), f64>) -> Probs {
-    Probs {
-        p: reg
-            .infos()
+    binary_probs(
+        reg.infos()
             .iter()
-            .map(|i| {
-                let p = assign[&(i.table.clone(), i.row)];
-                vec![1.0 - p, p]
-            })
-            .collect(),
-    }
+            .map(|i| assign[&(i.table.clone(), i.row)]),
+    )
 }
 
 /// All `(table, row)` keys either registry knows.
