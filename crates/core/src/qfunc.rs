@@ -15,9 +15,9 @@
 //! DAG, from `rain-sql`)  →  `∇θ p_class(x_var)`  (from `rain-model`)  →
 //! `∇θ q`, which is what the influence engine inverts.
 //!
-//! The encode path allocates three buffers per query whatever the number
-//! of variables: the probabilities and their gradient, both dense
-//! `n_vars × n_classes` ([`Probs`], [`ProbGrad`]), and `∇θ q` itself.
+//! The encode path allocates per query, not per variable: the
+//! probabilities and their gradient are dense `n_vars × n_classes`
+//! buffers ([`Probs`], [`ProbGrad`]), written in place.
 //! Feature rows come through one [`FeatureRows`] per pass, which looks
 //! each base table up in the catalog once. The result is bit-identical
 //! to a sparse per-variable encoding: every gradient slot accumulates its

@@ -52,9 +52,9 @@ pub trait Classifier: Send + Sync {
     fn l2(&self) -> f64;
 
     /// Class probabilities for one example, written into `out` (length
-    /// `n_classes`; overwritten, summing to 1). The model's one forward
-    /// pass for a single example: every per-example method and
-    /// [`Classifier::predict_proba`] go through it.
+    /// `n_classes`; overwritten, summing to 1) — the model's per-example
+    /// forward pass, allocation-free; [`Classifier::predict_proba`] is it
+    /// into a fresh vector.
     fn predict_proba_into(&self, x: &[f64], out: &mut [f64]);
 
     /// Class probabilities for one example (length `n_classes`, sums to 1):

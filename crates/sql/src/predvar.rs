@@ -124,8 +124,8 @@ impl PredVarRegistry {
     }
 }
 
-/// The feature rows of a registry's variables, read from a database: the
-/// one place a variable's `(table, row)` becomes the vector the model sees.
+/// The feature rows of a registry's variables, read from a database: what
+/// a skeleton's feature matrix and the complaint encoding feed the model.
 ///
 /// A catalog lookup lowercases and hashes the name, so each base table is
 /// resolved once — on the first variable over it — and remembered; the

@@ -125,7 +125,7 @@ impl Probs {
     /// Panics if `n_classes` is 0 or does not divide `p.len()`.
     pub fn new(n_classes: usize, p: Vec<f64>) -> Self {
         assert!(
-            n_classes > 0 && p.len() % n_classes == 0,
+            n_classes > 0 && p.len().is_multiple_of(n_classes),
             "{} probabilities do not split into {n_classes}-class rows",
             p.len()
         );
