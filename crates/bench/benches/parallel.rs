@@ -4,9 +4,13 @@
 //! shape, scaled up so the parallel scan, partitioned hash build, and
 //! join-probe paths dominate) and a grouped aggregation over the full
 //! pair set at `threads ∈ {1, 2, 4}`, plus the debug-mode skeleton
-//! refresh (batched-inference fan-out) at 1 vs 4 workers. Before timing,
-//! every thread count's output is asserted bit-identical to `threads=1`
-//! and to the tuple oracle — thread count must never change results.
+//! refresh (batched-inference fan-out) at a budget of 1 vs 4. Inference
+//! fans out only over full shares of `rows × n_params` multiply-adds
+//! (`rain_model::par::MIN_WORK_PER_WORKER`), so the refresh runs an MLP
+//! sized to give four workers a share each, and the bench prints the
+//! worker count the rule chose next to the ratio. Before timing, every
+//! thread count's output is asserted bit-identical to `threads=1` and to
+//! the tuple oracle — thread count must never change results.
 //!
 //! Writes `BENCH_parallel.json` (path overridable via `RAIN_BENCH_JSON`)
 //! with the headline `scaling_4t` ratios and the host's core count —
@@ -15,7 +19,8 @@
 
 use rain_bench::BenchGroup;
 use rain_data::{dblp::DblpConfig, tables::dataset_to_table};
-use rain_model::{train_lbfgs, LogisticRegression};
+use rain_model::par::MIN_WORK_PER_WORKER;
+use rain_model::{train_lbfgs, Classifier, LogisticRegression, Mlp};
 use rain_sql::table::Column;
 use rain_sql::{
     bind, execute, optimize, parse_select, prepare, Database, Engine, ExecOptions, QueryPlan,
@@ -85,10 +90,25 @@ fn main() {
             );
         }
     }
-    let prepared = prepare(&db, &model, &debug_plan, Engine::Vectorized).unwrap();
-    let refresh_1 = prepared.refresh(&db, &model, 1).unwrap();
+    // The refresh's model: an MLP over the same 17 features, wide enough
+    // (`n_params = 20·hidden + 2`) that the skeleton's variables make four
+    // full shares of work.
+    let n_vars = prepare(&db, &model, &debug_plan, Engine::Vectorized)
+        .unwrap()
+        .stats()
+        .n_vars;
+    let mlp = Mlp::new(
+        17,
+        (4 * MIN_WORK_PER_WORKER).div_ceil(20 * n_vars),
+        2,
+        0.0,
+        7,
+    );
+    assert!(n_vars * mlp.n_params() >= 4 * MIN_WORK_PER_WORKER);
+    let prepared = prepare(&db, &mlp, &debug_plan, Engine::Vectorized).unwrap();
+    let refresh_1 = prepared.refresh(&db, &mlp, 1).unwrap();
     for &t in &thread_counts {
-        let out = prepared.refresh(&db, &model, t).unwrap();
+        let out = prepared.refresh(&db, &mlp, t).unwrap();
         assert_eq!(
             refresh_1.table.to_tsv(),
             out.table.to_tsv(),
@@ -129,7 +149,7 @@ fn main() {
     }
     for &t in &[1usize, 4] {
         g.bench(&format!("refresh_{t}t"), || {
-            prepared.refresh(&db, &model, t).unwrap()
+            prepared.refresh(&db, &mlp, t).unwrap()
         });
     }
     g.finish();
@@ -147,6 +167,15 @@ fn main() {
     let join_scaling = join_ms[0] / join_ms[2];
     let agg_scaling = agg_ms[0] / agg_ms[2];
     let refresh_scaling = refresh_1t / refresh_4t;
+    let trace = rain_obs::Trace::start("refresh");
+    prepared.refresh(&db, &mlp, 4).unwrap();
+    let tree = trace.finish();
+    let inference = tree.find("inference").expect("inference span");
+    let refresh_workers = inference
+        .counters
+        .iter()
+        .find(|(k, _)| *k == "workers")
+        .map_or(0, |(_, w)| *w);
     println!("host_cores: {host_cores}");
     println!(
         "join scaling at 4 threads: {join_scaling:.2}x ({:.3} ms -> {:.3} ms)",
@@ -157,7 +186,9 @@ fn main() {
         agg_ms[0], agg_ms[2]
     );
     println!(
-        "refresh scaling at 4 threads: {refresh_scaling:.2}x ({refresh_1t:.3} ms -> {refresh_4t:.3} ms)"
+        "refresh scaling at 4 threads: {refresh_scaling:.2}x on {refresh_workers} workers \
+         ({n_vars} vars x {} params, {refresh_1t:.3} ms -> {refresh_4t:.3} ms)",
+        mlp.n_params()
     );
 
     let json = format!(
@@ -168,7 +199,7 @@ fn main() {
          \"agg\": {{ \"t1_ms\": {:.6}, \"t2_ms\": {:.6}, \"t4_ms\": {:.6}, \
          \"scaling_4t\": {agg_scaling:.3} }},\n  \
          \"refresh\": {{ \"t1_ms\": {refresh_1t:.6}, \"t4_ms\": {refresh_4t:.6}, \
-         \"scaling_4t\": {refresh_scaling:.3} }}\n}}\n",
+         \"scaling_4t\": {refresh_scaling:.3}, \"workers_4t\": {refresh_workers} }}\n}}\n",
         join_ms[0], join_ms[1], join_ms[2], join_scaling, agg_ms[0], agg_ms[1], agg_ms[2]
     );
     let path =

@@ -3,7 +3,8 @@
 //! The pipeline is: (1) a debugger encodes its complaint as a gradient
 //! `∇q(θ*)` in parameter space; (2) [`inverse_hvp`] solves the damped system
 //! `(H + δI) s = ∇q` via conjugate gradient; (3) [`score_records`] computes
-//! `score(zᵢ) = -∇ℓ(zᵢ, θ*)·s` for every training record in parallel.
+//! `score(zᵢ) = -∇ℓ(zᵢ, θ*)·s` for every training record, fanning out only
+//! over full shares of work ([`rain_model::par`]).
 
 use crate::cg::{cg_solve, CgConfig, CgOutcome};
 use rain_linalg::vecops;
@@ -17,10 +18,11 @@ pub struct InfluenceConfig {
     pub damping: f64,
     /// Conjugate-gradient settings.
     pub cg: CgConfig,
-    /// Worker budget (≥1) for per-record scoring and InfLoss's solves.
-    /// Defaults to 1: a library call stays on its caller's thread unless
-    /// told otherwise. The debug driver sets it to the run's resolved
-    /// budget (`RunConfig::threads` under the session's cap).
+    /// Worker budget (`0` = the machine's parallelism) for per-record
+    /// scoring and InfLoss's solves. Defaults to 1: a library call stays on
+    /// its caller's thread unless told otherwise. The debug driver sets it
+    /// to the run's resolved budget (`RunConfig::threads` under the
+    /// session's cap).
     pub threads: usize,
 }
 
@@ -101,53 +103,25 @@ fn solve_damped(hessian: &HvpOp<'_>, g: &[f64], cfg: &InfluenceConfig) -> (CgOut
     (solved, calls.get())
 }
 
-/// The share of a scoring pass (in multiply-adds, `rows × n_params`) a
-/// worker must have to repay being started.
-///
-/// Scoring runs once per iteration, after tens of milliseconds of
-/// single-threaded training and CG, so a worker starts on a core that is
-/// idle and holds none of the data. Measured that way on the 2-core
-/// reference host (a serial and a two-worker pass interleaved, each after
-/// 30 ms of single-threaded work on the same rows, 101 of each per size,
-/// softmax 196×10 and logistic d = 17): two workers take 0.5–1 ms *longer*
-/// than one up to 2²¹ multiply-adds, win 24–58 % of passes at 2²², and
-/// stop losing at 2²³ (40–90 %; logistic 11 ms against 17 ms). Run back to
-/// back, with both cores hot, they win from 2²⁰ — but that is not how the
-/// driver calls this.
-const MIN_WORK_PER_WORKER: usize = 1 << 22;
-
 /// Score every training record against a solved direction `s = H⁻¹∇q`:
 /// `score(zᵢ) = -∇ℓ(zᵢ)·s`. Returns scores aligned with `data` rows.
 ///
-/// One batched [`Classifier::grad_dots_into`] pass. `threads` is a budget,
-/// not a demand: the pass fans out over as many `std::thread::scope`
-/// workers as have `MIN_WORK_PER_WORKER` multiply-adds each, at most
-/// `threads`, and otherwise stays on the caller's thread. Each worker owns
-/// a disjoint slice of the output, so scores are identical at every
-/// thread count.
+/// One batched [`Classifier::grad_dots_into`] pass under a `threads`
+/// budget (`0` = the machine's parallelism), fanned out only over full
+/// shares of `rows × n_params` work ([`rain_model::par::shard_rows`]).
+/// Shares own disjoint slices of the output, so scores are identical at
+/// every budget.
 pub fn score_records(
     model: &dyn Classifier,
     data: &Dataset,
     s: &[f64],
     threads: usize,
 ) -> Vec<f64> {
-    let n = data.len();
-    let work = n.saturating_mul(model.n_params());
-    let workers = (work / MIN_WORK_PER_WORKER).min(threads).clamp(1, n.max(1));
     let mut span = rain_obs::Span::enter("score_records");
-    span.add("rows", n as u64);
-    span.add("workers", workers as u64);
-    let mut scores = vec![0.0; n];
-    if workers == 1 {
-        model.grad_dots_into(data, 0, s, &mut scores);
-    } else {
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (w, out) in scores.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || model.grad_dots_into(data, w * chunk, s, out));
-            }
-        });
-    }
+    span.add("rows", data.len() as u64);
+    let mut scores = vec![0.0; data.len()];
+    let pass = |start, out: &mut [f64]| model.grad_dots_into(data, start, s, out);
+    rain_model::par::shard_rows(&mut span, &mut scores, model.n_params(), threads, pass);
     for score in &mut scores {
         *score = -*score;
     }
@@ -159,8 +133,9 @@ pub fn score_records(
 ///
 /// This is deliberately expensive — the paper reports it as the slowest
 /// method by far — so the records are distributed over a shared work queue
-/// (uneven CG convergence makes static chunking unbalanced). All `n`
-/// solves share one Hessian operator.
+/// (uneven CG convergence makes static chunking unbalanced), one worker
+/// per record up to the resolved `cfg.threads` budget (`0` = the
+/// machine's parallelism). All `n` solves share one Hessian operator.
 pub fn self_influence_scores(
     model: &dyn Classifier,
     data: &Dataset,
@@ -170,7 +145,7 @@ pub fn self_influence_scores(
     let hessian = model.hvp_op(data);
     let scores: Vec<std::sync::Mutex<f64>> = (0..n).map(|_| std::sync::Mutex::new(0.0)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = cfg.threads.clamp(1, n.max(1));
+    let workers = rain_model::par::resolve_threads(cfg.threads).clamp(1, n.max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -295,14 +270,16 @@ mod tests {
         let labels = (0..n).map(|_| rng.below(classes)).collect();
         let data = Dataset::new(x, labels, classes);
         let mut m = rain_model::SoftmaxRegression::new(dim, classes, 0.01);
-        let shares = n * m.n_params() / MIN_WORK_PER_WORKER;
+        let shares = n * m.n_params() / rain_model::par::MIN_WORK_PER_WORKER;
         assert_eq!(shares, 3);
         m.set_params(&rng.normal_vec(m.n_params(), 0.1));
         let s = rng.normal_vec(m.n_params(), 1.0);
         let serial = score_records(&m, &data, &s, 1);
         // The budget is a ceiling, the input decides below it: never more
         // workers than asked, never more than have a full share of work.
-        for (threads, workers) in [(0, 1), (2, 2), (64, shares)] {
+        // `0` is the machine's parallelism, like every budget.
+        let machine = rain_model::par::resolve_threads(0).min(shares);
+        for (threads, workers) in [(0, machine), (2, 2), (64, shares)] {
             let trace = rain_obs::Trace::start("budget");
             assert_eq!(score_records(&m, &data, &s, threads), serial, "{threads}");
             let tree = trace.finish();

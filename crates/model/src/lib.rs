@@ -26,6 +26,7 @@ pub mod logistic;
 pub mod metrics;
 pub mod mlp;
 pub mod model;
+pub mod par;
 pub mod softmax;
 pub mod train;
 

@@ -135,21 +135,10 @@ impl Classifier for LogisticRegression {
         out.copy_from_slice(&[1.0 - p1, p1]);
     }
 
-    fn predict_batch(&self, x: &rain_linalg::Matrix) -> Vec<usize> {
-        // Allocation-free batched path: one dot product per row, argmax
-        // over a stack pair — bitwise the same classes as per-row
-        // `predict` (which argmaxes the heap-allocated proba vector).
-        x.iter_rows()
-            .map(|r| {
-                let p1 = self.proba1(r);
-                rain_linalg::vecops::argmax(&[1.0 - p1, p1]).expect("non-empty proba")
-            })
-            .collect()
-    }
-
     fn predict_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [usize]) {
-        // Same allocation-free kernel as `predict_batch`, over a row
-        // range — what each parallel-refresh worker runs on its chunk.
+        // Allocation-free: one dot product per row, argmax over a stack
+        // pair — bitwise the same classes as per-row `predict` (which
+        // argmaxes the heap-allocated proba vector).
         for (k, slot) in out.iter_mut().enumerate() {
             let p1 = self.proba1(x.row(start + k));
             *slot = rain_linalg::vecops::argmax(&[1.0 - p1, p1]).expect("non-empty proba");

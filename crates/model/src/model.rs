@@ -71,13 +71,7 @@ pub trait Classifier: Send + Sync {
     }
 
     /// Hard predictions for a batch of feature rows (one example per
-    /// matrix row).
-    ///
-    /// The default routes through [`Classifier::predict_range_into`];
-    /// implementations may override with an allocation-free batched path,
-    /// but must return exactly the per-row `predict` results — the
-    /// incremental query-refresh machinery relies on batched and per-row
-    /// inference agreeing bit for bit.
+    /// matrix row): [`Classifier::predict_range_into`] over every row.
     fn predict_batch(&self, x: &rain_linalg::Matrix) -> Vec<usize> {
         let mut out = vec![0usize; x.rows()];
         self.predict_range_into(x, 0, &mut out);
@@ -85,13 +79,14 @@ pub trait Classifier: Send + Sync {
     }
 
     /// Hard predictions for the row range `start .. start + out.len()`
-    /// of `x`, written into `out` — the unit the parallel refresh path
-    /// shards over (each worker owns a disjoint output slice).
+    /// of `x`, written into `out` — the unit a refresh shards over (each
+    /// share owns a disjoint output slice).
     ///
     /// The default walks the rows through [`Classifier::predict`];
-    /// implementations overriding [`Classifier::predict_batch`] with an
-    /// allocation-free kernel should override this consistently — both
-    /// must return exactly the per-row `predict` results, bit for bit.
+    /// implementations may override it with an allocation-free kernel, but
+    /// must return exactly the per-row `predict` results — the incremental
+    /// query-refresh machinery relies on batched and per-row inference
+    /// agreeing bit for bit.
     fn predict_range_into(&self, x: &rain_linalg::Matrix, start: usize, out: &mut [usize]) {
         for (k, slot) in out.iter_mut().enumerate() {
             *slot = self.predict(x.row(start + k));

@@ -1065,6 +1065,85 @@ fn analyze_query_returns_plan_and_execution_profile() {
     server.shutdown();
 }
 
+/// A cached query the size of the `query_serve` benchmark's (5 000 Adult-
+/// shaped rows, 18 features, logistic) refreshes on the caller's thread
+/// even when the session's budget allows more: 5 000 × 19 multiply-adds
+/// is far below one worker's share, so `inference` records one worker and
+/// no `shard` spans.
+#[test]
+fn cached_query_at_serving_size_infers_on_one_thread() {
+    let (n, dim) = (5000, 18);
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let session = Json::obj(vec![
+        ("name", Json::str("serve")),
+        (
+            "model",
+            Json::obj(vec![
+                ("kind", Json::str("logistic")),
+                ("dim", Json::num(dim as f64)),
+            ]),
+        ),
+        ("threads", Json::num(4.0)),
+    ]);
+    client.post_ok("/sessions", &session).unwrap();
+    let decades: Vec<Json> = (0..n)
+        .map(|i| Json::num((20 + i % 5 * 10) as f64))
+        .collect();
+    let feats: Vec<Json> = (0..n)
+        .map(|i| {
+            Json::Arr(
+                (0..dim)
+                    .map(|j| Json::num(((i * 7 + j) % 11) as f64 / 10.0))
+                    .collect(),
+            )
+        })
+        .collect();
+    let table = Json::obj(vec![
+        ("name", Json::str("adult")),
+        (
+            "columns",
+            Json::Arr(vec![Json::obj(vec![
+                ("name", Json::str("agedecade")),
+                ("type", Json::str("int")),
+                ("values", Json::Arr(decades)),
+            ])]),
+        ),
+        ("features", Json::Arr(feats)),
+    ]);
+    client.post_ok("/sessions/serve/tables", &table).unwrap();
+    let sql = "SELECT AVG(predict(*)) FROM adult GROUP BY agedecade";
+    let q = |analyze| {
+        Json::obj(vec![
+            ("sql", Json::str(sql)),
+            ("analyze", Json::Bool(analyze)),
+        ])
+    };
+    client.post_ok("/sessions/serve/query", &q(false)).unwrap();
+    let analyzed = client.post_ok("/sessions/serve/query", &q(true)).unwrap();
+    assert_eq!(analyzed.get("cache").and_then(Json::as_str), Some("hit"));
+    let inference = child(
+        child(analyzed.get("profile").unwrap(), "refresh"),
+        "inference",
+    );
+    let counter = |k| {
+        inference
+            .get("counters")
+            .and_then(|c| c.get(k))
+            .and_then(Json::as_f64)
+    };
+    assert_eq!(counter("rows_in"), Some(n as f64), "{inference}");
+    assert_eq!(counter("workers"), Some(1.0), "{inference}");
+    let children = inference.get("children").and_then(Json::as_arr).unwrap();
+    assert!(
+        children
+            .iter()
+            .all(|c| c.get("name").and_then(Json::as_str) != Some("shard")),
+        "{inference}"
+    );
+    server.shutdown();
+}
+
 /// The always-on sampler: with no profile flags and no analyze requests,
 /// the profile ring fills by itself. Queries land as `query` entries
 /// (the session's 1-in-N knob; first query always samples), debug-run

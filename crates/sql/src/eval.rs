@@ -285,9 +285,9 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// The same context with a resolved worker budget (clamped to ≥ 1).
+    /// The same context under a worker budget (`0` = auto), resolved.
     pub(crate) fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = crate::exec::resolve_threads(threads);
         self
     }
 

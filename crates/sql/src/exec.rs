@@ -105,33 +105,11 @@ impl ExecOptions {
     pub fn on(self, engine: Engine) -> Self {
         self.with_engine(engine)
     }
-
-    /// The concrete worker count this option resolves to: `0` becomes
-    /// [`std::thread::available_parallelism`] (1 if unknown).
-    pub fn resolved_threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
 }
 
-/// Hard ceiling on explicit worker-thread requests. Oversubscribing
-/// beyond this never helps (morsel workers are CPU-bound), and an
-/// unbounded request could otherwise ask a `std::thread::scope` to
-/// spawn one OS thread per morsel — on a server, a remote
-/// process-abort. Requests above the ceiling clamp to it.
-pub const MAX_EXEC_THREADS: usize = 256;
-
-/// Resolve a thread knob: `0` = the machine's available parallelism
-/// (falling back to 1 when unknown); any other value is honored up to
-/// [`MAX_EXEC_THREADS`].
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads.min(MAX_EXEC_THREADS)
-    }
-}
+/// `0` = the machine's parallelism (read once per process), else at most
+/// [`MAX_EXEC_THREADS`]; see [`rain_model::par`].
+pub use rain_model::par::{resolve_threads, MAX_THREADS as MAX_EXEC_THREADS};
 
 /// The scalar of a one-row, one-aggregate output — typed so callers can
 /// tell "no rows" from "a NULL cell" (both used to collapse to `None`).

@@ -19,7 +19,7 @@
 //! per-variable feature bindings that feed `predict()` — and a cheap
 //! *refresh* phase that, given new model parameters, runs one **batched
 //! inference** over the cached feature matrix
-//! ([`Classifier::predict_batch`]) and then discretely re-evaluates the
+//! ([`Classifier::predict_range_into`]) and then discretely re-evaluates the
 //! cached formulas to re-assemble the concrete rows, `ScalarResult`s, and
 //! provenance polynomials of a full execution.
 //!
@@ -43,6 +43,10 @@
 //! *extended* over the appended rows, bit-identically to preparing from
 //! scratch; joins, replaced tables and architecture changes re-prepare
 //! (see [`PreparedQuery::catch_up`]).
+//!
+//! **Fan-out.** Inference starts a worker per full share of work
+//! ([`rain_model::par`]); at served sizes that is the caller's thread
+//! alone. The traced `inference` span's `workers` counter says which.
 
 use crate::ast::AggFunc;
 use crate::binder::{BExpr, BoundAgg, BoundAggArg, GroupKey, QueryKind};
@@ -245,8 +249,7 @@ pub fn prepare_with(
     threads: usize,
 ) -> Result<PreparedQuery, QueryError> {
     let mut prep_span = rain_obs::Span::enter("prepare");
-    let mut ctx =
-        EvalCtx::new(db, model, plan, true).with_threads(crate::exec::resolve_threads(threads));
+    let mut ctx = EvalCtx::new(db, model, plan, true).with_threads(threads);
     let mut trace = PipelineTrace::default();
     let (kind, candidate_tuples) = capture_pipeline(&mut ctx, engine, &mut trace)?;
 
@@ -327,11 +330,11 @@ impl PreparedQuery {
     /// Re-assemble the debug-mode [`QueryOutput`] under (possibly new)
     /// model parameters: one batched inference over the cached feature
     /// matrix, then a discrete re-evaluation of the cached formulas.
-    /// Inference fans out over feature-matrix chunks under `threads`
-    /// workers (`0` = the machine's available parallelism, `1` =
-    /// sequential); output is bit-identical at every thread count —
-    /// workers write hard predictions for disjoint variable ranges and
-    /// each prediction is a pure per-row function of the model.
+    /// Inference runs under a `threads` budget (`0` = auto, `1` =
+    /// sequential), fanned out only over full shares of work
+    /// ([`rain_model::par`]); output is bit-identical at every budget —
+    /// shares write disjoint variable ranges and each prediction is a
+    /// pure per-row function of the model.
     ///
     /// Strict: fails if the model architecture changed (class count,
     /// feature dimension) or a queried table moved since the skeleton was
@@ -409,8 +412,7 @@ impl PreparedQuery {
         }
         let mut span = rain_obs::Span::enter("extend");
         let old_rows = self.rels[0].n_rows;
-        let mut ctx = EvalCtx::new(db, model, &self.plan, true)
-            .with_threads(crate::exec::resolve_threads(threads));
+        let mut ctx = EvalCtx::new(db, model, &self.plan, true).with_threads(threads);
         ctx.first_row = vec![old_rows];
         // Moved in, not cloned: new prediction variables continue the id
         // sequence, and the registry's shared parts are not copied.
@@ -774,47 +776,15 @@ fn merge_groups(groups: &mut Vec<GroupSkel>, delta: Vec<GroupSkel>) {
     }
 }
 
-/// Feature matrices below this many rows run through the model's own
-/// (possibly vectorized) `predict_batch` on one thread — per-example
-/// inference is microseconds, so small refreshes don't pay thread spawns.
-const PREDICT_SHARD_MIN_ROWS: usize = 1024;
-
-/// Hard predictions for every feature row, fanned out over contiguous
-/// row chunks across `threads` scoped workers (`0` = auto).
-///
-/// Each worker owns a disjoint slice of the output and runs the model's
-/// batched range kernel ([`Classifier::predict_range_into`]) over its
-/// chunk; by the trait contract, batched and per-row inference agree
-/// bit for bit, so the sharded result is identical to the
-/// single-threaded batched call at every thread count.
-pub(crate) fn predict_batch_sharded(
-    model: &dyn Classifier,
-    features: &Matrix,
-    threads: usize,
-) -> Vec<usize> {
-    let n = features.rows();
+/// Hard predictions for every feature row under a `threads` budget (`0` =
+/// auto): the model's range kernel ([`Classifier::predict_range_into`])
+/// per [`rain_model::par::shard_rows`] share of `rows × n_params` work.
+fn predict_batch_sharded(model: &dyn Classifier, features: &Matrix, threads: usize) -> Vec<usize> {
     let mut span = rain_obs::Span::enter("inference");
-    span.add("rows_in", n as u64);
-    let workers = crate::exec::resolve_threads(threads).clamp(1, n.max(1));
-    if workers <= 1 || n < PREDICT_SHARD_MIN_ROWS {
-        return model.predict_batch(features);
-    }
-    let mut preds = vec![0usize; n];
-    let chunk = n.div_ceil(workers);
-    let span = &span;
-    std::thread::scope(|scope| {
-        for (w, out) in preds.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            scope.spawn(move || {
-                // Shard index is the worker's (deterministic) chunk
-                // position, not its scheduling order.
-                let mut shard = rain_obs::Span::enter_under(span, "shard");
-                shard.add("index", w as u64);
-                shard.add("items", out.len() as u64);
-                model.predict_range_into(features, start, out)
-            });
-        }
-    });
+    span.add("rows_in", features.rows() as u64);
+    let mut preds = vec![0usize; features.rows()];
+    let pass = |start, out: &mut [usize]| model.predict_range_into(features, start, out);
+    rain_model::par::shard_rows(&mut span, &mut preds, model.n_params(), threads, pass);
     preds
 }
 

@@ -67,7 +67,7 @@ pub(crate) fn run(
     query: &QueryPlan,
     opts: &ExecOptions,
 ) -> Result<QueryOutput, QueryError> {
-    let mut ctx = EvalCtx::new(db, model, query, opts.debug).with_threads(opts.resolved_threads());
+    let mut ctx = EvalCtx::new(db, model, query, opts.debug).with_threads(opts.threads);
     let rows = join_pipeline(&mut ctx, None)?;
     match &query.kind {
         QueryKind::Select { items } => project_rowset(&mut ctx, rows, items),

@@ -2,9 +2,9 @@
 //! vectorized operators.
 //!
 //! A *morsel* is a contiguous range of work items — base-table rows for a
-//! scan, accumulated tuples for a join probe, prediction variables for a
-//! batched refresh. Workers (plain `std::thread::scope` threads, like
-//! `rain-influence`'s record scoring) pull morsel indices off one atomic
+//! scan, accumulated tuples for a join probe. Workers (plain
+//! `std::thread::scope` threads; per-row model passes fan out by work
+//! instead, see `rain_model::par`) pull morsel indices off one atomic
 //! counter, so load balances dynamically, but every morsel's *output* is
 //! written into its own pre-allocated slot and the caller concatenates
 //! the slots **in morsel order**. That makes parallel execution

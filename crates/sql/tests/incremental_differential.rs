@@ -18,7 +18,8 @@
 //! statistics.
 
 use rain_linalg::{Matrix, RainRng};
-use rain_model::{Classifier, LogisticRegression};
+use rain_model::par::MIN_WORK_PER_WORKER;
+use rain_model::{Classifier, LogisticRegression, Mlp};
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
     bind, execute, optimize, parse_select, prepare, prepare_with, AccessPath, CacheEvent, Database,
@@ -41,6 +42,25 @@ fn step_model() -> LogisticRegression {
 fn flipped_model() -> LogisticRegression {
     let mut m = LogisticRegression::new(1, 0.0);
     m.set_params(&[-50.0, 0.0]);
+    m
+}
+
+/// The step model's decision on ±1 features (`sign` = 1) or the flipped
+/// one (`sign` = -1) as a one-input ReLU MLP just wide enough that
+/// inference over `vars` variables earns two full shares of
+/// [`MIN_WORK_PER_WORKER`] multiply-adds (`n_params` per row). Hidden unit
+/// 0 is `relu(sign·x)`, unit 1 `relu(-sign·x)`, every other unit is dead.
+fn wide_step_model(sign: f64, vars: usize) -> Mlp {
+    let hidden = (2 * MIN_WORK_PER_WORKER).div_ceil(4 * vars).max(2);
+    let mut m = Mlp::new(1, hidden, 2, 0.0, 1);
+    let mut p = vec![0.0; m.n_params()];
+    p[0] = sign; // W₁[0] = [sign, 0]
+    p[2] = -sign; // W₁[1] = [-sign, 0]
+    let w2 = 2 * hidden;
+    p[w2 + 1] = 50.0; // class 0 logit = 50·relu(-sign·x)
+    p[w2 + hidden + 1] = 50.0; // class 1 logit = 50·relu(sign·x)
+    m.set_params(&p);
+    assert!(vars * m.n_params() >= 2 * MIN_WORK_PER_WORKER);
     m
 }
 
@@ -306,12 +326,13 @@ fn refresh_matches_full_reexecution_on_nullable_tables() {
     }
 }
 
-/// Large-input refresh sweep: enough prediction variables that the
-/// batched-inference fan-out actually shards across workers (small cases
-/// stay under its row threshold), and a table big enough that capture
-/// runs the morsel-parallel scan/probe paths. Skeletons captured under
-/// different worker budgets and refreshed under `threads ∈ {1, 2, 8}`
-/// must all be bit-identical to full re-execution.
+/// Large-input refresh sweep: enough prediction variables and a wide
+/// enough model that the batched-inference fan-out actually shards across
+/// workers (small cases stay under one worker's share of work), and a
+/// table big enough that capture runs the morsel-parallel scan/probe
+/// paths. Skeletons captured under different worker budgets and refreshed
+/// under `threads ∈ {1, 2, 8}` must all be bit-identical to full
+/// re-execution.
 #[test]
 fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
     let mut rng = RainRng::seed_from_u64(0xBEEF);
@@ -324,11 +345,15 @@ fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
             .map(|r| &r[..])
             .collect::<Vec<_>>(),
     );
+    let f: Vec<f64> = (0..n).map(|_| rng.uniform_range(-2.0, 4.0)).collect();
+    // Both queries keep every `a` row with `f < 2.0`: at least that many
+    // variables, which sizes the model to shard them.
+    let vars = f.iter().filter(|&&f| f < 2.0).count();
     let t1 = Table::from_columns(
         Schema::new(&[("x", ColType::Int), ("f", ColType::Float)]),
         vec![
             Column::Int((0..n).map(|i| (i % 3001) as i64).collect()),
-            Column::Float((0..n).map(|_| rng.uniform_range(-2.0, 4.0)).collect()),
+            Column::Float(f),
         ],
     )
     .with_features(feats);
@@ -336,7 +361,7 @@ fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
     db.register("t1", t1.clone());
     db.register("t2", t1);
 
-    let flipped = flipped_model();
+    let flipped = wide_step_model(-1.0, vars);
     for sql in [
         "SELECT COUNT(*) FROM t1 a WHERE a.f < 3.0 AND predict(a) = 1",
         "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.x AND a.f < 2.0 AND predict(a) = 1",
@@ -353,15 +378,24 @@ fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
         for capture_threads in [1, 8] {
             let prepared = rain_sql::prepare_with(
                 &db,
-                &step_model(),
+                &wide_step_model(1.0, vars),
                 &plan,
                 Engine::Vectorized,
                 capture_threads,
             )
             .unwrap();
-            assert!(prepared.stats().n_vars >= 1024, "fan-out must shard");
+            assert!(prepared.stats().n_vars >= vars, "fan-out must shard");
             for refresh_threads in [1, 2, 8] {
+                let trace = rain_obs::Trace::start("refresh");
                 let out = prepared.refresh(&db, &flipped, refresh_threads).unwrap();
+                let tree = trace.finish();
+                let inference = tree.find("inference").expect("inference span");
+                let workers = inference.counters.iter().find(|(k, _)| *k == "workers");
+                assert_eq!(
+                    workers.map(|(_, w)| (*w).min(2)),
+                    Some(refresh_threads.min(2) as u64),
+                    "`{sql}` [refresh={refresh_threads}]: fan-out must shard"
+                );
                 assert_identical(
                     &format!("`{sql}` [capture={capture_threads}, refresh={refresh_threads}]"),
                     &full,

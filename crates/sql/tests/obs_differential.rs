@@ -9,7 +9,8 @@
 //! plan shape, and the incremental prepare/refresh stages.
 
 use rain_linalg::{Matrix, RainRng};
-use rain_model::{Classifier, LogisticRegression};
+use rain_model::par::MIN_WORK_PER_WORKER;
+use rain_model::{Classifier, LogisticRegression, Mlp};
 use rain_obs::{Span, Trace, TraceNode};
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
@@ -397,12 +398,33 @@ fn parallel_span_shape_is_thread_independent() {
     }
 }
 
+/// The step model's decision on ±1 features as a one-input ReLU MLP just
+/// wide enough that inference over `vars` variables earns two full shares
+/// of [`MIN_WORK_PER_WORKER`] multiply-adds (`n_params` per row): hidden
+/// unit 0 is `relu(x)`, unit 1 `relu(-x)`, every other unit is dead.
+fn wide_step_model(vars: usize) -> Mlp {
+    let hidden = (2 * MIN_WORK_PER_WORKER).div_ceil(4 * vars).max(2);
+    let mut m = Mlp::new(1, hidden, 2, 0.0, 1);
+    let mut p = vec![0.0; m.n_params()];
+    p[0] = 1.0; // W₁[0] = [1, 0]
+    p[2] = -1.0; // W₁[1] = [-1, 0]
+    let w2 = 2 * hidden;
+    p[w2 + 1] = 50.0; // class 0 logit = 50·relu(-x)
+    p[w2 + hidden + 1] = 50.0; // class 1 logit = 50·relu(x)
+    m.set_params(&p);
+    assert!(vars * m.n_params() >= 2 * MIN_WORK_PER_WORKER);
+    m
+}
+
 /// The incremental subsystem's stages appear in traces: skeleton capture
 /// inside prepare, sharded inference and formula re-eval inside refresh.
 #[test]
 fn prepare_and_refresh_record_their_stages() {
-    let db = big_db(12_000);
-    let model = step_model();
+    let n = 12_000;
+    let db = big_db(n);
+    // `x = i % 997`: the rows with `x < 500` are the variables.
+    let vars = (0..n).filter(|i| i % 997 < 500).count();
+    let model = wide_step_model(vars);
     let sql = "SELECT COUNT(*) FROM t WHERE x < 500 AND predict(t) = 1";
     let plan = optimize(bind(&parse_select(sql).unwrap(), &db).unwrap(), &db);
 
@@ -411,6 +433,7 @@ fn prepare_and_refresh_record_their_stages() {
     let out = pq.refresh(&db, &model, 4).unwrap();
     let tree = trace.finish();
     assert!(!out.predvars.is_empty());
+    assert_eq!(pq.stats().n_vars, vars);
 
     let prep = tree.find("prepare").expect("prepare span");
     assert!(prep.find("capture").is_some(), "capture under prepare");
@@ -418,9 +441,16 @@ fn prepare_and_refresh_record_their_stages() {
     assert!(counter(prep, "n_vars").unwrap() > 0);
     let refresh = tree.find("refresh").expect("refresh span");
     let inference = refresh.find("inference").expect("inference under refresh");
-    // Enough variables to shard: per-shard worker spans attach.
-    assert!(
-        inference.children.iter().any(|c| c.name == "shard"),
+    // Enough work to shard: per-shard worker spans attach, one per worker.
+    let workers = counter(inference, "workers").expect("workers counter");
+    assert!(workers >= 2, "inference ran on {workers} worker(s)");
+    assert_eq!(
+        inference
+            .children
+            .iter()
+            .filter(|c| c.name == "shard")
+            .count() as u64,
+        workers,
         "sharded inference records worker spans"
     );
     assert!(refresh.find("re-eval").is_some(), "re-eval under refresh");
