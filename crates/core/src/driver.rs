@@ -8,33 +8,33 @@
 //! batch size k the driver runs `|D|/k` iterations (§5.1).
 //!
 //! Step (2) runs through the incremental subsystem: each query's
-//! model-independent skeleton is prepared once per run, then per iteration
-//! brought current (`catch_up`, a no-op unless a queried table moved) and
-//! refreshed — bit-identical output to a full debug execution, at a
-//! fraction of the per-iteration cost (see `rain_sql::incremental`).
-//! [`RunConfig::incremental`]` = false` is the test oracle for that claim,
-//! not a deployment choice.
+//! model-independent skeleton is checked out of a [`QueryCache`] once per
+//! run — current on checkout, and the run holds `&self`, so it stays
+//! current — then every iteration refreshes it: bit-identical output to a
+//! full debug execution, at a fraction of the per-iteration cost (see
+//! `rain_sql::incremental`). [`RunConfig::incremental`]` = false` is the
+//! test oracle for that claim, not a deployment choice.
 
 use crate::complaint::QuerySpec;
 use crate::metrics;
 use crate::rank::{rank, Method, RankContext, RankError};
 use crate::twostep::SqlStepConfig;
 use rain_influence::InfluenceConfig;
+use rain_linalg::Matrix;
 use rain_model::{train_lbfgs, Classifier, Dataset, LbfgsConfig};
 use rain_obs::{Span, Trace};
 use rain_sql::{
-    execute, prepare_with, Database, Engine, ExecOptions, PreparedQuery, QueryError, QueryOutput,
-    QueryPlan,
+    execute, CacheEvent, CachedQuery, Database, Engine, ExecOptions, QueryCache, QueryError,
+    QueryOutput,
 };
 use std::time::Instant;
 
-// The serving layer moves sessions and their prepared state across
-// threads (job-runner workers execute runs off the accept path); keep
-// that guaranteed at compile time.
+// The serving layer moves sessions and their reports across threads
+// (job-runner workers execute runs off the accept path); keep that
+// guaranteed at compile time.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<DebugSession>();
-    assert_send::<PreparedQueries>();
     assert_send::<DebugReport>();
 };
 
@@ -52,8 +52,8 @@ pub struct DebugSession {
     /// Training configuration.
     pub train_cfg: LbfgsConfig,
     /// Influence-engine configuration (damping, CG). Its `threads` field
-    /// is not read by [`DebugSession::run`]: a run ranks under
-    /// [`RunConfig::threads`] like everything else it does.
+    /// is not read by a run: a run ranks under its cache's worker budget
+    /// ([`QueryCache::threads`]) like everything else it does.
     pub influence: InfluenceConfig,
     /// TwoStep SQL-step configuration.
     pub sqlstep: SqlStepConfig,
@@ -73,113 +73,86 @@ impl DebugSession {
         }
     }
 
+    /// An empty session around `model`: no tables, no training rows (of
+    /// the model's width), no queries — what a server creates before the
+    /// client uploads anything.
+    pub fn for_model(model: Box<dyn Classifier>) -> Self {
+        let train = Dataset::new(
+            Matrix::zeros(0, model.dim()),
+            Vec::new(),
+            model.n_classes().max(2),
+        );
+        DebugSession::new(Database::new(), train, model)
+    }
+
     /// Attach a complained-about query (builder style).
     pub fn with_query(mut self, q: QuerySpec) -> Self {
         self.queries.push(q);
         self
     }
 
-    /// Parse, bind, and optimize every attached query
-    /// (`parser → binder → optimizer`); the returned plans are executed
-    /// directly on each iteration of the loop.
-    pub fn plan_queries(&self) -> Result<Vec<QueryPlan>, QueryError> {
-        self.queries
-            .iter()
-            .map(|q| {
-                let stmt = rain_sql::parse_select(&q.sql).map_err(QueryError::Parse)?;
-                let bound = rain_sql::bind(&stmt, &self.db)?;
-                Ok(rain_sql::optimize(bound, &self.db))
-            })
-            .collect()
-    }
-
-    /// Plan — and, when `incremental` is on, *prepare* — every attached
-    /// query: the model-independent skeleton (joined candidate tuples,
-    /// group partitions, provenance sums, feature bindings) is captured
-    /// once under `threads` workers (`0` = auto, `1` = sequential), and
-    /// each loop iteration re-runs only the model — a batched inference
-    /// plus a discrete re-evaluation.
-    ///
-    /// The result is deliberately separable from the session: a serving
-    /// layer keeps it (or the skeletons inside it, via its query cache)
-    /// alive across runs, so a follow-up debug run skips planning and
-    /// skeleton capture entirely.
-    pub fn prepare_queries(
-        &self,
-        incremental: bool,
-        threads: usize,
-    ) -> Result<PreparedQueries, QueryError> {
-        let t_prepare = Instant::now();
-        let plans = self.plan_queries()?;
-        let prepared: Vec<PreparedQuery> = if incremental {
-            plans
-                .iter()
-                .map(|p| {
-                    prepare_with(
-                        &self.db,
-                        self.model.as_ref(),
-                        p,
-                        Engine::Vectorized,
-                        threads,
-                    )
-                })
-                .collect::<Result<_, _>>()?
-        } else {
-            Vec::new()
-        };
-        Ok(PreparedQueries {
-            plans,
-            prepared,
-            prepare_s: t_prepare.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// Run the train–rank–fix loop with one method.
-    ///
-    /// With [`RunConfig::profile`] on, the whole run — including the
-    /// one-time plan/prepare — is one `debug-run` trace, and its tree
-    /// lands in [`DebugReport::profile`].
+    /// Run the train–rank–fix loop with one method, on skeletons captured
+    /// for this run alone: [`DebugSession::run_cached`] over a fresh
+    /// cache with an automatic worker budget.
     pub fn run(&self, method: Method, cfg: &RunConfig) -> Result<DebugReport, QueryError> {
-        let trace = cfg.profile.then(|| Trace::start("debug-run"));
-        let mut pq = {
-            let _s = Span::enter("prepare-queries");
-            self.prepare_queries(cfg.incremental, cfg.threads)?
-        };
-        self.run_loop(method, cfg, &mut pq, trace)
+        self.run_cached(method, cfg, &mut QueryCache::new(Engine::Vectorized))
     }
 
-    /// [`DebugSession::run`] against externally held planned/prepared
-    /// state. `pq` is borrowed mutably because each iteration brings
-    /// stale skeletons current first ([`PreparedQuery::catch_up`]) — a
-    /// long-lived server's fix path may re-register queried tables
-    /// between runs; inside the library loop fixes mutate only the
-    /// training set, so rebuilds never trigger there.
-    pub fn run_prepared(
+    /// Run the train–rank–fix loop with one method, taking each query's
+    /// skeleton from `cache`: all are checked out before the first
+    /// iteration (planned and captured on a miss, brought current on an
+    /// invalidation) and checked back in when the run ends, whether it
+    /// succeeded or not — so a follow-up run over the same complaints
+    /// starts from cache hits. If one checkout fails, the skeletons
+    /// already checked out go back first.
+    ///
+    /// The whole run works under `cache.threads()` workers (`0` = the
+    /// machine's parallelism): refreshes, the full re-executions of the
+    /// `incremental: false` oracle, and ranking. Checkout time is charged
+    /// to the first iteration's encode phase. With [`RunConfig::profile`]
+    /// on, the run — checkouts included, under `prepare-queries` — is one
+    /// `debug-run` trace, and its tree lands in [`DebugReport::profile`].
+    pub fn run_cached(
         &self,
         method: Method,
         cfg: &RunConfig,
-        pq: &mut PreparedQueries,
+        cache: &mut QueryCache,
     ) -> Result<DebugReport, QueryError> {
         let trace = cfg.profile.then(|| Trace::start("debug-run"));
-        self.run_loop(method, cfg, pq, trace)
+        let t_prepare = Instant::now();
+        let mut checked = Vec::with_capacity(self.queries.len());
+        {
+            let _s = Span::enter("prepare-queries");
+            for q in &self.queries {
+                match cache.checkout(&self.db, self.model.as_ref(), &q.sql) {
+                    Ok(cq) => checked.push(cq),
+                    Err(e) => {
+                        checked.into_iter().for_each(|cq| cache.checkin(cq));
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        let prepare_s = t_prepare.elapsed().as_secs_f64();
+        let run = self.run_loop(method, cfg, &checked, cache.threads(), prepare_s);
+        checked.into_iter().for_each(|cq| cache.checkin(cq));
+        let mut report = run?;
+        report.profile = trace.map(Trace::finish);
+        Ok(report)
     }
 
-    /// The iteration loop shared by [`DebugSession::run`] and
-    /// [`DebugSession::run_prepared`]; `trace` is the run's `debug-run`
-    /// trace when it is profiled, finished into [`DebugReport::profile`].
+    /// The iteration loop of [`DebugSession::run_cached`], over its
+    /// checked-out skeletons and worker budget; `pending_prepare_s` (the
+    /// checkout time) is charged to the first iteration's encode phase so timing
+    /// trajectories stay cost-complete against full re-execution.
     fn run_loop(
         &self,
         method: Method,
         cfg: &RunConfig,
-        pq: &mut PreparedQueries,
-        trace: Option<Trace>,
+        queries: &[CachedQuery],
+        threads: usize,
+        mut pending_prepare_s: f64,
     ) -> Result<DebugReport, QueryError> {
-        // The one-time plan/prepare cost is charged to the first
-        // iteration's encode phase so incremental timing trajectories
-        // stay cost-complete against full re-execution. (Taken, so state
-        // reused across runs is not double-charged.)
-        let mut pending_prepare_s = std::mem::take(&mut pq.prepare_s);
-        let mut skeleton_rebuilds = 0usize;
         // Refresh-aware complaint checking: a query's debug output is a
         // pure function of the hard predictions over its variables (the
         // skeleton is fixed for the run), so if no prediction the query
@@ -187,10 +160,9 @@ impl DebugSession {
         // satisfied/violated verdict still stands. Model-free plans
         // (`QueryPlan::model_deps`) can never flip; model-dependent ones
         // are re-checked only when their prediction vector changed.
-        let model_free: Vec<bool> = pq
-            .plans
+        let model_free: Vec<bool> = queries
             .iter()
-            .map(|p| p.model_deps().is_model_free())
+            .map(|cq| cq.prepared.plan().model_deps().is_model_free())
             .collect();
         let mut last_verdict: Vec<Option<(Vec<usize>, bool)>> = vec![None; self.queries.len()];
         let mut model = self.model.clone();
@@ -202,7 +174,7 @@ impl DebugSession {
         // Ranking works under the run's worker budget like everything
         // else, not under the session's stand-alone influence default.
         let influence = InfluenceConfig {
-            threads: rain_sql::resolve_threads(cfg.threads),
+            threads: rain_sql::resolve_threads(threads),
             ..self.influence.clone()
         };
 
@@ -238,25 +210,21 @@ impl DebugSession {
                 // worker budget: refresh the prepared skeleton, or — the
                 // `incremental: false` oracle — re-execute the plan in full.
                 let t_exec = Instant::now();
-                let mut outputs: Vec<QueryOutput> = Vec::with_capacity(pq.plans.len());
+                let mut outputs: Vec<QueryOutput> = Vec::with_capacity(queries.len());
                 {
                     // The sql layer's own spans (refresh/inference/re-eval,
                     // or scan/join/… on the full path) nest under this one.
                     let _s = Span::enter("execute");
-                    for qi in 0..pq.plans.len() {
-                        let out = match pq.prepared.get_mut(qi) {
-                            None => execute(
+                    for cq in queries {
+                        let out = if cfg.incremental {
+                            cq.prepared.refresh(&self.db, model.as_ref(), threads)
+                        } else {
+                            execute(
                                 &self.db,
                                 model.as_ref(),
-                                &pq.plans[qi],
-                                ExecOptions::debug().with_threads(cfg.threads),
-                            ),
-                            Some(p) => p.catch_up(&self.db, model.as_ref(), cfg.threads).and_then(
-                                |rebuilt| {
-                                    skeleton_rebuilds += rebuilt as usize;
-                                    p.refresh(&self.db, model.as_ref(), cfg.threads)
-                                },
-                            ),
+                                cq.prepared.plan(),
+                                ExecOptions::debug().with_threads(threads),
+                            )
                         };
                         outputs.push(out?);
                     }
@@ -357,54 +325,14 @@ impl DebugSession {
         Ok(DebugReport {
             removed,
             iterations,
-            skeleton_rebuilds,
+            skeleton_rebuilds: queries
+                .iter()
+                .filter(|cq| cq.event == CacheEvent::Invalidated)
+                .count(),
             failure,
-            profile: trace.map(Trace::finish),
+            profile: None,
             iteration_profiles,
         })
-    }
-}
-
-/// The planned (and optionally skeleton-prepared) form of a session's
-/// queries: what [`DebugSession::run_prepared`] actually executes,
-/// separable from the session so callers can keep it warm across runs.
-#[derive(Debug, Clone)]
-pub struct PreparedQueries {
-    /// Optimized physical plan per attached query, in query order.
-    pub plans: Vec<QueryPlan>,
-    /// Prepared skeleton per query; empty = full re-execution per
-    /// iteration (the `incremental: false` oracle path).
-    pub prepared: Vec<PreparedQuery>,
-    /// Seconds spent planning + preparing, charged to the first
-    /// iteration's encode phase of the next run (then zeroed).
-    prepare_s: f64,
-}
-
-impl PreparedQueries {
-    /// Assemble from externally cached parts (e.g. skeletons checked out
-    /// of a [`QueryCache`](rain_sql::QueryCache)); `prepared` must be
-    /// empty or match `plans` element-wise.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch between non-empty `prepared` and
-    /// `plans`.
-    pub fn from_parts(plans: Vec<QueryPlan>, prepared: Vec<PreparedQuery>) -> Self {
-        assert!(
-            prepared.is_empty() || prepared.len() == plans.len(),
-            "one prepared skeleton per plan"
-        );
-        PreparedQueries {
-            plans,
-            prepared,
-            prepare_s: 0.0,
-        }
-    }
-
-    /// Tear down into `(plans, prepared)` — the inverse of
-    /// [`PreparedQueries::from_parts`], used to return skeletons to a
-    /// cache after a run.
-    pub fn into_parts(self) -> (Vec<QueryPlan>, Vec<PreparedQuery>) {
-        (self.plans, self.prepared)
     }
 }
 
@@ -418,15 +346,10 @@ pub struct RunConfig {
     /// Stop as soon as every complaint is concretely satisfied.
     pub stop_when_satisfied: bool,
     /// Re-execute via the incremental prepare/refresh path (the default):
-    /// the model-independent query skeleton is captured once per run and
-    /// each iteration only refreshes predictions. Off = full debug-mode
+    /// the model-independent query skeleton is checked out once per run
+    /// and each iteration only refreshes predictions. Off = full debug-mode
     /// re-execution per iteration (the oracle path; output is identical).
     pub incremental: bool,
-    /// Worker budget for morsel-parallel execution and batched refresh
-    /// inference: `0` (the default) = the machine's available
-    /// parallelism, `1` = fully sequential. Output is bit-identical at
-    /// every setting; a server uses this as a per-session cap.
-    pub threads: usize,
     /// Collect a per-iteration trace of the run ([`rain_obs`] spans) and
     /// attach it as [`DebugReport::profile`]. Off by default: instrumented
     /// code paths are inert when no trace is active, and the loop's
@@ -439,8 +362,8 @@ pub struct RunConfig {
     /// operator asks for it. `0` disables sampling. A run that is traced
     /// as a whole ([`RunConfig::profile`], or a caller's own
     /// [`rain_obs::Trace`] on the calling thread) has every iteration in
-    /// that trace instead. Outputs are bit-identical at every setting. Default 16 (1-in-16); the serving
-    /// layer overrides it per session.
+    /// that trace instead. Outputs are bit-identical at every setting.
+    /// Default 16 (1-in-16); the serving layer overrides it per session.
     pub sample_every: usize,
 }
 
@@ -452,7 +375,6 @@ impl RunConfig {
             budget,
             stop_when_satisfied: false,
             incremental: true,
-            threads: 0,
             profile: false,
             sample_every: 16,
         }
@@ -487,14 +409,17 @@ pub struct DebugReport {
     pub removed: Vec<usize>,
     /// Per-iteration statistics.
     pub iterations: Vec<IterStats>,
-    /// Stale query skeletons brought current during the run
-    /// (non-zero only when queried tables changed under the session).
+    /// Checkouts of this run that found their skeleton stale and brought
+    /// it current ([`CacheEvent::Invalidated`]) — non-zero only when
+    /// queried tables changed under the session since the cache last saw
+    /// them.
     pub skeleton_rebuilds: usize,
     /// Set when the method failed (e.g. TwoStep ILP timeout).
     pub failure: Option<String>,
-    /// Span tree of the run — one `iteration` child per loop pass, each
-    /// covering `train`/`execute`/`check`/`rank` (with the sql layer's
-    /// operator and refresh spans nested below). `Some` only when
+    /// Span tree of the run — a `prepare-queries` child holding one
+    /// `cache-checkout` per query, then one `iteration` child per loop
+    /// pass, each covering `train`/`execute`/`check`/`rank` (with the sql
+    /// layer's operator and refresh spans nested below). `Some` only when
     /// [`RunConfig::profile`] was on.
     pub profile: Option<rain_obs::TraceNode>,
     /// Sampled per-iteration span trees ([`RunConfig::sample_every`]),

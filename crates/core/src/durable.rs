@@ -19,7 +19,6 @@
 //! bit-identical even for models whose initialization is seeded.
 
 use crate::driver::DebugSession;
-use rain_linalg::Matrix;
 use rain_model::{Classifier, Dataset};
 use rain_sql::table::Table;
 use rain_sql::{Database, TableId, TableVersion, Value};
@@ -231,15 +230,15 @@ pub fn recover(dir: &Path, factory: &ModelFactory) -> Result<Recovered, StorageE
         }
         model.set_params(&params);
     }
-    let train = state.train.unwrap_or_else(|| {
-        Dataset::new(
-            Matrix::zeros(0, model.dim()),
-            Vec::new(),
-            model.n_classes().max(2),
-        )
-    });
+    let mut sess = DebugSession {
+        db: state.db,
+        ..DebugSession::for_model(model)
+    };
+    if let Some(train) = state.train {
+        sess.train = train;
+    }
     Ok(Recovered {
-        sess: DebugSession::new(state.db, train, model),
+        sess,
         spec,
         store,
         stats: state.stats,
@@ -249,6 +248,7 @@ pub fn recover(dir: &Path, factory: &ModelFactory) -> Result<Recovered, StorageE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rain_linalg::Matrix;
     use rain_model::LogisticRegression;
     use rain_sql::table::{ColType, Column, Schema};
     use std::path::PathBuf;
@@ -279,11 +279,7 @@ mod tests {
         let spec = "{\"model\":{\"kind\":\"logistic\",\"dim\":2}}";
         {
             let mut store = create_store(&dir, spec).unwrap();
-            let mut sess = DebugSession::new(
-                Database::new(),
-                Dataset::new(Matrix::zeros(0, 2), Vec::new(), 2),
-                Box::new(LogisticRegression::new(2, 0.01)),
-            );
+            let mut sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
             register_table(&mut sess.db, Some(&mut store), "t", ints(vec![1, 2])).unwrap();
             create_index(
                 &mut sess.db,
@@ -357,11 +353,7 @@ mod tests {
     fn failed_commit_changes_neither_catalog_nor_log() {
         let dir = temp_dir("failcommit");
         let mut store = create_store(&dir, "{}").unwrap();
-        let mut sess = DebugSession::new(
-            Database::new(),
-            Dataset::new(Matrix::zeros(0, 2), Vec::new(), 2),
-            Box::new(LogisticRegression::new(2, 0.01)),
-        );
+        let mut sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
         register_table(&mut sess.db, Some(&mut store), "t", ints(vec![1, 2])).unwrap();
         let hash = rain_sql::IndexKind::Hash;
         create_index(&mut sess.db, Some(&mut store), "t", "x", hash).unwrap();

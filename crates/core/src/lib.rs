@@ -63,7 +63,7 @@ pub mod rank;
 pub mod twostep;
 
 pub use complaint::{Complaint, QuerySpec, ValueOp};
-pub use driver::{DebugReport, DebugSession, IterStats, PreparedQueries, RunConfig};
+pub use driver::{DebugReport, DebugSession, IterStats, RunConfig};
 pub use metrics::{auccr, recall_curve};
 pub use rank::{rank, Method, RankContext, RankError, Ranking};
 pub use twostep::{sql_step, SqlStep, SqlStepConfig};

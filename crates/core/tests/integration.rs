@@ -8,7 +8,7 @@ use rain_data::dblp::DblpConfig;
 use rain_data::digits::{DigitsConfig, N_CLASSES, N_PIXELS};
 use rain_data::flip_labels_where;
 use rain_model::{Classifier, LogisticRegression, SoftmaxRegression};
-use rain_sql::{run_query, Database, ExecOptions};
+use rain_sql::{run_query, Database, Engine, ExecOptions, QueryCache};
 
 /// DBLP-style session with 50% of match labels flipped to non-match.
 fn dblp_session(seed: u64) -> (DebugSession, Vec<usize>, usize) {
@@ -494,30 +494,25 @@ fn inequality_complaints_drive_until_satisfied() {
 }
 
 #[test]
-fn run_prepared_reuses_state_and_skips_static_complaint_checks() {
-    let (session, truth, _) = dblp_session(8);
+fn run_cached_reuses_skeletons_and_skips_static_complaint_checks() {
+    let (mut session, truth, _) = dblp_session(8);
     // Add a model-free query whose complaint verdict can never change
     // across iterations: refresh-aware checking must skip it after the
-    // first check (its prediction dependency set is empty).
-    let session = DebugSession {
-        queries: {
-            let mut qs = session.queries.clone();
-            qs.push(
-                QuerySpec::new("SELECT COUNT(*) FROM pairs")
-                    .with_complaint(Complaint::scalar_eq(150.0)),
-            );
-            qs
-        },
-        ..session
-    };
+    // first check (its prediction dependency set is empty). It reads its
+    // own copy of the pairs, so an append to `pairs` stales one skeleton.
+    let pairs = session.db.table("pairs").unwrap().clone();
+    session.db.register("frozen", pairs);
+    session.queries.push(
+        QuerySpec::new("SELECT COUNT(*) FROM frozen").with_complaint(Complaint::scalar_eq(150.0)),
+    );
+    let n_queries = session.queries.len() as u64;
     let budget = 20.min(truth.len());
     let cfg = RunConfig::paper(budget);
-    let mut pq = session.prepare_queries(true, 0).unwrap();
-    let first = session.run_prepared(Method::Loss, &cfg, &mut pq).unwrap();
-    assert_eq!(
-        first.skeleton_rebuilds, 0,
-        "queried tables never change inside the loop"
-    );
+    let mut cache = QueryCache::new(Engine::Vectorized);
+    let first = session.run_cached(Method::Loss, &cfg, &mut cache).unwrap();
+    assert_eq!(first.skeleton_rebuilds, 0, "nothing cached to rebuild");
+    assert_eq!(cache.stats().misses, n_queries);
+    assert_eq!(cache.len() as u64, n_queries, "skeletons checked back in");
     assert!(first.iterations.len() >= 2);
     assert!(
         first.iterations[0].checks_skipped == 0,
@@ -539,10 +534,35 @@ fn run_prepared_reuses_state_and_skips_static_complaint_checks() {
     // Equivalent to a self-contained run…
     let fresh = session.run(Method::Loss, &cfg).unwrap();
     assert_eq!(first.removed, fresh.removed);
-    // …and the same prepared state drives a second run (what the serving
-    // layer does with cached skeletons).
-    let second = session.run_prepared(Method::Loss, &cfg, &mut pq).unwrap();
+    // …and a second run on the same cache starts from hits alone.
+    let hits = cache.stats().hits;
+    let second = session.run_cached(Method::Loss, &cfg, &mut cache).unwrap();
+    assert_eq!(cache.stats().hits, hits + n_queries);
+    assert_eq!(second.skeleton_rebuilds, 0);
     assert_eq!(second.removed, fresh.removed);
+
+    // Rows appended to a queried table between runs: the next checkout
+    // brings that one skeleton current, and the run matches a fresh run
+    // on the grown database.
+    let extra = DblpConfig::small().generate(99).query_table();
+    let rows = (0..20)
+        .map(|r| {
+            (0..extra.schema().len())
+                .map(|c| extra.value(r, c))
+                .collect()
+        })
+        .collect();
+    let feats = (0..20)
+        .map(|r| extra.feature_row(r).unwrap().to_vec())
+        .collect();
+    session.db.append_to("pairs", rows, Some(feats)).unwrap();
+    let third = session.run_cached(Method::Loss, &cfg, &mut cache).unwrap();
+    assert_eq!(third.skeleton_rebuilds, 1);
+    assert_eq!(cache.stats().invalidations, 1);
+    assert_eq!(
+        third.removed,
+        session.run(Method::Loss, &cfg).unwrap().removed
+    );
 }
 
 #[test]

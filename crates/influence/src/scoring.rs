@@ -21,8 +21,8 @@ pub struct InfluenceConfig {
     /// Worker budget (`0` = the machine's parallelism) for per-record
     /// scoring and InfLoss's solves. Defaults to 1: a library call stays on
     /// its caller's thread unless told otherwise. The debug driver sets it
-    /// to the run's resolved budget (`RunConfig::threads` under the
-    /// session's cap).
+    /// to the run's resolved budget (its skeleton cache's, which a server
+    /// sets to the session's).
     pub threads: usize,
 }
 

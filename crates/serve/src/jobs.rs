@@ -346,6 +346,7 @@ fn worker_loop(inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rain_core::driver::DebugSession;
 
     #[test]
     fn panic_payloads_are_extracted_for_failed_job_status() {
@@ -370,9 +371,8 @@ mod tests {
         use rain_model::LogisticRegression;
         let hist = Arc::new(Sketch::new());
         let pool = crate::pool::SessionPool::new();
-        let slot = pool
-            .create("s", Box::new(LogisticRegression::new(2, 0.01)))
-            .unwrap();
+        let sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
+        let slot = pool.insert("s", sess, 0, None, false).unwrap();
         let runner = JobRunner::with_observability(1, Some(Arc::clone(&hist)), None);
         for _ in 0..3 {
             runner.submit(Arc::clone(&slot), Method::Loss, RunConfig::paper(4));
@@ -399,9 +399,8 @@ mod tests {
     fn jobs_against_empty_sessions_fail_cleanly() {
         use rain_model::LogisticRegression;
         let pool = crate::pool::SessionPool::new();
-        let slot = pool
-            .create("s", Box::new(LogisticRegression::new(2, 0.01)))
-            .unwrap();
+        let sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
+        let slot = pool.insert("s", sess, 0, None, false).unwrap();
         let runner = JobRunner::new(2);
         let id = runner.submit(slot, Method::Loss, RunConfig::paper(4));
         // Poll until the worker settles the job.
@@ -425,9 +424,8 @@ mod tests {
     fn shutdown_fails_queued_backlog_instead_of_running_it() {
         use rain_model::LogisticRegression;
         let pool = crate::pool::SessionPool::new();
-        let slot = pool
-            .create("s", Box::new(LogisticRegression::new(2, 0.01)))
-            .unwrap();
+        let sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
+        let slot = pool.insert("s", sess, 0, None, false).unwrap();
         let runner = std::sync::Arc::new(JobRunner::new(1));
 
         // Hold the session lock so the single worker blocks inside job A

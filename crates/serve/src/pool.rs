@@ -17,11 +17,10 @@
 //! long-running debug job for a session lock.
 
 use crate::protocol::ApiError;
-use rain_core::driver::{DebugReport, DebugSession, PreparedQueries, RunConfig};
+use rain_core::driver::{DebugReport, DebugSession, RunConfig};
 use rain_core::rank::Method;
-use rain_model::{Classifier, Dataset};
 use rain_obs::Sketch;
-use rain_sql::{CacheStats, Database, Engine, QueryCache};
+use rain_sql::{CacheStats, Engine, QueryCache};
 use rain_storage::SessionStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,37 +122,18 @@ impl std::fmt::Debug for SessionSlot {
 }
 
 impl SessionSlot {
-    fn new(
-        name: String,
-        model: Box<dyn Classifier>,
-        threads: usize,
-        lock_wait: Option<Arc<Sketch>>,
-    ) -> Self {
-        let dim = model.dim();
-        let sess = DebugSession::new(
-            Database::new(),
-            Dataset::new(
-                rain_linalg::Matrix::zeros(0, dim),
-                Vec::new(),
-                model.n_classes().max(2),
-            ),
-            model,
-        );
-        SessionSlot::from_session(name, sess, threads, lock_wait, String::new(), None, false)
-    }
-
-    /// Build a slot around an already-assembled session — the fresh-create
-    /// path above and the boot-recovery path both land here, so a
-    /// recovered slot behaves exactly like a live one.
+    /// Build a slot around an assembled session — fresh and recovered
+    /// sessions both land here, so a recovered slot behaves exactly like a
+    /// live one. `store` is a durable session's creation spec and store.
     fn from_session(
         name: String,
         sess: DebugSession,
         threads: usize,
         lock_wait: Option<Arc<Sketch>>,
-        spec: String,
-        store: Option<SessionStore>,
+        store: Option<(String, SessionStore)>,
         recovered: bool,
     ) -> Self {
+        let (spec, store) = store.map_or((String::new(), None), |(spec, s)| (spec, Some(s)));
         let durable = store.is_some();
         let counters = store
             .as_ref()
@@ -326,19 +306,11 @@ impl SessionSlot {
         }
     }
 
-    /// Execute one debug run against this session, routing every query
-    /// through the session's skeleton cache: skeletons are checked out,
-    /// refreshed across all train–rank–fix iterations, and checked back
-    /// in afterwards — so a *second* run over the same complaints starts
-    /// from cache hits and skips planning and capture entirely.
-    ///
-    /// The run works under the session's worker budget, whatever
-    /// `cfg.threads` says.
+    /// Execute one debug run against this session through its skeleton
+    /// cache ([`DebugSession::run_cached`]): a second run over the same
+    /// complaints starts from cache hits, and the run works under the
+    /// session's worker budget (the cache's).
     pub fn run_debug(&self, method: Method, cfg: &RunConfig) -> Result<DebugReport, ApiError> {
-        let cfg = &RunConfig {
-            threads: self.threads,
-            ..cfg.clone()
-        };
         let mut st = self.lock();
         let st = &mut *st;
         if st.sess.train.is_empty() {
@@ -351,79 +323,14 @@ impl SessionSlot {
                 "session has no complaints; POST …/complain first",
             ));
         }
-        // Check out every query's skeleton first; if any checkout fails
-        // (e.g. a re-registered table broke a later query), the ones
-        // already checked out are returned to the cache below instead of
-        // being silently dropped.
-        //
-        // A profiled run traces the checkout phase too — cache lookups and
-        // (on a miss) skeleton capture happen here, before the driver
-        // starts the run's own `debug-run` trace — and the `checkout`
-        // tree is grafted onto the report's profile below so
-        // `?profile=1` covers prepare as well as refresh/rank.
-        let checkout_trace = cfg.profile.then(|| rain_obs::Trace::start("checkout"));
-        let mut checked = Vec::with_capacity(st.sess.queries.len());
-        let mut checkout_err = None;
-        for q in &st.sess.queries {
-            match st
-                .cache
-                .checkout(&st.sess.db, st.sess.model.as_ref(), &q.sql)
-            {
-                Ok(cq) => checked.push(cq),
-                Err(e) => {
-                    checkout_err = Some(ApiError::from(e));
-                    break;
-                }
-            }
-        }
-        let checkout_tree = checkout_trace.map(rain_obs::Trace::finish);
-        let result = match checkout_err {
-            Some(e) => Err(e),
-            None => {
-                let mut keys = Vec::with_capacity(checked.len());
-                let mut plans = Vec::with_capacity(checked.len());
-                let mut prepared = Vec::with_capacity(checked.len());
-                for cq in checked.drain(..) {
-                    plans.push(cq.prepared.plan().clone());
-                    keys.push(cq.key);
-                    prepared.push(cq.prepared);
-                }
-                let mut pq = PreparedQueries::from_parts(plans, prepared);
-                let mut run = st.sess.run_prepared(method, cfg, &mut pq);
-                if let (Ok(report), Some(co)) = (&mut run, checkout_tree) {
-                    if let Some(profile) = &mut report.profile {
-                        // Offsets inside each grafted subtree stay
-                        // relative to that subtree's own root.
-                        profile.children.insert(0, co);
-                    }
-                }
-                // Return the (possibly rebuilt) skeletons to the cache
-                // even when the run failed.
-                let (_, prepared) = pq.into_parts();
-                for (key, p) in keys.into_iter().zip(prepared) {
-                    st.cache.checkin(rain_sql::CachedQuery {
-                        key,
-                        prepared: p,
-                        event: rain_sql::CacheEvent::Hit,
-                    });
-                }
-                run.map_err(ApiError::from)
-            }
-        };
-        for cq in checked {
-            st.cache.checkin(cq);
-        }
-        // Stats and (on success) the mutation counter are published on
-        // every exit path — a failed run still moved cache counters.
+        let run = st.sess.run_cached(method, cfg, &mut st.cache);
+        // Published on every exit path — a failed run still moved cache
+        // counters.
         self.publish_cache_stats(st.cache.stats());
-        match result {
-            Ok(report) => {
-                st.last_report = Some(report.clone());
-                self.bump_generation();
-                Ok(report)
-            }
-            Err(e) => Err(e),
-        }
+        let report = run?;
+        st.last_report = Some(report.clone());
+        self.bump_generation();
+        Ok(report)
     }
 }
 
@@ -444,14 +351,21 @@ pub struct SessionPool {
     retired: Mutex<CacheStats>,
 }
 
-/// Valid session names: path-segment safe (and therefore safe as an
-/// on-disk directory component — no separators, no `..`).
-pub fn valid_session_name(name: &str) -> bool {
-    !name.is_empty()
+/// Session names must be path-segment safe (and therefore safe as an
+/// on-disk directory component — no separators, no `..`): 400 otherwise.
+pub fn check_session_name(name: &str) -> Result<(), ApiError> {
+    let valid = !name.is_empty()
         && name.len() <= 64
         && name
             .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.')
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.');
+    if valid {
+        Ok(())
+    } else {
+        Err(ApiError::bad_request(
+            "session names are 1-64 chars of [a-zA-Z0-9._-]",
+        ))
+    }
 }
 
 impl SessionPool {
@@ -471,106 +385,22 @@ impl SessionPool {
         }
     }
 
-    /// Create a named session owning `model`, with an automatic worker
-    /// budget. 409 when the name exists.
-    pub fn create(
-        &self,
-        name: &str,
-        model: Box<dyn Classifier>,
-    ) -> Result<Arc<SessionSlot>, ApiError> {
-        self.create_with(name, model, 0)
-    }
-
-    /// [`SessionPool::create`] with an explicit per-session worker budget
-    /// (`0` = the machine's parallelism).
-    pub fn create_with(
-        &self,
-        name: &str,
-        model: Box<dyn Classifier>,
-        threads: usize,
-    ) -> Result<Arc<SessionSlot>, ApiError> {
-        if !valid_session_name(name) {
-            return Err(ApiError::bad_request(
-                "session names are 1-64 chars of [a-zA-Z0-9._-]",
-            ));
-        }
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        if slots.contains_key(name) {
-            return Err(ApiError::conflict(format!(
-                "session '{name}' already exists"
-            )));
-        }
-        let slot = Arc::new(SessionSlot::new(
-            name.to_string(),
-            model,
-            threads,
-            self.lock_wait.clone(),
-        ));
-        slots.insert(name.to_string(), Arc::clone(&slot));
-        Ok(slot)
-    }
-
-    /// [`SessionPool::create_with`] for a durable session: the slot owns
-    /// `store` (its commitlog already holds the session-meta record) and
-    /// remembers the verbatim creation `spec`.
-    pub fn create_durable(
-        &self,
-        name: &str,
-        model: Box<dyn Classifier>,
-        threads: usize,
-        spec: String,
-        store: SessionStore,
-    ) -> Result<Arc<SessionSlot>, ApiError> {
-        if !valid_session_name(name) {
-            return Err(ApiError::bad_request(
-                "session names are 1-64 chars of [a-zA-Z0-9._-]",
-            ));
-        }
-        let dim = model.dim();
-        let sess = DebugSession::new(
-            Database::new(),
-            Dataset::new(
-                rain_linalg::Matrix::zeros(0, dim),
-                Vec::new(),
-                model.n_classes().max(2),
-            ),
-            model,
-        );
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        if slots.contains_key(name) {
-            return Err(ApiError::conflict(format!(
-                "session '{name}' already exists"
-            )));
-        }
-        let slot = Arc::new(SessionSlot::from_session(
-            name.to_string(),
-            sess,
-            threads,
-            self.lock_wait.clone(),
-            spec,
-            Some(store),
-            false,
-        ));
-        slots.insert(name.to_string(), Arc::clone(&slot));
-        Ok(slot)
-    }
-
-    /// Insert a session rebuilt from disk at boot. The slot is flagged
-    /// recovered, so `POST /sessions` against its name re-attaches (200)
-    /// instead of conflicting (409).
-    pub fn insert_recovered(
+    /// Add the named session `sess` under a worker budget of `threads`
+    /// (`0` = the machine's parallelism). `store` makes it durable: its
+    /// verbatim creation spec and its store, whose commitlog already
+    /// holds the session-meta record. A `recovered` slot (rebuilt from
+    /// disk at boot) answers `POST /sessions` against its name by
+    /// re-attaching (200) instead of conflicting. 400 on an invalid name,
+    /// 409 when the name exists.
+    pub fn insert(
         &self,
         name: &str,
         sess: DebugSession,
         threads: usize,
-        spec: String,
-        store: SessionStore,
+        store: Option<(String, SessionStore)>,
+        recovered: bool,
     ) -> Result<Arc<SessionSlot>, ApiError> {
-        if !valid_session_name(name) {
-            return Err(ApiError::bad_request(
-                "session names are 1-64 chars of [a-zA-Z0-9._-]",
-            ));
-        }
+        check_session_name(name)?;
         let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
         if slots.contains_key(name) {
             return Err(ApiError::conflict(format!(
@@ -582,9 +412,8 @@ impl SessionPool {
             sess,
             threads,
             self.lock_wait.clone(),
-            spec,
-            Some(store),
-            true,
+            store,
+            recovered,
         ));
         slots.insert(name.to_string(), Arc::clone(&slot));
         Ok(slot)
@@ -669,21 +498,26 @@ mod tests {
     use super::*;
     use rain_model::LogisticRegression;
 
-    fn logistic() -> Box<dyn Classifier> {
-        Box::new(LogisticRegression::new(2, 0.01))
+    fn session() -> DebugSession {
+        DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)))
+    }
+
+    /// Add an ephemeral session under an automatic worker budget.
+    fn add(pool: &SessionPool, name: &str) -> Result<Arc<SessionSlot>, ApiError> {
+        pool.insert(name, session(), 0, None, false)
     }
 
     #[test]
     fn create_get_remove_lifecycle() {
         let pool = SessionPool::new();
         assert!(pool.is_empty());
-        pool.create("alpha", logistic()).unwrap();
-        assert_eq!(pool.create("alpha", logistic()).unwrap_err().status, 409);
-        assert_eq!(pool.create("no/slash", logistic()).unwrap_err().status, 400);
-        assert_eq!(pool.create("", logistic()).unwrap_err().status, 400);
+        add(&pool, "alpha").unwrap();
+        assert_eq!(add(&pool, "alpha").unwrap_err().status, 409);
+        assert_eq!(add(&pool, "no/slash").unwrap_err().status, 400);
+        assert_eq!(add(&pool, "").unwrap_err().status, 400);
         assert_eq!(pool.get("alpha").unwrap().name, "alpha");
         assert_eq!(pool.get("beta").unwrap_err().status, 404);
-        pool.create("beta", logistic()).unwrap();
+        add(&pool, "beta").unwrap();
         let names: Vec<String> = pool.list().iter().map(|s| s.name.clone()).collect();
         assert_eq!(names, ["alpha", "beta"]);
         pool.remove("alpha").unwrap();
@@ -694,13 +528,13 @@ mod tests {
     #[test]
     fn session_exec_config_drives_the_cache_and_caps_run_threads() {
         let pool = SessionPool::new();
-        let slot = pool.create_with("capped", logistic(), 2).unwrap();
+        let slot = pool.insert("capped", session(), 2, None, false).unwrap();
         // The skeleton cache — and through `run_debug` every run — works
         // under the session's one budget.
         assert_eq!(slot.threads, 2);
         assert_eq!(slot.lock().cache.threads(), 2);
 
-        let uncapped = pool.create("open", logistic()).unwrap();
+        let uncapped = add(&pool, "open").unwrap();
         assert_eq!(uncapped.threads, 0);
         assert_eq!(uncapped.lock().cache.threads(), 0);
     }
@@ -708,7 +542,7 @@ mod tests {
     #[test]
     fn generations_count_mutations_exactly_once_each() {
         let pool = SessionPool::new();
-        let slot = pool.create("s", logistic()).unwrap();
+        let slot = add(&pool, "s").unwrap();
         assert_eq!(slot.generation(), 0);
         let gens: Vec<u64> = (0..5).map(|_| slot.bump_generation()).collect();
         assert_eq!(gens, [1, 2, 3, 4, 5]);
@@ -722,7 +556,7 @@ mod tests {
         use rain_sql::table::{ColType, Column, Schema, Table};
 
         let pool = SessionPool::new();
-        let slot = pool.create("s", logistic()).unwrap();
+        let slot = add(&pool, "s").unwrap();
         {
             let mut st = slot.lock();
             let t = Table::from_columns(
@@ -770,8 +604,8 @@ mod tests {
     #[test]
     fn removal_folds_cache_counters_into_monotonic_totals() {
         let pool = SessionPool::new();
-        let a = pool.create("a", logistic()).unwrap();
-        let b = pool.create("b", logistic()).unwrap();
+        let a = add(&pool, "a").unwrap();
+        let b = add(&pool, "b").unwrap();
         a.publish_cache_stats(CacheStats {
             hits: 5,
             misses: 2,
@@ -802,7 +636,7 @@ mod tests {
         pool.remove("b").unwrap();
         assert_eq!(pool.cache_totals(), before);
         // New sessions add to the retired baseline.
-        let c = pool.create("c", logistic()).unwrap();
+        let c = add(&pool, "c").unwrap();
         c.publish_cache_stats(CacheStats {
             hits: 1,
             ..CacheStats::default()
@@ -816,7 +650,7 @@ mod tests {
         // switch — decided before the sequence counter's modulo path
         // (`x % 0` panics), and stable over any number of queries.
         let pool = SessionPool::new();
-        let slot = pool.create("s", logistic()).unwrap();
+        let slot = add(&pool, "s").unwrap();
         slot.set_sampling(0, DEFAULT_SLOW_MS);
         assert!(!(0..1000).any(|_| slot.should_sample()), "0 samples none");
         // Re-enabling works; the first sampled query comes immediately
@@ -831,7 +665,7 @@ mod tests {
         // decision — including zero-latency ones — not by the accident
         // of `latency >= 0.0` holding for non-negative clocks.
         let pool = SessionPool::new();
-        let slot = pool.create("s", logistic()).unwrap();
+        let slot = add(&pool, "s").unwrap();
         slot.set_sampling(DEFAULT_SAMPLE_EVERY, 0);
         assert!(slot.is_slow_capture(0.0), "zero latency still captures");
         assert!(slot.is_slow_capture(12.5));
@@ -845,7 +679,7 @@ mod tests {
     #[test]
     fn sampling_defaults_on_and_is_configurable() {
         let pool = SessionPool::new();
-        let slot = pool.create("s", logistic()).unwrap();
+        let slot = add(&pool, "s").unwrap();
         assert_eq!(slot.sample_every(), DEFAULT_SAMPLE_EVERY);
         assert!((slot.slow_threshold_s() - DEFAULT_SLOW_MS as f64 / 1e3).abs() < 1e-12);
         // 1-in-N: the first query samples, then every Nth.
@@ -860,7 +694,7 @@ mod tests {
     #[test]
     fn debug_run_without_data_is_a_client_error() {
         let pool = SessionPool::new();
-        let slot = pool.create("s", logistic()).unwrap();
+        let slot = add(&pool, "s").unwrap();
         let err = slot
             .run_debug(Method::Loss, &RunConfig::paper(4))
             .unwrap_err();

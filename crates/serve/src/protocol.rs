@@ -18,9 +18,12 @@
 //!   "class":…}`.
 //! - **run config** — `{"method":M,"budget":B,"k_per_iter":K,
 //!   "stop_when_satisfied":bool,"profile":bool,"sample_every":N}` (method
-//!   and budget required, rest defaulted). `profile` (also settable as
-//!   `?profile=1` on the debug-run URL) attaches the run's span tree to
-//!   the finished report. A run works under its session's `threads`.
+//!   and budget required, rest defaulted when absent; a key that is
+//!   present but not of its type — `"k_per_iter":-1`, `"profile":1` — is
+//!   a 400 naming it). `profile` (also settable as `?profile=1` on the
+//!   debug-run URL) attaches the run's span tree — checkouts under
+//!   `prepare-queries`, then one `iteration` per loop pass — to the
+//!   finished report. A run works under its session's `threads`.
 //! - **trace node** — `{"name":…,"start_ns":…,"dur_ns":…,
 //!   "counters":{…},"children":[…]}`; `start_ns` is relative to the
 //!   enclosing subtree's root.
@@ -117,6 +120,22 @@ fn usize_field(v: &Json, key: &str) -> Result<usize, ApiError> {
     })
 }
 
+/// An optional field of `v`: `None` when absent, a 400 saying it must be
+/// `what` when present but not something `read` accepts — never a silent
+/// default.
+fn opt_field<T>(
+    v: &Json,
+    key: &str,
+    read: fn(&Json) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, ApiError> {
+    v.get(key)
+        .map(|x| {
+            read(x).ok_or_else(|| ApiError::bad_request(format!("field '{key}' must be {what}")))
+        })
+        .transpose()
+}
+
 fn f64_field(v: &Json, key: &str) -> Result<f64, ApiError> {
     field(v, key)?
         .as_f64()
@@ -181,12 +200,9 @@ pub const MAX_THREADS: usize = rain_sql::MAX_EXEC_THREADS;
 /// session's worker budget: a non-negative integer up to [`MAX_THREADS`]
 /// (`0`/absent = automatic).
 pub fn session_threads_from_json(v: &Json) -> Result<usize, ApiError> {
-    let Some(t) = v.get("threads") else {
+    let Some(n) = opt_field(v, "threads", Json::as_usize, "a non-negative integer")? else {
         return Ok(0);
     };
-    let n = t
-        .as_usize()
-        .ok_or_else(|| ApiError::bad_request("field 'threads' must be a non-negative integer"))?;
     if n > MAX_THREADS {
         return Err(ApiError::bad_request(format!(
             "threads {n} above the maximum {MAX_THREADS}"
@@ -558,22 +574,18 @@ pub fn run_request_from_json(v: &Json) -> Result<(Method, RunConfig), ApiError> 
         return Err(ApiError::bad_request("budget must be positive"));
     }
     let mut cfg = RunConfig::paper(budget);
-    if let Some(k) = v.get("k_per_iter").and_then(Json::as_usize) {
+    let count = |key| opt_field(v, key, Json::as_usize, "a non-negative integer");
+    let flag = |key| opt_field(v, key, Json::as_bool, "a boolean");
+    if let Some(k) = count("k_per_iter")? {
         if k == 0 {
             return Err(ApiError::bad_request("k_per_iter must be positive"));
         }
         cfg.k_per_iter = k;
     }
-    if let Some(s) = v.get("stop_when_satisfied").and_then(Json::as_bool) {
-        cfg.stop_when_satisfied = s;
-    }
-    if let Some(p) = v.get("profile").and_then(Json::as_bool) {
-        cfg.profile = p;
-    }
-    if let Some(n) = v.get("sample_every").and_then(Json::as_usize) {
-        // `0` disables iteration sampling for this run.
-        cfg.sample_every = n;
-    }
+    cfg.stop_when_satisfied = flag("stop_when_satisfied")?.unwrap_or(cfg.stop_when_satisfied);
+    cfg.profile = flag("profile")?.unwrap_or(cfg.profile);
+    // `0` disables iteration sampling for this run.
+    cfg.sample_every = count("sample_every")?.unwrap_or(cfg.sample_every);
     Ok((method, cfg))
 }
 
@@ -999,7 +1011,6 @@ mod tests {
         .unwrap();
         let (_, cfg) = run_request_from_json(&v).unwrap();
         assert!(cfg.incremental);
-        assert_eq!(cfg.threads, 0);
         let v = json::parse(
             r#"{"method":"auto","budget":8,"k_per_iter":2,"stop_when_satisfied":true}"#,
         )
@@ -1014,6 +1025,40 @@ mod tests {
         assert!(!run_request_from_json(&v).unwrap().1.profile);
         let v = json::parse(r#"{"method":"loss","budget":5,"profile":true}"#).unwrap();
         assert!(run_request_from_json(&v).unwrap().1.profile);
+    }
+
+    #[test]
+    fn run_request_fields_of_the_wrong_type_are_rejected() {
+        // A present optional key must hold what it names; before, each of
+        // these ran quietly with the key's default.
+        for (field, value) in [
+            ("k_per_iter", "-1"),
+            ("k_per_iter", "\"2\""),
+            ("k_per_iter", "2.5"),
+            ("k_per_iter", "null"),
+            ("sample_every", "\"x\""),
+            ("sample_every", "-16"),
+            ("sample_every", "true"),
+            ("profile", "1"),
+            ("profile", "\"yes\""),
+            ("stop_when_satisfied", "\"true\""),
+            ("stop_when_satisfied", "[]"),
+        ] {
+            let body = format!(r#"{{"method":"loss","budget":5,"{field}":{value}}}"#);
+            let e = run_request_from_json(&json::parse(&body).unwrap()).unwrap_err();
+            assert_eq!(e.status, 400, "{body}");
+            assert!(e.message.contains(field), "{body}: {}", e.message);
+        }
+        // Well-typed values, zero included where it means "off", parse.
+        let v = json::parse(
+            r#"{"method":"loss","budget":5,"k_per_iter":2.0,"sample_every":0,"profile":false}"#,
+        )
+        .unwrap();
+        let (_, cfg) = run_request_from_json(&v).unwrap();
+        assert_eq!(
+            (cfg.k_per_iter, cfg.sample_every, cfg.profile),
+            (2, 0, false)
+        );
     }
 
     #[test]

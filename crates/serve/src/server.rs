@@ -44,13 +44,14 @@
 use crate::http::{read_request, write_response, write_response_typed, Request};
 use crate::jobs::{JobRunner, JobState};
 use crate::json::{self, Json};
-use crate::pool::{SessionPool, SessionSlot, SessionState, StorageCounters};
+use crate::pool::{check_session_name, SessionPool, SessionSlot, SessionState, StorageCounters};
 use crate::profiles::{ProfileEntry, ProfileRing};
 use crate::protocol::{
     append_features_from_json, append_rows_from_json, complaint_from_json, dataset_from_json,
     model_from_json, output_to_json, report_to_json, run_request_from_json,
     session_threads_from_json, table_from_json, trace_to_json, version_to_json, ApiError,
 };
+use rain_core::driver::DebugSession;
 use rain_model::Classifier;
 use rain_obs::{Counter, Gauge, Registry, Sketch};
 use rain_sql::table::ColType;
@@ -284,7 +285,7 @@ fn recover_sessions(data_dir: &Path, pool: &SessionPool) -> (u64, f64) {
                     .as_ref()
                     .and_then(|v| session_threads_from_json(v).ok())
                     .unwrap_or_default();
-                match pool.insert_recovered(&name, rec.sess, threads, rec.spec, rec.store) {
+                match pool.insert(&name, rec.sess, threads, Some((rec.spec, rec.store)), true) {
                     Ok(slot) => {
                         if let Some(v) = &spec_json {
                             apply_sampling_knobs(&slot, v);
@@ -900,26 +901,23 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
     )?;
     let threads = session_threads_from_json(&body)?;
     let kind = model.name();
-    let slot = match &state.data_dir {
+    let store = match &state.data_dir {
         Some(root) => {
             // Validate the name before it becomes a path component; the
             // pool enforces the same rule, but only after the store (and
             // its directory) would already exist.
-            if !crate::pool::valid_session_name(&name) {
-                return Err(ApiError::bad_request(
-                    "session names are 1-64 chars of [a-zA-Z0-9._-]",
-                ));
-            }
+            check_session_name(&name)?;
             let dir = root.join("sessions").join(&name);
             let spec = String::from_utf8_lossy(&req.body).into_owned();
             let store = rain_core::durable::create_store(&dir, &spec)
                 .map_err(|e| ApiError::internal(format!("open session store: {e}")))?;
-            state
-                .pool
-                .create_durable(&name, model, threads, spec, store)?
+            Some((spec, store))
         }
-        None => state.pool.create_with(&name, model, threads)?,
+        None => None,
     };
+    let slot = state
+        .pool
+        .insert(&name, DebugSession::for_model(model), threads, store, false)?;
     // Optional sampling knobs; anything omitted keeps the always-on
     // defaults (1-in-16, 500 ms slow threshold).
     apply_sampling_knobs(&slot, &body);

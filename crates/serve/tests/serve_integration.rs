@@ -405,27 +405,34 @@ fn debug_jobs_run_in_parallel_across_sessions() {
     server.shutdown();
 }
 
+/// Create session `name` with a 30-row `pairs` table, a training set and
+/// one count complaint over `pairs` — ready for a debug run.
+fn debug_ready_session(client: &mut Client, name: &str, session: Json) {
+    client.post_ok("/sessions", &session).unwrap();
+    client
+        .post_ok(
+            &format!("/sessions/{name}/tables"),
+            &table_json("pairs", 30, 10),
+        )
+        .unwrap();
+    client
+        .post_ok(&format!("/sessions/{name}/train"), &train_json(60, 10))
+        .unwrap();
+    client
+        .post_ok(
+            &format!("/sessions/{name}/complain"),
+            &count_complaint("SELECT COUNT(*) FROM pairs WHERE predict(*) = 1", 10.0),
+        )
+        .unwrap();
+}
+
 /// A second debug run over the same complaints starts from cache hits:
 /// its skeletons were checked back in by the first run.
 #[test]
 fn successive_debug_runs_reuse_cached_skeletons() {
     let server = start(ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    client
-        .post_ok("/sessions", &logistic_session("warm"))
-        .unwrap();
-    client
-        .post_ok("/sessions/warm/tables", &table_json("pairs", 30, 10))
-        .unwrap();
-    client
-        .post_ok("/sessions/warm/train", &train_json(60, 10))
-        .unwrap();
-    client
-        .post_ok(
-            "/sessions/warm/complain",
-            &count_complaint("SELECT COUNT(*) FROM pairs WHERE predict(*) = 1", 10.0),
-        )
-        .unwrap();
+    debug_ready_session(&mut client, "warm", logistic_session("warm"));
     let run_once = |client: &mut Client| {
         let run = client
             .post_ok(
@@ -450,6 +457,90 @@ fn successive_debug_runs_reuse_cached_skeletons() {
         cache.get("hits").unwrap().as_i64().unwrap() >= 1,
         "second run must check out the first run's skeleton: {cache}"
     );
+    server.shutdown();
+}
+
+/// A run's `skeleton_rebuilds` counts the checkouts that found a queried
+/// table changed since the session's cache last saw it: an append between
+/// two runs is one rebuild, and the run after that reads zero again.
+#[test]
+fn skeleton_rebuilds_count_tables_changed_between_runs() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    debug_ready_session(&mut client, "grow", logistic_session("grow"));
+    let rebuilds = |client: &mut Client| {
+        let body = Json::obj(vec![
+            ("method", Json::str("loss")),
+            ("budget", Json::num(4.0)),
+            ("k_per_iter", Json::num(2.0)),
+        ]);
+        let ack = client.post_ok("/sessions/grow/debug-run", &body).unwrap();
+        let done = await_job(client, ack.get("job").unwrap().as_i64().unwrap());
+        let report = done.get("report").unwrap();
+        report.get("skeleton_rebuilds").unwrap().as_i64().unwrap()
+    };
+    assert_eq!(rebuilds(&mut client), 0, "first run prepares from scratch");
+    let append = Json::obj(vec![
+        ("rows", Json::Arr(vec![Json::Arr(vec![Json::num(30.0)])])),
+        ("features", Json::Arr(vec![Json::Arr(vec![Json::num(1.5)])])),
+    ]);
+    client
+        .post_ok("/sessions/grow/tables/pairs/append", &append)
+        .unwrap();
+    assert_eq!(
+        rebuilds(&mut client),
+        1,
+        "the append invalidated the skeleton"
+    );
+    assert_eq!(rebuilds(&mut client), 0, "the rebuilt skeleton is current");
+    server.shutdown();
+}
+
+/// A debug-run key that is present must hold what it names: a wrong type
+/// is a 400 naming the field, not a run under the default. In particular
+/// a malformed `sample_every` must not override a session that turned
+/// sampling off.
+#[test]
+fn debug_run_fields_of_the_wrong_type_answer_400() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let session = with_keys(
+        logistic_session("typed"),
+        vec![("sample_every", Json::num(0.0))],
+    );
+    debug_ready_session(&mut client, "typed", session);
+    let body = |extra: Vec<(&str, Json)>| {
+        with_keys(
+            Json::obj(vec![
+                ("method", Json::str("loss")),
+                ("budget", Json::num(4.0)),
+            ]),
+            extra,
+        )
+    };
+    for (field, value) in [
+        ("k_per_iter", Json::num(-1.0)),
+        ("k_per_iter", Json::str("2")),
+        ("sample_every", Json::str("x")),
+        ("profile", Json::num(1.0)),
+        ("stop_when_satisfied", Json::str("yes")),
+    ] {
+        let (status, resp) = client
+            .post("/sessions/typed/debug-run", &body(vec![(field, value)]))
+            .unwrap();
+        assert_eq!(status, 400, "{field}: {resp}");
+        let msg = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains(field), "{field}: {msg}");
+    }
+    // The same session still runs, unsampled as it was created.
+    let ack = client
+        .post_ok("/sessions/typed/debug-run", &body(vec![]))
+        .unwrap();
+    let done = await_job(&mut client, ack.get("job").unwrap().as_i64().unwrap());
+    let report = done.get("report").unwrap();
+    assert_eq!(report.get("removed").unwrap().as_arr().unwrap().len(), 4);
+    let sampled = report.get("iteration_profiles").unwrap().as_arr().unwrap();
+    assert!(sampled.is_empty(), "{report}");
     server.shutdown();
 }
 
@@ -934,28 +1025,15 @@ fn child<'a>(node: &'a Json, name: &str) -> &'a Json {
 }
 
 /// `?profile=1` on a debug run returns the run's span tree in the job
-/// report: the skeleton checkout, then one `iteration` subtree per loop
-/// pass with train/execute/check/rank children and the incremental
-/// `refresh` under execute. Without the flag the field is null.
+/// report: the `prepare-queries` checkout phase, then one `iteration`
+/// subtree per loop pass with train/execute/check/rank children and the
+/// incremental `refresh` under execute. Without the flag the field is
+/// null.
 #[test]
 fn debug_run_profile_flag_returns_span_tree() {
     let server = start(ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    client
-        .post_ok("/sessions", &logistic_session("prof"))
-        .unwrap();
-    client
-        .post_ok("/sessions/prof/tables", &table_json("pairs", 30, 10))
-        .unwrap();
-    client
-        .post_ok("/sessions/prof/train", &train_json(60, 10))
-        .unwrap();
-    client
-        .post_ok(
-            "/sessions/prof/complain",
-            &count_complaint("SELECT COUNT(*) FROM pairs WHERE predict(*) = 1", 10.0),
-        )
-        .unwrap();
+    debug_ready_session(&mut client, "prof", logistic_session("prof"));
     let run_body = Json::obj(vec![
         ("method", Json::str("loss")),
         ("budget", Json::num(4.0)),
@@ -973,9 +1051,15 @@ fn debug_run_profile_flag_returns_span_tree() {
         Some("debug-run")
     );
     assert!(profile.get("dur_ns").and_then(Json::as_f64).is_some());
-    // The serving layer grafts its skeleton-checkout work into the tree.
-    let checkout = child(profile, "checkout");
-    assert!(checkout.get("dur_ns").and_then(Json::as_f64).unwrap() >= 0.0);
+    // The driver's own checkout phase: one cache lookup per query.
+    let prepare = child(profile, "prepare-queries");
+    assert!(prepare.get("dur_ns").and_then(Json::as_f64).unwrap() >= 0.0);
+    let checkouts = prepare.get("children").and_then(Json::as_arr).unwrap();
+    let names: Vec<&str> = checkouts
+        .iter()
+        .map(|c| c.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(names, ["cache-checkout"], "one checkout per query");
     let iterations: Vec<&Json> = profile
         .get("children")
         .unwrap()
