@@ -21,7 +21,7 @@ use rain_data::dblp::DblpConfig;
 use rain_linalg::Matrix;
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::Value;
-use rain_storage::{Record, RecoveredState, SessionStore, SnapshotState};
+use rain_storage::{snapshot_records, Record, RecoveredState, SessionStore};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -160,25 +160,8 @@ fn main() {
     {
         let mut store = SessionStore::open(&dir).unwrap();
         let state = store.recover().unwrap();
-        let snap = SnapshotState {
-            spec: "{}".into(),
-            params: Vec::new(),
-            train: rain_model::Dataset::with_ids(Matrix::zeros(0, 0), vec![], vec![], 2),
-            tables: state
-                .db
-                .entries()
-                .map(|e| (e.name.clone(), e.version, e.table.clone()))
-                .collect(),
-            indexes: state
-                .db
-                .entries()
-                .flat_map(|e| {
-                    e.indexes
-                        .iter()
-                        .map(|ix| (e.name.clone(), ix.column.clone(), ix.kind.code()))
-                })
-                .collect(),
-        };
+        let train = rain_model::Dataset::with_ids(Matrix::zeros(0, 0), vec![], vec![], 2);
+        let snap = snapshot_records("{}", &[], &train, &state.db);
         store.snapshot(&snap).unwrap();
     }
     let mut snap_samples: Vec<f64> = (0..recovery_samples)

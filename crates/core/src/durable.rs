@@ -14,15 +14,16 @@
 //! ([`SessionStore::recover`]), then turn the replayed parts back into a
 //! live session. The model is rebuilt by a caller-supplied factory from
 //! the verbatim session-creation spec (the wire layer passes its JSON
-//! parser, keeping this crate independent of the wire format), and
-//! snapshot-carried weights are applied on top — so recovered weights are
-//! bit-identical even for models whose initialization is seeded.
+//! parser, keeping this crate independent of the wire format), and the
+//! weights of the snapshot's [`Record::ModelParams`] are applied on top —
+//! so recovered weights are bit-identical even for models whose
+//! initialization is seeded.
 
 use crate::driver::DebugSession;
 use rain_model::{Classifier, Dataset};
 use rain_sql::table::Table;
 use rain_sql::{Database, TableId, TableVersion, Value};
-use rain_storage::{Record, RecoveryStats, SessionStore, SnapshotState, StorageError};
+use rain_storage::{Record, RecoveryStats, SessionStore, StorageError};
 use std::path::Path;
 
 /// Turns a verbatim session-creation spec back into a model. The wire
@@ -172,31 +173,13 @@ pub fn set_train(
     Ok(())
 }
 
-/// Assemble the full snapshot state of a session.
-pub fn snapshot_state(sess: &DebugSession, spec: &str) -> SnapshotState {
-    SnapshotState {
-        spec: spec.to_string(),
-        params: sess.model.params().to_vec(),
-        train: sess.train.clone(),
-        tables: sess
-            .db
-            .entries()
-            .map(|e| (e.name.clone(), e.version, e.table.clone()))
-            .collect(),
-        indexes: sess
-            .db
-            .entries()
-            .flat_map(|e| {
-                e.indexes
-                    .iter()
-                    .map(|ix| (e.name.clone(), ix.column.clone(), ix.kind.code()))
-            })
-            .collect(),
-    }
+/// The full state of a session as snapshot records.
+pub fn snapshot_state(sess: &DebugSession, spec: &str) -> Vec<Record> {
+    rain_storage::snapshot_records(spec, sess.model.params(), &sess.train, &sess.db)
 }
 
 /// Cut a snapshot if enough log accumulated behind the last one (the
-/// store's policy decides). Returns whether one was cut.
+/// store decides). Returns whether one was cut.
 pub fn maybe_snapshot(
     sess: &DebugSession,
     store: &mut SessionStore,
@@ -326,6 +309,29 @@ mod tests {
             .expect("index definition recovered");
         assert_eq!(ix.len(), 3, "index rebuilt over all recovered rows");
         assert!(rec.stats.snapshot_offset.is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A session that never uploaded training data snapshots its empty,
+    /// 17-wide training set like any other state, and recovery uses that
+    /// snapshot instead of skipping it for the full log.
+    #[test]
+    fn snapshot_without_a_training_upload_is_used() {
+        let dir = temp_dir("notrain");
+        let spec = "{}";
+        let sess = {
+            let mut store = create_store(&dir, spec).unwrap();
+            let mut sess = DebugSession::for_model(Box::new(LogisticRegression::new(17, 0.01)));
+            register_table(&mut sess.db, Some(&mut store), "t", ints(vec![1, 2])).unwrap();
+            store.snapshot(&snapshot_state(&sess, spec)).unwrap();
+            sess
+        };
+        let rec = recover(&dir, &factory(17)).unwrap();
+        assert!(rec.stats.snapshot_offset.is_some());
+        assert_eq!(rec.stats.replayed_records, 0);
+        assert_eq!(rec.sess.train.dim(), sess.train.dim());
+        assert!(rec.sess.train.is_empty());
+        assert_eq!(rec.sess.db.table("t").unwrap().n_rows(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

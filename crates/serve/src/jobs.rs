@@ -372,7 +372,7 @@ mod tests {
         let hist = Arc::new(Sketch::new());
         let pool = crate::pool::SessionPool::new();
         let sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
-        let slot = pool.insert("s", sess, 0, None, false).unwrap();
+        let slot = pool.reserve("s").unwrap().insert(sess, 0, None, false);
         let runner = JobRunner::with_observability(1, Some(Arc::clone(&hist)), None);
         for _ in 0..3 {
             runner.submit(Arc::clone(&slot), Method::Loss, RunConfig::paper(4));
@@ -400,7 +400,7 @@ mod tests {
         use rain_model::LogisticRegression;
         let pool = crate::pool::SessionPool::new();
         let sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
-        let slot = pool.insert("s", sess, 0, None, false).unwrap();
+        let slot = pool.reserve("s").unwrap().insert(sess, 0, None, false);
         let runner = JobRunner::new(2);
         let id = runner.submit(slot, Method::Loss, RunConfig::paper(4));
         // Poll until the worker settles the job.
@@ -425,7 +425,7 @@ mod tests {
         use rain_model::LogisticRegression;
         let pool = crate::pool::SessionPool::new();
         let sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
-        let slot = pool.insert("s", sess, 0, None, false).unwrap();
+        let slot = pool.reserve("s").unwrap().insert(sess, 0, None, false);
         let runner = std::sync::Arc::new(JobRunner::new(1));
 
         // Hold the session lock so the single worker blocks inside job A

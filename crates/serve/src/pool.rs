@@ -22,7 +22,7 @@ use rain_core::rank::Method;
 use rain_obs::Sketch;
 use rain_sql::{CacheStats, Engine, QueryCache};
 use rain_storage::SessionStore;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
@@ -349,11 +349,65 @@ pub struct SessionPool {
     /// paths — that ordering is what makes a concurrent scrape see either
     /// the live slot or its retired counters, never neither.
     retired: Mutex<CacheStats>,
+    /// Names held by a create in flight ([`SessionPool::reserve`]). Locked
+    /// after the slot map, and never across I/O.
+    creating: Mutex<HashSet<String>>,
+}
+
+/// A session name held by [`SessionPool::reserve`] until
+/// [`Reservation::insert`] adds the session, or until the reservation is
+/// dropped (the create failed) and the name is free again.
+pub struct Reservation<'a> {
+    pool: &'a SessionPool,
+    name: String,
+}
+
+impl Reservation<'_> {
+    /// Add the session `sess` under the reserved name, with a worker
+    /// budget of `threads` (`0` = the machine's parallelism). `store`
+    /// makes it durable: its verbatim creation spec and its store, whose
+    /// commitlog already holds the session-meta record. A `recovered`
+    /// slot (rebuilt from disk at boot) answers `POST /sessions` against
+    /// its name by re-attaching (200) instead of conflicting.
+    pub fn insert(
+        self,
+        sess: DebugSession,
+        threads: usize,
+        store: Option<(String, SessionStore)>,
+        recovered: bool,
+    ) -> Arc<SessionSlot> {
+        let slot = Arc::new(SessionSlot::from_session(
+            self.name.clone(),
+            sess,
+            threads,
+            self.pool.lock_wait.clone(),
+            store,
+            recovered,
+        ));
+        // Into the map before the name is released (on drop), so a
+        // concurrent `reserve` always sees one of the two.
+        self.pool
+            .slots
+            .write()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(self.name.clone(), Arc::clone(&slot));
+        slot
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.pool
+            .creating
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .remove(&self.name);
+    }
 }
 
 /// Session names must be path-segment safe (and therefore safe as an
 /// on-disk directory component — no separators, no `..`): 400 otherwise.
-pub fn check_session_name(name: &str) -> Result<(), ApiError> {
+fn check_session_name(name: &str) -> Result<(), ApiError> {
     let valid = !name.is_empty()
         && name.len() <= 64
         && name
@@ -379,44 +433,30 @@ impl SessionPool {
     /// `rain_session_lock_wait_seconds` sketch here).
     pub fn with_lock_wait(lock_wait: Arc<Sketch>) -> Self {
         SessionPool {
-            slots: RwLock::default(),
             lock_wait: Some(lock_wait),
-            retired: Mutex::default(),
+            ..SessionPool::default()
         }
     }
 
-    /// Add the named session `sess` under a worker budget of `threads`
-    /// (`0` = the machine's parallelism). `store` makes it durable: its
-    /// verbatim creation spec and its store, whose commitlog already
-    /// holds the session-meta record. A `recovered` slot (rebuilt from
-    /// disk at boot) answers `POST /sessions` against its name by
-    /// re-attaching (200) instead of conflicting. 400 on an invalid name,
-    /// 409 when the name exists.
-    pub fn insert(
-        &self,
-        name: &str,
-        sess: DebugSession,
-        threads: usize,
-        store: Option<(String, SessionStore)>,
-        recovered: bool,
-    ) -> Result<Arc<SessionSlot>, ApiError> {
+    /// Hold `name` for one create: while the [`Reservation`] lives, every
+    /// other `reserve` of the name answers 409, as does one of a name
+    /// already in the pool. The map lock is held only for the check, so a
+    /// create opens its store directory (file create + fsync) unlocked,
+    /// and a create that loses a race never touches that directory. 400
+    /// on an invalid name.
+    pub fn reserve(&self, name: &str) -> Result<Reservation<'_>, ApiError> {
         check_session_name(name)?;
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        if slots.contains_key(name) {
+        let slots = self.slots.read().unwrap_or_else(|p| p.into_inner());
+        let mut creating = self.creating.lock().unwrap_or_else(|p| p.into_inner());
+        if slots.contains_key(name) || !creating.insert(name.to_string()) {
             return Err(ApiError::conflict(format!(
                 "session '{name}' already exists"
             )));
         }
-        let slot = Arc::new(SessionSlot::from_session(
-            name.to_string(),
-            sess,
-            threads,
-            self.lock_wait.clone(),
-            store,
-            recovered,
-        ));
-        slots.insert(name.to_string(), Arc::clone(&slot));
-        Ok(slot)
+        Ok(Reservation {
+            pool: self,
+            name: name.to_string(),
+        })
     }
 
     /// Look up a session. 404 when missing.
@@ -504,7 +544,19 @@ mod tests {
 
     /// Add an ephemeral session under an automatic worker budget.
     fn add(pool: &SessionPool, name: &str) -> Result<Arc<SessionSlot>, ApiError> {
-        pool.insert(name, session(), 0, None, false)
+        Ok(pool.reserve(name)?.insert(session(), 0, None, false))
+    }
+
+    #[test]
+    fn a_reserved_name_conflicts_until_inserted_or_dropped() {
+        let pool = SessionPool::new();
+        let held = pool.reserve("x").unwrap();
+        assert_eq!(pool.reserve("x").err().map(|e| e.status), Some(409));
+        assert_eq!(pool.get("x").unwrap_err().status, 404, "not live yet");
+        drop(held);
+        pool.reserve("x").unwrap().insert(session(), 0, None, false);
+        assert_eq!(pool.reserve("x").err().map(|e| e.status), Some(409));
+        assert_eq!(pool.reserve("bad/name").err().map(|e| e.status), Some(400));
     }
 
     #[test]
@@ -528,7 +580,10 @@ mod tests {
     #[test]
     fn session_exec_config_drives_the_cache_and_caps_run_threads() {
         let pool = SessionPool::new();
-        let slot = pool.insert("capped", session(), 2, None, false).unwrap();
+        let slot = pool
+            .reserve("capped")
+            .unwrap()
+            .insert(session(), 2, None, false);
         // The skeleton cache — and through `run_debug` every run — works
         // under the session's one budget.
         assert_eq!(slot.threads, 2);

@@ -15,7 +15,8 @@
 //!   "target":T}`, `{"kind":"tuple_delete","row":R}`,
 //!   `{"kind":"join_delete","left_table":…,"left_row":…,"right_table":…,
 //!   "right_row":…}`, or `{"kind":"prediction_is","table":…,"row":…,
-//!   "class":…}`.
+//!   "class":…}`. A value complaint's `row` and `agg` default to 0 when
+//!   absent; present but not a non-negative integer, they are a 400.
 //! - **run config** — `{"method":M,"budget":B,"k_per_iter":K,
 //!   "stop_when_satisfied":bool,"profile":bool,"sample_every":N}` (method
 //!   and budget required, rest defaulted when absent; a key that is
@@ -107,7 +108,8 @@ fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ApiError> {
         .ok_or_else(|| ApiError::bad_request(format!("missing field '{key}'")))
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, ApiError> {
+/// A required string field of `v`: 400 when missing or not a string.
+pub(crate) fn str_field(v: &Json, key: &str) -> Result<String, ApiError> {
     field(v, key)?
         .as_str()
         .map(str::to_string)
@@ -123,10 +125,10 @@ fn usize_field(v: &Json, key: &str) -> Result<usize, ApiError> {
 /// An optional field of `v`: `None` when absent, a 400 saying it must be
 /// `what` when present but not something `read` accepts — never a silent
 /// default.
-fn opt_field<T>(
-    v: &Json,
+pub(crate) fn opt_field<'a, T>(
+    v: &'a Json,
     key: &str,
-    read: fn(&Json) -> Option<T>,
+    read: fn(&'a Json) -> Option<T>,
     what: &str,
 ) -> Result<Option<T>, ApiError> {
     v.get(key)
@@ -529,9 +531,12 @@ pub fn complaint_from_json(v: &Json) -> Result<Complaint, ApiError> {
                     )))
                 }
             };
+            // An absent cell coordinate means the first; a present one of
+            // the wrong type is a 400, never a complaint about row 0.
+            let index = |key| opt_field(v, key, Json::as_usize, "a non-negative integer");
             Ok(Complaint::Value {
-                row: v.get("row").and_then(Json::as_usize).unwrap_or(0),
-                agg: v.get("agg").and_then(Json::as_usize).unwrap_or(0),
+                row: index("row")?.unwrap_or(0),
+                agg: index("agg")?.unwrap_or(0),
                 op,
                 target: f64_field(v, "target")?,
             })
@@ -977,6 +982,33 @@ mod tests {
         );
         let v = json::parse(r#"{"kind":"sue"}"#).unwrap();
         assert_eq!(complaint_from_json(&v).unwrap_err().status, 400);
+        let v = json::parse(r#"{"kind":"value","op":"le","target":1,"row":2,"agg":1}"#).unwrap();
+        assert_eq!(
+            complaint_from_json(&v).unwrap(),
+            Complaint::Value {
+                row: 2,
+                agg: 1,
+                op: ValueOp::Le,
+                target: 1.0
+            }
+        );
+        // A cell coordinate of the wrong type names the field; it must not
+        // silently become a complaint about row 0.
+        for (key, bad) in [
+            ("row", r#""3""#),
+            ("row", "-1"),
+            ("row", "1.5"),
+            ("agg", "null"),
+            ("agg", "[0]"),
+        ] {
+            let v = json::parse(&format!(
+                r#"{{"kind":"value","op":"eq","target":42,"{key}":{bad}}}"#
+            ))
+            .unwrap();
+            let err = complaint_from_json(&v).unwrap_err();
+            assert_eq!(err.status, 400, "{key}: {bad}");
+            assert!(err.message.contains(&format!("'{key}'")), "{}", err.message);
+        }
     }
 
     #[test]

@@ -44,12 +44,13 @@
 use crate::http::{read_request, write_response, write_response_typed, Request};
 use crate::jobs::{JobRunner, JobState};
 use crate::json::{self, Json};
-use crate::pool::{check_session_name, SessionPool, SessionSlot, SessionState, StorageCounters};
+use crate::pool::{SessionPool, SessionSlot, SessionState, StorageCounters};
 use crate::profiles::{ProfileEntry, ProfileRing};
 use crate::protocol::{
     append_features_from_json, append_rows_from_json, complaint_from_json, dataset_from_json,
-    model_from_json, output_to_json, report_to_json, run_request_from_json,
-    session_threads_from_json, table_from_json, trace_to_json, version_to_json, ApiError,
+    model_from_json, opt_field, output_to_json, report_to_json, run_request_from_json,
+    session_threads_from_json, str_field, table_from_json, trace_to_json, version_to_json,
+    ApiError,
 };
 use rain_core::driver::DebugSession;
 use rain_model::Classifier;
@@ -285,8 +286,10 @@ fn recover_sessions(data_dir: &Path, pool: &SessionPool) -> (u64, f64) {
                     .as_ref()
                     .and_then(|v| session_threads_from_json(v).ok())
                     .unwrap_or_default();
-                match pool.insert(&name, rec.sess, threads, Some((rec.spec, rec.store)), true) {
-                    Ok(slot) => {
+                match pool.reserve(&name) {
+                    Ok(reserved) => {
+                        let store = Some((rec.spec, rec.store));
+                        let slot = reserved.insert(rec.sess, threads, store, true);
                         if let Some(v) = &spec_json {
                             apply_sampling_knobs(&slot, v);
                         }
@@ -498,13 +501,6 @@ fn profiled(
         pairs.push(("profile".to_string(), trace_to_json(&trace.finish())));
     }
     Ok((status, body))
-}
-
-fn str_field(v: &Json, key: &str) -> Result<String, ApiError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ApiError::bad_request(format!("missing string field '{key}'")))
 }
 
 /// Route and execute one request.
@@ -901,12 +897,14 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
     )?;
     let threads = session_threads_from_json(&body)?;
     let kind = model.name();
+    // Hold the name first: a duplicate (or the loser of a race for a new
+    // name) is refused here, before it could open — and write a
+    // session-meta record into — the name's store directory. The
+    // reservation also validates the name before it becomes a path
+    // component.
+    let reserved = state.pool.reserve(&name)?;
     let store = match &state.data_dir {
         Some(root) => {
-            // Validate the name before it becomes a path component; the
-            // pool enforces the same rule, but only after the store (and
-            // its directory) would already exist.
-            check_session_name(&name)?;
             let dir = root.join("sessions").join(&name);
             let spec = String::from_utf8_lossy(&req.body).into_owned();
             let store = rain_core::durable::create_store(&dir, &spec)
@@ -915,9 +913,7 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
         }
         None => None,
     };
-    let slot = state
-        .pool
-        .insert(&name, DebugSession::for_model(model), threads, store, false)?;
+    let slot = reserved.insert(DebugSession::for_model(model), threads, store, false);
     // Optional sampling knobs; anything omitted keeps the always-on
     // defaults (1-in-16, 500 ms slow threshold).
     apply_sampling_knobs(&slot, &body);
@@ -1254,7 +1250,7 @@ fn complain(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json
     if let Some(one) = body.get("complaint") {
         complaints.push(complaint_from_json(one)?);
     }
-    if let Some(many) = body.get("complaints").and_then(Json::as_arr) {
+    if let Some(many) = opt_field(&body, "complaints", Json::as_arr, "an array")? {
         for c in many {
             complaints.push(complaint_from_json(c)?);
         }

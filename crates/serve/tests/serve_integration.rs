@@ -544,6 +544,52 @@ fn debug_run_fields_of_the_wrong_type_answer_400() {
     server.shutdown();
 }
 
+/// `…/complain` bodies whose fields have the wrong type answer 400 naming
+/// the field and file nothing: a cell coordinate that is not a
+/// non-negative integer must not become a complaint about row 0, and a
+/// `complaints` that is not an array must not be dropped.
+#[test]
+fn complaint_fields_of_the_wrong_type_answer_400() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("typed"))
+        .unwrap();
+    client
+        .post_ok("/sessions/typed/tables", &table_json("pairs", 6, 3))
+        .unwrap();
+    let sql = "SELECT COUNT(*) FROM pairs WHERE predict(*) = 1";
+    let valid = count_complaint(sql, 2.0).get("complaint").unwrap().clone();
+    let cell = |key: &str, value: Json| with_keys(valid.clone(), vec![(key, value)]);
+    for (field, body) in [
+        ("row", vec![("complaint", cell("row", Json::str("3")))]),
+        ("row", vec![("complaint", cell("row", Json::num(-1.0)))]),
+        ("agg", vec![("complaint", cell("agg", Json::num(0.5)))]),
+        (
+            "complaints",
+            vec![("complaint", valid.clone()), ("complaints", valid.clone())],
+        ),
+    ] {
+        let body = with_keys(Json::obj(vec![("sql", Json::str(sql))]), body);
+        let (status, resp) = client.post("/sessions/typed/complain", &body).unwrap();
+        assert_eq!(status, 400, "{field}: {resp}");
+        let msg = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains(&format!("'{field}'")), "{field}: {msg}");
+    }
+    // Nothing was filed; a well-typed complaint is the session's first.
+    let ok = client
+        .post_ok(
+            "/sessions/typed/complain",
+            &with_keys(
+                Json::obj(vec![("sql", Json::str(sql))]),
+                vec![("complaints", Json::Arr(vec![cell("row", Json::num(0.0))]))],
+            ),
+        )
+        .unwrap();
+    assert_eq!(ok.get("total_complaints").and_then(Json::as_f64), Some(1.0));
+    server.shutdown();
+}
+
 /// Protocol error paths: malformed requests, unknown sessions, stale job
 /// ids, duplicate sessions, bad SQL — each with the right status code,
 /// none of them wedging the connection.
@@ -2035,6 +2081,156 @@ fn recovered_session_reports_the_writers_stats_and_index_entries() {
     let mut client = Client::connect(server.addr()).unwrap();
     let recovered = client.get_ok("/sessions/grow/tables/pairs/stats").unwrap();
     assert_eq!(recovered, written);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A creation body for session `name` with a two-class model of `kind`
+/// (1-D features) and the given sampling period, which the re-attach answer
+/// after a restart echoes from whichever spec recovery rebuilt.
+fn spec_json(name: &str, kind: &str, sample_every: f64) -> Json {
+    Json::obj(vec![
+        ("name", Json::str(name)),
+        (
+            "model",
+            Json::obj(vec![
+                ("kind", Json::str(kind)),
+                ("dim", Json::num(1.0)),
+                ("classes", Json::num(2.0)),
+            ]),
+        ),
+        ("sample_every", Json::num(sample_every)),
+    ])
+}
+
+/// A `POST /sessions` refused with 409 because the name is live writes
+/// nothing into the live session's directory: after a restart the session
+/// is rebuilt from its own spec, with the same model, tables and versions
+/// — also when the live session commits again between two refusals.
+#[test]
+fn rejected_duplicate_create_leaves_the_live_session_on_disk_intact() {
+    let data_dir = std::env::temp_dir().join(format!("rain-serve-dup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let config = || ServerConfig {
+        data_dir: Some(data_dir.to_string_lossy().into_owned()),
+        ..Default::default()
+    };
+    let live = spec_json("dup", "logistic", 3.0);
+    let other = spec_json("dup", "softmax", 7.0);
+    let q = Json::obj(vec![(
+        "sql",
+        Json::str("SELECT COUNT(*) FROM pairs WHERE predict(*) = 1"),
+    )]);
+
+    let server = start(config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.post_ok("/sessions", &live).unwrap();
+    client
+        .post_ok("/sessions/dup/tables", &table_json("pairs", 10, 4))
+        .unwrap();
+    client
+        .post_ok("/sessions/dup/train", &train_json(40, 8))
+        .unwrap();
+    assert_eq!(client.post("/sessions", &other).unwrap().0, 409);
+    let append = Json::obj(vec![
+        ("rows", Json::Arr(vec![Json::Arr(vec![Json::num(10.0)])])),
+        ("features", Json::Arr(vec![Json::Arr(vec![Json::num(2.0)])])),
+    ]);
+    client
+        .post_ok("/sessions/dup/tables/pairs/append", &append)
+        .unwrap();
+    assert_eq!(client.post("/sessions", &other).unwrap().0, 409);
+    let stats = client.get_ok("/sessions/dup/tables/pairs/stats").unwrap();
+    let answer = client.post_ok("/sessions/dup/query", &q).unwrap();
+    drop(client);
+    server.shutdown();
+
+    let server = start(config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let attached = client.post_ok("/sessions", &live).unwrap();
+    assert_eq!(attached.get("recovered"), Some(&Json::Bool(true)));
+    assert_eq!(
+        attached.get("model").and_then(Json::as_str),
+        Some("logistic")
+    );
+    assert_eq!(
+        attached.get("sample_every").and_then(Json::as_f64),
+        Some(3.0)
+    );
+    assert_eq!(
+        client.get_ok("/sessions/dup/tables/pairs/stats").unwrap(),
+        stats
+    );
+    let recovered = client.post_ok("/sessions/dup/query", &q).unwrap();
+    assert_eq!(recovered.get("result"), answer.get("result"));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// N concurrent creates of one new name: exactly one answers 200, the
+/// rest 409, and the losers write nothing into the winner's directory —
+/// after a restart each session is rebuilt from its winner's spec.
+#[test]
+fn concurrent_creates_of_one_name_leave_only_the_winner_on_disk() {
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 4;
+    let data_dir = std::env::temp_dir().join(format!("rain-serve-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let config = || ServerConfig {
+        data_dir: Some(data_dir.to_string_lossy().into_owned()),
+        ..Default::default()
+    };
+    // Client i's spec: a distinct sampling period, alternating model kinds.
+    let spec = |name: &str, i: usize| {
+        let kinds = ["logistic", "softmax"];
+        spec_json(name, kinds[i % 2], (i + 1) as f64)
+    };
+
+    let server = start(config()).unwrap();
+    let addr = server.addr();
+    let mut winners = Vec::new();
+    for round in 0..ROUNDS {
+        let name = format!("race{round}");
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS));
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|i| {
+                let (gate, body) = (gate.clone(), spec(&name, i));
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    gate.wait();
+                    client.post("/sessions", &body).unwrap().0
+                })
+            })
+            .collect();
+        let statuses: Vec<u16> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let won: Vec<usize> = (0..CLIENTS).filter(|&i| statuses[i] == 200).collect();
+        assert_eq!(won.len(), 1, "round {round}: {statuses:?}");
+        assert_eq!(
+            statuses.iter().filter(|&&s| s == 409).count(),
+            CLIENTS - 1,
+            "round {round}: {statuses:?}"
+        );
+        winners.push((name, won[0]));
+    }
+    server.shutdown();
+
+    let server = start(config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for (name, i) in winners {
+        let want = spec(&name, i);
+        let attached = client.post_ok("/sessions", &want).unwrap();
+        assert_eq!(attached.get("recovered"), Some(&Json::Bool(true)), "{name}");
+        assert_eq!(
+            attached.get("model"),
+            want.get("model").unwrap().get("kind"),
+            "{name}"
+        );
+        assert_eq!(
+            attached.get("sample_every"),
+            want.get("sample_every"),
+            "{name}"
+        );
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }

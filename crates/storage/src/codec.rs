@@ -60,10 +60,15 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
+    /// Append a length-prefixed byte string.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.u64(b.len() as u64);
+        self.buf.extend_from_slice(b);
+    }
+
     /// Append a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 }
 
@@ -146,11 +151,15 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
+    /// Read a length-prefixed byte string, borrowed from the input.
+    pub fn bytes(&mut self) -> Result<&'a [u8], StorageError> {
+        let n = self.len(1)?;
+        self.take(n)
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, StorageError> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid utf-8 in string"))
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| corrupt("invalid utf-8 in string"))
     }
 }
 
@@ -237,13 +246,18 @@ pub fn put_matrix(e: &mut Enc, m: &Matrix) {
     }
 }
 
-/// Decode a feature matrix.
+/// Decode a feature matrix. Only the cells must fit the remaining input:
+/// a dimension alone carries no bytes when the other one is zero (a
+/// training set with no rows still has its feature width).
 pub fn get_matrix(d: &mut Dec<'_>) -> Result<Matrix, StorageError> {
-    let rows = d.len(0)?;
-    let cols = d.len(0)?;
+    let (rows, cols) = (d.u64()?, d.u64()?);
+    let remaining = (d.buf.len() - d.pos) as u64;
     let n = rows
         .checked_mul(cols)
-        .ok_or_else(|| corrupt("matrix shape overflow"))?;
+        .filter(|n| n.saturating_mul(8) <= remaining)
+        .ok_or_else(|| corrupt(&format!("implausible matrix shape {rows} x {cols}")))?;
+    let size = |v: u64| usize::try_from(v).map_err(|_| corrupt("matrix shape overflow"));
+    let (rows, cols, n) = (size(rows)?, size(cols)?, size(n)?);
     let mut data = Vec::with_capacity(n);
     for _ in 0..n {
         data.push(d.f64()?);
@@ -570,5 +584,28 @@ mod tests {
         let bytes = e.into_bytes();
         assert!(Dec::new(&bytes).len(1).is_err());
         assert!(Dec::new(&bytes).str().is_err());
+        // Matrix cells must fit the input; 2^32 x 2^32 is refused unread.
+        let mut e = Enc::new();
+        e.u64(1 << 32);
+        e.u64(1 << 32);
+        e.f64(1.0);
+        assert!(get_matrix(&mut Dec::new(&e.into_bytes())).is_err());
+    }
+
+    /// A matrix with a zero dimension carries no cells, however wide the
+    /// other one is — and decodes from its own bytes alone, as it must
+    /// when it ends a record (an empty training set of width 17).
+    #[test]
+    fn matrices_with_a_zero_dimension_round_trip_alone() {
+        for (rows, cols) in [(0, 17), (0, 1000), (5, 0), (0, 0)] {
+            let m = Matrix::from_vec(rows, cols, vec![]);
+            let mut e = Enc::new();
+            put_matrix(&mut e, &m);
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes);
+            let back = get_matrix(&mut d).unwrap();
+            assert_eq!((back.rows(), back.cols()), (rows, cols));
+            assert!(d.is_done());
+        }
     }
 }

@@ -5,20 +5,24 @@
 //! design is the classic commitlog/snapshot pairing (the shape of
 //! SpacetimeDB's `commitlog` + `snapshot` crates):
 //!
-//! - **[`Commitlog`]** — an append-only log of catalog mutations
-//!   ([`Record`]s: create/replace table, append rows, train upload, model
-//!   parameters). Records are length-prefixed and CRC32-checksummed;
-//!   appends buffer in memory and [`Commitlog::commit`] flushes and
-//!   fsyncs once per batch, so one durable write can cover many records.
-//! - **[`snapshot`]** — periodic full-state snapshots
-//!   ([`SnapshotState`]: tables with versions and null bitmaps, training
-//!   set with record ids, model weights), written atomically
-//!   (`.tmp` + rename + directory fsync) and named by the log offset they
-//!   cover, so the log tail after a snapshot is short.
+//! - **[`Record`]** — the one codec for session state: each record is
+//!   one piece of it (session spec, table create/replace, row append,
+//!   index definition, training set, model parameters, and — written only
+//!   by snapshots — a table at a pinned version).
+//! - **[`Commitlog`]** — an append-only log of records, length-prefixed
+//!   and CRC32-checksummed; appends buffer in memory and
+//!   [`Commitlog::commit`] flushes and fsyncs once per batch, so one
+//!   durable write can cover many records.
+//! - **[`snapshot`]** — periodic full-state snapshots: one checksummed
+//!   batch of records ([`snapshot_records`] builds it from a session's
+//!   parts), written atomically (`.tmp` + rename + directory fsync) and
+//!   named by the log offset they cover, so the log tail after a snapshot
+//!   is short.
 //! - **[`SessionStore`]** — one directory per session pairing the two:
 //!   appends go to the log, a snapshot is cut automatically once enough
-//!   log grew behind it, and [`SessionStore::recover`] replays
-//!   newest-valid-snapshot + log tail into a [`RecoveredState`].
+//!   log grew behind it, and [`SessionStore::recover`] feeds the
+//!   newest valid snapshot's records, then the log tail, through one
+//!   function, [`RecoveredState::apply`].
 //!
 //! Recovery is **bit-identical**: floats round-trip through
 //! [`f64::to_bits`], null bitmaps and dataset record ids are persisted
@@ -40,8 +44,8 @@ pub mod store;
 pub use codec::{Dec, Enc};
 pub use log::{Commitlog, LOG_HEADER_LEN};
 pub use record::Record;
-pub use snapshot::SnapshotState;
-pub use store::{RecoveredState, RecoveryStats, SessionStore, SnapshotPolicy};
+pub use snapshot::snapshot_records;
+pub use store::{RecoveredState, RecoveryStats, SessionStore};
 
 /// Errors from the durability layer.
 #[derive(Debug)]
@@ -49,10 +53,10 @@ pub enum StorageError {
     /// Filesystem failure (open, write, fsync, rename, ...).
     Io(std::io::Error),
     /// Persisted bytes that cannot be decoded. Recovery treats corruption
-    /// *at the log tail* as a torn write and stops cleanly; corruption in
-    /// a snapshot body falls back to the previous snapshot. This variant
-    /// surfaces only where no fallback exists (e.g. a record that passed
-    /// its checksum but carries an unknown tag).
+    /// *at the log tail* as a torn write and stops cleanly; a snapshot
+    /// whose checksum or records fail falls back to the previous one.
+    /// This variant surfaces only where no fallback exists (e.g. a log
+    /// record that passed its checksum but carries an unknown tag).
     Corrupt(String),
 }
 

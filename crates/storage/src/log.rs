@@ -21,7 +21,7 @@
 use crate::{crc32, StorageError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"RAINLOG1";
 /// Bytes before the first record (the magic header).
@@ -44,7 +44,6 @@ pub struct OpenStats {
 #[derive(Debug)]
 pub struct Commitlog {
     file: File,
-    path: PathBuf,
     /// Offset one past the last durable (committed) record.
     durable_end: u64,
     /// Pending appends, flushed as one batch by [`Commitlog::commit`].
@@ -74,7 +73,6 @@ impl Commitlog {
             file.sync_all()?;
             return Ok(Commitlog {
                 file,
-                path: path.to_path_buf(),
                 durable_end: LOG_HEADER_LEN,
                 pending: Vec::new(),
                 records: 0,
@@ -100,7 +98,6 @@ impl Commitlog {
         }
         Ok(Commitlog {
             file,
-            path: path.to_path_buf(),
             durable_end: valid_end,
             pending: Vec::new(),
             records,
@@ -193,11 +190,6 @@ impl Commitlog {
         self.records
     }
 
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Replay durable record payloads from `from` (a record boundary —
     /// [`LOG_HEADER_LEN`] or an offset a previous append/replay reported)
     /// to the durable end. The sink receives each payload with the offset
@@ -269,6 +261,7 @@ fn scan(file: &mut File, file_len: u64) -> Result<(u64, u64), StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {

@@ -1,18 +1,21 @@
-//! Log record payloads: one catalog mutation each.
+//! Record payloads: one piece of session state each.
 //!
-//! A [`Record`] is the unit the [`Commitlog`](crate::Commitlog) appends.
-//! Replaying the full sequence against an empty session reproduces the
-//! session exactly — table versions included, because replay applies the
-//! same [`Database`](rain_sql::Database) bump rules that produced them
-//! (register bumps `gen`, append bumps `delta`).
+//! A [`Record`] is the unit the [`Commitlog`](crate::Commitlog) appends
+//! and the unit a [`snapshot`](crate::snapshot) is a batch of, so this
+//! module alone defines how session state looks on disk. Replaying the
+//! full sequence against an empty session reproduces the session exactly
+//! — table versions included, because replay applies the same
+//! [`Database`](rain_sql::Database) bump rules that produced them
+//! (register bumps `gen`, append bumps `delta`) or, for a snapshot's
+//! [`Record::TableAt`], pins the version it carries.
 
 use crate::codec::{self, Dec, Enc};
 use crate::StorageError;
 use rain_model::Dataset;
 use rain_sql::table::Table;
-use rain_sql::Value;
+use rain_sql::{TableVersion, Value};
 
-/// One durable catalog mutation.
+/// One durable piece of session state.
 #[derive(Debug)]
 pub enum Record {
     /// Session creation: the verbatim JSON body the session was created
@@ -61,6 +64,18 @@ pub enum Record {
         /// Flat parameters, as [`rain_model::Classifier::params`] returns.
         params: Vec<f64>,
     },
+    /// Register a table at a pinned version. Written only by snapshots:
+    /// applied in registration order through
+    /// [`Database::register_with_version`](rain_sql::Database::register_with_version),
+    /// it reissues the same [`TableId`](rain_sql::TableId)s and versions.
+    TableAt {
+        /// Catalog name.
+        name: String,
+        /// The version the table had when the snapshot was cut.
+        version: TableVersion,
+        /// Full table contents.
+        table: Table,
+    },
 }
 
 const TAG_SESSION_META: u8 = 1;
@@ -69,6 +84,7 @@ const TAG_APPEND_ROWS: u8 = 3;
 const TAG_TRAIN_SET: u8 = 4;
 const TAG_MODEL_PARAMS: u8 = 5;
 const TAG_CREATE_INDEX: u8 = 6;
+const TAG_TABLE_AT: u8 = 7;
 
 impl Record {
     /// Encode to a standalone payload (the commitlog adds framing).
@@ -129,13 +145,25 @@ impl Record {
                     e.f64(p);
                 }
             }
+            Record::TableAt {
+                name,
+                version,
+                table,
+            } => {
+                e.u8(TAG_TABLE_AT);
+                e.str(name);
+                e.u64(version.gen);
+                e.u64(version.delta);
+                codec::put_table(&mut e, table);
+            }
         }
         e.into_bytes()
     }
 
     /// Decode a payload produced by [`Record::encode`]. The payload has
-    /// already passed the log's checksum, so failure here means an
-    /// unknown tag or malformed body — real corruption, not a torn write.
+    /// already passed its log frame's or snapshot's checksum, so failure
+    /// here means an unknown tag or malformed body — real corruption, not
+    /// a torn write.
     pub fn decode(payload: &[u8]) -> Result<Record, StorageError> {
         let mut d = Dec::new(payload);
         let rec = match d.u8()? {
@@ -199,6 +227,14 @@ impl Record {
                 }
                 Record::ModelParams { params }
             }
+            TAG_TABLE_AT => Record::TableAt {
+                name: d.str()?,
+                version: TableVersion {
+                    gen: d.u64()?,
+                    delta: d.u64()?,
+                },
+                table: codec::get_table(&mut d)?,
+            },
             t => return Err(StorageError::Corrupt(format!("unknown record tag {t}"))),
         };
         if !d.is_done() {
@@ -256,6 +292,14 @@ mod tests {
             Record::ModelParams {
                 params: vec![0.25, -1.5, f64::MIN_POSITIVE],
             },
+            Record::TableAt {
+                name: "pairs".into(),
+                version: TableVersion { gen: 3, delta: 7 },
+                table: Table::from_columns(
+                    Schema::new(&[("x", ColType::Float)]),
+                    vec![Column::Float(vec![-0.0, 1.5])],
+                ),
+            },
         ];
         for rec in recs {
             let bytes = rec.encode();
@@ -264,6 +308,59 @@ mod tests {
             // bit-identity the recovery path promises.
             assert_eq!(back.encode(), bytes);
         }
+    }
+
+    /// Logs already on disk replay unchanged only while every tag keeps
+    /// its byte; a snapshot-only variant gets a new one.
+    #[test]
+    fn tags_are_pinned() {
+        let table = || Table::from_columns(Schema::new(&[]), vec![]);
+        let tagged = [
+            (Record::SessionMeta { spec: "x".into() }, 1),
+            (
+                Record::RegisterTable {
+                    name: String::new(),
+                    table: table(),
+                },
+                2,
+            ),
+            (
+                Record::AppendRows {
+                    name: String::new(),
+                    rows: vec![],
+                    features: None,
+                },
+                3,
+            ),
+            (
+                Record::TrainSet {
+                    data: Dataset::new(Matrix::zeros(0, 2), vec![], 2),
+                },
+                4,
+            ),
+            (Record::ModelParams { params: vec![] }, 5),
+            (
+                Record::CreateIndex {
+                    name: String::new(),
+                    column: String::new(),
+                    kind: 1,
+                },
+                6,
+            ),
+            (
+                Record::TableAt {
+                    name: String::new(),
+                    version: TableVersion::default(),
+                    table: table(),
+                },
+                7,
+            ),
+        ];
+        for (rec, tag) in tagged {
+            assert_eq!(rec.encode()[0], tag, "{rec:?}");
+        }
+        let meta = Record::SessionMeta { spec: "x".into() };
+        assert_eq!(meta.encode(), [1, 1, 0, 0, 0, 0, 0, 0, 0, b'x']);
     }
 
     #[test]

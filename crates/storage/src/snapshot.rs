@@ -1,11 +1,21 @@
-//! Full-state snapshots: everything a session holds, in one checksummed
-//! file, named by the commitlog offset it covers.
+//! Full-state snapshots: everything a session holds, as one checksummed
+//! batch of [`Record`]s, named by the commitlog offset it covers.
 //!
 //! A snapshot file `snap-<offset>.bin` means "this is the exact state
 //! produced by replaying the log up to `offset`". Recovery loads the
-//! newest snapshot that validates and replays only the log tail after its
-//! offset — so the log can grow unboundedly between snapshots without
-//! recovery time growing with total history.
+//! newest snapshot that validates, applies its records, and replays only
+//! the log tail after its offset — both through
+//! [`RecoveredState::apply`](crate::RecoveredState::apply) — so the log
+//! can grow unboundedly between snapshots without recovery time growing
+//! with total history.
+//!
+//! File format: the magic `RAINSNP2`, the body length (u64 LE) and the
+//! body's CRC32 (u32 LE), then the body — a record count followed by
+//! length-prefixed [`Record::encode`] payloads, in the order
+//! [`snapshot_records`] builds them. A file with any other magic (such as
+//! a `RAINSNP1` snapshot from before records were the format) is skipped
+//! like a corrupt one; recovery then uses an older snapshot or the full
+//! log.
 //!
 //! Writes are atomic: the body goes to a `.tmp` sibling, is fsynced,
 //! renamed into place, and the directory is fsynced — a crash mid-write
@@ -13,103 +23,50 @@
 //! half-file under the real name (a torn `.tmp` fails its checksum and is
 //! ignored anyway).
 
-use crate::codec::{self, Dec, Enc};
+use crate::codec::{Dec, Enc};
+use crate::record::Record;
 use crate::{crc32, StorageError};
 use rain_model::Dataset;
-use rain_sql::table::Table;
-use rain_sql::TableVersion;
+use rain_sql::Database;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 8] = b"RAINSNP1";
+const MAGIC: &[u8; 8] = b"RAINSNP2";
 /// Older snapshots kept alongside the newest (fallbacks for a torn or
 /// bit-rotted latest).
 const KEEP_SNAPSHOTS: usize = 2;
 
-/// The full durable state of one session at a log offset.
-#[derive(Debug)]
-pub struct SnapshotState {
-    /// Verbatim session-creation JSON (see
-    /// [`Record::SessionMeta`](crate::Record::SessionMeta)).
-    pub spec: String,
-    /// Flat model parameters, exact bits.
-    pub params: Vec<f64>,
-    /// Training set, record ids included.
-    pub train: Dataset,
-    /// Tables in registration order: name, two-part version, contents.
-    /// Registration order matters — replaying it through
-    /// [`Database::register_with_version`](rain_sql::Database::register_with_version)
-    /// reissues the same [`TableId`](rain_sql::TableId)s.
-    pub tables: Vec<(String, TableVersion, Table)>,
-    /// Secondary index definitions: table name, column name, and
-    /// [`rain_sql::IndexKind`] wire code. Definitions only — the index
-    /// data is rebuilt from the recovered tables.
-    pub indexes: Vec<(String, String, u8)>,
-}
-
-impl SnapshotState {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.str(&self.spec);
-        e.u64(self.params.len() as u64);
-        for &p in &self.params {
-            e.f64(p);
-        }
-        codec::put_dataset(&mut e, &self.train);
-        e.u64(self.tables.len() as u64);
-        for (name, version, table) in &self.tables {
-            e.str(name);
-            e.u64(version.gen);
-            e.u64(version.delta);
-            codec::put_table(&mut e, table);
-        }
-        e.u64(self.indexes.len() as u64);
-        for (table, column, kind) in &self.indexes {
-            e.str(table);
-            e.str(column);
-            e.u8(*kind);
-        }
-        e.into_bytes()
+/// The records of a full-state snapshot of one session: its creation
+/// spec, model parameters and training set, then every table at its
+/// version in registration order (so replay reissues the same
+/// [`TableId`](rain_sql::TableId)s), each followed by its index
+/// definitions. Index data is not stored; replay rebuilds it.
+pub fn snapshot_records(spec: &str, params: &[f64], train: &Dataset, db: &Database) -> Vec<Record> {
+    let mut records = vec![
+        Record::SessionMeta {
+            spec: spec.to_string(),
+        },
+        Record::ModelParams {
+            params: params.to_vec(),
+        },
+        Record::TrainSet {
+            data: train.clone(),
+        },
+    ];
+    for e in db.entries() {
+        records.push(Record::TableAt {
+            name: e.name.clone(),
+            version: e.version,
+            table: e.table.clone(),
+        });
+        records.extend(e.indexes.iter().map(|ix| Record::CreateIndex {
+            name: e.name.clone(),
+            column: ix.column.clone(),
+            kind: ix.kind.code(),
+        }));
     }
-
-    fn decode(bytes: &[u8]) -> Result<SnapshotState, StorageError> {
-        let mut d = Dec::new(bytes);
-        let spec = d.str()?;
-        let n = d.len(8)?;
-        let mut params = Vec::with_capacity(n);
-        for _ in 0..n {
-            params.push(d.f64()?);
-        }
-        let train = codec::get_dataset(&mut d)?;
-        let n_tables = d.len(8)?;
-        let mut tables = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            let name = d.str()?;
-            let version = TableVersion {
-                gen: d.u64()?,
-                delta: d.u64()?,
-            };
-            tables.push((name, version, codec::get_table(&mut d)?));
-        }
-        let n_indexes = d.len(8)?;
-        let mut indexes = Vec::with_capacity(n_indexes);
-        for _ in 0..n_indexes {
-            indexes.push((d.str()?, d.str()?, d.u8()?));
-        }
-        if !d.is_done() {
-            return Err(StorageError::Corrupt(
-                "trailing bytes after snapshot body".into(),
-            ));
-        }
-        Ok(SnapshotState {
-            spec,
-            params,
-            train,
-            tables,
-            indexes,
-        })
-    }
+    records
 }
 
 fn snapshot_path(dir: &Path, offset: u64) -> PathBuf {
@@ -124,14 +81,18 @@ fn offset_of(path: &Path) -> Option<u64> {
 }
 
 /// Write a snapshot covering the log up to `offset`, atomically, and
-/// prune old snapshots down to `KEEP_SNAPSHOTS`. Returns the final
-/// path.
-pub fn write_snapshot(
+/// prune old snapshots down to `KEEP_SNAPSHOTS`.
+pub(crate) fn write_snapshot(
     dir: &Path,
     offset: u64,
-    state: &SnapshotState,
-) -> Result<PathBuf, StorageError> {
-    let body = state.encode();
+    records: &[Record],
+) -> Result<(), StorageError> {
+    let mut e = Enc::new();
+    e.u64(records.len() as u64);
+    for rec in records {
+        e.bytes(&rec.encode());
+    }
+    let body = e.into_bytes();
     let path = snapshot_path(dir, offset);
     let tmp = path.with_extension("bin.tmp");
     {
@@ -151,13 +112,13 @@ pub fn write_snapshot(
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
-    prune(dir, offset);
-    Ok(path)
+    prune(dir);
+    Ok(())
 }
 
 /// Delete snapshots older than the newest [`KEEP_SNAPSHOTS`], plus any
 /// stale `.tmp` leftovers. Best-effort: failures are ignored.
-fn prune(dir: &Path, _newest: u64) {
+fn prune(dir: &Path) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -178,9 +139,10 @@ fn prune(dir: &Path, _newest: u64) {
 
 /// Load the newest snapshot in `dir` that validates, returning it with
 /// the log offset it covers. A torn or corrupt newest snapshot falls back
-/// to the next older one; no snapshot at all is `None` (recover by
-/// replaying the whole log).
-pub fn load_latest(dir: &Path) -> Result<Option<(u64, SnapshotState)>, StorageError> {
+/// to the next older one — a body fails when its checksum does, and also
+/// when one of its records does not decode. No snapshot at all is `None`
+/// (recover by replaying the whole log).
+pub(crate) fn load_latest(dir: &Path) -> Result<Option<(u64, Vec<Record>)>, StorageError> {
     let Ok(entries) = fs::read_dir(dir) else {
         return Ok(None);
     };
@@ -194,7 +156,7 @@ pub fn load_latest(dir: &Path) -> Result<Option<(u64, SnapshotState)>, StorageEr
     snaps.sort_by_key(|&(off, _)| std::cmp::Reverse(off));
     for (off, path) in snaps {
         match load_one(&path) {
-            Ok(state) => return Ok(Some((off, state))),
+            Ok(records) => return Ok(Some((off, records))),
             Err(StorageError::Corrupt(_)) => continue,
             Err(e) => return Err(e),
         }
@@ -202,7 +164,7 @@ pub fn load_latest(dir: &Path) -> Result<Option<(u64, SnapshotState)>, StorageEr
     Ok(None)
 }
 
-fn load_one(path: &Path) -> Result<SnapshotState, StorageError> {
+fn load_one(path: &Path) -> Result<Vec<Record>, StorageError> {
     let mut f = File::open(path)?;
     let mut head = [0u8; 20];
     f.read_exact(&mut head)
@@ -223,14 +185,24 @@ fn load_one(path: &Path) -> Result<SnapshotState, StorageError> {
             path.display()
         )));
     }
-    SnapshotState::decode(&body)
+    let mut d = Dec::new(&body);
+    let n = d.len(8)?;
+    let records = (0..n)
+        .map(|_| d.bytes().and_then(Record::decode))
+        .collect::<Result<Vec<_>, _>>()?;
+    if !d.is_done() {
+        return Err(StorageError::Corrupt(
+            "trailing bytes after snapshot body".into(),
+        ));
+    }
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rain_linalg::Matrix;
-    use rain_sql::table::{ColType, Column, Schema};
+    use rain_sql::table::{ColType, Column, Schema, Table};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -242,26 +214,30 @@ mod tests {
         dir
     }
 
-    fn state(marker: i64) -> SnapshotState {
-        SnapshotState {
-            spec: format!("{{\"marker\":{marker}}}"),
-            params: vec![0.5, -0.25, marker as f64],
-            train: Dataset::with_ids(
-                Matrix::from_vec(2, 1, vec![1.0, 2.0]),
-                vec![0, 1],
-                vec![7, 8],
-                2,
+    fn state(marker: i64) -> Vec<Record> {
+        let mut db = Database::new();
+        db.register(
+            "t",
+            Table::from_columns(
+                Schema::new(&[("x", ColType::Int)]),
+                vec![Column::Int(vec![marker])],
             ),
-            tables: vec![(
-                "t".into(),
-                TableVersion { gen: 3, delta: 1 },
-                Table::from_columns(
-                    Schema::new(&[("x", ColType::Int)]),
-                    vec![Column::Int(vec![marker])],
-                ),
-            )],
-            indexes: vec![("t".into(), "x".into(), 0)],
-        }
+        );
+        db.create_index("t", "x", rain_sql::IndexKind::Hash)
+            .unwrap();
+        let train = Dataset::with_ids(
+            Matrix::from_vec(2, 1, vec![1.0, 2.0]),
+            vec![0, 1],
+            vec![7, 8],
+            2,
+        );
+        let spec = format!("{{\"marker\":{marker}}}");
+        snapshot_records(&spec, &[0.5, -0.25, marker as f64], &train, &db)
+    }
+
+    /// Byte form of a record batch: equality is bit-identity.
+    fn encoded(records: &[Record]) -> Vec<Vec<u8>> {
+        records.iter().map(Record::encode).collect()
     }
 
     #[test]
@@ -270,7 +246,17 @@ mod tests {
         write_snapshot(&dir, 100, &state(1)).unwrap();
         let (off, got) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(off, 100);
-        assert_eq!(got.encode(), state(1).encode());
+        assert_eq!(encoded(&got), encoded(&state(1)));
+        assert!(matches!(
+            got.as_slice(),
+            [
+                Record::SessionMeta { .. },
+                Record::ModelParams { .. },
+                Record::TrainSet { .. },
+                Record::TableAt { .. },
+                Record::CreateIndex { .. },
+            ]
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -281,7 +267,7 @@ mod tests {
         write_snapshot(&dir, 200, &state(2)).unwrap();
         let (off, got) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(off, 200);
-        assert_eq!(got.encode(), state(2).encode());
+        assert_eq!(encoded(&got), encoded(&state(2)));
         // Flip a byte in the newest body: loading falls back to offset 100.
         let newest = snapshot_path(&dir, 200);
         let mut bytes = fs::read(&newest).unwrap();
@@ -290,7 +276,7 @@ mod tests {
         fs::write(&newest, bytes).unwrap();
         let (off, got) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(off, 100);
-        assert_eq!(got.encode(), state(1).encode());
+        assert_eq!(encoded(&got), encoded(&state(1)));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,6 +11,8 @@
 //! any) + replay of the log tail after its offset, producing a
 //! [`RecoveredState`] whose catalog versions, null bitmaps, float bits,
 //! and dataset record ids are identical to the pre-crash state.
+//! Both halves go through one function: the snapshot's records, then the
+//! tail's, are applied by [`RecoveredState::apply`].
 //! [`SessionStore::maybe_snapshot`] is the steady-state path: it cuts a
 //! snapshot only once enough log (bytes or records) has accumulated
 //! behind the previous one, keeping both the write amplification and the
@@ -18,31 +20,17 @@
 
 use crate::log::{Commitlog, LOG_HEADER_LEN};
 use crate::record::Record;
-use crate::snapshot::{self, SnapshotState};
+use crate::snapshot;
 use crate::StorageError;
 use rain_model::Dataset;
 use rain_sql::Database;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// When to cut a snapshot: once either threshold of log growth since the
-/// last snapshot is crossed.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotPolicy {
-    /// Log bytes behind the latest snapshot that trigger a new one.
-    pub every_bytes: u64,
-    /// Log records behind the latest snapshot that trigger a new one.
-    pub every_records: u64,
-}
-
-impl Default for SnapshotPolicy {
-    fn default() -> Self {
-        SnapshotPolicy {
-            every_bytes: 8 << 20,
-            every_records: 256,
-        }
-    }
-}
+/// Log bytes behind the latest snapshot that trigger a new one.
+const SNAPSHOT_EVERY_BYTES: u64 = 8 << 20;
+/// Log records behind the latest snapshot that trigger a new one.
+const SNAPSHOT_EVERY_RECORDS: u64 = 256;
 
 /// What recovery did, for `/stats`, `/metrics`, and logs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -68,7 +56,7 @@ pub struct RecoveryStats {
 pub struct RecoveredState {
     /// Verbatim session-creation JSON, if a meta record survived.
     pub spec: Option<String>,
-    /// Flat model parameters, if a snapshot or params record survived.
+    /// Flat model parameters, if a params record survived.
     pub params: Option<Vec<f64>>,
     /// Training set, if one was uploaded.
     pub train: Option<Dataset>,
@@ -90,9 +78,10 @@ impl RecoveredState {
         }
     }
 
-    /// Apply one log record. Replay applies the same catalog bump rules
-    /// that produced the record, so versions come out identical; tests
-    /// use this directly as the reference replay.
+    /// Apply one record, from a snapshot or the log tail. Replay applies
+    /// the same catalog bump rules that produced the record (or pins the
+    /// version a snapshot's [`Record::TableAt`] carries), so versions come
+    /// out identical; tests use this directly as the reference replay.
     pub fn apply(&mut self, rec: Record) -> Result<(), StorageError> {
         match rec {
             Record::SessionMeta { spec } => self.spec = Some(spec),
@@ -118,6 +107,13 @@ impl RecoveredState {
             }
             Record::TrainSet { data } => self.train = Some(data),
             Record::ModelParams { params } => self.params = Some(params),
+            Record::TableAt {
+                name,
+                version,
+                table,
+            } => {
+                self.db.register_with_version(&name, table, version);
+            }
         }
         Ok(())
     }
@@ -128,7 +124,6 @@ impl RecoveredState {
 pub struct SessionStore {
     dir: PathBuf,
     log: Commitlog,
-    policy: SnapshotPolicy,
     /// Log offset covered by the latest snapshot (header offset = none).
     snapshot_offset: u64,
     records_since_snapshot: u64,
@@ -137,20 +132,13 @@ pub struct SessionStore {
 }
 
 impl SessionStore {
-    /// Open (creating the directory and log if needed) with the default
-    /// snapshot policy.
+    /// Open, creating the directory and log if needed.
     pub fn open(dir: &Path) -> Result<SessionStore, StorageError> {
-        SessionStore::open_with(dir, SnapshotPolicy::default())
-    }
-
-    /// Open with an explicit snapshot policy.
-    pub fn open_with(dir: &Path, policy: SnapshotPolicy) -> Result<SessionStore, StorageError> {
         std::fs::create_dir_all(dir)?;
         let log = Commitlog::open(&dir.join("log.bin"))?;
         Ok(SessionStore {
             dir: dir.to_path_buf(),
             log,
-            policy,
             snapshot_offset: LOG_HEADER_LEN,
             records_since_snapshot: 0,
             snapshots_taken: 0,
@@ -194,48 +182,20 @@ impl SessionStore {
         let open = self.log.open_stats();
         let mut state = RecoveredState::empty();
         let mut from = LOG_HEADER_LEN;
-        if let Some((offset, snap)) = snapshot::load_latest(&self.dir)? {
-            state.spec = Some(snap.spec);
-            state.params = Some(snap.params);
-            // An all-empty training set stands for "never uploaded".
-            if !snap.train.is_empty() || snap.train.dim() > 0 {
-                state.train = Some(snap.train);
-            }
-            for (name, version, table) in snap.tables {
-                state.db.register_with_version(&name, table, version);
-            }
-            // Index *definitions* ride in the snapshot; their data is
-            // rebuilt here from the just-registered tables.
-            for (table, column, kind) in snap.indexes {
-                let kind = rain_sql::IndexKind::from_code(kind).ok_or_else(|| {
-                    StorageError::Corrupt(format!("unknown index kind code {kind}"))
-                })?;
-                state.db.create_index(&table, &column, kind).map_err(|e| {
-                    StorageError::Corrupt(format!("snapshot index does not apply: {e}"))
-                })?;
+        if let Some((offset, records)) = snapshot::load_latest(&self.dir)? {
+            for rec in records {
+                state.apply(rec)?;
             }
             state.stats.snapshot_offset = Some(offset);
             from = offset;
             self.snapshot_offset = offset;
             self.snapshots_taken = 1;
         }
-        let mut replay_err = None;
-        let replayed = self.log.replay(from, |_, payload| {
-            match Record::decode(payload) {
-                Ok(rec) => state.apply(rec),
-                Err(e) => {
-                    // A record that passed its checksum but fails to
-                    // decode is real corruption, not a torn write.
-                    replay_err = Some(e);
-                    Err(StorageError::Corrupt("replay aborted".into()))
-                }
-            }
-        });
-        match (replayed, replay_err) {
-            (Ok(n), None) => state.stats.replayed_records = n,
-            (_, Some(e)) => return Err(e),
-            (Err(e), None) => return Err(e),
-        }
+        // A record that passed its checksum but fails to decode or to
+        // apply is real corruption, not a torn write: recovery fails.
+        state.stats.replayed_records = self
+            .log
+            .replay(from, |_, payload| state.apply(Record::decode(payload)?))?;
         state.stats.truncated_bytes = open.truncated_bytes;
         state.stats.log_bytes = self.log.bytes();
         state.stats.log_records = self.log.records();
@@ -244,9 +204,11 @@ impl SessionStore {
     }
 
     /// Cut a snapshot now, covering everything committed so far.
-    pub fn snapshot(&mut self, state: &SnapshotState) -> Result<(), StorageError> {
+    /// `records` is the session's full state, as
+    /// [`snapshot_records`](crate::snapshot_records) builds it.
+    pub fn snapshot(&mut self, records: &[Record]) -> Result<(), StorageError> {
         let offset = self.log.durable_end();
-        snapshot::write_snapshot(&self.dir, offset, state)?;
+        snapshot::write_snapshot(&self.dir, offset, records)?;
         self.snapshot_offset = offset;
         self.records_since_snapshot = 0;
         self.snapshots_taken += 1;
@@ -257,17 +219,16 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Cut a snapshot if enough log accumulated behind the previous one
-    /// (per the open policy). `build` runs only when a snapshot is due —
-    /// assembling [`SnapshotState`] clones the full catalog, so the
-    /// common no-op call stays cheap. Returns whether a snapshot was cut.
+    /// Cut a snapshot once 8 MiB or 256 records of log accumulated behind
+    /// the previous one. `build` runs only when a snapshot is due —
+    /// building the records clones the full catalog, so the common no-op
+    /// call stays cheap. Returns whether a snapshot was cut.
     pub fn maybe_snapshot(
         &mut self,
-        build: impl FnOnce() -> SnapshotState,
+        build: impl FnOnce() -> Vec<Record>,
     ) -> Result<bool, StorageError> {
-        let lag_bytes = self.log.durable_end().saturating_sub(self.snapshot_offset);
-        if lag_bytes < self.policy.every_bytes
-            && self.records_since_snapshot < self.policy.every_records
+        if self.snapshot_lag_bytes() < SNAPSHOT_EVERY_BYTES
+            && self.records_since_snapshot < SNAPSHOT_EVERY_RECORDS
         {
             return Ok(false);
         }
@@ -382,26 +343,16 @@ mod tests {
             store.commit().unwrap();
             // Cut a snapshot of the state so far, then keep logging.
             let mut pre = RecoveredState::empty();
-            pre.apply(Record::SessionMeta {
-                spec: "{\"m\":1}".into(),
-            })
-            .unwrap();
             pre.apply(Record::RegisterTable {
                 name: "t".into(),
                 table: ints(vec![1]),
             })
             .unwrap();
-            let snap = SnapshotState {
-                spec: "{\"m\":1}".into(),
-                params: vec![0.5],
-                train: Dataset::with_ids(Matrix::zeros(0, 0), vec![], vec![], 2),
-                tables: pre
-                    .db
-                    .entries()
-                    .map(|e| (e.name.clone(), e.version, e.table.clone()))
-                    .collect(),
-                indexes: vec![("t".into(), "x".into(), 0)],
-            };
+            pre.db
+                .create_index("t", "x", rain_sql::IndexKind::Hash)
+                .unwrap();
+            let train = Dataset::with_ids(Matrix::zeros(0, 0), vec![], vec![], 2);
+            let snap = crate::snapshot_records("{\"m\":1}", &[0.5], &train, &pre.db);
             store.snapshot(&snap).unwrap();
             store
                 .append_commit(&Record::AppendRows {
@@ -479,29 +430,17 @@ mod tests {
 
     #[test]
     fn snapshot_policy_triggers_on_records() {
-        let dir = temp_dir("policy");
-        let mut store = SessionStore::open_with(
-            &dir,
-            SnapshotPolicy {
-                every_bytes: u64::MAX,
-                every_records: 3,
-            },
-        )
-        .unwrap();
-        let snap = || SnapshotState {
-            spec: "{}".into(),
-            params: vec![],
-            train: Dataset::with_ids(Matrix::zeros(0, 0), vec![], vec![], 2),
-            tables: vec![],
-            indexes: vec![],
-        };
-        for i in 0..2 {
+        let dir = temp_dir("threshold");
+        let mut store = SessionStore::open(&dir).unwrap();
+        let train = Dataset::with_ids(Matrix::zeros(0, 0), vec![], vec![], 2);
+        let snap = || crate::snapshot_records("{}", &[], &train, &Database::new());
+        for i in 1..SNAPSHOT_EVERY_RECORDS {
             store
                 .append_commit(&Record::SessionMeta {
                     spec: format!("{{\"i\":{i}}}"),
                 })
                 .unwrap();
-            assert!(!store.maybe_snapshot(snap).unwrap());
+            assert!(!store.maybe_snapshot(snap).unwrap(), "{i} records");
         }
         store
             .append_commit(&Record::SessionMeta { spec: "{}".into() })

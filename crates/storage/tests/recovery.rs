@@ -15,7 +15,7 @@ use rain_model::Dataset;
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{IndexKind, Value};
 use rain_storage::{
-    codec, Enc, Record, RecoveredState, SessionStore, SnapshotState, LOG_HEADER_LEN,
+    codec, crc32, snapshot_records, Enc, Record, RecoveredState, SessionStore, LOG_HEADER_LEN,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -355,25 +355,12 @@ fn snapshot_plus_torn_tail_recovers_bit_identically() {
 
         // Snapshot the head state, then keep logging a tail.
         let head = reference(&records, head_len);
-        let snap = SnapshotState {
-            spec: head.spec.clone().unwrap(),
-            params: head.params.clone().unwrap(),
-            train: head.train.clone().unwrap(),
-            tables: head
-                .db
-                .entries()
-                .map(|e| (e.name.clone(), e.version, e.table.clone()))
-                .collect(),
-            indexes: head
-                .db
-                .entries()
-                .flat_map(|e| {
-                    e.indexes
-                        .iter()
-                        .map(|ix| (e.name.clone(), ix.column.clone(), ix.kind.code()))
-                })
-                .collect(),
-        };
+        let snap = snapshot_records(
+            head.spec.as_deref().unwrap(),
+            head.params.as_deref().unwrap(),
+            head.train.as_ref().unwrap(),
+            &head.db,
+        );
         store.snapshot(&snap).unwrap();
         let snap_offset = store.log_bytes();
 
@@ -418,6 +405,102 @@ fn snapshot_plus_torn_tail_recovers_bit_identically() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Write a snapshot file by hand: `magic`, body length, a valid CRC over
+/// `body`, then `body`, under the name a snapshot covering `offset` has.
+fn write_raw_snapshot(dir: &Path, offset: u64, magic: &[u8; 8], body: &[u8]) {
+    let mut bytes = magic.to_vec();
+    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&crc32(body).to_le_bytes());
+    bytes.extend_from_slice(body);
+    std::fs::write(dir.join(format!("snap-{offset:020}.bin")), bytes).unwrap();
+}
+
+/// The upgrade path: a snapshot in the retired `RAINSNP1` format (valid
+/// checksum, any body) is skipped, and recovery replays the whole log —
+/// which is complete, because no log prefix is ever dropped.
+#[test]
+fn retired_snapshot_format_recovers_by_full_log_replay() {
+    let mut rng = RainRng::seed_from_u64(0x5A71);
+    let mut tables = Vec::new();
+    let records: Vec<Record> = (0..20)
+        .map(|_| random_record(&mut rng, &mut tables))
+        .collect();
+    let dir = temp_dir("oldsnap");
+    let ends = write_history(&dir, &records);
+    write_raw_snapshot(&dir, *ends.last().unwrap(), b"RAINSNP1", b"any old body");
+
+    let mut store = SessionStore::open(&dir).unwrap();
+    let recovered = store.recover().unwrap();
+    assert_eq!(recovered.stats.snapshot_offset, None);
+    assert_eq!(recovered.stats.replayed_records, records.len() as u64);
+    assert_eq!(
+        state_bytes(&recovered),
+        state_bytes(&reference(&records, records.len()))
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A newest snapshot whose checksum passes but whose body holds a record
+/// that does not decode is corrupt: recovery falls back to the older
+/// snapshot and replays the longer tail after it.
+#[test]
+fn undecodable_record_in_newest_snapshot_falls_back_to_the_older_one() {
+    let mut rng = RainRng::seed_from_u64(0xBAD5);
+    let mut tables = Vec::new();
+    let mut records = vec![
+        Record::SessionMeta {
+            spec: "{\"session\":1}".into(),
+        },
+        Record::ModelParams {
+            params: rng.normal_vec(3, 1.0),
+        },
+        Record::TrainSet {
+            data: random_dataset(&mut rng),
+        },
+    ];
+    records.extend((0..10).map(|_| random_record(&mut rng, &mut tables)));
+    let head_len = records.len();
+    let dir = temp_dir("badsnap");
+    write_history(&dir, &records);
+    let mut store = SessionStore::open(&dir).unwrap();
+    let head = reference(&records, head_len);
+    let snap = snapshot_records(
+        head.spec.as_deref().unwrap(),
+        head.params.as_deref().unwrap(),
+        head.train.as_ref().unwrap(),
+        &head.db,
+    );
+    store.snapshot(&snap).unwrap();
+    let older = store.log_bytes();
+    for _ in 0..5 {
+        let rec = random_record(&mut rng, &mut tables);
+        store.append(&rec);
+        records.push(rec);
+    }
+    store.commit().unwrap();
+    let newest = store.log_bytes();
+    drop(store);
+
+    // One record, length-prefixed, whose tag no decoder knows.
+    let mut body = Enc::new();
+    body.u64(1);
+    body.bytes(&[0xFF]);
+    write_raw_snapshot(&dir, newest, b"RAINSNP2", &body.into_bytes());
+
+    let mut store = SessionStore::open(&dir).unwrap();
+    let recovered = store.recover().unwrap();
+    assert_eq!(recovered.stats.snapshot_offset, Some(older));
+    assert_eq!(
+        recovered.stats.replayed_records,
+        (records.len() - head_len) as u64
+    );
+    assert_eq!(
+        state_bytes(&recovered),
+        state_bytes(&reference(&records, records.len()))
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The acceptance differential: a debug-mode query (rows + provenance
