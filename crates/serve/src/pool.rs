@@ -349,14 +349,18 @@ pub struct SessionPool {
     /// paths — that ordering is what makes a concurrent scrape see either
     /// the live slot or its retired counters, never neither.
     retired: Mutex<CacheStats>,
-    /// Names held by a create in flight ([`SessionPool::reserve`]). Locked
-    /// after the slot map, and never across I/O.
+    /// Names held by a create in flight ([`SessionPool::reserve`]) or a
+    /// removal clearing its directory ([`SessionPool::remove`]). A name is
+    /// in the slot map or here, never both: it moves between the two under
+    /// the map's write lock. Locked after the slot map, and never across
+    /// I/O.
     creating: Mutex<HashSet<String>>,
 }
 
 /// A session name held by [`SessionPool::reserve`] until
 /// [`Reservation::insert`] adds the session, or until the reservation is
-/// dropped (the create failed) and the name is free again.
+/// dropped (the create failed, or the removal that took the name out of
+/// the pool is done with it) and the name is free again.
 pub struct Reservation<'a> {
     pool: &'a SessionPool,
     name: String,
@@ -370,7 +374,7 @@ impl Reservation<'_> {
     /// slot (rebuilt from disk at boot) answers `POST /sessions` against
     /// its name by re-attaching (200) instead of conflicting.
     pub fn insert(
-        self,
+        mut self,
         sess: DebugSession,
         threads: usize,
         store: Option<(String, SessionStore)>,
@@ -384,24 +388,31 @@ impl Reservation<'_> {
             store,
             recovered,
         ));
-        // Into the map before the name is released (on drop), so a
-        // concurrent `reserve` always sees one of the two.
-        self.pool
-            .slots
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(self.name.clone(), Arc::clone(&slot));
+        // Into the map and out of `creating` under one write lock, so
+        // every other pool call sees the name in exactly one of the two.
+        let mut slots = self.pool.slots.write().unwrap_or_else(|p| p.into_inner());
+        slots.insert(self.name.clone(), Arc::clone(&slot));
+        self.release();
         slot
+    }
+
+    /// Free the name, once: an inserted reservation has already moved it
+    /// into the map, and its drop must not release a later holder's.
+    fn release(&mut self) {
+        let name = std::mem::take(&mut self.name);
+        if !name.is_empty() {
+            self.pool
+                .creating
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .remove(&name);
+        }
     }
 }
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.pool
-            .creating
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&self.name);
+        self.release();
     }
 }
 
@@ -472,22 +483,34 @@ impl SessionPool {
     /// Drop a session. In-flight requests holding the slot's `Arc` finish
     /// against the detached state. 404 when missing.
     ///
+    /// The name leaves the map held: it moves into the names of creates in
+    /// flight in the same step, and the returned [`Reservation`] keeps it
+    /// there — a `reserve` of it answers 409 — until dropped. The server
+    /// drops it after deleting the session's directory, so a create of the
+    /// same name cannot open its store in a directory about to go.
+    ///
     /// The slot's final cache counters fold into the pool's retired
     /// totals under the `retired` lock *before* the slot leaves the map,
     /// so [`SessionPool::cache_totals`] (and with it `GET /metrics`)
     /// never regresses across a removal. Counter movement a detached
     /// in-flight request publishes after this point is not totaled —
     /// invisible growth, never a decrease.
-    pub fn remove(&self, name: &str) -> Result<(), ApiError> {
+    pub fn remove(&self, name: &str) -> Result<Reservation<'_>, ApiError> {
         let mut retired = self.retired.lock().unwrap_or_else(|p| p.into_inner());
-        let slot = self
-            .slots
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
+        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
+        let slot = slots
             .remove(name)
             .ok_or_else(|| ApiError::not_found(format!("no session '{name}'")))?;
+        self.creating
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(name.to_string());
+        drop(slots);
         *retired += slot.cache_stats_snapshot();
-        Ok(())
+        Ok(Reservation {
+            pool: self,
+            name: name.to_string(),
+        })
     }
 
     /// Pool-wide cache totals: retired sessions plus every live slot's
@@ -560,6 +583,24 @@ mod tests {
     }
 
     #[test]
+    fn a_removed_name_is_held_until_its_reservation_drops() {
+        let pool = SessionPool::new();
+        add(&pool, "x").unwrap();
+        let held = pool.remove("x").unwrap();
+        assert_eq!(pool.get("x").unwrap_err().status, 404, "gone from the pool");
+        assert_eq!(pool.reserve("x").err().map(|e| e.status), Some(409));
+        assert_eq!(pool.remove("x").err().map(|e| e.status), Some(404));
+        drop(held);
+        pool.reserve("x").unwrap().insert(session(), 0, None, false);
+        // The inserted reservation released the name once; removing the
+        // session holds it again until that guard drops.
+        let held = pool.remove("x").unwrap();
+        assert_eq!(pool.reserve("x").err().map(|e| e.status), Some(409));
+        drop(held);
+        add(&pool, "x").unwrap();
+    }
+
+    #[test]
     fn create_get_remove_lifecycle() {
         let pool = SessionPool::new();
         assert!(pool.is_empty());
@@ -573,7 +614,7 @@ mod tests {
         let names: Vec<String> = pool.list().iter().map(|s| s.name.clone()).collect();
         assert_eq!(names, ["alpha", "beta"]);
         pool.remove("alpha").unwrap();
-        assert_eq!(pool.remove("alpha").unwrap_err().status, 404);
+        assert_eq!(pool.remove("alpha").err().map(|e| e.status), Some(404));
         assert_eq!(pool.len(), 1);
     }
 

@@ -512,10 +512,10 @@ fn handle(state: &ServerState, req: &Request) -> Result<(u16, Json), ApiError> {
         ("POST", ["sessions"]) => create_session(state, req),
         ("GET", ["sessions"]) => Ok((200, list_sessions(state))),
         ("DELETE", ["sessions", name]) => {
-            state.pool.remove(name)?;
-            // The pool held the only record of the name's validity; now
-            // that removal succeeded, the matching directory (if any) is
-            // safe to drop too.
+            // The name stays held until the directory is gone: a create
+            // of it answers 409 meanwhile instead of opening a store that
+            // the removal below would delete.
+            let _held = state.pool.remove(name)?;
             if let Some(root) = &state.data_dir {
                 let dir = root.join("sessions").join(name);
                 if let Err(e) = std::fs::remove_dir_all(&dir) {

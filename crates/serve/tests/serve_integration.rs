@@ -2013,6 +2013,105 @@ fn new_index_makes_cached_queries_replan() {
     server.shutdown();
 }
 
+/// Whether a JSON trace node or any node below it is a span named `name`.
+fn has_span(node: &Json, name: &str) -> bool {
+    node.get("name").and_then(Json::as_str) == Some(name)
+        || node
+            .get("children")
+            .and_then(Json::as_arr)
+            .is_some_and(|cs| cs.iter().any(|c| has_span(c, name)))
+}
+
+/// A cached prediction join over the wire: an append to its outer (larger)
+/// table is answered by extending the skeleton — `"invalidated"`, one more
+/// `extended`, an `extend` span and no `prepare` — while an append to its
+/// inner table re-plans and re-prepares. Both answers equal a fresh
+/// session's over the same rows.
+#[test]
+fn outer_append_extends_a_cached_join_and_inner_append_replans() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let sql = "SELECT COUNT(*) FROM big b, small s WHERE predict(b) = predict(s)";
+    let q = Json::obj(vec![("sql", Json::str(sql)), ("analyze", Json::Bool(true))]);
+    let rows = |ids: &[f64], xs: &[f64]| {
+        Json::obj(vec![
+            (
+                "rows",
+                Json::Arr(ids.iter().map(|&i| Json::Arr(vec![Json::num(i)])).collect()),
+            ),
+            (
+                "features",
+                Json::Arr(xs.iter().map(|&x| Json::Arr(vec![Json::num(x)])).collect()),
+            ),
+        ])
+    };
+    let outer_rows = rows(&[40.0, 41.0, 42.0], &[1.5, -1.5, 2.0]);
+    let inner_rows = rows(&[6.0, 7.0], &[-2.0, 1.2]);
+    // A trained session holding `big` (40 rows) and `small` (6 rows).
+    let session = |client: &mut Client, name: &str| {
+        client
+            .post_ok("/sessions", &logistic_session(name))
+            .unwrap();
+        for table in [table_json("big", 40, 15), table_json("small", 6, 3)] {
+            client
+                .post_ok(&format!("/sessions/{name}/tables"), &table)
+                .unwrap();
+        }
+        client
+            .post_ok(&format!("/sessions/{name}/train"), &train_json(60, 0))
+            .unwrap();
+    };
+    let append = |client: &mut Client, name: &str, table: &str, body: &Json| {
+        client
+            .post_ok(&format!("/sessions/{name}/tables/{table}/append"), body)
+            .unwrap();
+    };
+    let extended = |v: &Json| {
+        v.get("cache_stats")
+            .unwrap()
+            .get("extended")
+            .unwrap()
+            .as_i64()
+            .unwrap()
+    };
+    let cache = |v: &Json| v.get("cache").unwrap().as_str().unwrap().to_string();
+
+    session(&mut client, "live");
+    let first = client.post_ok("/sessions/live/query", &q).unwrap();
+    assert_eq!(cache(&first), "miss");
+    assert_eq!(extended(&first), 0);
+
+    append(&mut client, "live", "big", &outer_rows);
+    let grown = client.post_ok("/sessions/live/query", &q).unwrap();
+    assert_eq!(cache(&grown), "invalidated");
+    assert_eq!(extended(&grown), 1, "an outer append extends");
+    let profile = grown.get("profile").unwrap();
+    assert!(has_span(profile, "extend"), "{profile}");
+    assert!(!has_span(profile, "prepare"), "{profile}");
+
+    session(&mut client, "fresh");
+    append(&mut client, "fresh", "big", &outer_rows);
+    let fresh = client.post_ok("/sessions/fresh/query", &q).unwrap();
+    assert_eq!(cache(&fresh), "miss");
+    assert_eq!(grown.get("result"), fresh.get("result"));
+
+    append(&mut client, "live", "small", &inner_rows);
+    let replanned = client.post_ok("/sessions/live/query", &q).unwrap();
+    assert_eq!(cache(&replanned), "invalidated");
+    assert_eq!(extended(&replanned), 1, "an inner append re-plans");
+    let profile = replanned.get("profile").unwrap();
+    assert!(has_span(profile, "prepare"), "{profile}");
+    assert!(!has_span(profile, "extend"), "{profile}");
+
+    session(&mut client, "fresh2");
+    append(&mut client, "fresh2", "big", &outer_rows);
+    append(&mut client, "fresh2", "small", &inner_rows);
+    let fresh = client.post_ok("/sessions/fresh2/query", &q).unwrap();
+    assert_eq!(cache(&fresh), "miss");
+    assert_eq!(replanned.get("result"), fresh.get("result"));
+    server.shutdown();
+}
+
 /// Statistics and index contents are derived state: a session recovered
 /// by replaying 16 logged appends must report exactly what the server
 /// that wrote them reports — one statistics computation at the end

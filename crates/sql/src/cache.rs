@@ -12,9 +12,10 @@
 //! the cached [`PreparedQuery`] skeleton. A hit turns a full debug
 //! execution into a [`PreparedQuery::refresh`]; a stale entry is counted
 //! as an invalidation and transparently brought current — extended over
-//! the appended rows when its one table only grew
-//! ([`PreparedQuery::catch_up`]), re-planned and re-prepared from the SQL
-//! otherwise (a join, a re-registered table, a new index).
+//! the appended rows when only its plan's first relation grew, a single
+//! table or a join's outer one ([`PreparedQuery::catch_up`]), re-planned
+//! and re-prepared from the SQL otherwise (an append to a join's inner
+//! relation, a re-registered table, a new index).
 //!
 //! The cache is deliberately single-threaded: a server shards one cache
 //! per session behind the session's mutex, which is what lets unrelated
@@ -133,14 +134,14 @@ impl QueryCache {
     }
 
     /// Check out the prepared skeleton for `sql`, preparing on a miss and
-    /// transparently catching up on invalidation: a single-table entry
-    /// whose table only grew is extended in place
-    /// ([`PreparedQuery::catch_up`]); any other stale entry is re-planned
-    /// from the SQL, so even schema-changing re-registrations recover and
-    /// a new index gets costed. The entry is *removed* from the cache until
-    /// [`QueryCache::checkin`] returns it — callers hold it across a whole
-    /// debug run's refreshes. Captures run under the cache's worker
-    /// budget.
+    /// transparently catching up on invalidation: an entry whose plan's
+    /// first relation alone grew is extended in place, keeping its plan
+    /// ([`PreparedQuery::can_extend`]); any other stale entry is
+    /// re-planned from the SQL, so even schema-changing re-registrations
+    /// recover and a new index gets costed. The entry is *removed* from
+    /// the cache until [`QueryCache::checkin`] returns it — callers hold
+    /// it across a whole debug run's refreshes. Captures run under the
+    /// cache's worker budget.
     pub fn checkout(
         &mut self,
         db: &Database,

@@ -265,6 +265,13 @@ pub(crate) struct EvalCtx<'a> {
     /// end start at 0 (so the default, empty, scans everything). Skeleton
     /// extension sets it to the row count it has already captured.
     pub(crate) first_row: Vec<usize>,
+    /// Which pass over the candidate stream is evaluating: `k` while the
+    /// conjuncts over the first `k` relations apply, `n_rels + 1` while
+    /// a skeleton is captured. Prediction variables are numbered pass by
+    /// pass, so skeleton extension needs to know where each was created.
+    pub(crate) pass: usize,
+    /// The latest pass that created a prediction variable (0 = none).
+    pub(crate) var_pass: usize,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -282,6 +289,8 @@ impl<'a> EvalCtx<'a> {
             threads: 1,
             reg: PredVarRegistry::new(),
             first_row: Vec::new(),
+            pass: 0,
+            var_pass: 0,
         }
     }
 
@@ -311,8 +320,14 @@ impl<'a> EvalCtx<'a> {
         let feats = table
             .feature_row(row as usize)
             .expect("features checked at bind time");
-        self.reg
-            .var_for(table_name, row as usize, || model.predict(feats))
+        let known = self.reg.len();
+        let var = self
+            .reg
+            .var_for(table_name, row as usize, || model.predict(feats));
+        if self.reg.len() > known {
+            self.var_pass = self.pass;
+        }
+        var
     }
 
     /// Evaluate a predicate over a tuple into either a constant or a

@@ -434,6 +434,7 @@ impl<'a, 'b> TupleExec<'a, 'b> {
         for &ci in &todo {
             applied[ci] = true;
         }
+        self.ctx.pass = in_scope;
         let mut span = rain_obs::Span::enter("filter");
         span.add("rows_in", tuples.len() as u64);
         let query = self.ctx.query;

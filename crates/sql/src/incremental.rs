@@ -39,10 +39,12 @@
 //! [`PreparedQuery::catch_up`] first: a no-op on a current skeleton, and
 //! otherwise the one place a stale one is brought current.
 //!
-//! **Appends.** A single-table skeleton whose table only grew is
-//! *extended* over the appended rows, bit-identically to preparing from
-//! scratch; joins, replaced tables and architecture changes re-prepare
-//! (see [`PreparedQuery::catch_up`]).
+//! **Appends.** A skeleton whose plan's first (outermost) relation only
+//! grew, every other relation unchanged, is *extended* over the appended
+//! rows — single tables and joins alike — bit-identically to preparing
+//! its plan from scratch; inner-relation appends, self-joins, replaced
+//! tables and architecture changes re-prepare (see
+//! [`PreparedQuery::catch_up`]).
 //!
 //! **Fan-out.** Inference starts a worker per full share of work
 //! ([`rain_model::par`]); at served sizes that is the caller's thread
@@ -51,7 +53,7 @@
 use crate::ast::AggFunc;
 use crate::binder::{BExpr, BoundAgg, BoundAggArg, GroupKey, QueryKind};
 use crate::catalog::{Database, TableId, TableVersion};
-use crate::eval::{self, keyval, keyval_to_value, EvalCtx, KeyVal, Tuples};
+use crate::eval::{self, conjunct_footprints, keyval, keyval_to_value, EvalCtx, KeyVal, Tuples};
 use crate::exec::{Engine, QueryOutput};
 use crate::plan::QueryPlan;
 use crate::predvar::{FeatureRows, PredVarRegistry};
@@ -157,12 +159,6 @@ pub struct SkeletonStats {
     pub model_free: bool,
 }
 
-/// A query prepared for incremental re-execution: the model-independent
-/// skeleton plus the feature bindings needed to refresh predictions.
-///
-/// Build one with [`prepare`]; call [`PreparedQuery::refresh`] after every
-/// parameter update. The refresh output is bit-identical to a fresh
-/// debug-mode [`execute`](crate::exec::execute) under the same parameters.
 /// How a prepared skeleton went stale relative to the live catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaleKind {
@@ -171,11 +167,18 @@ pub enum StaleKind {
     Replaced,
     /// Queried tables only grew by appends within the same generation:
     /// cached tuples are still valid, new rows are simply missing.
-    /// [`PreparedQuery::catch_up`] extends a single-table skeleton over
-    /// just those rows; a join re-prepares.
+    /// [`PreparedQuery::catch_up`] extends the skeleton over just those
+    /// rows when they were appended to the plan's first relation alone;
+    /// otherwise it re-prepares.
     Appended,
 }
 
+/// A query prepared for incremental re-execution: the model-independent
+/// skeleton plus the feature bindings needed to refresh predictions.
+///
+/// Build one with [`prepare`]; call [`PreparedQuery::refresh`] after every
+/// parameter update. The refresh output is bit-identical to a fresh
+/// debug-mode [`execute`](crate::exec::execute) under the same parameters.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     kind: KindSkeleton,
@@ -195,6 +198,10 @@ pub struct PreparedQuery {
     /// What each plan relation's catalog entry looked like at capture,
     /// used to detect stale skeletons.
     rels: Vec<RelStamp>,
+    /// The latest pipeline pass that created a prediction variable in any
+    /// capture so far ([`EvalCtx::var_pass`]); decides whether an
+    /// extension numbers its new variables as a fresh prepare would.
+    var_pass: usize,
     stats: SkeletonStats,
 }
 
@@ -207,6 +214,24 @@ struct RelStamp {
     /// Secondary indexes on the table: the plan was costed against
     /// exactly these access paths.
     n_indexes: usize,
+}
+
+impl RelStamp {
+    /// How the relation's table moved since the stamp, if it did.
+    fn moved(&self, db: &Database) -> Option<StaleKind> {
+        let now = db.table_version(self.id);
+        let n_rows = db.table_by_id(self.id).n_rows();
+        if now.gen != self.version.gen
+            || n_rows < self.n_rows
+            || db.index_count(self.id) != self.n_indexes
+        {
+            Some(StaleKind::Replaced)
+        } else if now.delta != self.version.delta || n_rows != self.n_rows {
+            Some(StaleKind::Appended)
+        } else {
+            None
+        }
+    }
 }
 
 fn rel_stamps(db: &Database, plan: &QueryPlan) -> Vec<RelStamp> {
@@ -274,8 +299,25 @@ pub fn prepare_with(
         features,
         n_classes: model.n_classes(),
         rels: rel_stamps(db, plan),
+        var_pass: ctx.var_pass,
         stats,
     })
+}
+
+/// The earliest pipeline pass of `plan` that can create a prediction
+/// variable ([`EvalCtx::pass`]): that of its first model conjunct, or the
+/// capture when only the output reads the model; `usize::MAX` for a
+/// model-free plan. A conjunct applies as soon as every relation it reads
+/// is joined: in pass `k + 1` when the last of them is the `k`-th (0-based).
+fn first_var_pass(plan: &QueryPlan) -> usize {
+    let deps = plan.model_deps();
+    let footprints = conjunct_footprints(plan);
+    deps.model_conjuncts
+        .iter()
+        .map(|&ci| footprints[ci].last().map_or(1, |&rel| rel + 1))
+        .chain(deps.model_output.then_some(plan.rels.len() + 1))
+        .min()
+        .unwrap_or(usize::MAX)
 }
 
 /// Run `ctx`'s plan on `engine` from each relation's scan floor and
@@ -287,13 +329,16 @@ fn capture_pipeline(
 ) -> Result<(KindSkeleton, usize), QueryError> {
     let _cap = rain_obs::Span::enter("capture");
     let kind = &ctx.query.kind;
+    let capture_pass = ctx.query.rels.len() + 1;
     match engine {
         Engine::Vectorized => {
             let rows = crate::vexec::join_pipeline(ctx, Some(trace))?;
+            ctx.pass = capture_pass;
             capture(ctx, rows, kind)
         }
         Engine::Tuple => {
             let tuples = crate::exec::tuple_pipeline(ctx, Some(trace))?;
+            ctx.pass = capture_pass;
             capture(ctx, tuples, kind)
         }
     }
@@ -384,19 +429,26 @@ impl PreparedQuery {
     /// queried table appended to, re-registered or newly indexed, or a
     /// model of another architecture — and has been extended or rebuilt.
     ///
-    /// When [`PreparedQuery::can_extend`] holds, the cached plan's scan and
-    /// the skeleton capture run over the appended rows only and the
-    /// captured delta is merged in — bit-identical to a fresh [`prepare`]
-    /// (a single relation yields its candidates in ascending row order
-    /// under every access path), at a cost proportional to the append. The
-    /// plan, and the estimates in it, stay as of the last plan.
+    /// When [`PreparedQuery::can_extend`] holds, the cached plan runs with
+    /// its first relation's scan starting at the appended rows (every
+    /// other relation scanned whole) and the captured delta is merged in,
+    /// at a cost proportional to the append times what each new row joins
+    /// with. The result is bit-identical to a fresh [`prepare`] of the
+    /// kept plan: every join step emits in probe order, so candidates are
+    /// ordered by the first relation's row and those of new rows follow
+    /// all old ones; inner variables are found in the moved-in registry
+    /// and new ones continue its id sequence. That is the fresh numbering
+    /// provided the delta creates variables in no pass earlier than the
+    /// latest one in which the skeleton's captures did
+    /// ([`PreparedQuery::can_extend`]). The plan, and the join order and
+    /// estimates in it, stay as of the last plan.
     ///
-    /// Otherwise — a re-registered table, a new index, a changed class
-    /// count or feature width, or a join, which a re-plan may order (and
-    /// so number its variables) differently — the cached plan is
-    /// re-prepared from row 0. That assumes replacement tables are
-    /// schema-compatible with the bound plan (a column it reads must still
-    /// exist with its type); incompatible ones surface as execution errors.
+    /// Otherwise — an append to an inner relation (a self-join included),
+    /// a re-registered table, a new index, a changed class count or
+    /// feature width — the cached plan is re-prepared from row 0. That
+    /// assumes replacement tables are schema-compatible with the bound
+    /// plan (a column it reads must still exist with its type);
+    /// incompatible ones surface as execution errors.
     pub fn catch_up(
         &mut self,
         db: &Database,
@@ -430,9 +482,16 @@ impl PreparedQuery {
             }
             _ => unreachable!("one plan captures one kind of skeleton"),
         }
+        // Inner relations were scanned whole again: their counts stand.
+        // A join step's strategy follows the live tables, as a fresh
+        // prepare's would.
         self.stats.scan_rows[0] += trace.scan_rows[0];
+        for (step, (strategy, rows)) in self.stats.join_steps.iter_mut().zip(trace.join_steps) {
+            *step = (strategy, step.1 + rows);
+        }
         self.stats.candidate_tuples += new_tuples;
         self.stats.n_vars = self.reg.len();
+        self.var_pass = self.var_pass.max(ctx.var_pass);
         self.rels = rel_stamps(db, &self.plan);
         span.add("delta_rows", (self.rels[0].n_rows - old_rows) as u64);
         span.add("new_tuples", new_tuples as u64);
@@ -441,14 +500,28 @@ impl PreparedQuery {
     }
 
     /// True when [`PreparedQuery::catch_up`] would extend this skeleton
-    /// over appended rows instead of re-preparing it: the only change is
-    /// appends ([`StaleKind::Appended`]), the plan reads a single relation
-    /// and the model's architecture is the one captured.
+    /// over appended rows instead of re-preparing it: the plan's first
+    /// relation was only appended to ([`StaleKind::Appended`]), every
+    /// other relation is unchanged — so a self-join never extends — and
+    /// the model's architecture is the one captured.
+    ///
+    /// One more condition keeps variable ids those of a fresh prepare. Ids
+    /// are handed out pass by pass over the candidate stream (the conjuncts
+    /// applying after each join step, then the capture), so the delta may
+    /// create variables only from the latest pass in which the skeleton's
+    /// captures created one: a query whose variables all come from one
+    /// pass always qualifies; `SELECT predict(a) .. WHERE (a.x > 1 OR
+    /// predict(a) = 1)`, whose filter and capture both create some, does
+    /// not.
     pub fn can_extend(&self, db: &Database, model: &dyn Classifier) -> bool {
-        self.plan.rels.len() == 1
-            && self.stale_kind(db) == Some(StaleKind::Appended)
+        let Some((outer, inner)) = self.rels.split_first() else {
+            return false;
+        };
+        outer.moved(db) == Some(StaleKind::Appended)
+            && inner.iter().all(|rel| rel.moved(db).is_none())
             && model.n_classes() == self.n_classes
             && model.dim() == self.features.cols()
+            && first_var_pass(&self.plan) >= self.var_pass
     }
 
     /// True when a queried table moved since the skeleton was last brought
@@ -477,16 +550,12 @@ impl PreparedQuery {
     fn stale_rel(&self, db: &Database) -> Option<(TableId, StaleKind)> {
         let mut appended = None;
         for rel in &self.rels {
-            let now = db.table_version(rel.id);
-            let n_rows = db.table_by_id(rel.id).n_rows();
-            if now.gen != rel.version.gen
-                || n_rows < rel.n_rows
-                || db.index_count(rel.id) != rel.n_indexes
-            {
-                return Some((rel.id, StaleKind::Replaced));
-            }
-            if now.delta != rel.version.delta || n_rows != rel.n_rows {
-                appended.get_or_insert((rel.id, StaleKind::Appended));
+            match rel.moved(db) {
+                Some(StaleKind::Replaced) => return Some((rel.id, StaleKind::Replaced)),
+                Some(StaleKind::Appended) => {
+                    appended.get_or_insert((rel.id, StaleKind::Appended));
+                }
+                None => {}
             }
         }
         appended

@@ -11,10 +11,11 @@
 //! between two plans pays for one computation, not one per batch. The
 //! cost model ([`cost`](crate::cost)) reads row counts, per-column
 //! distinct estimates, and numeric min/max to estimate scan
-//! selectivities and join cardinalities. A cached single-table query that
-//! is merely *extended* over appended rows
-//! ([`PreparedQuery::catch_up`](crate::PreparedQuery::catch_up)) keeps its
-//! plan, so its estimates are as of the last time it was planned.
+//! selectivities and join cardinalities. A cached query that is merely
+//! *extended* over appended rows — a single table's, or a join's outer
+//! relation's ([`PreparedQuery::catch_up`](crate::PreparedQuery::catch_up))
+//! — keeps its plan, so its estimates are as of the last time it was
+//! planned.
 //!
 //! Distinct counts are exact, computed over the same canonical key
 //! space the join machinery uses (NULLs and NaNs excluded, `3` and

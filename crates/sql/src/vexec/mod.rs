@@ -181,6 +181,7 @@ fn apply_conjuncts(
     for &ci in &todo {
         applied[ci] = true;
     }
+    ctx.pass = in_scope;
     let mut span = rain_obs::Span::enter("filter");
     span.add("rows_in", rows.len() as u64);
 

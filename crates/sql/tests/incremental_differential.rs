@@ -610,23 +610,64 @@ fn ext_table(batch: Batch) -> Table {
     t
 }
 
-/// The single-relation shapes extension must reproduce, plus (last two)
-/// joins, which must take the rebuild branch and still agree.
-const EXT_QUERIES: [&str; 10] = [
-    "SELECT x, predict(a) FROM ext a WHERE a.f < 3",
-    "SELECT x, s FROM ext a WHERE a.x > 1",
-    "SELECT COUNT(*) FROM ext a WHERE predict(a) = 1",
-    "SELECT g, AVG(predict(a)) FROM ext a GROUP BY g",
-    "SELECT COUNT(*), SUM(f) FROM ext a GROUP BY predict(a)",
-    "SELECT SUM(f) FROM ext a WHERE a.n > 2 AND predict(a) = 0",
-    "SELECT COUNT(*) FROM ext a WHERE a.x = 2 AND predict(a) = 1",
-    "SELECT g, COUNT(*) FROM ext a WHERE a.f < 1.5 AND a.n >= 1 GROUP BY g",
-    "SELECT COUNT(*) FROM ext a, side b WHERE a.x = b.x AND predict(a) = 1",
-    "SELECT a.g, COUNT(*) FROM ext a, side b WHERE predict(a) = predict(b) GROUP BY a.g",
+/// The shapes extension must reproduce, each with the table the tests
+/// append to: single relations, then joins. A join extends when the
+/// appended table is its plan's first relation and no other one — the
+/// planner puts the larger table first, so usually `ext` — and otherwise
+/// takes the rebuild branch and must still agree: the self-join always,
+/// an append to `side` while it is the inner relation.
+const EXT_QUERIES: [(&str, &str); 13] = [
+    ("SELECT x, predict(a) FROM ext a WHERE a.f < 3", "ext"),
+    ("SELECT x, s FROM ext a WHERE a.x > 1", "ext"),
+    ("SELECT COUNT(*) FROM ext a WHERE predict(a) = 1", "ext"),
+    ("SELECT g, AVG(predict(a)) FROM ext a GROUP BY g", "ext"),
+    (
+        "SELECT COUNT(*), SUM(f) FROM ext a GROUP BY predict(a)",
+        "ext",
+    ),
+    (
+        "SELECT SUM(f) FROM ext a WHERE a.n > 2 AND predict(a) = 0",
+        "ext",
+    ),
+    (
+        "SELECT COUNT(*) FROM ext a WHERE a.x = 2 AND predict(a) = 1",
+        "ext",
+    ),
+    (
+        "SELECT g, COUNT(*) FROM ext a WHERE a.f < 1.5 AND a.n >= 1 GROUP BY g",
+        "ext",
+    ),
+    (
+        "SELECT COUNT(*) FROM ext a, side b WHERE a.x = b.x AND predict(a) = 1",
+        "ext",
+    ),
+    (
+        "SELECT a.g, COUNT(*) FROM ext a, side b WHERE predict(a) = predict(b) GROUP BY a.g",
+        "ext",
+    ),
+    (
+        "SELECT b.g, COUNT(*) FROM ext a, side b, side c \
+         WHERE a.x = b.x AND a.x = c.x AND predict(a) = predict(c) GROUP BY b.g",
+        "ext",
+    ),
+    (
+        "SELECT COUNT(*) FROM ext a, ext b WHERE a.x = b.x AND predict(a) = predict(b)",
+        "ext",
+    ),
+    (
+        "SELECT a.x, predict(b) FROM ext a, side b WHERE a.x = b.x AND b.f < 3",
+        "side",
+    ),
 ];
 
 fn plan_of(db: &Database, sql: &str) -> rain_sql::QueryPlan {
     optimize(bind(&parse_select(sql).unwrap(), db).unwrap(), db)
+}
+
+/// Whether an append to `table` leaves `plan`'s skeleton extendable: the
+/// table is the plan's first relation and appears nowhere else in it.
+fn extends_on_append(plan: &rain_sql::QueryPlan, table: &str) -> bool {
+    plan.rels[0].table == table && plan.rels[1..].iter().all(|r| r.table != table)
 }
 
 /// `caught_up` (a skeleton extended or rebuilt in place) against a fresh
@@ -665,12 +706,13 @@ fn assert_same_skeleton(
 /// The headline property of extension: over seeded tables, queries and
 /// append sequences (1–3 batches between queries; zero-row batches; a
 /// table registered empty; groups opened before, between and after the
-/// existing ones; NULL keys; hash and sorted index scans), on both engines
-/// at 1 and 2 threads, a skeleton caught up after the appends equals one
-/// prepared from scratch.
+/// existing ones; NULL keys; hash and sorted index scans; joins extended
+/// over their outer relation or rebuilt), on both engines at 1 and 2
+/// threads, a skeleton caught up after the appends equals one prepared
+/// from scratch.
 #[test]
 fn extension_matches_rebuild_bit_for_bit() {
-    let mut extended = 0usize;
+    let (mut extended, mut extended_joins) = (0usize, 0usize);
     let mut index_scans = [false; 2];
     for seed in 0..CASES / 2 {
         let mut rng = RainRng::seed_from_u64(0xE87 ^ seed);
@@ -679,7 +721,7 @@ fn extension_matches_rebuild_bit_for_bit() {
         let base = ext_table(ext_rows(&mut rng, n_base, 2, 5));
         // A small second table so join queries have something to join.
         let side = ext_table(ext_rows(&mut rng, 6, 0, 3));
-        let sql = EXT_QUERIES[seed as usize % EXT_QUERIES.len()];
+        let (sql, appended) = EXT_QUERIES[seed as usize % EXT_QUERIES.len()];
         // Three query points, 1..4 batches before each.
         let steps: Vec<Vec<Batch>> = (0..3)
             .map(|_| {
@@ -707,16 +749,17 @@ fn extension_matches_rebuild_bit_for_bit() {
                 if let AccessPath::IndexScan { kind, .. } = plan.access[0] {
                     index_scans[(kind == IndexKind::Sorted) as usize] = true;
                 }
-                let single = plan.rels.len() == 1;
+                let extends = extends_on_append(&plan, appended);
                 let mut pq = prepare_with(&db, &step_model(), &plan, engine, threads).unwrap();
                 for (si, batches) in steps.iter().enumerate() {
                     for (rows, feats) in batches {
-                        db.append_to("ext", rows.clone(), Some(feats.clone()))
+                        db.append_to(appended, rows.clone(), Some(feats.clone()))
                             .unwrap();
                     }
                     assert_eq!(pq.stale_kind(&db), Some(StaleKind::Appended), "{label}");
-                    assert_eq!(pq.can_extend(&db, &step_model()), single, "{label}");
-                    extended += single as usize;
+                    assert_eq!(pq.can_extend(&db, &step_model()), extends, "{label}");
+                    extended += extends as usize;
+                    extended_joins += (extends && plan.rels.len() > 1) as usize;
                     pq.catch_up(&db, &step_model(), threads).unwrap();
                     assert_same_skeleton(
                         &format!("{label} step {si}"),
@@ -744,6 +787,10 @@ fn extension_matches_rebuild_bit_for_bit() {
         }
     }
     assert!(extended > 100, "extension branch barely ran: {extended}");
+    assert!(
+        extended_joins > 100,
+        "join extension barely ran: {extended_joins}"
+    );
     assert!(index_scans[0], "no case planned a hash index scan");
     assert!(index_scans[1], "no case planned a sorted index scan");
 }
@@ -783,21 +830,101 @@ fn extension_matches_rebuild_across_morsels() {
     }
 }
 
+/// The join twin: an outer relation big enough to shard, with an appended
+/// suffix spanning several morsels, joined to a small inner one by a hash
+/// join and by a cross join, extends to what a fresh prepare of the kept
+/// plan captures, at every thread count.
+#[test]
+fn join_extension_matches_rebuild_across_morsels() {
+    let mut rng = RainRng::seed_from_u64(0x70E57);
+    let base = ext_table(ext_rows(&mut rng, 3_000, 0, 6));
+    let side = ext_table(ext_rows(&mut rng, 4, 0, 3));
+    let delta = ext_rows(&mut rng, 9_500, 0, 9);
+    let queries = [
+        "SELECT a.g, COUNT(*) FROM ext a, side b \
+         WHERE a.x = b.x AND a.f < 3 AND predict(a) = predict(b) GROUP BY a.g",
+        "SELECT COUNT(*) FROM ext a, side b WHERE a.s LIKE '%a%' AND predict(a) = predict(b)",
+    ];
+    for sql in queries {
+        for threads in [1, 2, 8] {
+            let label = format!("`{sql}` morsels, threads={threads}");
+            let mut db = Database::new();
+            db.register("ext", base.clone());
+            db.register("side", side.clone());
+            let plan = plan_of(&db, sql);
+            assert_eq!(plan.rels[0].table, "ext", "{label}: outer relation");
+            let mut pq =
+                prepare_with(&db, &step_model(), &plan, Engine::Vectorized, threads).unwrap();
+            db.append_to("ext", delta.0.clone(), Some(delta.1.clone()))
+                .unwrap();
+            assert!(pq.can_extend(&db, &step_model()), "{label}");
+            pq.catch_up(&db, &step_model(), threads).unwrap();
+            assert_same_skeleton(&label, &db, sql, &pq, Engine::Vectorized, threads);
+        }
+    }
+}
+
+/// Prediction variables are numbered pass by pass (the conjuncts after
+/// each join step, then the capture). A query creating them in two passes
+/// cannot append the delta's to the old ones and keep a fresh prepare's
+/// ids, so it rebuilds — bit-identically — while one whose later pass
+/// only meets variables an earlier one created still extends.
+#[test]
+fn variables_from_two_passes_rebuild_instead_of_extending() {
+    let cases = [
+        // The filter short-circuits for `x > 1`; the capture creates the
+        // variables of those rows.
+        (
+            "SELECT predict(a), x FROM ext a WHERE (a.x > 1 OR predict(a) = 1)",
+            false,
+        ),
+        // `a`'s variables in the first pass, `b`'s after the join.
+        (
+            "SELECT COUNT(*) FROM ext a, side b \
+             WHERE a.x = b.x AND predict(a) = 1 AND predict(b) = 0",
+            false,
+        ),
+        // The capture reads only variables the filter created.
+        ("SELECT predict(a), x FROM ext a WHERE predict(a) = 1", true),
+    ];
+    let mut rng = RainRng::seed_from_u64(0x2FA5);
+    for (sql, extends) in cases {
+        for engine in [Engine::Tuple, Engine::Vectorized] {
+            let label = format!("`{sql}` [{engine:?}]");
+            let mut db = Database::new();
+            db.register("ext", ext_table(ext_rows(&mut rng, 30, 0, 4)));
+            db.register("side", ext_table(ext_rows(&mut rng, 5, 0, 3)));
+            let mut pq = prepare_with(&db, &step_model(), &plan_of(&db, sql), engine, 1).unwrap();
+            assert_eq!(pq.plan().rels[0].table, "ext", "{label}: outer relation");
+            for _ in 0..2 {
+                let (rows, feats) = ext_rows(&mut rng, 20, 0, 4);
+                db.append_to("ext", rows, Some(feats)).unwrap();
+                assert_eq!(pq.can_extend(&db, &step_model()), extends, "{label}");
+                pq.catch_up(&db, &step_model(), 1).unwrap();
+                assert_same_skeleton(&label, &db, sql, &pq, engine, 1);
+            }
+        }
+    }
+}
+
 /// An output handed out before the append must not change when the
 /// skeleton it came from is extended: the provenance sums it shares with
 /// the skeleton are copied on write, never grown in place.
 #[test]
 fn outputs_taken_before_an_append_are_untouched_by_extension() {
     let mut rng = RainRng::seed_from_u64(0x0A7C);
-    for sql in EXT_QUERIES.iter().take(8) {
+    for (sql, appended) in EXT_QUERIES {
         let mut db = Database::new();
         db.register("ext", ext_table(ext_rows(&mut rng, 20, 2, 5)));
-        let mut pq = prepare(&db, &step_model(), &plan_of(&db, sql), Engine::Vectorized).unwrap();
+        db.register("side", ext_table(ext_rows(&mut rng, 6, 0, 3)));
+        let plan = plan_of(&db, sql);
+        let extends = extends_on_append(&plan, appended);
+        let mut pq = prepare(&db, &step_model(), &plan, Engine::Vectorized).unwrap();
         let before = pq.refresh(&db, &step_model(), 0).unwrap();
         let snapshot = format!("{before:?}");
         let (rows, feats) = ext_rows(&mut rng, 15, 0, 8);
-        db.append_to("ext", rows, Some(feats)).unwrap();
-        assert!(pq.can_extend(&db, &step_model()), "`{sql}`");
+        db.append_to(appended, rows, Some(feats)).unwrap();
+        assert_eq!(pq.can_extend(&db, &step_model()), extends, "`{sql}`");
         pq.catch_up(&db, &step_model(), 1).unwrap();
         let after = pq.refresh(&db, &step_model(), 0).unwrap();
         assert_eq!(format!("{before:?}"), snapshot, "`{sql}`: old output moved");
@@ -877,6 +1004,43 @@ fn first_query_after_a_small_append_costs_like_a_hit() {
     assert!(
         invalidated < 4.0 * hit,
         "first query after a 250-row append took {:.3} ms, a hit {:.3} ms",
+        invalidated * 1e3,
+        hit * 1e3
+    );
+}
+
+/// The join sibling of the guard above: a prediction join of a 2 000-row
+/// outer table with an 8-row inner one (16 000 candidates), 25-row appends
+/// to the outer table. The first query after each must cost < 4× a cache
+/// hit; a re-plan + re-prepare of the whole join reads ≈ 50×. Min of 3 on
+/// both sides.
+#[test]
+fn first_query_after_a_small_append_to_a_join_costs_like_a_hit() {
+    let mut rng = RainRng::seed_from_u64(0x2_000);
+    let mut db = Database::new();
+    db.register("ext", ext_table(ext_rows(&mut rng, 2_000, 0, 6)));
+    db.register("side", ext_table(ext_rows(&mut rng, 8, 0, 3)));
+    let model = step_model();
+    let mut cache = QueryCache::new(Engine::Vectorized);
+    let sql = "SELECT COUNT(*) FROM ext a, side b WHERE predict(a) = predict(b)";
+    cache.execute(&db, &model, sql).unwrap();
+    let (mut invalidated, mut hit) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (rows, feats) = ext_rows(&mut rng, 25, 0, 6);
+        db.append_to("ext", rows, Some(feats)).unwrap();
+        let t = Instant::now();
+        let (_, ev) = cache.execute(&db, &model, sql).unwrap();
+        invalidated = invalidated.min(t.elapsed().as_secs_f64());
+        assert_eq!(ev, CacheEvent::Invalidated);
+        let t = Instant::now();
+        let (_, ev) = cache.execute(&db, &model, sql).unwrap();
+        hit = hit.min(t.elapsed().as_secs_f64());
+        assert_eq!(ev, CacheEvent::Hit);
+    }
+    assert_eq!(cache.stats().extended, 3);
+    assert!(
+        invalidated < 4.0 * hit,
+        "first query after a 25-row append to a join took {:.3} ms, a hit {:.3} ms",
         invalidated * 1e3,
         hit * 1e3
     );
