@@ -1,20 +1,13 @@
-//! Experiment harness reproducing every table and figure of the Rain
-//! paper's evaluation (§6 and appendices).
+//! The micro-benchmark harness behind `cargo bench -p rain-bench`.
 //!
-//! Each experiment lives in [`experiments`] as a `run(quick) -> String`
-//! function returning the TSV the paper's artifact would plot, with a
-//! matching thin binary in `src/bin/`. `quick = true` shrinks workloads
-//! for smoke tests; the defaults regenerate the full series reported in
-//! `EXPERIMENTS.md`.
+//! The paper's figures, tables and theorems are reproduced as asserted
+//! orderings in `tests/figures.rs`, not here:
 //!
 //! ```text
-//! cargo run --release -p rain-bench --bin fig3_dblp_recall
-//! cargo run --release -p rain-bench --bin run_all        # everything
+//! cargo test -q -p rain-bench --test figures                                  # quick sizes
+//! cargo test --release -q -p rain-bench --test figures -- --include-ignored   # full sizes too
 //! ```
 
-pub mod experiments;
-pub mod harness;
 pub mod microbench;
 
-pub use harness::{is_quick, Tsv};
-pub use microbench::{black_box, BenchGroup};
+pub use microbench::{black_box, is_quick, BenchGroup};

@@ -8,6 +8,12 @@
 
 use std::time::Instant;
 
+/// `--quick` on the command line (or `RAIN_QUICK=1`) shrinks every bench
+/// for smoke-testing.
+pub fn is_quick() -> bool {
+    std::env::args().any(|a| a == "--quick") || std::env::var("RAIN_QUICK").is_ok_and(|v| v == "1")
+}
+
 /// Re-export of the compiler fence that keeps benchmarked results alive.
 pub use std::hint::black_box;
 
@@ -22,11 +28,7 @@ impl BenchGroup {
     /// A group printing under `group`, timing `samples` runs per bench
     /// (shrunk to 3 under `--quick` / `RAIN_QUICK=1`).
     pub fn new(group: &str, samples: usize) -> Self {
-        let samples = if crate::harness::is_quick() {
-            samples.min(3)
-        } else {
-            samples
-        };
+        let samples = if is_quick() { samples.min(3) } else { samples };
         BenchGroup {
             group: group.to_string(),
             samples: samples.max(1),

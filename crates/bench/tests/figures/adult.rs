@@ -1,22 +1,21 @@
 //! Adult multi-query experiment: Figure 8 (§6.5).
 
-use super::setups::find_group_row;
-use crate::harness::{f3, run_method, Tsv};
+use super::setups::{budget, run, Row, SEED};
 use rain_core::prelude::*;
 use rain_data::adult::{AdultConfig, N_FEATURES};
 use rain_data::flip_labels_where;
 use rain_model::LogisticRegression;
-use rain_sql::{run_query, Database, ExecOptions, Value};
+use rain_sql::{run_query, Database, ExecOptions, QueryOutput, Value};
 
 const Q6: &str = "SELECT AVG(predict(*)) FROM adult GROUP BY gender";
 const Q7: &str = "SELECT AVG(predict(*)) FROM adult GROUP BY agedecade";
 
 /// Figure 8: complaints over Q6 (gender groups) and Q7 (age-decade
 /// groups), individually and combined. Corruption flips `a` of the
-/// (low-income ∧ male ∧ 40–50) training records to high income.
-pub fn fig8(quick: bool) -> String {
-    let mut tsv = Tsv::new("Figure 8: multi-query complaints on Adult");
-    tsv.header(&["corruption", "complaints", "method", "auccr"]);
+/// (low-income ∧ male ∧ 40–50) training records to high income. A row's
+/// setting is `"{rate} {gender|age|both}"`.
+pub fn fig8(quick: bool) -> Vec<Row> {
+    let mut rows = Vec::new();
     let rates: &[f64] = if quick { &[0.5] } else { &[0.3, 0.5] };
     for &rate in rates {
         let cfg = if quick {
@@ -24,10 +23,10 @@ pub fn fig8(quick: bool) -> String {
         } else {
             AdultConfig::default()
         };
-        let w = cfg.generate(42);
+        let w = cfg.generate(SEED);
         let mut train = w.train.clone();
         let pred = w.corruption_predicate();
-        let truth = flip_labels_where(&mut train, |id, x, y| pred(id, x, y), rate, |_| 1, 42);
+        let truth = flip_labels_where(&mut train, |id, x, y| pred(id, x, y), rate, |_| 1, SEED);
         drop(pred);
         let mut db = Database::new();
         db.register("adult", w.query_table());
@@ -62,27 +61,21 @@ pub fn fig8(quick: bool) -> String {
             ("age", vec![age_query.clone()]),
             ("both", vec![gender_query, age_query]),
         ];
+        let budget = budget(&truth, quick, 20);
+        let model = Box::new(LogisticRegression::new(N_FEATURES, 0.01));
+        let mut sess = DebugSession::new(db, train, model);
         for (label, queries) in variants {
+            sess.queries = queries;
             for method in [Method::Loss, Method::TwoStep, Method::Holistic] {
-                let mut sess = DebugSession::new(
-                    db.clone(),
-                    train.clone(),
-                    Box::new(LogisticRegression::new(N_FEATURES, 0.01)),
-                );
-                sess.queries = queries.clone();
-                let budget = if quick {
-                    truth.len().min(20)
-                } else {
-                    truth.len()
-                };
-                let (auc, _, report) = run_method(&sess, method, &truth, budget);
-                let status = report.failure.clone().unwrap_or_default();
-                tsv.row(&[f3(rate), label.into(), method.name().into(), f3(auc)]);
-                if !status.is_empty() {
-                    tsv.comment(&format!("{label}/{}: {status}", method.name()));
-                }
+                let setting = format!("{rate} {label}");
+                rows.push(run(&sess, setting, method, &truth, budget));
             }
         }
     }
-    tsv.finish()
+    rows
+}
+
+/// Find the output row whose first column equals `key`.
+fn find_group_row(out: &QueryOutput, key: &Value) -> Option<usize> {
+    (0..out.table.n_rows()).find(|&r| out.table.value(r, 0) == *key)
 }

@@ -8,7 +8,7 @@
 //!   loss and self-influence go to 0 — so Loss/InfLoss rank them at the
 //!   bottom — while a single complaint ranks them all at the top.
 
-use crate::harness::{f3, Tsv};
+use super::setups::{run, Row};
 use rain_core::prelude::*;
 use rain_core::{sql_step, SqlStep, SqlStepConfig};
 use rain_influence::{inverse_hvp, score_records, InfluenceConfig};
@@ -68,23 +68,19 @@ fn thm_a1_setting(n: usize, m: usize, seed: u64) -> (Dataset, usize, Database, L
     (train, noisy_idx, db, model)
 }
 
-/// Theorem A.1: fraction of trials in which TwoStep's chosen ILP solution
-/// gives the noisy point a nonzero score, as the clean queried population
-/// `n` grows (`m`, `k` fixed).
-pub fn thm_a1(quick: bool) -> String {
-    let mut tsv =
-        Tsv::new("Theorem A.1: P(noisy point scored nonzero by TwoStep) vs queried size n");
+/// Theorem A.1: `(n, p)` where `p` is the fraction of trials in which
+/// TwoStep's chosen ILP solution gives the noisy point a nonzero score, as
+/// the clean queried population `n` grows (m = 3 non-orthogonal queried
+/// records, complaint count k = 2).
+pub fn thm_a1(quick: bool) -> Vec<(usize, f64)> {
     let (m, k) = (3usize, 2.0);
-    tsv.comment(&format!(
-        "m = {m} non-orthogonal queried records, complaint count = {k}"
-    ));
-    tsv.header(&["n", "p_nonzero"]);
     let ns: &[usize] = if quick {
         &[20, 80]
     } else {
         &[20, 50, 100, 200, 400]
     };
     let trials = if quick { 10 } else { 30 };
+    let mut points = Vec::new();
     for &n in ns {
         let mut nonzero = 0usize;
         for trial in 0..trials {
@@ -127,9 +123,9 @@ pub fn thm_a1(quick: bool) -> String {
                 nonzero += 1;
             }
         }
-        tsv.row(&[n.to_string(), f3(nonzero as f64 / trials as f64)]);
+        points.push((n, nonzero as f64 / trials as f64));
     }
-    tsv.finish()
+    points
 }
 
 /// Build the Theorem C.1 setting: clean records in dims `0..10`,
@@ -172,20 +168,22 @@ fn thm_c1_setting(k_corrupt: usize, seed: u64) -> (Dataset, Vec<usize>, Database
     (train, truth, db)
 }
 
+/// One corruption count `k` of Theorem C.1: the corrupted records' mean
+/// loss and self-influence, and the Loss and Holistic runs over them.
+pub struct C1Point {
+    pub k: usize,
+    pub mean_loss: f64,
+    pub mean_self_influence: f64,
+    pub loss: Row,
+    pub holistic: Row,
+}
+
 /// Theorem C.1: corrupted-record loss and self-influence vanish as the
 /// corrupted population grows, while the complaint-driven ranking stays
 /// perfect.
-pub fn thm_c1(quick: bool) -> String {
-    let mut tsv =
-        Tsv::new("Theorem C.1: loss & self-influence of corrupted records vs corruption count");
-    tsv.header(&[
-        "k_corrupt",
-        "mean_loss",
-        "mean_self_influence",
-        "loss_auccr",
-        "holistic_auccr",
-    ]);
+pub fn thm_c1(quick: bool) -> Vec<C1Point> {
     let ks: &[usize] = if quick { &[5, 40] } else { &[5, 20, 80, 160] };
+    let mut points = Vec::new();
     for &k in ks {
         let (train, truth, db) = thm_c1_setting(k, 7);
         let mut model = LogisticRegression::without_bias(11, 0.05);
@@ -198,11 +196,11 @@ pub fn thm_c1(quick: bool) -> String {
             / k as f64;
         // Mean self-influence of corrupted records.
         let icfg = InfluenceConfig::default();
-        let mut mean_si = 0.0;
+        let mut mean_self_influence = 0.0;
         for &i in &truth {
             let g = model.example_grad(train.x(i), train.y(i));
             let s = inverse_hvp(&model, &train, &g, &icfg).x;
-            mean_si += -rain_linalg::vecops::dot(&g, &s) / k as f64;
+            mean_self_influence += -rain_linalg::vecops::dot(&g, &s) / k as f64;
         }
         // Loss baseline vs Holistic-with-complaint on the full sessions.
         let sess = DebugSession::new(
@@ -216,21 +214,13 @@ pub fn thm_c1(quick: bool) -> String {
             QuerySpec::new("SELECT COUNT(*) FROM q WHERE predict(*) = 1")
                 .with_complaint(Complaint::scalar_eq(40.0)),
         );
-        let loss_auc = sess
-            .run(Method::Loss, &RunConfig::paper(k))
-            .expect("loss run")
-            .auccr(&truth);
-        let hol_auc = sess
-            .run(Method::Holistic, &RunConfig::paper(k))
-            .expect("holistic run")
-            .auccr(&truth);
-        tsv.row(&[
-            k.to_string(),
-            format!("{mean_loss:.5}"),
-            format!("{mean_si:.5}"),
-            f3(loss_auc),
-            f3(hol_auc),
-        ]);
+        points.push(C1Point {
+            k,
+            mean_loss,
+            mean_self_influence,
+            loss: run(&sess, k, Method::Loss, &truth, k),
+            holistic: run(&sess, k, Method::Holistic, &truth, k),
+        });
     }
-    tsv.finish()
+    points
 }

@@ -27,8 +27,9 @@ pub fn recall_curve(returned: &[usize], truth: &[usize]) -> Vec<f64> {
 
 /// AUCCR: the normalized area under the corruption-recall curve,
 /// `AUC = (2/K) Σ_{k=1..K} r_k` (§6.1.5). A method that recovers every
-/// corruption immediately scores ≈1; random performance scores ≈ the
-/// corruption base rate.
+/// corruption immediately scores `(K + 1) / K` — `auccr(truth, truth)`,
+/// 1.2 at K = 5 — not 1; random performance scores ≈ the corruption base
+/// rate.
 pub fn auccr(returned: &[usize], truth: &[usize]) -> f64 {
     let curve = recall_curve(returned, truth);
     if curve.is_empty() {
