@@ -6,15 +6,17 @@
 //! list of training records (most-suspect first). The timing split matches
 //! Figure 5's cost model: **encode** covers building the complaint
 //! encoding `∇q` (for TwoStep this includes the ILP), **rank** covers the
-//! inverse-Hessian solve and per-record scoring.
+//! inverse-Hessian solve and per-record scoring (and, for a narrow model,
+//! the driver's dense Hessian build that the solve factors).
 
 use crate::complaint::QuerySpec;
 use crate::qfunc::{prob_grad_to_theta, probs_for, q_value_and_prob_grad};
 use crate::twostep::{sql_step, SqlStep, SqlStepConfig};
 use rain_influence::{
-    inverse_hvp, rank_descending, score_records, self_influence_scores, InfluenceConfig,
+    inverse_hvp_with, rank_descending, score_records, self_influence_scores, InfluenceConfig,
     RankedRecord,
 };
+use rain_linalg::Matrix;
 use rain_model::{Classifier, Dataset};
 use rain_sql::{Database, FeatureRows, QueryOutput};
 use std::time::Instant;
@@ -82,6 +84,11 @@ pub struct RankContext<'a> {
     pub outputs: &'a [QueryOutput],
     /// The queries with their complaints.
     pub queries: &'a [QuerySpec],
+    /// The model's dense Hessian on `train` ([`Classifier::hessian`]),
+    /// which the driver builds for narrow models: Holistic's and TwoStep's
+    /// influence solves then factor it instead of running conjugate
+    /// gradient. `None` = the Hessian-free solve.
+    pub hessian: Option<&'a Matrix>,
     /// Influence-engine settings; `threads` is the run's resolved worker
     /// budget (the driver overrides the session's default with it).
     pub influence: &'a InfluenceConfig,
@@ -209,10 +216,11 @@ fn rank_twostep(ctx: &RankContext<'_>) -> Result<Ranking, RankError> {
     })
 }
 
-/// Shared influence pipeline: solve `(H+δI)s = ∇q`, score every training
-/// record, rank descending.
+/// Shared influence pipeline: solve `(H+δI)s = ∇q` (directly when the
+/// context holds the dense Hessian), score every training record, rank
+/// descending.
 fn influence_rank(ctx: &RankContext<'_>, grad_q: &[f64]) -> Vec<RankedRecord> {
-    let solved = inverse_hvp(ctx.model, ctx.train, grad_q, ctx.influence);
+    let solved = inverse_hvp_with(ctx.model, ctx.train, ctx.hessian, grad_q, ctx.influence);
     let scores = score_records(ctx.model, ctx.train, &solved.x, ctx.influence.threads);
     rank_descending(ctx.train, &scores)
 }

@@ -1,7 +1,9 @@
 //! Golden removal lists: the ML kernels under train and rank and the
 //! complaint encoding may be reorganised for speed, but a debug run on a
 //! seeded fixture must keep removing the same records in the same order,
-//! and L-BFGS must take the same number of iterations to get there.
+//! and L-BFGS must take the same number of iterations to get there. On the
+//! logistic sessions the driver's warm retrains are Newton steps, which
+//! must leave L-BFGS no iteration to take.
 //!
 //! The DBLP and digits COUNT lists were captured at the commit *before*
 //! the batched kernels (per-example `loss`/`grad`/`hvp` loops) and are
@@ -154,6 +156,38 @@ fn run(session: &DebugSession, budget: usize) -> (Vec<usize>, usize, usize) {
     let reduced = session.train.remove_ids(&removed[..10]);
     let warm = train_lbfgs(model.as_mut(), &reduced, &LbfgsConfig::warm());
     (removed, cold.iters, warm.iters)
+}
+
+#[test]
+fn warm_retrains_of_the_logistic_sessions_need_no_lbfgs_iterations() {
+    // Each retrain after the first starts with Newton steps from the
+    // previous iteration's Hessian; they must reach `grad_tol` on their
+    // own, leaving L-BFGS nothing but the check (one step alone leaves
+    // Adult short of it, and warm L-BFGS then runs up to its cap).
+    for (name, session, budget, golden) in [
+        ("dblp", dblp_session(), 40, &GOLDEN_DBLP[..]),
+        ("adult", adult_session(), 30, &GOLDEN_ADULT[..]),
+    ] {
+        let cfg = RunConfig {
+            profile: true,
+            ..RunConfig::paper(budget)
+        };
+        let report = session.run(Method::Holistic, &cfg).expect("debug run");
+        assert_eq!(report.removed, golden, "{name}: profiled removals");
+        let tree = report.profile.expect("profile requested");
+        let iters: Vec<_> = tree
+            .children
+            .iter()
+            .filter(|c| c.name == "iteration")
+            .collect();
+        assert_eq!(iters.len(), budget / 10);
+        for (i, it) in iters.iter().enumerate().skip(1) {
+            let train = it.find("train").expect("train span");
+            let count = |key| train.counters.iter().find(|(k, _)| *k == key).map(|c| c.1);
+            assert_eq!(count("lbfgs_iters"), Some(0), "{name} iteration {i}");
+            assert!(count("newton_steps") >= Some(1), "{name} iteration {i}");
+        }
+    }
 }
 
 #[test]

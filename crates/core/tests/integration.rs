@@ -2,12 +2,15 @@
 //! across methods and query shapes, on small workloads (fast in debug
 //! builds).
 
+use rain_core::driver::DENSE_MAX_PARAMS;
 use rain_core::prelude::*;
 use rain_core::{sql_step, SqlStep, SqlStepConfig, ValueOp};
+use rain_data::adult::AdultConfig;
 use rain_data::dblp::DblpConfig;
 use rain_data::digits::{DigitsConfig, N_CLASSES, N_PIXELS};
 use rain_data::flip_labels_where;
-use rain_model::{Classifier, LogisticRegression, SoftmaxRegression};
+use rain_influence::{inverse_hvp, inverse_hvp_with, CgConfig, InfluenceConfig};
+use rain_model::{train_lbfgs, Classifier, LogisticRegression, Mlp, SoftmaxRegression};
 use rain_sql::{run_query, Database, Engine, ExecOptions, QueryCache};
 
 /// DBLP-style session with 50% of match labels flipped to non-match.
@@ -24,6 +27,63 @@ fn dblp_session(seed: u64) -> (DebugSession, Vec<usize>, usize) {
                 .with_complaint(Complaint::scalar_eq(true_count as f64)),
         );
     (session, truth, true_count)
+}
+
+/// Digits with 60% of the 1s relabelled 7, COUNT-of-1s complaint (a
+/// small version of Q5).
+fn digits_session(n_train: usize, seed: u64) -> (DebugSession, Vec<usize>) {
+    let w = DigitsConfig {
+        n_train,
+        n_query: 120,
+    }
+    .generate(seed);
+    let mut train = w.train.clone();
+    let truth = flip_labels_where(&mut train, |_, _, y| y == 1, 0.6, |_| 7, seed);
+    let mut db = Database::new();
+    db.register(
+        "mnist",
+        w.query_table_for(&(0..10).collect::<Vec<_>>(), 120),
+    );
+    let true_ones = w.query_rows_with_digits(&[1]).len().min(120);
+    let session = DebugSession::new(
+        db,
+        train,
+        Box::new(SoftmaxRegression::new(N_PIXELS, N_CLASSES, 0.01)),
+    )
+    .with_query(
+        QuerySpec::new("SELECT COUNT(*) FROM mnist WHERE predict(*) = 1")
+            .with_complaint(Complaint::scalar_eq(true_ones as f64)),
+    );
+    (session, truth)
+}
+
+/// Adult with half of (low income ∧ male ∧ 40s) flipped to high, AVG
+/// complaint on the forties' group (§6.5).
+fn adult_session(seed: u64) -> (DebugSession, Vec<usize>) {
+    let w = AdultConfig {
+        n_train: 300,
+        n_query: 200,
+    }
+    .generate(seed);
+    let mut train = w.train.clone();
+    let truth = flip_labels_where(&mut train, w.corruption_predicate(), 0.5, |_| 1, seed);
+    let mut decades: Vec<i64> = w.query_records.iter().map(|r| r.age_decade()).collect();
+    decades.sort_unstable();
+    decades.dedup();
+    let row = decades.iter().position(|&d| d == 40).expect("a 40s group");
+    let target = w.true_avg_where(|r| r.age_decade() == 40);
+    let mut db = Database::new();
+    db.register("adult", w.query_table());
+    let session = DebugSession::new(
+        db,
+        train,
+        Box::new(LogisticRegression::new(rain_data::adult::N_FEATURES, 0.01)),
+    )
+    .with_query(
+        QuerySpec::new("SELECT AVG(predict(*)) FROM adult GROUP BY agedecade")
+            .with_complaint(Complaint::value_eq(row, 0, target)),
+    );
+    (session, truth)
 }
 
 #[test]
@@ -424,32 +484,11 @@ fn sql_step_different_seeds_pick_different_repairs() {
 #[test]
 fn holistic_on_digits_count_complaint() {
     // Small version of Q5: corrupt 1s to 7s, complain the count of 1s.
-    let w = DigitsConfig {
-        n_train: 250,
-        n_query: 120,
-    }
-    .generate(11);
-    let mut train = w.train.clone();
-    let truth = flip_labels_where(&mut train, |_, _, y| y == 1, 0.6, |_| 7, 11);
+    let (session, truth) = digits_session(250, 11);
     assert!(
         truth.len() >= 5,
         "need some corruptions, got {}",
         truth.len()
-    );
-    let mut db = Database::new();
-    db.register(
-        "mnist",
-        w.query_table_for(&(0..10).collect::<Vec<_>>(), 120),
-    );
-    let true_ones = w.query_rows_with_digits(&[1]).len().min(120);
-    let session = DebugSession::new(
-        db,
-        train,
-        Box::new(SoftmaxRegression::new(N_PIXELS, N_CLASSES, 0.01)),
-    )
-    .with_query(
-        QuerySpec::new("SELECT COUNT(*) FROM mnist WHERE predict(*) = 1")
-            .with_complaint(Complaint::scalar_eq(true_ones as f64)),
     );
     let budget = truth.len().min(20);
     let report = session
@@ -633,19 +672,23 @@ fn profile_captures_a_per_iteration_span_tree() {
         assert!(exec.find("refresh").is_some(), "refresh under execute");
         // The ML crates report their own work: train and rank are not
         // opaque boxes.
-        let counter = |node: &rain_obs::TraceNode, key: &str| {
-            let found = node.counters.iter().find(|(k, _)| *k == key);
-            found
-                .unwrap_or_else(|| panic!("{} span lacks {key}", node.name))
-                .1
-        };
         let train = it.find("train").unwrap();
         assert!(counter(train, "loss_grad_evals") > counter(train, "lbfgs_iters"));
+        // A narrow model ranks through its dense Hessian, built under
+        // rank, and solves with it directly.
         let rank = it.find("rank").unwrap();
+        assert!(rank.find("hessian").is_some(), "hessian under rank");
         let solve = rank.find("inverse_hvp").expect("inverse_hvp under rank");
-        assert!(counter(solve, "cg_iters") >= 1);
-        assert!(counter(solve, "hvp_calls") >= counter(solve, "cg_iters"));
-        assert!(counter(solve, "rel_residual_e9") <= 1_000_000);
+        assert_eq!(counter(solve, "dense"), 1);
+        assert_eq!(counter(solve, "cg_iters"), 0);
+        assert!(counter(solve, "rel_residual_e9") <= 1_000);
+        // After the cold fit, each retrain starts with Newton steps.
+        let newton = counter(train, "newton_steps");
+        if removed_before == 0 {
+            assert_eq!(newton, 0, "cold fit is L-BFGS alone");
+        } else {
+            assert!(newton >= 1, "warm retrain takes a Newton step");
+        }
         let score = rank
             .find("score_records")
             .expect("score_records under rank");
@@ -661,4 +704,109 @@ fn profile_captures_a_per_iteration_span_tree() {
         .run(Method::Loss, &RunConfig::paper(5.min(truth.len())))
         .unwrap();
     assert!(plain.profile.is_none());
+}
+
+/// The value of `node`'s counter `key`; panics when the span lacks it.
+fn counter(node: &rain_obs::TraceNode, key: &str) -> u64 {
+    let found = node.counters.iter().find(|(k, _)| *k == key);
+    found
+        .unwrap_or_else(|| panic!("{} span lacks {key}", node.name))
+        .1
+}
+
+#[test]
+fn profile_of_a_wide_model_shows_hessian_free_solves() {
+    // Softmax over digits is far wider than the dense bound: L-BFGS
+    // retrains and conjugate-gradient solves, every iteration.
+    let (session, truth) = digits_session(120, 11);
+    let cfg = RunConfig {
+        profile: true,
+        ..RunConfig::paper(20.min(truth.len()))
+    };
+    let report = session.run(Method::Holistic, &cfg).unwrap();
+    let tree = report.profile.expect("profile requested but absent");
+    let iters: Vec<_> = tree
+        .children
+        .iter()
+        .filter(|c| c.name == "iteration")
+        .collect();
+    assert_eq!(iters.len(), report.iterations.len());
+    for it in iters {
+        assert_eq!(counter(it.find("train").unwrap(), "newton_steps"), 0);
+        let rank = it.find("rank").unwrap();
+        assert!(rank.find("hessian").is_none(), "no dense Hessian");
+        let solve = rank.find("inverse_hvp").expect("inverse_hvp under rank");
+        assert!(solve.counters.iter().all(|(k, _)| *k != "dense"));
+        assert!(counter(solve, "cg_iters") >= 1);
+        assert!(counter(solve, "hvp_calls") >= counter(solve, "cg_iters"));
+        assert!(counter(solve, "rel_residual_e9") <= 1_000_000);
+    }
+}
+
+#[test]
+fn dense_influence_solve_equals_a_tight_cg_solve() {
+    let (dblp, _, _) = dblp_session(6);
+    let (adult, _) = adult_session(3);
+    for (name, session) in [("dblp", dblp), ("adult", adult)] {
+        let mut model = session.model.clone();
+        train_lbfgs(model.as_mut(), &session.train, &session.train_cfg);
+        let hessian = model.hessian(&session.train);
+        // A complaint-shaped right-hand side: the gradient of one class
+        // probability summed over a few records.
+        let mut g = vec![0.0; model.n_params()];
+        for i in 0..5 {
+            let x = session.train.x(i);
+            rain_linalg::vecops::axpy(1.0, &model.grad_proba(x, 1), &mut g);
+        }
+        for damping in [0.0, 0.01] {
+            let cfg = InfluenceConfig {
+                damping,
+                cg: CgConfig {
+                    max_iters: 1000,
+                    rel_tol: 1e-12,
+                },
+                threads: 1,
+            };
+            let cg = inverse_hvp(model.as_ref(), &session.train, &g, &cfg);
+            assert!(cg.converged && cg.iters >= 1, "{name}: CG");
+            let dense = inverse_hvp_with(model.as_ref(), &session.train, Some(&hessian), &g, &cfg);
+            assert_eq!(dense.iters, 0, "{name}: direct solve");
+            let scale = rain_linalg::vecops::norm_inf(&cg.x);
+            for (d, c) in dense.x.iter().zip(&cg.x) {
+                assert!(
+                    (d - c).abs() <= 1e-9 * scale,
+                    "{name} δ={damping}: {d} vs {c}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn narrow_mlp_with_an_indefinite_hessian_falls_back_to_lbfgs_and_cg() {
+    // Narrow enough for the dense path, but barely trained and without
+    // L2: its Hessian is indefinite, so no rank solve can factor it and
+    // no Newton step is taken — every retrain is L-BFGS and every solve
+    // conjugate gradient.
+    let (mut session, truth, _) = dblp_session(6);
+    let mlp = Mlp::new(17, 1, 2, 0.0, 1);
+    assert!(mlp.n_params() <= DENSE_MAX_PARAMS);
+    session.model = Box::new(mlp);
+    session.train_cfg.max_iters = 2;
+    let budget = 30.min(truth.len());
+    let cfg = RunConfig {
+        profile: true,
+        ..RunConfig::paper(budget)
+    };
+    let report = session.run(Method::Holistic, &cfg).unwrap();
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert_eq!(report.removed.len(), budget, "full budget removed");
+    let tree = report.profile.expect("profile requested but absent");
+    for it in tree.children.iter().filter(|c| c.name == "iteration") {
+        assert_eq!(counter(it.find("train").unwrap(), "newton_steps"), 0);
+        assert!(it.find("hessian").is_some(), "the dense path is tried");
+        let solve = it.find("inverse_hvp").expect("inverse_hvp");
+        assert!(solve.counters.iter().all(|(k, _)| *k != "dense"));
+        assert!(counter(solve, "cg_iters") >= 1);
+    }
 }

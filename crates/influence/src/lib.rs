@@ -11,11 +11,13 @@
 //! Records with large positive scores are those whose removal *decreases*
 //! `q` the most — i.e. best addresses the complaint — and are ranked first.
 //!
-//! Inverting the Hessian is infeasible (`O(d³)`), so [`inverse_hvp`] solves
-//! `H s = ∇q` with conjugate gradient, using only Hessian-vector products
-//! supplied by the model (closed-form or Pearlmutter R-op). A damping term
-//! `δ·I` keeps CG convergent when the Hessian is indefinite (non-convex
-//! MLPs) or barely positive definite.
+//! Inverting the Hessian is infeasible (`O(d³)`) for wide models, so
+//! [`inverse_hvp`] solves `H s = ∇q` with conjugate gradient, using only
+//! Hessian-vector products supplied by the model (closed-form or
+//! Pearlmutter R-op). A narrow model's dense Hessian is cheap to assemble
+//! and factor, and [`inverse_hvp_with`] solves with it directly. A damping
+//! term `δ·I` keeps CG convergent when the Hessian is indefinite
+//! (non-convex MLPs) or barely positive definite.
 //!
 //! [`score_records`] then evaluates `-∇ℓ(zᵢ)·s` for every training record,
 //! fanned out across scoped `std::thread` workers.
@@ -31,6 +33,6 @@ pub mod scoring;
 
 pub use cg::{cg_solve, CgConfig, CgOutcome};
 pub use scoring::{
-    inverse_hvp, rank_descending, score_records, self_influence_scores, InfluenceConfig,
-    RankedRecord,
+    inverse_hvp, inverse_hvp_with, rank_descending, score_records, self_influence_scores,
+    InfluenceConfig, RankedRecord,
 };

@@ -2,12 +2,14 @@
 //!
 //! The pipeline is: (1) a debugger encodes its complaint as a gradient
 //! `∇q(θ*)` in parameter space; (2) [`inverse_hvp`] solves the damped system
-//! `(H + δI) s = ∇q` via conjugate gradient; (3) [`score_records`] computes
+//! `(H + δI) s = ∇q` via conjugate gradient — or, for a narrow model whose
+//! dense Hessian the caller already holds, [`inverse_hvp_with`] solves it
+//! by one Cholesky factorization; (3) [`score_records`] computes
 //! `score(zᵢ) = -∇ℓ(zᵢ, θ*)·s` for every training record, fanning out only
 //! over full shares of work ([`rain_model::par`]).
 
 use crate::cg::{cg_solve, CgConfig, CgOutcome};
-use rain_linalg::vecops;
+use rain_linalg::{vecops, Matrix};
 use rain_model::{Classifier, Dataset, HvpOp};
 
 /// Parameters of the influence engine.
@@ -70,18 +72,66 @@ pub fn inverse_hvp(
     g: &[f64],
     cfg: &InfluenceConfig,
 ) -> CgOutcome {
+    inverse_hvp_with(model, data, None, g, cfg)
+}
+
+/// [`inverse_hvp`], directly when the caller holds the dense Hessian
+/// ([`Classifier::hessian`] of the model on `data`): `(H + δI) s = g` by
+/// one Cholesky factorization ([`Matrix::solve_spd`]). The outcome then
+/// has `iters` = 0 and the relative residual of one explicit product
+/// `(H + δI)·s`. Without a Hessian, or when `H + δI` is not positive
+/// definite, it is [`inverse_hvp`]'s conjugate-gradient solve.
+///
+/// One `inverse_hvp` span either way; the direct solve sets its
+/// `dense` counter to 1 and `cg_iters` to 0.
+pub fn inverse_hvp_with(
+    model: &dyn Classifier,
+    data: &Dataset,
+    hessian: Option<&Matrix>,
+    g: &[f64],
+    cfg: &InfluenceConfig,
+) -> CgOutcome {
     assert_eq!(
         g.len(),
         model.n_params(),
         "inverse_hvp: gradient length mismatch"
     );
     let mut span = rain_obs::Span::enter("inverse_hvp");
+    if let Some(solved) = hessian.and_then(|h| solve_dense(h, g, cfg.damping)) {
+        span.add("cg_iters", 0);
+        span.add("dense", 1);
+        span.add("rel_residual_e9", (solved.rel_residual * 1e9) as u64);
+        return solved;
+    }
     let hessian = model.hvp_op(data);
     let (solved, hvp_calls) = solve_damped(&hessian, g, cfg);
     span.add("cg_iters", solved.iters as u64);
     span.add("rel_residual_e9", (solved.rel_residual * 1e9) as u64);
     span.add("hvp_calls", hvp_calls);
     solved
+}
+
+/// Cholesky on `(H + δI) s = g`; `None` when the matrix is not positive
+/// definite.
+fn solve_dense(hessian: &Matrix, g: &[f64], damping: f64) -> Option<CgOutcome> {
+    let mut damped = hessian.clone();
+    for j in 0..damped.rows() {
+        damped.set(j, j, damped.get(j, j) + damping);
+    }
+    let x = damped.solve_spd(g)?;
+    let bnorm = vecops::norm2(g);
+    let residual = vecops::sub(&damped.matvec(&x), g);
+    let rel_residual = if bnorm == 0.0 {
+        0.0
+    } else {
+        vecops::norm2(&residual) / bnorm
+    };
+    Some(CgOutcome {
+        x,
+        iters: 0,
+        rel_residual,
+        converged: true,
+    })
 }
 
 /// CG on `(H + δI) s = g` for an already-built Hessian operator; also
@@ -239,6 +289,24 @@ mod tests {
         assert!(out.converged);
         let back = m.hvp(&data, &out.x);
         assert!(vecops::approx_eq(&back, &g, 1e-4), "{back:?} vs {g:?}");
+    }
+
+    #[test]
+    fn a_dense_solve_needs_a_positive_definite_hessian() {
+        let (data, _) = blobs_with_flips(120, 4, 5);
+        let m = fitted(&data);
+        let g = vec![1.0; m.n_params()];
+        let cfg = InfluenceConfig::default();
+        let dense = inverse_hvp_with(&m, &data, Some(&m.hessian(&data)), &g, &cfg);
+        assert_eq!(dense.iters, 0);
+        assert!(dense.converged && dense.rel_residual < 1e-12);
+        // Not positive definite: the conjugate-gradient solve instead.
+        let mut negated = m.hessian(&data);
+        vecops::scale(negated.as_mut_slice(), -1.0);
+        let fallback = inverse_hvp_with(&m, &data, Some(&negated), &g, &cfg);
+        let cg = inverse_hvp(&m, &data, &g, &cfg);
+        assert!(fallback.iters >= 1);
+        assert_eq!(fallback.x, cg.x);
     }
 
     #[test]

@@ -216,8 +216,10 @@ impl Matrix {
     /// factorization. Returns `None` when the matrix is not SPD (a
     /// non-positive pivot appears).
     ///
-    /// Used by tests to cross-check the iterative conjugate-gradient solver
-    /// and by small exact computations; O(n³), so callers keep `n` small.
+    /// O(n³), so callers keep `n` small: the debug driver's narrow models
+    /// (their dense Hessian, for the influence solve and the Newton steps
+    /// of a retrain), small exact computations, and the tests that
+    /// cross-check the iterative conjugate-gradient solver.
     pub fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve_spd: matrix must be square");
         assert_eq!(b.len(), self.rows, "solve_spd: rhs mismatch");

@@ -36,4 +36,4 @@ pub use metrics::{accuracy, confusion_binary, f1_score, BinaryConfusion};
 pub use mlp::Mlp;
 pub use model::{Classifier, HvpOp};
 pub use softmax::SoftmaxRegression;
-pub use train::{train_lbfgs, LbfgsConfig, TrainReport};
+pub use train::{retrain_newton, train_lbfgs, LbfgsConfig, TrainReport};

@@ -17,6 +17,9 @@
 //!   [`Classifier::hvp_op`] (the Hessian at the *current* parameters as a
 //!   reusable operator — what a conjugate-gradient solve applies once per
 //!   iteration, with everything that depends only on `θ` computed once).
+//! - [`Classifier::hessian`] is the same Hessian as a dense matrix, for
+//!   narrow models: assembled once per training-set state, it is factored
+//!   instead of iterated on.
 //! - [`Classifier::grad_proba`] returns `∇θ p_c(x, θ)`: how a predicted
 //!   class probability moves with the parameters. Holistic chains these
 //!   through relaxed provenance polynomials; TwoStep sums them over marked
@@ -148,6 +151,17 @@ pub trait Classifier: Send + Sync {
         Box::new(move |v| self.hvp(data, v))
     }
 
+    /// The Hessian of the full objective at the current parameters as a
+    /// dense `n_params × n_params` matrix — what a narrow model's direct
+    /// solves and Newton steps factor.
+    ///
+    /// The default assembles it one column per parameter from
+    /// [`Classifier::hvp_op`] ([`check::hessian_from_hvp`]); models with a
+    /// closed form override it with one pass over `data`.
+    fn hessian(&self, data: &Dataset) -> rain_linalg::Matrix {
+        check::hessian_from_hvp(self, data)
+    }
+
     /// Accumulate a weighted sum of class-probability gradients:
     /// `out += Σ_c weights[c] · ∇θ p_c(x, θ)` — one forward and one
     /// backward pass however many classes carry weight.
@@ -200,6 +214,7 @@ impl Clone for Box<dyn Classifier> {
 pub mod check {
     use super::Classifier;
     use crate::dataset::Dataset;
+    use rain_linalg::Matrix;
 
     /// The full objective and its gradient by definition: one
     /// [`Classifier::example_loss`] and one
@@ -222,6 +237,25 @@ pub mod check {
         rain_linalg::vecops::axpy(2.0 * model.l2(), model.params(), &mut g);
         let loss = sum / n + model.l2() * rain_linalg::vecops::norm2_sq(model.params());
         (loss, g)
+    }
+
+    /// The dense Hessian of the full objective by definition: column `j`
+    /// is one application of [`Classifier::hvp_op`] to the unit vector
+    /// `eⱼ`. The trait's default [`Classifier::hessian`], and the
+    /// reference the closed forms are tested against.
+    pub fn hessian_from_hvp<M: Classifier + ?Sized>(model: &M, data: &Dataset) -> Matrix {
+        let p = model.n_params();
+        let op = model.hvp_op(data);
+        let mut h = Matrix::zeros(p, p);
+        let mut e = vec![0.0; p];
+        for j in 0..p {
+            e[j] = 1.0;
+            for (i, v) in op(&e).into_iter().enumerate() {
+                h.set(i, j, v);
+            }
+            e[j] = 0.0;
+        }
+        h
     }
 
     /// Central-difference gradient of the full objective at the current

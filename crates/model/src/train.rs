@@ -12,7 +12,7 @@
 
 use crate::dataset::Dataset;
 use crate::model::Classifier;
-use rain_linalg::vecops;
+use rain_linalg::{vecops, Matrix};
 use std::collections::VecDeque;
 
 /// Configuration for [`train_lbfgs`].
@@ -45,11 +45,22 @@ impl Default for LbfgsConfig {
     }
 }
 
+/// Iteration cap of a warm restart: [`LbfgsConfig::warm`], and the cap
+/// the debug driver puts on every retrain after its first.
+pub const WARM_MAX_ITERS: usize = 60;
+
+/// Most Newton steps [`retrain_newton`] takes before L-BFGS carries on.
+/// On the paper's logistic settings (2-core host) one step from the
+/// downdated Hessian lands DBLP inside the default `grad_tol`, and Adult
+/// needs two (one leaves ‖g‖∞ ≈ 1e-5, and warm L-BFGS then takes 36–60
+/// iterations to finish); a third is headroom.
+pub const NEWTON_MAX_STEPS: usize = 3;
+
 impl LbfgsConfig {
     /// Fewer iterations; used for warm restarts inside train–rank–fix.
     pub fn warm() -> Self {
         LbfgsConfig {
-            max_iters: 60,
+            max_iters: WARM_MAX_ITERS,
             ..Default::default()
         }
     }
@@ -58,10 +69,13 @@ impl LbfgsConfig {
 /// Outcome of a training run.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
-    /// Iterations actually performed.
+    /// L-BFGS iterations actually performed.
     pub iters: usize,
+    /// Accepted Newton steps before L-BFGS ([`retrain_newton`]; 0 for
+    /// [`train_lbfgs`]).
+    pub newton_steps: usize,
     /// [`Classifier::loss_grad`] evaluations: one at the starting point
-    /// plus one per line-search trial.
+    /// plus one per Newton trial and per line-search trial.
     pub evals: usize,
     /// Final full-objective value.
     pub final_loss: f64,
@@ -75,17 +89,104 @@ pub struct TrainReport {
 /// model's current parameters (so retraining is warm-started for free).
 pub fn train_lbfgs(model: &mut dyn Classifier, data: &Dataset, cfg: &LbfgsConfig) -> TrainReport {
     let mut span = rain_obs::Span::enter("train");
-    let report = minimize(model, data, cfg);
-    span.add("lbfgs_iters", report.iters as u64);
-    span.add("loss_grad_evals", report.evals as u64);
+    let start = model.loss_grad(data);
+    let report = minimize(model, data, cfg, start, 0, 1);
+    record(&mut span, &report);
     report
 }
 
-fn minimize(model: &mut dyn Classifier, data: &Dataset, cfg: &LbfgsConfig) -> TrainReport {
-    let n = model.n_params();
+/// Retrain warm after the rows `removed` left the training set `data`,
+/// given `hessian`: the dense Hessian ([`Classifier::hessian`]) of the
+/// objective on `data` and `removed` together, at the current parameters.
+///
+/// The removed rows' curvature is subtracted and the mean renormalised to
+/// the rows that remain, which is the Hessian on `data` at the current
+/// parameters. Newton steps `θ ← θ − H⁻¹∇L` follow, each after the first
+/// from a fresh Hessian, until `cfg.grad_tol` or [`NEWTON_MAX_STEPS`]; a
+/// step that does not lower the loss is rejected and ends them, as does a
+/// Hessian that is not positive definite. L-BFGS then starts where they
+/// stopped, exactly as [`train_lbfgs`] would: its first check of
+/// `grad_tol` is on the last accepted evaluation, and it carries on when
+/// the gradient is above it. Opens the same `train` span, whose
+/// `newton_steps` counts the accepted steps.
+pub fn retrain_newton(
+    model: &mut dyn Classifier,
+    data: &Dataset,
+    removed: &Dataset,
+    hessian: &Matrix,
+    cfg: &LbfgsConfig,
+) -> TrainReport {
+    let mut span = rain_obs::Span::enter("train");
     let mut theta = model.params().to_vec();
     let (mut loss, mut grad) = model.loss_grad(data);
     let mut evals = 1;
+    let mut steps = 0;
+    let mut h = downdate(model, hessian, data.len(), removed);
+    for _ in 0..NEWTON_MAX_STEPS {
+        if data.is_empty() || vecops::norm_inf(&grad) < cfg.grad_tol {
+            break;
+        }
+        if steps > 0 {
+            h = model.hessian(data);
+        }
+        let Some(step) = h.solve_spd(&grad) else {
+            break;
+        };
+        let trial = vecops::sub(&theta, &step);
+        model.set_params(&trial);
+        let (trial_loss, trial_grad) = model.loss_grad(data);
+        evals += 1;
+        if trial_loss.is_nan() || trial_loss >= loss {
+            model.set_params(&theta);
+            break;
+        }
+        (theta, loss, grad) = (trial, trial_loss, trial_grad);
+        steps += 1;
+    }
+    let report = minimize(model, data, cfg, (loss, grad), steps, evals);
+    record(&mut span, &report);
+    report
+}
+
+/// `hessian` (on `kept` rows plus `removed`) minus the removed rows'
+/// terms, as the mean over the `kept` rows. With `H = S/n + 2λI` over `n`
+/// rows and `H_R = S_R/m + 2λI` over the `m` removed ones, the Hessian on
+/// the `n − m` that remain is `(n·H − m·H_R)/(n − m)`: the `2λI` terms
+/// cancel.
+fn downdate(model: &dyn Classifier, hessian: &Matrix, kept: usize, removed: &Dataset) -> Matrix {
+    let m = removed.len();
+    if m == 0 || kept == 0 {
+        return hessian.clone();
+    }
+    let n = (kept + m) as f64;
+    let h_removed = model.hessian(removed);
+    let mut h = hessian.clone();
+    for (hi, ri) in h.as_mut_slice().iter_mut().zip(h_removed.as_slice()) {
+        *hi = (n * *hi - m as f64 * ri) / kept as f64;
+    }
+    h
+}
+
+/// The `train` span's counters.
+fn record(span: &mut rain_obs::Span, report: &TrainReport) {
+    span.add("newton_steps", report.newton_steps as u64);
+    span.add("lbfgs_iters", report.iters as u64);
+    span.add("loss_grad_evals", report.evals as u64);
+}
+
+/// L-BFGS from the model's current parameters, whose objective and
+/// gradient are `start`; `newton_steps` and `evals` carry what came before.
+fn minimize(
+    model: &mut dyn Classifier,
+    data: &Dataset,
+    cfg: &LbfgsConfig,
+    start: (f64, Vec<f64>),
+    newton_steps: usize,
+    mut evals: usize,
+) -> TrainReport {
+    let n = model.n_params();
+    let mut theta = model.params().to_vec();
+    let (mut loss, mut grad) = start;
     let mut s_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(cfg.memory);
     let mut y_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(cfg.memory);
     let mut rho_hist: VecDeque<f64> = VecDeque::with_capacity(cfg.memory);
@@ -96,6 +197,7 @@ fn minimize(model: &mut dyn Classifier, data: &Dataset, cfg: &LbfgsConfig) -> Tr
         if gnorm < cfg.grad_tol {
             return TrainReport {
                 iters,
+                newton_steps,
                 evals,
                 final_loss: loss,
                 grad_norm: gnorm,
@@ -158,6 +260,7 @@ fn minimize(model: &mut dyn Classifier, data: &Dataset, cfg: &LbfgsConfig) -> Tr
             model.set_params(&theta);
             return TrainReport {
                 iters,
+                newton_steps,
                 evals,
                 final_loss: loss,
                 grad_norm: vecops::norm_inf(&grad),
@@ -186,6 +289,7 @@ fn minimize(model: &mut dyn Classifier, data: &Dataset, cfg: &LbfgsConfig) -> Tr
     let gnorm = vecops::norm_inf(&grad);
     TrainReport {
         iters,
+        newton_steps,
         evals,
         final_loss: loss,
         grad_norm: gnorm,
@@ -276,6 +380,51 @@ mod tests {
             cold.iters
         );
         assert!(warm.converged);
+    }
+
+    #[test]
+    fn newton_retrain_from_the_downdated_hessian_needs_no_lbfgs() {
+        let data = blobs(200, 2, 4, 4);
+        let mut m = LogisticRegression::new(4, 0.01);
+        train_lbfgs(&mut m, &data, &LbfgsConfig::default());
+        let h = m.hessian(&data);
+        let removed = data.select(&[0, 3, 5, 8, 13]);
+        let smaller = data.remove_ids(removed.ids());
+        // The downdate is the Hessian on the rows that remain.
+        let down = downdate(&m, &h, smaller.len(), &removed);
+        let fresh = m.hessian(&smaller);
+        assert!(vecops::approx_eq(down.as_slice(), fresh.as_slice(), 1e-12));
+        let mut lbfgs = m.clone();
+        train_lbfgs(&mut lbfgs, &smaller, &LbfgsConfig::warm());
+        let report = retrain_newton(&mut m, &smaller, &removed, &h, &LbfgsConfig::warm());
+        assert!(report.converged, "gnorm {}", report.grad_norm);
+        assert_eq!(report.iters, 0, "L-BFGS only confirms");
+        assert!((1..=NEWTON_MAX_STEPS).contains(&report.newton_steps));
+        assert_eq!(report.evals, 1 + report.newton_steps);
+        // The same optimum, at least as closely: L-BFGS stops at ‖g‖∞ <
+        // 1e-6, which on curvature ≥ 2λ = 0.02 leaves θ within 5e-5.
+        assert!(vecops::approx_eq(m.params(), lbfgs.params(), 1e-4));
+        assert!(m.loss(&smaller) <= lbfgs.loss(&smaller));
+    }
+
+    #[test]
+    fn newton_retrain_hands_over_to_lbfgs_when_a_step_cannot_be_taken() {
+        let data = blobs(200, 2, 4, 5);
+        let removed = data.select(&[1, 2]);
+        let smaller = data.remove_ids(removed.ids());
+        let p = 5;
+        let mut negated = Matrix::identity(p);
+        vecops::scale(negated.as_mut_slice(), -1.0);
+        let mut tiny = Matrix::identity(p);
+        vecops::scale(tiny.as_mut_slice(), 1e-9);
+        // Not positive definite: no factorization. Far too flat: a step
+        // that overshoots and raises the loss, rejected.
+        for h in [negated, tiny] {
+            let mut m = LogisticRegression::new(4, 0.01);
+            let report = retrain_newton(&mut m, &smaller, &removed, &h, &LbfgsConfig::default());
+            assert_eq!(report.newton_steps, 0);
+            assert!(report.converged && report.iters > 0);
+        }
     }
 
     #[test]

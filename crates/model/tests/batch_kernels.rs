@@ -1,7 +1,7 @@
 //! The batched kernels against their per-example definitions.
 //!
-//! `loss_grad`, `hvp_op`, `grad_proba_weighted`, `grad_dots_into` and the
-//! batched predict paths are what train and rank run; the per-example
+//! `loss_grad`, `hvp_op`, `hessian`, `grad_proba_weighted`, `grad_dots_into`
+//! and the batched predict paths are what train and rank run; the per-example
 //! trait methods (`example_loss`, `example_grad_into`, `grad_proba`,
 //! per-row `predict`) are what they are defined by. Every model must agree
 //! with its own definition on seeded random data and on the shapes that
@@ -136,6 +136,62 @@ fn hvp_op_matches_finite_differences_and_is_symmetric() {
             );
         }
     }
+}
+
+#[test]
+fn logistic_hessian_is_its_hvp_columns_and_finite_differences() {
+    // The closed form runs rows in blocks: 300 rows cross two block
+    // boundaries and end on a partial block.
+    let shapes = SHAPES.iter().copied().chain([(300, 6), (300, 17)]);
+    for (si, (n, d)) in shapes.enumerate() {
+        let mut rng = RainRng::seed_from_u64(700 + si as u64);
+        let models = [
+            ("bias", LogisticRegression::new(d, 0.01)),
+            ("no bias", LogisticRegression::without_bias(d, 0.01)),
+        ];
+        for (bias, mut m) in models {
+            m.set_params(&rng.normal_vec(m.n_params(), 0.5));
+            let data = random_data(n, d, 2, 800 + si as u64);
+            let what = format!("logistic ({bias}) n={n} d={d}");
+            let h = m.hessian(&data);
+            let reference = check::hessian_from_hvp(&m, &data);
+            assert_eq!((h.rows(), h.cols()), (m.n_params(), m.n_params()));
+            assert_close(h.as_slice(), reference.as_slice(), 1e-12, &what);
+            for j in 0..m.n_params() {
+                let fd = check::fd_hvp(&m, &data, &unit(m.n_params(), j), 1e-5);
+                let col: Vec<f64> = (0..m.n_params()).map(|i| h.get(i, j)).collect();
+                assert_close(&col, &fd, 1e-4, &format!("{what}: column {j} vs fd"));
+            }
+        }
+    }
+}
+
+#[test]
+fn default_hessian_is_symmetric() {
+    for (si, &(n, d)) in SHAPES.iter().enumerate() {
+        let mut m = SoftmaxRegression::new(d, 3, 0.01);
+        m.set_params(&RainRng::seed_from_u64(900 + si as u64).normal_vec(m.n_params(), 0.5));
+        let data = random_data(n, d, 3, 950 + si as u64);
+        let h = m.hessian(&data);
+        let scale = 1.0 + vecops::norm_inf(h.as_slice());
+        for i in 0..m.n_params() {
+            for j in 0..i {
+                assert!(
+                    (h.get(i, j) - h.get(j, i)).abs() <= 1e-12 * scale,
+                    "softmax n={n} d={d}: H[{i}][{j}] {} vs H[{j}][{i}] {}",
+                    h.get(i, j),
+                    h.get(j, i)
+                );
+            }
+        }
+    }
+}
+
+/// The `j`-th unit vector of length `n`.
+fn unit(n: usize, j: usize) -> Vec<f64> {
+    let mut e = vec![0.0; n];
+    e[j] = 1.0;
+    e
 }
 
 #[test]
