@@ -57,8 +57,7 @@ pub enum Engine {
 ///
 /// Built fluently: start from [`ExecOptions::default`] (or the
 /// [`ExecOptions::debug`] / [`ExecOptions::with_debug`] constructors) and
-/// chain [`with_engine`](ExecOptions::with_engine) /
-/// [`with_threads`](ExecOptions::with_threads).
+/// chain [`on`](ExecOptions::on) / [`with_threads`](ExecOptions::with_threads).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
     /// Capture provenance (the paper's "debug mode" re-execution).
@@ -89,21 +88,15 @@ impl ExecOptions {
         }
     }
 
-    /// The same options pinned to a specific engine.
-    pub fn with_engine(self, engine: Engine) -> Self {
-        ExecOptions { engine, ..self }
-    }
-
     /// The same options with a worker-thread budget (`0` = auto, `1` =
     /// sequential).
     pub fn with_threads(self, threads: usize) -> Self {
         ExecOptions { threads, ..self }
     }
 
-    /// Alias for [`ExecOptions::with_engine`] (the original builder name,
-    /// kept for existing call sites).
+    /// The same options pinned to a specific engine.
     pub fn on(self, engine: Engine) -> Self {
-        self.with_engine(engine)
+        ExecOptions { engine, ..self }
     }
 }
 

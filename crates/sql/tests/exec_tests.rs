@@ -3,17 +3,13 @@
 //! (2) discrete evaluation of captured provenance reproduces the concrete
 //! result exactly.
 
+mod common;
+
+use common::step_model;
 use rain_linalg::Matrix;
-use rain_model::{Classifier, LogisticRegression, SoftmaxRegression};
+use rain_model::{Classifier, SoftmaxRegression};
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{run_query, Database, ExecOptions, Probs, Value};
-
-/// Binary model: class 1 iff feature[0] > 0.
-fn step_model() -> LogisticRegression {
-    let mut m = LogisticRegression::new(1, 0.0);
-    m.set_params(&[50.0, 0.0]);
-    m
-}
 
 /// 10-class model over 10-D one-hot-ish features: predicts argmax feature.
 fn digit_model() -> SoftmaxRegression {

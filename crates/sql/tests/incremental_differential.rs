@@ -6,10 +6,13 @@
 //! structurally equal provenance polynomials — on both engines, for
 //! skeletons prepared on either engine.
 //!
-//! Workloads are seeded-random SPJA queries (joins, `predict = c` /
-//! `predict != c` atoms, `predict(a) = predict(b)` join predicates,
-//! grouped and predict-keyed aggregates, projections), plus nullable
-//! tables, stale-skeleton detection, and model-architecture mismatches.
+//! Workloads are the shared harness's seeded-random SPJA queries
+//! (`common::random_query`: joins, `predict = c` / `predict != c` atoms,
+//! `predict(a) = predict(b)` join predicates, grouped and predict-keyed
+//! aggregates, projections), plus nullable tables, stale-skeleton
+//! detection, and model-architecture mismatches. The full executions a
+//! refresh is held to are first pinned to the tuple oracle at every
+//! thread budget (`common::assert_matches_oracle`).
 //!
 //! The second half holds skeleton *extension* to the same standard: after
 //! random appends, `catch_up` + `refresh` must equal a fresh re-plan +
@@ -17,252 +20,44 @@
 //! order included), prediction variables, packed features, skeleton
 //! statistics.
 
+mod common;
+
+use common::{
+    assert_identical, assert_matches_oracle, counter, flipped_model, plan_of, punch_nulls,
+    random_db, random_model, random_query, sign_features, step_model, wide_step_model, Tally,
+    THREADS,
+};
 use rain_linalg::{Matrix, RainRng};
-use rain_model::par::MIN_WORK_PER_WORKER;
-use rain_model::{Classifier, LogisticRegression, Mlp};
+use rain_model::Classifier;
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
-    bind, execute, optimize, parse_select, prepare, prepare_with, AccessPath, CacheEvent, Database,
-    Engine, ExecOptions, IndexKind, PreparedQuery, QueryCache, QueryOutput, StaleKind, Value,
+    execute, prepare, prepare_with, AccessPath, CacheEvent, Database, Engine, ExecOptions,
+    IndexKind, PreparedQuery, QueryCache, StaleKind, Value,
 };
 use std::time::Instant;
 
 const CASES: u64 = 128;
 
-/// A deterministic step model: class 1 iff feature > 0.
-fn step_model() -> LogisticRegression {
-    let mut m = LogisticRegression::new(1, 0.0);
-    m.set_params(&[50.0, 0.0]);
-    m
-}
-
-/// The step model with the decision flipped: class 1 iff feature < 0.
-/// Refreshing with it flips *every* prediction the skeleton was prepared
-/// under, which is the adversarial case for cached concrete state.
-fn flipped_model() -> LogisticRegression {
-    let mut m = LogisticRegression::new(1, 0.0);
-    m.set_params(&[-50.0, 0.0]);
-    m
-}
-
-/// The step model's decision on ±1 features (`sign` = 1) or the flipped
-/// one (`sign` = -1) as a one-input ReLU MLP just wide enough that
-/// inference over `vars` variables earns two full shares of
-/// [`MIN_WORK_PER_WORKER`] multiply-adds (`n_params` per row). Hidden unit
-/// 0 is `relu(sign·x)`, unit 1 `relu(-sign·x)`, every other unit is dead.
-fn wide_step_model(sign: f64, vars: usize) -> Mlp {
-    let hidden = (2 * MIN_WORK_PER_WORKER).div_ceil(4 * vars).max(2);
-    let mut m = Mlp::new(1, hidden, 2, 0.0, 1);
-    let mut p = vec![0.0; m.n_params()];
-    p[0] = sign; // W₁[0] = [sign, 0]
-    p[2] = -sign; // W₁[1] = [-sign, 0]
-    let w2 = 2 * hidden;
-    p[w2 + 1] = 50.0; // class 0 logit = 50·relu(-sign·x)
-    p[w2 + hidden + 1] = 50.0; // class 1 logit = 50·relu(sign·x)
-    m.set_params(&p);
-    assert!(vars * m.n_params() >= 2 * MIN_WORK_PER_WORKER);
-    m
-}
-
-/// A seeded random model: soft, non-degenerate decision boundary.
-fn random_model(rng: &mut RainRng) -> LogisticRegression {
-    let mut m = LogisticRegression::new(1, 0.0);
-    m.set_params(&[rng.uniform_range(-3.0, 3.0), rng.uniform_range(-1.0, 1.0)]);
-    m
-}
-
-/// t1(x int, f float, s str, flag bool) and t2(y int, k int, s2 str),
-/// both featured so `predict()` binds.
-fn random_db(rng: &mut RainRng) -> Database {
-    let n1 = 4 + rng.below(30);
-    let n2 = 3 + rng.below(20);
-    let words = ["http", "deal", "spam", "note", "xyz", ""];
-    let feats = |rng: &mut RainRng, n: usize| {
-        Matrix::from_rows(
-            &(0..n)
-                .map(|_| [if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|r| &r[..])
-                .collect::<Vec<_>>(),
-        )
-    };
-    let mut db = Database::new();
-    let t1 = Table::from_columns(
-        Schema::new(&[
-            ("x", ColType::Int),
-            ("f", ColType::Float),
-            ("s", ColType::Str),
-            ("flag", ColType::Bool),
-        ]),
-        vec![
-            Column::Int((0..n1).map(|_| rng.int_range(0, 6)).collect()),
-            Column::Float((0..n1).map(|_| rng.uniform_range(-2.0, 4.0)).collect()),
-            Column::Str(
-                (0..n1)
-                    .map(|_| words[rng.below(words.len())].to_string())
-                    .collect(),
-            ),
-            Column::Bool((0..n1).map(|_| rng.bernoulli(0.5)).collect()),
-        ],
-    )
-    .with_features(feats(rng, n1));
-    db.register("t1", t1);
-    let t2 = Table::from_columns(
-        Schema::new(&[
-            ("y", ColType::Int),
-            ("k", ColType::Int),
-            ("s2", ColType::Str),
-        ]),
-        vec![
-            Column::Int((0..n2).map(|_| rng.int_range(0, 6)).collect()),
-            Column::Int((0..n2).map(|_| rng.int_range(0, 4)).collect()),
-            Column::Str(
-                (0..n2)
-                    .map(|_| words[rng.below(words.len())].to_string())
-                    .collect(),
-            ),
-        ],
-    )
-    .with_features(feats(rng, n2));
-    db.register("t2", t2);
-    db
-}
-
-/// A random single-relation predicate over alias `a` (t1) or `b` (t2),
-/// with `predict = c` / `predict != c` atoms well represented.
-fn atom(rng: &mut RainRng, alias: &str, is_t1: bool) -> String {
-    if is_t1 {
-        match rng.below(8) {
-            0 => format!("{alias}.x > {}", rng.int_range(0, 5)),
-            1 => format!("{alias}.f < {}", rng.int_range(-1, 4)),
-            2 => format!("{alias}.s LIKE '%{}%'", ["ht", "ea", "o"][rng.below(3)]),
-            3 => format!("{alias}.flag"),
-            4 | 5 => format!("predict({alias}) = {}", rng.below(2)),
-            _ => format!("predict({alias}) != {}", rng.below(2)),
-        }
-    } else {
-        match rng.below(5) {
-            0 => format!("{alias}.y >= {}", rng.int_range(0, 5)),
-            1 => format!("{alias}.k < {}", rng.int_range(1, 4)),
-            2 | 3 => format!("predict({alias}) = {}", rng.below(2)),
-            _ => format!("{alias}.y != {alias}.k"),
-        }
-    }
-}
-
-/// Build a random SPJA query over the generated schema.
-fn random_query(rng: &mut RainRng) -> String {
-    let two_rels = rng.bernoulli(0.6);
-    let from = if two_rels { "t1 a, t2 b" } else { "t1 a" };
-
-    let mut terms = Vec::new();
-    if two_rels {
-        match rng.below(8) {
-            0..=3 => terms.push("a.x = b.k".to_string()),
-            4 => terms.push("a.s = b.s2".to_string()),
-            5 => terms.push("a.x + 0 = b.k".to_string()), // expression key
-            _ => {}                                       // cross join
-        }
-    }
-    for _ in 0..1 + rng.below(3) {
-        let t = match rng.below(6) {
-            0 => {
-                let l = atom(rng, "a", true);
-                let r = if two_rels {
-                    atom(rng, "b", false)
-                } else {
-                    atom(rng, "a", true)
-                };
-                format!("({l} OR {r})")
-            }
-            1 => ["1 = 1", "2 > 3"][rng.below(2)].to_string(),
-            2 if two_rels => atom(rng, "b", false),
-            3 if two_rels => "predict(a) = predict(b)".to_string(),
-            _ => atom(rng, "a", true),
-        };
-        terms.push(t);
-    }
-    let where_sql = format!(" WHERE {}", terms.join(" AND "));
-
-    match rng.below(10) {
-        0 => format!("SELECT COUNT(*) FROM {from}{where_sql}"),
-        1 => format!("SELECT SUM(x) FROM {from}{where_sql}"),
-        2 => format!("SELECT AVG(x), COUNT(*) FROM {from}{where_sql}"),
-        3 => format!("SELECT SUM(predict(a)) FROM {from}{where_sql}"),
-        4 => format!("SELECT COUNT(*) FROM {from}{where_sql} GROUP BY predict(a)"),
-        5 => format!("SELECT flag, SUM(f) FROM {from}{where_sql} GROUP BY flag"),
-        6 => format!("SELECT x, AVG(f) FROM {from}{where_sql} GROUP BY x"),
-        7 => format!("SELECT x, s FROM {from}{where_sql}"),
-        8 => format!("SELECT predict(a), x FROM {from}{where_sql}"),
-        _ => format!("SELECT * FROM {from}{where_sql}"),
-    }
-}
-
-/// Assert two outputs are bit-identical: rows, schema, scalar shape,
-/// provenance, and the prediction-variable registry.
-fn assert_identical(label: &str, want: &QueryOutput, got: &QueryOutput) {
-    assert_eq!(
-        want.table.to_tsv(),
-        got.table.to_tsv(),
-        "{label}: result rows differ"
-    );
-    let (ws, gs) = (want.table.schema(), got.table.schema());
-    assert_eq!(ws.len(), gs.len(), "{label}: schema arity differs");
-    for (a, b) in ws.iter().zip(gs.iter()) {
-        assert_eq!(a, b, "{label}: schema column differs");
-    }
-    assert_eq!(want.scalar(), got.scalar(), "{label}: ScalarResult differs");
-    assert_eq!(want.n_key_cols, got.n_key_cols, "{label}: n_key_cols");
-    assert_eq!(want.row_prov, got.row_prov, "{label}: row provenance");
-    assert_eq!(
-        want.agg_cells, got.agg_cells,
-        "{label}: aggregate provenance"
-    );
-    assert_eq!(
-        want.predvars.infos(),
-        got.predvars.infos(),
-        "{label}: prediction-variable sources"
-    );
-    assert_eq!(
-        want.predvars.preds(),
-        got.predvars.preds(),
-        "{label}: hard predictions"
-    );
-}
-
-/// Prepare on both engines under `prep_model`, refresh under each model
-/// in `refresh_models`, and pin every refresh against fresh full
-/// executions on both engines.
+/// Prepare on both engines under the step model, refresh under each model
+/// in `refresh_models` at every thread budget, and pin every refresh
+/// against the full debug execution that `assert_matches_oracle` has
+/// already pinned across engines and budgets.
 fn check_case(label: &str, db: &Database, sql: &str, refresh_models: &[&dyn Classifier]) {
-    let prep_model = step_model();
-    let stmt = parse_select(sql).unwrap_or_else(|e| panic!("{label} `{sql}`: {e}"));
-    let bound = bind(&stmt, db).unwrap_or_else(|e| panic!("{label} `{sql}`: {e}"));
-    let plan = optimize(bound, db);
+    let label = format!("{label} `{sql}`");
+    let plan = plan_of(db, sql);
     let prepared = [Engine::Tuple, Engine::Vectorized].map(|engine| {
-        prepare(db, &prep_model, &plan, engine)
-            .unwrap_or_else(|e| panic!("{label} `{sql}` prepare[{engine:?}]: {e}"))
+        prepare(db, &step_model(), &plan, engine)
+            .unwrap_or_else(|e| panic!("{label} prepare[{engine:?}]: {e}"))
     });
     for model in refresh_models {
-        let fulls = [Engine::Tuple, Engine::Vectorized].map(|engine| {
-            execute(db, *model, &plan, ExecOptions::debug().on(engine))
-                .unwrap_or_else(|e| panic!("{label} `{sql}` full[{engine:?}]: {e}"))
-        });
-        for (pq, prep_engine) in prepared.iter().zip(["tuple", "vexec"]) {
-            for threads in [1, 2, 8] {
-                let refreshed = pq.refresh(db, *model, threads).unwrap_or_else(|e| {
-                    panic!("{label} `{sql}` refresh[{prep_engine}, threads={threads}]: {e}")
-                });
-                for (full, full_engine) in fulls.iter().zip(["tuple", "vexec"]) {
-                    assert_identical(
-                        &format!(
-                            "{label} `{sql}` \
-                             [prep={prep_engine}, full={full_engine}, threads={threads}]"
-                        ),
-                        full,
-                        &refreshed,
-                    );
-                }
+        let full = assert_matches_oracle(&label, db, &plan, *model).debug;
+        for pq in &prepared {
+            for threads in THREADS {
+                let label = format!("{label} [prep={:?}, threads={threads}]", pq.stats().engine);
+                let refreshed = pq
+                    .refresh(db, *model, threads)
+                    .unwrap_or_else(|e| panic!("{label} refresh: {e}"));
+                assert_identical(&label, &full, &refreshed);
             }
         }
     }
@@ -276,10 +71,11 @@ fn check_case(label: &str, db: &Database, sql: &str, refresh_models: &[&dyn Clas
 fn refresh_matches_full_reexecution_bit_for_bit() {
     let same = step_model();
     let flipped = flipped_model();
+    let mut tally = Tally::default();
     for seed in 0..CASES {
         let mut rng = RainRng::seed_from_u64(0x14C ^ seed);
         let db = random_db(&mut rng);
-        let sql = random_query(&mut rng);
+        let sql = random_query(&mut rng, &mut tally);
         let random = random_model(&mut rng);
         check_case(
             &format!("seed {seed}"),
@@ -288,6 +84,7 @@ fn refresh_matches_full_reexecution_bit_for_bit() {
             &[&same, &flipped, &random],
         );
     }
+    tally.assert_complete("refresh sweep");
 }
 
 /// Nullable base tables exercise the fallback scan/join/group paths and
@@ -298,24 +95,7 @@ fn refresh_matches_full_reexecution_on_nullable_tables() {
     for seed in 0..CASES / 4 {
         let mut rng = RainRng::seed_from_u64(0xA11 ^ seed);
         let mut db = random_db(&mut rng);
-        // Rebuild t2 with NULL holes punched into every column.
-        let t2 = db.table("t2").unwrap().clone();
-        let mut nullable = Table::empty(t2.schema().clone());
-        for r in 0..t2.n_rows() {
-            let row: Vec<_> = (0..t2.schema().len())
-                .map(|c| {
-                    if rng.bernoulli(0.2) {
-                        rain_sql::Value::Null
-                    } else {
-                        t2.value(r, c)
-                    }
-                })
-                .collect();
-            nullable.push_row(row, None);
-        }
-        let nullable = nullable.with_features(t2.features().unwrap().clone());
-        db.register("t2", nullable);
-
+        punch_nulls(&mut rng, &mut db, "t2");
         let sql = [
             "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k AND predict(a) = 1",
             "SELECT y, COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k GROUP BY y",
@@ -331,20 +111,13 @@ fn refresh_matches_full_reexecution_on_nullable_tables() {
 /// workers (small cases stay under one worker's share of work), and a
 /// table big enough that capture runs the morsel-parallel scan/probe
 /// paths. Skeletons captured under different worker budgets and refreshed
-/// under `threads ∈ {1, 2, 8}` must all be bit-identical to full
+/// under every thread budget must all be bit-identical to full
 /// re-execution.
 #[test]
 fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
     let mut rng = RainRng::seed_from_u64(0xBEEF);
     let n = 9_000usize;
-    let feats = Matrix::from_rows(
-        &(0..n)
-            .map(|_| [if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|r| &r[..])
-            .collect::<Vec<_>>(),
-    );
+    let feats = sign_features(&mut rng, n);
     let f: Vec<f64> = (0..n).map(|_| rng.uniform_range(-2.0, 4.0)).collect();
     // Both queries keep every `a` row with `f < 2.0`: at least that many
     // variables, which sizes the model to shard them.
@@ -366,17 +139,13 @@ fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
         "SELECT COUNT(*) FROM t1 a WHERE a.f < 3.0 AND predict(a) = 1",
         "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.x AND a.f < 2.0 AND predict(a) = 1",
     ] {
-        let stmt = parse_select(sql).unwrap();
-        let plan = optimize(bind(&stmt, &db).unwrap(), &db);
-        let full = execute(
-            &db,
-            &flipped,
-            &plan,
-            ExecOptions::debug().on(Engine::Vectorized),
-        )
-        .unwrap();
+        let plan = plan_of(&db, sql);
+        // The vectorized engine alone: each execution here spends ≈ 1 s
+        // of a debug build in the wide model's inference, on either
+        // engine, and an oracle sweep would run eight of them per query.
+        let full = execute(&db, &flipped, &plan, ExecOptions::debug()).unwrap();
         for capture_threads in [1, 8] {
-            let prepared = rain_sql::prepare_with(
+            let prepared = prepare_with(
                 &db,
                 &wide_step_model(1.0, vars),
                 &plan,
@@ -385,14 +154,13 @@ fn threaded_refresh_and_capture_are_bit_identical_on_large_inputs() {
             )
             .unwrap();
             assert!(prepared.stats().n_vars >= vars, "fan-out must shard");
-            for refresh_threads in [1, 2, 8] {
+            for refresh_threads in THREADS {
                 let trace = rain_obs::Trace::start("refresh");
                 let out = prepared.refresh(&db, &flipped, refresh_threads).unwrap();
                 let tree = trace.finish();
                 let inference = tree.find("inference").expect("inference span");
-                let workers = inference.counters.iter().find(|(k, _)| *k == "workers");
                 assert_eq!(
-                    workers.map(|(_, w)| (*w).min(2)),
+                    counter(inference, "workers").map(|w| w.min(2)),
                     Some(refresh_threads.min(2) as u64),
                     "`{sql}` [refresh={refresh_threads}]: fan-out must shard"
                 );
@@ -413,8 +181,7 @@ fn model_free_skeleton_refreshes_identically_under_any_model() {
     let mut rng = RainRng::seed_from_u64(7);
     let db = random_db(&mut rng);
     let sql = "SELECT x, COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k AND a.flag GROUP BY x";
-    let stmt = parse_select(sql).unwrap();
-    let plan = optimize(bind(&stmt, &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
     assert!(plan.model_deps().is_model_free());
     let prepared = prepare(&db, &step_model(), &plan, Engine::Vectorized).unwrap();
     assert!(prepared.stats().model_free);
@@ -431,8 +198,7 @@ fn refresh_rejects_stale_skeletons() {
     let mut rng = RainRng::seed_from_u64(11);
     let mut db = random_db(&mut rng);
     let sql = "SELECT COUNT(*) FROM t1 a WHERE predict(a) = 1";
-    let stmt = parse_select(sql).unwrap();
-    let plan = optimize(bind(&stmt, &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
     let prepared = prepare(&db, &step_model(), &plan, Engine::Vectorized).unwrap();
     prepared
         .refresh(&db, &step_model(), 0)
@@ -451,8 +217,7 @@ fn refresh_rejects_model_architecture_changes() {
     let mut rng = RainRng::seed_from_u64(13);
     let db = random_db(&mut rng);
     let sql = "SELECT COUNT(*) FROM t1 a WHERE predict(a) = 1 GROUP BY predict(a)";
-    let stmt = parse_select(sql).unwrap();
-    let plan = optimize(bind(&stmt, &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
     let prepared = prepare(&db, &step_model(), &plan, Engine::Tuple).unwrap();
     let tri = rain_model::SoftmaxRegression::new(1, 3, 0.0);
     let err = prepared.refresh(&db, &tri, 0).unwrap_err();
@@ -470,8 +235,7 @@ fn refresh_with_rebuild_recovers_from_reregistration() {
     let mut rng = RainRng::seed_from_u64(19);
     let mut db = random_db(&mut rng);
     let sql = "SELECT COUNT(*) FROM t1 a WHERE predict(a) = 1";
-    let stmt = parse_select(sql).unwrap();
-    let plan = optimize(bind(&stmt, &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
     let mut prepared = prepare(&db, &step_model(), &plan, Engine::Vectorized).unwrap();
     let rebuilt = prepared.catch_up(&db, &step_model(), 0).unwrap();
     prepared.refresh(&db, &step_model(), 0).unwrap();
@@ -505,8 +269,7 @@ fn refresh_with_rebuild_recaptures_for_new_architecture() {
     let mut rng = RainRng::seed_from_u64(23);
     let db = random_db(&mut rng);
     let sql = "SELECT COUNT(*) FROM t1 a GROUP BY predict(a)";
-    let stmt = parse_select(sql).unwrap();
-    let plan = optimize(bind(&stmt, &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
     let mut prepared = prepare(&db, &step_model(), &plan, Engine::Tuple).unwrap();
     let tri = rain_model::SoftmaxRegression::new(1, 3, 0.0);
     let rebuilt = prepared.catch_up(&db, &tri, 0).unwrap();
@@ -525,8 +288,7 @@ fn skeleton_stats_describe_the_pipeline() {
     let db = random_db(&mut rng);
     let sql = "SELECT COUNT(*) FROM t1 a, t2 b \
                WHERE a.x = b.k AND a.x > 1 AND predict(a) = 1";
-    let stmt = parse_select(sql).unwrap();
-    let plan = optimize(bind(&stmt, &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
     for engine in [Engine::Tuple, Engine::Vectorized] {
         let prepared = prepare(&db, &step_model(), &plan, engine).unwrap();
         let stats = prepared.stats();
@@ -598,8 +360,9 @@ fn ext_rows(rng: &mut RainRng, n: usize, g_lo: i64, g_hi: i64) -> Batch {
             ]
         })
         .collect();
-    let feats = (0..n)
-        .map(|_| vec![if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
+    let feats = sign_features(rng, n)
+        .iter_rows()
+        .map(<[f64]>::to_vec)
         .collect();
     (rows, feats)
 }
@@ -659,10 +422,6 @@ const EXT_QUERIES: [(&str, &str); 13] = [
         "side",
     ),
 ];
-
-fn plan_of(db: &Database, sql: &str) -> rain_sql::QueryPlan {
-    optimize(bind(&parse_select(sql).unwrap(), db).unwrap(), db)
-}
 
 /// Whether an append to `table` leaves `plan`'s skeleton extendable: the
 /// table is the plan's first relation and appears nowhere else in it.

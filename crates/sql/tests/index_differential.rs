@@ -8,98 +8,32 @@
 //! at several thread counts. All executions must be **bit-identical**:
 //! same rows in the same order, same provenance polynomials, same
 //! prediction-variable registry. Indexes may change *how* tuples are
-//! found, never *which* tuples in *which* order.
+//! found, never *which* tuples in *which* order. The catalog, the
+//! oracle sweep and the assertion are the shared harness's (`common`);
+//! this suite adds the indexes and the index-shaped queries.
 //!
 //! Also covers stats staleness: appends bump the table's `(gen, delta)`
 //! version, statistics recompute, indexes rebuild, estimates move, and
 //! the skeleton cache re-prepares (re-costing the plan) on next checkout.
 
-use rain_linalg::{Matrix, RainRng};
-use rain_model::{Classifier, LogisticRegression};
-use rain_sql::table::{ColType, Column, Schema, Table};
-use rain_sql::{
-    bind, execute, optimize, parse_select, Database, Engine, ExecOptions, IndexKind, QueryCache,
-    QueryOutput, Value,
+mod common;
+
+use common::{
+    assert_identical, assert_matches_oracle, index_all, plan_of, punch_nulls, random_db,
+    sign_features, step_model,
 };
+use rain_linalg::RainRng;
+use rain_model::Classifier;
+use rain_sql::table::{ColType, Column, Schema, Table};
+use rain_sql::{Database, Engine, IndexKind, QueryCache, QueryOutput, Value};
 
 const CASES: u64 = 96;
-
-/// Deterministic step model: class 1 iff the (single) feature is positive.
-fn step_model() -> LogisticRegression {
-    let mut m = LogisticRegression::new(1, 0.0);
-    m.set_params(&[50.0, 0.0]);
-    m
-}
-
-fn feats(rng: &mut RainRng, n: usize) -> Matrix {
-    Matrix::from_rows(
-        &(0..n)
-            .map(|_| [if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|r| &r[..])
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Two featured tables with join-compatible columns. `nullable` punches
-/// NULL holes into t2 so index builds must skip NULL keys exactly like
-/// the hash-join build does.
-fn random_db(rng: &mut RainRng, nullable: bool) -> Database {
-    let n1 = 4 + rng.below(40);
-    let n2 = 3 + rng.below(30);
-    let words = ["http", "deal", "spam", ""];
-    let mut db = Database::new();
-    let t1 = Table::from_columns(
-        Schema::new(&[
-            ("x", ColType::Int),
-            ("f", ColType::Float),
-            ("s", ColType::Str),
-        ]),
-        vec![
-            Column::Int((0..n1).map(|_| rng.int_range(0, 8)).collect()),
-            Column::Float((0..n1).map(|_| rng.uniform_range(-2.0, 4.0)).collect()),
-            Column::Str(
-                (0..n1)
-                    .map(|_| words[rng.below(words.len())].to_string())
-                    .collect(),
-            ),
-        ],
-    )
-    .with_features(feats(rng, n1));
-    db.register("t1", t1);
-    let mut t2 = Table::empty(Schema::new(&[("k", ColType::Int), ("y", ColType::Float)]));
-    for _ in 0..n2 {
-        let k = if nullable && rng.bernoulli(0.15) {
-            Value::Null
-        } else {
-            Value::Int(rng.int_range(0, 6))
-        };
-        t2.push_row(vec![k, Value::Float(rng.uniform_range(-1.0, 5.0))], None);
-    }
-    db.register("t2", t2.with_features(feats(rng, n2)));
-    db
-}
-
-/// Index every join/filter column both ways the planner can use.
-fn index_all(db: &mut Database) {
-    for (table, column, kind) in [
-        ("t1", "x", IndexKind::Hash),
-        ("t1", "x", IndexKind::Sorted),
-        ("t1", "f", IndexKind::Sorted),
-        ("t1", "s", IndexKind::Hash),
-        ("t2", "k", IndexKind::Hash),
-        ("t2", "y", IndexKind::Sorted),
-    ] {
-        db.create_index(table, column, kind).unwrap();
-    }
-}
 
 /// Queries whose shapes can engage every index-backed path: hash index
 /// scans (equality), sorted index scans (ranges), index-nested-loop
 /// joins (equi join with a filter-free indexed inner side), and plain
 /// shapes the planner must leave alone.
-fn random_query(rng: &mut RainRng) -> String {
+fn index_query(rng: &mut RainRng) -> String {
     match rng.below(12) {
         0 => format!(
             "SELECT COUNT(*) FROM t1 a WHERE a.x = {}",
@@ -146,24 +80,6 @@ fn random_query(rng: &mut RainRng) -> String {
     }
 }
 
-/// Bit-identity: rows, schema, provenance, prediction variables.
-fn assert_identical(label: &str, a: &QueryOutput, b: &QueryOutput) {
-    assert_eq!(a.table.to_tsv(), b.table.to_tsv(), "{label}: rows differ");
-    assert_eq!(a.n_key_cols, b.n_key_cols, "{label}: n_key_cols");
-    assert_eq!(a.row_prov, b.row_prov, "{label}: row provenance");
-    assert_eq!(a.agg_cells, b.agg_cells, "{label}: aggregate provenance");
-    assert_eq!(
-        a.predvars.infos(),
-        b.predvars.infos(),
-        "{label}: prediction-variable sources"
-    );
-    assert_eq!(
-        a.predvars.preds(),
-        b.predvars.preds(),
-        "{label}: hard predictions"
-    );
-}
-
 /// Which physical features a plan actually uses — the sweep asserts both
 /// index paths engage across the seeds, so the property is not vacuous.
 fn physical_coverage(plan: &rain_sql::QueryPlan, cov: &mut (bool, bool)) {
@@ -179,58 +95,42 @@ fn physical_coverage(plan: &rain_sql::QueryPlan, cov: &mut (bool, bool)) {
 }
 
 /// The headline property: index-backed plans are bit-identical to
-/// index-free plans, on both engines, at 1/2/8 threads.
+/// index-free plans, on both engines, at every thread budget. The
+/// catalogs hold the same rows; only the indexed one has indexes.
 fn run_case(seed: u64, nullable: bool, model: &dyn Classifier, cov: &mut (bool, bool)) {
     let mut rng = RainRng::seed_from_u64(0x1DEC ^ seed);
-    let plain_db = random_db(&mut rng, nullable);
-    let mut rng2 = RainRng::seed_from_u64(0x1DEC ^ seed);
-    let mut indexed_db = random_db(&mut rng2, nullable);
+    let mut plain_db = random_db(&mut rng);
+    if nullable {
+        punch_nulls(&mut rng, &mut plain_db, "t2");
+    }
+    let mut indexed_db = plain_db.clone();
     index_all(&mut indexed_db);
 
-    let sql = random_query(&mut rng);
-    let plan_of = |db: &Database| {
-        let stmt = parse_select(&sql).unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
-        optimize(
-            bind(&stmt, db).unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}")),
-            db,
-        )
-    };
-    let plain_plan = plan_of(&plain_db);
-    let indexed_plan = plan_of(&indexed_db);
+    let sql = index_query(&mut rng);
+    let plain_plan = plan_of(&plain_db, &sql);
+    let indexed_plan = plan_of(&indexed_db, &sql);
     physical_coverage(&indexed_plan, cov);
 
-    for debug in [false, true] {
-        let opts = ExecOptions::with_debug(debug);
-        // Index-free baseline: the tuple oracle over the plain catalog.
-        let baseline = execute(&plain_db, model, &plain_plan, opts.on(Engine::Tuple))
-            .unwrap_or_else(|e| panic!("seed {seed} `{sql}` [debug={debug}] baseline: {e}"));
-        // The tuple oracle ignores physical annotations entirely — run it
-        // over the indexed plan too, as a same-catalog cross-check.
-        let tuple_ix = execute(&indexed_db, model, &indexed_plan, opts.on(Engine::Tuple))
-            .unwrap_or_else(|e| panic!("seed {seed} `{sql}` [debug={debug}] tuple/ix: {e}"));
-        assert_identical(
-            &format!("seed {seed} `{sql}` [debug={debug}] tuple ix-vs-plain"),
-            &baseline,
-            &tuple_ix,
-        );
-        for threads in [1, 2, 8] {
-            for (tag, db, plan) in [
-                ("plain", &plain_db, &plain_plan),
-                ("indexed", &indexed_db, &indexed_plan),
-            ] {
-                let label =
-                    format!("seed {seed} `{sql}` [debug={debug}, threads={threads}, {tag}]");
-                let vexec = execute(
-                    db,
-                    model,
-                    plan,
-                    opts.on(Engine::Vectorized).with_threads(threads),
-                )
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-                assert_identical(&label, &baseline, &vexec);
-            }
-        }
-    }
+    let label = format!("seed {seed} `{sql}`");
+    let plain = assert_matches_oracle(&format!("{label} [plain]"), &plain_db, &plain_plan, model);
+    let indexed = assert_matches_oracle(
+        &format!("{label} [indexed]"),
+        &indexed_db,
+        &indexed_plan,
+        model,
+    );
+    // The tuple oracle ignores physical annotations entirely, so the two
+    // sweeps' oracles must agree too.
+    assert_identical(
+        &format!("{label} [normal, ix-vs-plain]"),
+        &plain.normal,
+        &indexed.normal,
+    );
+    assert_identical(
+        &format!("{label} [debug, ix-vs-plain]"),
+        &plain.debug,
+        &indexed.debug,
+    );
 }
 
 #[test]
@@ -245,7 +145,7 @@ fn indexed_plans_match_unindexed_plans_bit_for_bit() {
 }
 
 /// NULL join keys never appear in an index, exactly as they never enter
-/// a hash-join build — punched-out t2 keys must not change any output.
+/// a hash-join build — NULLs punched into t2 must not change any output.
 #[test]
 fn indexed_plans_match_on_nullable_tables() {
     let model = step_model();
@@ -280,9 +180,8 @@ fn appends_refresh_stats_indexes_and_estimates() {
     assert_eq!(before.columns[1].max, Some(49.0));
 
     let plan_est = |db: &Database| {
-        let stmt = parse_select("SELECT COUNT(*) FROM t WHERE x = 0").unwrap();
-        let plan = optimize(bind(&stmt, db).unwrap(), db);
-        plan.est
+        plan_of(db, "SELECT COUNT(*) FROM t WHERE x = 0")
+            .est
             .clone()
             .expect("cost phase must annotate estimates")
     };
@@ -322,7 +221,7 @@ fn query_cache_reprepares_and_recosts_after_append() {
         Schema::new(&[("x", ColType::Int)]),
         vec![Column::Int((0..20).map(|i| i % 4).collect())],
     )
-    .with_features(feats(&mut RainRng::seed_from_u64(7), 20));
+    .with_features(sign_features(&mut RainRng::seed_from_u64(7), 20));
     db.register("t", t);
     db.create_index("t", "x", IndexKind::Hash).unwrap();
 

@@ -6,31 +6,24 @@
 //! clocks, allocate, or touch the evaluator). The tests also pin what a
 //! harvested trace contains: every pipeline operator, rows-in/rows-out
 //! counters, per-morsel worker spans matching `explain_exec`'s reported
-//! plan shape, and the incremental prepare/refresh stages.
+//! plan shape, and the incremental prepare/refresh stages. The other
+//! differential suites trace every vectorized run of their oracle sweeps
+//! (`common::assert_matches_oracle`) and lean on the on-vs-off equality
+//! pinned here.
 
+mod common;
+
+use common::{
+    assert_identical, children_named, counter, plan_of, sign_features, step_model, wide_step_model,
+};
 use rain_linalg::{Matrix, RainRng};
-use rain_model::par::MIN_WORK_PER_WORKER;
-use rain_model::{Classifier, LogisticRegression, Mlp};
 use rain_obs::{Span, Trace, TraceNode};
 use rain_sql::table::{ColType, Column, Schema, Table};
-use rain_sql::{
-    bind, optimize, parse_select, prepare_with, run_query, Database, Engine, ExecOptions,
-    QueryOutput,
-};
-
-fn step_model() -> LogisticRegression {
-    let mut m = LogisticRegression::new(1, 0.0);
-    m.set_params(&[50.0, 0.0]);
-    m
-}
+use rain_sql::{prepare_with, run_query, Database, Engine, ExecOptions};
 
 /// One featured table big enough to engage the morsel-parallel scan.
 fn big_db(n: usize) -> Database {
     let mut rng = RainRng::seed_from_u64(0x0B5);
-    let feats: Vec<[f64; 1]> = (0..n)
-        .map(|_| [if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
-        .collect();
-    let refs: Vec<&[f64]> = feats.iter().map(|r| &r[..]).collect();
     let t = Table::from_columns(
         Schema::new(&[("x", ColType::Int), ("k", ColType::Int)]),
         vec![
@@ -38,26 +31,10 @@ fn big_db(n: usize) -> Database {
             Column::Int((0..n).map(|i| (i % 53) as i64).collect()),
         ],
     )
-    .with_features(Matrix::from_rows(&refs));
+    .with_features(sign_features(&mut rng, n));
     let mut db = Database::new();
     db.register("t", t);
     db
-}
-
-fn assert_identical(label: &str, a: &QueryOutput, b: &QueryOutput) {
-    assert_eq!(a.table.to_tsv(), b.table.to_tsv(), "{label}: rows");
-    assert_eq!(a.row_prov, b.row_prov, "{label}: row provenance");
-    assert_eq!(a.agg_cells, b.agg_cells, "{label}: agg provenance");
-    assert_eq!(
-        a.predvars.infos(),
-        b.predvars.infos(),
-        "{label}: var sources"
-    );
-    assert_eq!(
-        a.predvars.preds(),
-        b.predvars.preds(),
-        "{label}: predictions"
-    );
 }
 
 const QUERIES: [&str; 4] = [
@@ -88,13 +65,6 @@ fn enabled_instrumentation_is_bit_identical_to_disabled() {
             }
         }
     }
-}
-
-fn counter(node: &TraceNode, key: &str) -> Option<u64> {
-    node.counters
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
 }
 
 /// A traced query records every pipeline stage with row counters.
@@ -137,7 +107,7 @@ fn explain_exec_matches_traced_morsel_counts() {
     let db = big_db(n);
     let model = step_model();
     let sql = "SELECT COUNT(*) FROM t WHERE x < 500";
-    let plan = optimize(bind(&parse_select(sql).unwrap(), &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
 
     let explain = plan.explain_exec(&db, Engine::Vectorized, 4);
     assert!(
@@ -157,7 +127,7 @@ fn explain_exec_matches_traced_morsel_counts() {
     run_query(&db, &model, sql, ExecOptions::default().with_threads(4)).unwrap();
     let tree = trace.finish();
     let scan = tree.find("scan").unwrap();
-    let worker_spans = scan.children.iter().filter(|c| c.name == "morsel").count();
+    let worker_spans = children_named(scan, "morsel");
     assert_eq!(
         worker_spans, morsels,
         "explain vs trace disagree:\n{explain}"
@@ -363,28 +333,20 @@ fn parallel_span_shape_is_thread_independent() {
                 // The parallel operators actually recorded worker spans.
                 if sql.contains("a.x = b.x") {
                     let build = tree.find("build").expect("build span");
-                    let parts = build
-                        .children
-                        .iter()
-                        .filter(|c| c.name == "partition")
-                        .count() as u64;
+                    let parts = children_named(build, "partition") as u64;
                     assert!(parts > 1, "`{sql}`: build did not partition");
                     assert_eq!(counter(build, "partitions"), Some(parts));
                 }
                 if sql.contains("GROUP BY") {
                     let agg = tree.find("aggregate").expect("aggregate span");
-                    let parts = agg
-                        .children
-                        .iter()
-                        .filter(|c| c.name == "partition")
-                        .count() as u64;
+                    let parts = children_named(agg, "partition") as u64;
                     assert!(parts > 1, "`{sql}`: aggregate did not partition");
                     assert_eq!(counter(agg, "partitions"), Some(parts));
                 }
                 if sql.contains(" s c") {
                     let cross = tree.find("cross").expect("cross span");
                     assert!(
-                        cross.children.iter().filter(|c| c.name == "morsel").count() > 1,
+                        children_named(cross, "morsel") > 1,
                         "`{sql}`: cross join did not morselize"
                     );
                 }
@@ -398,24 +360,6 @@ fn parallel_span_shape_is_thread_independent() {
     }
 }
 
-/// The step model's decision on ±1 features as a one-input ReLU MLP just
-/// wide enough that inference over `vars` variables earns two full shares
-/// of [`MIN_WORK_PER_WORKER`] multiply-adds (`n_params` per row): hidden
-/// unit 0 is `relu(x)`, unit 1 `relu(-x)`, every other unit is dead.
-fn wide_step_model(vars: usize) -> Mlp {
-    let hidden = (2 * MIN_WORK_PER_WORKER).div_ceil(4 * vars).max(2);
-    let mut m = Mlp::new(1, hidden, 2, 0.0, 1);
-    let mut p = vec![0.0; m.n_params()];
-    p[0] = 1.0; // W₁[0] = [1, 0]
-    p[2] = -1.0; // W₁[1] = [-1, 0]
-    let w2 = 2 * hidden;
-    p[w2 + 1] = 50.0; // class 0 logit = 50·relu(-x)
-    p[w2 + hidden + 1] = 50.0; // class 1 logit = 50·relu(x)
-    m.set_params(&p);
-    assert!(vars * m.n_params() >= 2 * MIN_WORK_PER_WORKER);
-    m
-}
-
 /// The incremental subsystem's stages appear in traces: skeleton capture
 /// inside prepare, sharded inference and formula re-eval inside refresh.
 #[test]
@@ -424,9 +368,9 @@ fn prepare_and_refresh_record_their_stages() {
     let db = big_db(n);
     // `x = i % 997`: the rows with `x < 500` are the variables.
     let vars = (0..n).filter(|i| i % 997 < 500).count();
-    let model = wide_step_model(vars);
+    let model = wide_step_model(1.0, vars);
     let sql = "SELECT COUNT(*) FROM t WHERE x < 500 AND predict(t) = 1";
-    let plan = optimize(bind(&parse_select(sql).unwrap(), &db).unwrap(), &db);
+    let plan = plan_of(&db, sql);
 
     let trace = Trace::start("run");
     let pq = prepare_with(&db, &model, &plan, Engine::Vectorized, 4).unwrap();
@@ -445,11 +389,7 @@ fn prepare_and_refresh_record_their_stages() {
     let workers = counter(inference, "workers").expect("workers counter");
     assert!(workers >= 2, "inference ran on {workers} worker(s)");
     assert_eq!(
-        inference
-            .children
-            .iter()
-            .filter(|c| c.name == "shard")
-            .count() as u64,
+        children_named(inference, "shard") as u64,
         workers,
         "sharded inference records worker spans"
     );

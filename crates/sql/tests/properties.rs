@@ -6,13 +6,16 @@
 //! seeded-random cases drawn from [`RainRng`]; the failing seed is named in
 //! the assertion message, making every failure reproducible.
 
-use rain_linalg::{Matrix, RainRng};
-use rain_model::{Classifier, LogisticRegression};
-use rain_sql::table::{ColType, Column, Schema, Table};
+mod common;
+
+use common::{index_all, random_db, random_query, step_model, Tally};
+use rain_linalg::RainRng;
+use rain_sql::table::ColType;
 use rain_sql::{
     bind, execute, optimize, parse_select, printer, AggSum, AggTerm, BoolProv, CellProv, Database,
-    ExecOptions, IndexKind, OptimizerConfig, PredVarRegistry, Probs, QueryOutput, QueryPlan,
+    ExecOptions, OptimizerConfig, PredVarRegistry, Probs, QueryOutput, QueryPlan,
 };
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 const CASES: u64 = 96;
@@ -208,137 +211,13 @@ fn printer_roundtrip_generated_filters() {
 // concretely pruned earlier).
 // ---------------------------------------------------------------------
 
-/// t1(x int, s str, flag bool) and t2(y int, k int), both with 1-D
-/// features so `predict()` works against a binary step model. Both
-/// tables carry secondary indexes (hash and sorted) so optimized plans
-/// exercise index scans and index-nested-loop joins against the
-/// index-free naive plan.
-fn spja_db(rng: &mut RainRng) -> Database {
-    let n1 = 5 + rng.below(3);
-    let n2 = 4 + rng.below(3);
-    let words = ["http", "deal", "spam", "note", "xyz"];
-    let mut db = Database::new();
-    let t1 = Table::from_columns(
-        Schema::new(&[
-            ("x", ColType::Int),
-            ("s", ColType::Str),
-            ("flag", ColType::Bool),
-        ]),
-        vec![
-            Column::Int((0..n1).map(|_| rng.int_range(0, 6)).collect()),
-            Column::Str(
-                (0..n1)
-                    .map(|_| words[rng.below(words.len())].to_string())
-                    .collect(),
-            ),
-            Column::Bool((0..n1).map(|_| rng.bernoulli(0.5)).collect()),
-        ],
-    )
-    .with_features(Matrix::from_rows(
-        &(0..n1)
-            .map(|_| [if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|r| &r[..])
-            .collect::<Vec<_>>(),
-    ));
-    db.register("t1", t1);
-    let t2 = Table::from_columns(
-        Schema::new(&[("y", ColType::Int), ("k", ColType::Int)]),
-        vec![
-            Column::Int((0..n2).map(|_| rng.int_range(0, 6)).collect()),
-            Column::Int((0..n2).map(|_| rng.int_range(0, 4)).collect()),
-        ],
-    )
-    .with_features(Matrix::from_rows(
-        &(0..n2)
-            .map(|_| [if rng.bernoulli(0.5) { 1.0 } else { -1.0 }])
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|r| &r[..])
-            .collect::<Vec<_>>(),
-    ));
-    db.register("t2", t2);
-    for (table, column, kind) in [
-        ("t1", "x", IndexKind::Hash),
-        ("t1", "x", IndexKind::Sorted),
-        ("t1", "s", IndexKind::Hash),
-        ("t1", "flag", IndexKind::Hash),
-        ("t2", "k", IndexKind::Hash),
-        ("t2", "y", IndexKind::Sorted),
-    ] {
-        db.create_index(table, column, kind).unwrap();
-    }
+/// The shared harness's t1/t2 catalog with secondary indexes (hash and
+/// sorted), so optimized plans exercise index scans and index-nested-loop
+/// joins against the index-free naive plan.
+fn indexed_db(rng: &mut RainRng) -> Database {
+    let mut db = random_db(rng);
+    index_all(&mut db);
     db
-}
-
-/// A random single-relation predicate over alias `a` of t1 / t2.
-fn atom(rng: &mut RainRng, alias: &str, is_t1: bool) -> String {
-    if is_t1 {
-        match rng.below(6) {
-            0 => format!("{alias}.x > {}", rng.int_range(0, 5)),
-            1 => format!("{alias}.x + 1 <= {}", rng.int_range(1, 7)),
-            2 => format!("{alias}.s LIKE '%{}%'", ["ht", "ea", "o"][rng.below(3)]),
-            3 => format!("{alias}.flag = true"),
-            4 => format!("predict({alias}) = {}", rng.below(2)),
-            _ => format!("predict({alias}) != {}", rng.below(2)),
-        }
-    } else {
-        match rng.below(4) {
-            0 => format!("{alias}.y >= {}", rng.int_range(0, 5)),
-            1 => format!("{alias}.k < {}", rng.int_range(1, 4)),
-            2 => format!("predict({alias}) = {}", rng.below(2)),
-            _ => format!("{alias}.y * 2 > {}", rng.int_range(0, 9)),
-        }
-    }
-}
-
-/// Build a random SPJA query over the generated schema.
-fn random_query(rng: &mut RainRng) -> String {
-    let two_rels = rng.bernoulli(0.5);
-    let from = if two_rels { "t1 a, t2 b" } else { "t1 a" };
-
-    // WHERE: 1..=3 terms, each an atom, a disjunction, or a constant.
-    let mut terms = Vec::new();
-    if two_rels && rng.bernoulli(0.7) {
-        terms.push("a.x = b.k".to_string()); // equi-join most of the time
-    }
-    for _ in 0..1 + rng.below(2) {
-        let t = match rng.below(5) {
-            0 => {
-                let l = atom(rng, "a", true);
-                let r = if two_rels {
-                    atom(rng, "b", false)
-                } else {
-                    atom(rng, "a", true)
-                };
-                format!("({l} OR {r})")
-            }
-            1 => ["1 = 1", "1 + 1 = 2", "2 > 3"][rng.below(3)].to_string(),
-            2 if two_rels => atom(rng, "b", false),
-            3 if two_rels => "predict(a) = predict(b)".to_string(),
-            _ => atom(rng, "a", true),
-        };
-        terms.push(t);
-    }
-    let where_sql = format!(" WHERE {}", terms.join(" AND "));
-
-    let select = match rng.below(6) {
-        0 => "COUNT(*)".to_string(),
-        1 => "SUM(x)".to_string(),
-        2 => "AVG(x)".to_string(),
-        3 => "SUM(predict(a))".to_string(),
-        4 => return format!("SELECT COUNT(*) FROM {from}{where_sql} GROUP BY predict(a)"),
-        _ => return format!("SELECT x, s FROM {from}{where_sql}"),
-    };
-    format!("SELECT {select} FROM {from}{where_sql}")
-}
-
-/// A deterministic step model: class 1 iff feature > 0.
-fn step_model() -> LogisticRegression {
-    let mut m = LogisticRegression::new(1, 0.0);
-    m.set_params(&[50.0, 0.0]);
-    m
 }
 
 /// Canonical assignment of classes per underlying `(table, row)`; each
@@ -383,16 +262,26 @@ type World = (
 /// provenance behavior under each sampled world — discrete bits (row
 /// formulas) or `1e-6`-rounded values (aggregate cells) as the exact
 /// part, raw relaxed values compared with a tolerance after alignment.
+/// Values of FLOAT columns are held apart from the line and compared
+/// with the same tolerance: a float SUM or AVG over a join adds its terms
+/// in the join's order, which the optimizer may legitimately change.
 struct RowRecord {
     line: String,
+    floats: Vec<f64>,
     discrete: Vec<i64>,
     relaxed: Vec<f64>,
 }
 
 /// Canonicalize an output into sorted [`RowRecord`]s. Sorting by
-/// `(line, discrete)` aligns rows across plans whose join orders — and
+/// `(line, floats, discrete)` aligns rows across plans whose join orders — and
 /// thus emission orders — legitimately differ.
 fn row_records(out: &QueryOutput, worlds: &[World]) -> Vec<RowRecord> {
+    let float_cols: Vec<bool> = out
+        .table
+        .schema()
+        .iter()
+        .map(|c| c.ty == ColType::Float)
+        .collect();
     let views: Vec<(Vec<usize>, Probs)> = worlds
         .iter()
         .map(|(classes, ps)| {
@@ -420,14 +309,28 @@ fn row_records(out: &QueryOutput, worlds: &[World]) -> Vec<RowRecord> {
                     relaxed.push(c.eval_relaxed(probs));
                 }
             }
+            let (mut fields, mut floats) = (Vec::new(), Vec::new());
+            for (field, &is_float) in line.split('\t').zip(&float_cols) {
+                match field.parse::<f64>() {
+                    Ok(v) if is_float => floats.push(v),
+                    _ => fields.push(field),
+                }
+            }
             RowRecord {
-                line: line.to_string(),
+                line: fields.join("\t"),
+                floats,
                 discrete,
                 relaxed,
             }
         })
         .collect();
-    recs.sort_by(|a, b| (&a.line, &a.discrete).cmp(&(&b.line, &b.discrete)));
+    recs.sort_by(|a, b| {
+        let floats = a.floats.iter().zip(&b.floats).map(|(x, y)| x.total_cmp(y));
+        a.line
+            .cmp(&b.line)
+            .then(floats.fold(Ordering::Equal, Ordering::then))
+            .then(a.discrete.cmp(&b.discrete))
+    });
     recs
 }
 
@@ -436,7 +339,7 @@ fn row_records(out: &QueryOutput, worlds: &[World]) -> Vec<RowRecord> {
 /// Order-insensitive on purpose: the cost-based optimizer may pick a
 /// different join order than the naive plan, which permutes the (SQL-wise
 /// unordered) output rows; engine-vs-engine tests on the *same* plan
-/// ([`assert_bit_identical`]) stay exact-order.
+/// (`common::assert_identical`) stay exact-order.
 fn assert_equivalent(seed: u64, naive: &QueryOutput, opt: &QueryOutput, rng: &mut RainRng) {
     assert_eq!(naive.n_key_cols, opt.n_key_cols, "seed {seed}");
     assert_eq!(naive.row_prov.len(), opt.row_prov.len(), "seed {seed}");
@@ -464,6 +367,13 @@ fn assert_equivalent(seed: u64, naive: &QueryOutput, opt: &QueryOutput, rng: &mu
     assert_eq!(rec_n.len(), rec_o.len(), "seed {seed}: row counts differ");
     for (i, (n, o)) in rec_n.iter().zip(&rec_o).enumerate() {
         assert_eq!(n.line, o.line, "seed {seed} sorted row {i}: rows differ");
+        assert_eq!(n.floats.len(), o.floats.len(), "seed {seed} sorted row {i}");
+        for (a, b) in n.floats.iter().zip(&o.floats) {
+            assert!(
+                (a - b).abs() < 1e-9,
+                "seed {seed} sorted row {i}: float values differ ({a} vs {b})"
+            );
+        }
         assert_eq!(
             n.discrete, o.discrete,
             "seed {seed} sorted row {i}: discrete provenance differs"
@@ -485,8 +395,8 @@ fn optimizer_preserves_results_and_provenance() {
     let model = step_model();
     for seed in 0..CASES {
         let mut rng = RainRng::seed_from_u64(0xA11CE ^ seed);
-        let db = spja_db(&mut rng);
-        let sql = random_query(&mut rng);
+        let db = indexed_db(&mut rng);
+        let sql = random_query(&mut rng, &mut Tally::default());
         let stmt = parse_select(&sql).unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
         let bound = bind(&stmt, &db).unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
         let naive_plan = QueryPlan::naive(bound.clone(), &db);
@@ -515,101 +425,6 @@ fn optimizer_preserves_results_and_provenance() {
             let out_o = execute(&db, &model, &opt_plan, opts)
                 .unwrap_or_else(|e| panic!("seed {seed} `{sql}` optimized: {e}"));
             assert_equivalent(seed, &out_n, &out_o, &mut rng);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Vectorized grouped aggregation: the vexec grouped-key paths (typed
-// single-key fast path and shared-finalizer bridge) against the
-// tuple-engine oracle, bit for bit — rows, schema, provenance, and the
-// prediction-variable registry.
-// ---------------------------------------------------------------------
-
-/// A random grouped aggregate over the generated schema: single- and
-/// multi-column keys, predict keys, and mixed aggregate lists.
-fn random_grouped_query(rng: &mut RainRng) -> String {
-    let two_rels = rng.bernoulli(0.5);
-    let from = if two_rels { "t1 a, t2 b" } else { "t1 a" };
-    let mut terms = Vec::new();
-    if two_rels && rng.bernoulli(0.7) {
-        terms.push("a.x = b.k".to_string());
-    }
-    if rng.bernoulli(0.7) {
-        terms.push(atom(rng, "a", true));
-    }
-    let where_sql = if terms.is_empty() {
-        String::new()
-    } else {
-        format!(" WHERE {}", terms.join(" AND "))
-    };
-    let aggs = [
-        "COUNT(*)",
-        "SUM(x)",
-        "AVG(x), COUNT(*)",
-        "SUM(predict(a)), COUNT(*)",
-    ][rng.below(4)];
-    let group = match rng.below(5) {
-        0 => "x",
-        1 => "flag",
-        2 => "x, flag",
-        3 if two_rels => "k",
-        _ => return format!("SELECT {aggs} FROM {from}{where_sql} GROUP BY predict(a)"),
-    };
-    format!("SELECT {aggs} FROM {from}{where_sql} GROUP BY {group}")
-}
-
-/// Assert both engines agree bit for bit on one output pair.
-fn assert_bit_identical(label: &str, tuple: &QueryOutput, vexec: &QueryOutput) {
-    assert_eq!(
-        tuple.table.to_tsv(),
-        vexec.table.to_tsv(),
-        "{label}: result rows differ"
-    );
-    let (ts, vs) = (tuple.table.schema(), vexec.table.schema());
-    assert_eq!(ts.len(), vs.len(), "{label}: schema arity differs");
-    for (a, b) in ts.iter().zip(vs.iter()) {
-        assert_eq!(a, b, "{label}: schema column differs");
-    }
-    assert_eq!(tuple.n_key_cols, vexec.n_key_cols, "{label}: n_key_cols");
-    assert_eq!(tuple.row_prov, vexec.row_prov, "{label}: row provenance");
-    assert_eq!(
-        tuple.agg_cells, vexec.agg_cells,
-        "{label}: aggregate provenance"
-    );
-    assert_eq!(
-        tuple.predvars.infos(),
-        vexec.predvars.infos(),
-        "{label}: prediction-variable sources"
-    );
-    assert_eq!(
-        tuple.predvars.preds(),
-        vexec.predvars.preds(),
-        "{label}: hard predictions"
-    );
-}
-
-/// Randomized GROUP BY workloads must agree across engines in both modes;
-/// this pins the vexec grouped-aggregation key paths to the tuple oracle.
-#[test]
-fn vexec_grouped_aggregation_matches_tuple_oracle() {
-    use rain_sql::Engine;
-    let model = step_model();
-    for seed in 0..CASES {
-        let mut rng = RainRng::seed_from_u64(0x6B0 ^ seed);
-        let db = spja_db(&mut rng);
-        let sql = random_grouped_query(&mut rng);
-        let stmt = parse_select(&sql).unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
-        let bound = bind(&stmt, &db).unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
-        let plan = optimize(bound, &db);
-        for debug in [false, true] {
-            let label = format!("seed {seed} `{sql}` [debug={debug}]");
-            let opts = ExecOptions::with_debug(debug);
-            let tuple = execute(&db, &model, &plan, opts.on(Engine::Tuple))
-                .unwrap_or_else(|e| panic!("{label} tuple: {e}"));
-            let vexec = execute(&db, &model, &plan, opts.on(Engine::Vectorized))
-                .unwrap_or_else(|e| panic!("{label} vexec: {e}"));
-            assert_bit_identical(&label, &tuple, &vexec);
         }
     }
 }
@@ -658,8 +473,8 @@ fn individual_rules_preserve_results() {
     ];
     for seed in 0..CASES / 2 {
         let mut rng = RainRng::seed_from_u64(0xB0B ^ seed);
-        let db = spja_db(&mut rng);
-        let sql = random_query(&mut rng);
+        let db = indexed_db(&mut rng);
+        let sql = random_query(&mut rng, &mut Tally::default());
         let stmt = parse_select(&sql).unwrap();
         let bound = bind(&stmt, &db).unwrap();
         let naive_plan = QueryPlan::naive(bound.clone(), &db);
