@@ -5,7 +5,10 @@
 //!
 //! - **model spec** — `{"kind":"logistic","dim":D,"l2":λ}`,
 //!   `{"kind":"softmax","dim":D,"classes":C,"l2":λ}`, or
-//!   `{"kind":"mlp","dim":D,"hidden":H,"classes":C,"l2":λ,"seed":S}`.
+//!   `{"kind":"mlp","dim":D,"hidden":H,"classes":C,"l2":λ,"seed":S}`;
+//!   `l2` (a finite λ ≥ 0, default 0.01), `hidden` (default 16) and
+//!   `seed` (default 42) are optional, and a 400 names any of them that
+//!   is present but not of its type.
 //! - **table** — `{"name":N,"columns":[{"name":C,"type":"int"|"float"|
 //!   "bool"|"str","values":[…]}…],"features":[[…]…]}`; `null` cells are
 //!   allowed, `features` (one row per tuple) is required for tables that
@@ -168,7 +171,10 @@ fn bounded(value: usize, what: &str, min: usize, max: usize) -> Result<usize, Ap
 pub fn model_from_json(v: &Json) -> Result<Box<dyn Classifier>, ApiError> {
     let kind = str_field(v, "kind")?;
     let dim = bounded(usize_field(v, "dim")?, "dim", 1, MAX_MODEL_DIM)?;
-    let l2 = v.get("l2").and_then(Json::as_f64).unwrap_or(0.01);
+    // Every model asserts a non-negative penalty; an infinite one would
+    // train nothing but NaNs.
+    let penalty = |x: &Json| x.as_f64().filter(|l2| l2.is_finite() && *l2 >= 0.0);
+    let l2 = opt_field(v, "l2", penalty, "a finite non-negative number")?.unwrap_or(0.01);
     match kind.as_str() {
         "logistic" => Ok(Box::new(LogisticRegression::new(dim, l2))),
         "softmax" => {
@@ -177,13 +183,14 @@ pub fn model_from_json(v: &Json) -> Result<Box<dyn Classifier>, ApiError> {
         }
         "mlp" => {
             let classes = bounded(usize_field(v, "classes")?, "classes", 2, MAX_MODEL_CLASSES)?;
+            let count = |key| opt_field(v, key, Json::as_usize, "a non-negative integer");
             let hidden = bounded(
-                v.get("hidden").and_then(Json::as_usize).unwrap_or(16),
+                count("hidden")?.unwrap_or(16),
                 "hidden",
                 1,
                 MAX_MODEL_HIDDEN,
             )?;
-            let seed = v.get("seed").and_then(Json::as_usize).unwrap_or(42) as u64;
+            let seed = count("seed")?.unwrap_or(42) as u64;
             Ok(Box::new(Mlp::new(dim, hidden, classes, l2, seed)))
         }
         other => Err(ApiError::bad_request(format!(

@@ -290,8 +290,13 @@ fn recover_sessions(data_dir: &Path, pool: &SessionPool) -> (u64, f64) {
                     Ok(reserved) => {
                         let store = Some((rec.spec, rec.store));
                         let slot = reserved.insert(rec.sess, threads, store, true);
+                        // A bad knob is skipped, not fatal, like a bad
+                        // `threads`: one spec must not keep a session down.
                         if let Some(v) = &spec_json {
-                            apply_sampling_knobs(&slot, v);
+                            apply_sampling_knobs(
+                                &slot,
+                                sampling_knobs(v).map(Result::unwrap_or_default),
+                            );
                         }
                         recovered += 1;
                     }
@@ -307,15 +312,22 @@ fn recover_sessions(data_dir: &Path, pool: &SessionPool) -> (u64, f64) {
     (recovered, t0.elapsed().as_secs_f64())
 }
 
-/// Apply the optional `sample_every`/`slow_ms` knobs of a creation (or
-/// recovered) spec; anything omitted keeps the always-on defaults.
-fn apply_sampling_knobs(slot: &SessionSlot, body: &Json) {
-    let sample_every = body.get("sample_every").and_then(Json::as_i64);
-    let slow_ms = body.get("slow_ms").and_then(Json::as_i64);
+/// The optional `sample_every` / `slow_ms` knobs of a creation (or
+/// recovered) spec, each a non-negative integer when present.
+fn sampling_knobs(body: &Json) -> [Result<Option<u64>, ApiError>; 2] {
+    ["sample_every", "slow_ms"].map(|key| {
+        let knob = opt_field(body, key, Json::as_usize, "a non-negative integer")?;
+        Ok(knob.map(|n| n as u64))
+    })
+}
+
+/// Set the sampling knobs that are present; an absent one keeps its
+/// always-on default.
+fn apply_sampling_knobs(slot: &SessionSlot, [sample_every, slow_ms]: [Option<u64>; 2]) {
     if sample_every.is_some() || slow_ms.is_some() {
         slot.set_sampling(
-            sample_every.map_or_else(|| slot.sample_every(), |v| v.max(0) as u64),
-            slow_ms.map_or_else(|| slot.slow_ms(), |v| v.max(0) as u64),
+            sample_every.unwrap_or_else(|| slot.sample_every()),
+            slow_ms.unwrap_or_else(|| slot.slow_ms()),
         );
     }
 }
@@ -896,6 +908,8 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
             .ok_or_else(|| ApiError::bad_request("missing field 'model'"))?,
     )?;
     let threads = session_threads_from_json(&body)?;
+    let [sample_every, slow_ms] = sampling_knobs(&body);
+    let knobs = [sample_every?, slow_ms?];
     let kind = model.name();
     // Hold the name first: a duplicate (or the loser of a race for a new
     // name) is refused here, before it could open — and write a
@@ -916,7 +930,7 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
     let slot = reserved.insert(DebugSession::for_model(model), threads, store, false);
     // Optional sampling knobs; anything omitted keeps the always-on
     // defaults (1-in-16, 500 ms slow threshold).
-    apply_sampling_knobs(&slot, &body);
+    apply_sampling_knobs(&slot, knobs);
     Ok((
         200,
         Json::obj(vec![
@@ -1179,15 +1193,17 @@ fn upload_train(state: &ServerState, name: &str, req: &Request) -> Result<(u16, 
     ))
 }
 
+/// The optional `request_id` a client tags a query or run with.
+fn request_id_field(body: &Json) -> Result<Option<String>, ApiError> {
+    Ok(opt_field(body, "request_id", Json::as_str, "a string")?.map(str::to_string))
+}
+
 fn query(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), ApiError> {
     let body = body_json(req)?;
     let sql = str_field(&body, "sql")?;
-    let request_id = body
-        .get("request_id")
-        .and_then(Json::as_str)
-        .map(str::to_string);
-    let analyze =
-        body.get("analyze").and_then(Json::as_bool).unwrap_or(false) || req.query_flag("analyze");
+    let request_id = request_id_field(&body)?;
+    let analyze = opt_field(&body, "analyze", Json::as_bool, "a boolean")?.unwrap_or(false)
+        || req.query_flag("analyze");
     let slot = state.pool.get(name)?;
     // Always-on sampling: 1-in-N queries per session get the analyze
     // path's tracing treatment and land in the profile ring.
@@ -1310,10 +1326,7 @@ fn complain(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json
 fn debug_run(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), ApiError> {
     let body = body_json(req)?;
     let (method, mut cfg) = run_request_from_json(&body)?;
-    let request_id = body
-        .get("request_id")
-        .and_then(Json::as_str)
-        .map(str::to_string);
+    let request_id = request_id_field(&body)?;
     if req.query_flag("profile") {
         cfg.profile = true;
     }

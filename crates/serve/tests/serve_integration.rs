@@ -532,6 +532,7 @@ fn debug_run_fields_of_the_wrong_type_answer_400() {
         ("sample_every", Json::str("x")),
         ("profile", Json::num(1.0)),
         ("stop_when_satisfied", Json::str("yes")),
+        ("request_id", Json::num(7.0)),
     ] {
         let (status, resp) = client
             .post("/sessions/typed/debug-run", &body(vec![(field, value)]))
@@ -549,6 +550,97 @@ fn debug_run_fields_of_the_wrong_type_answer_400() {
     assert_eq!(report.get("removed").unwrap().as_arr().unwrap().len(), 4);
     let sampled = report.get("iteration_profiles").unwrap().as_arr().unwrap();
     assert!(sampled.is_empty(), "{report}");
+    server.shutdown();
+}
+
+/// Session-creation keys that are present must hold what they name: a
+/// wrong type or a negative count is a 400 naming the field, never a
+/// session under the default, and the refused name stays free. A negative
+/// `l2` would trip every model's non-negative assertion in the connection
+/// thread and drop the connection unanswered; all rows run on one
+/// keep-alive client, so each later one shows the connection still serves.
+#[test]
+fn session_fields_of_the_wrong_type_answer_400() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let model = |kind: &str, key: &str, value: Json| {
+        let spec = Json::obj(vec![
+            ("kind", Json::str(kind)),
+            ("dim", Json::num(1.0)),
+            ("classes", Json::num(2.0)),
+            (key, value),
+        ]);
+        vec![("model", spec)]
+    };
+    for (field, extra) in [
+        ("l2", model("logistic", "l2", Json::num(-1.0))),
+        ("l2", model("softmax", "l2", Json::num(-1.0))),
+        ("l2", model("mlp", "l2", Json::num(-1.0))),
+        ("l2", model("mlp", "l2", Json::str("0.1"))),
+        ("hidden", model("mlp", "hidden", Json::num(2.5))),
+        ("seed", model("mlp", "seed", Json::num(-3.0))),
+        ("sample_every", vec![("sample_every", Json::num(-1.0))]),
+        ("slow_ms", vec![("slow_ms", Json::str("fast"))]),
+    ] {
+        let body = with_keys(logistic_session("typed"), extra);
+        let (status, resp) = client.post("/sessions", &body).unwrap();
+        assert_eq!(status, 400, "{field}: {resp}");
+        let msg = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains(field), "{field}: {msg}");
+    }
+    let created = client
+        .post_ok(
+            "/sessions",
+            &with_keys(
+                logistic_session("typed"),
+                vec![
+                    ("sample_every", Json::num(0.0)),
+                    ("slow_ms", Json::num(9.0)),
+                ],
+            ),
+        )
+        .unwrap();
+    assert_eq!(created.get("sample_every").unwrap().as_i64(), Some(0));
+    assert_eq!(created.get("slow_ms").unwrap().as_i64(), Some(9));
+    server.shutdown();
+}
+
+/// Query keys that are present must hold what they name: an `analyze`
+/// that is not a boolean is not an unanalyzed query, and a `request_id`
+/// that is not a string is not an untagged one.
+#[test]
+fn query_fields_of_the_wrong_type_answer_400() {
+    let server = start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("typed"))
+        .unwrap();
+    client
+        .post_ok("/sessions/typed/tables", &table_json("pairs", 6, 3))
+        .unwrap();
+    let body = |extra: Vec<(&str, Json)>| {
+        let sql = Json::str("SELECT COUNT(*) FROM pairs WHERE predict(*) = 1");
+        with_keys(Json::obj(vec![("sql", sql)]), extra)
+    };
+    for (field, value) in [
+        ("analyze", Json::str("yes")),
+        ("analyze", Json::num(1.0)),
+        ("request_id", Json::num(7.0)),
+    ] {
+        let (status, resp) = client
+            .post("/sessions/typed/query", &body(vec![(field, value)]))
+            .unwrap();
+        assert_eq!(status, 400, "{field}: {resp}");
+        let msg = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains(field), "{field}: {msg}");
+    }
+    let answer = client
+        .post_ok(
+            "/sessions/typed/query",
+            &body(vec![("request_id", Json::str("r-1"))]),
+        )
+        .unwrap();
+    assert!(answer.get("result").is_some(), "{answer}");
     server.shutdown();
 }
 

@@ -1,9 +1,10 @@
 //! The differential harness the SQL bit-identity suites share: model and
 //! catalog fixtures, one seeded SPJA query generator that tallies the
-//! branches it draws, one bit-identity assertion, and one sweep of the
-//! vectorized engine against the tuple oracle. Each suite keeps only what
-//! makes it different (indexes, refresh and extension, tracing, sampled
-//! worlds).
+//! branches it draws and the access paths and join algorithms the
+//! optimizer chose for them, one bit-identity assertion, and one sweep of
+//! the vectorized engine against the tuple oracle. Each suite keeps only
+//! what makes it different (indexes, refresh and extension, tracing,
+//! sampled worlds).
 #![allow(dead_code)] // each suite uses a different slice of the harness
 
 use rain_linalg::{Matrix, RainRng};
@@ -12,8 +13,8 @@ use rain_model::{Classifier, LogisticRegression, Mlp};
 use rain_obs::{Trace, TraceNode};
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
-    bind, execute, optimize, parse_select, Database, Engine, ExecOptions, IndexKind, QueryOutput,
-    QueryPlan, Value,
+    bind, execute, optimize, parse_select, AccessPath, BExpr, CmpOp, Database, Engine, ExecOptions,
+    IndexKind, JoinAlgo, QueryOutput, QueryPlan, Value,
 };
 use std::collections::BTreeMap;
 
@@ -181,8 +182,10 @@ pub fn plan_of(db: &Database, sql: &str) -> QueryPlan {
 // Queries
 // ---------------------------------------------------------------------
 
-/// Which branches of each random choice a generator drew, so a sweep can
-/// assert that its seeds reached every shape the generator can emit.
+/// Which branches of each random choice a generator drew, and of each
+/// physical choice the optimizer made for the result, so a sweep can
+/// assert that its seeds reached every shape the generator can emit and
+/// every plan the engine can run.
 #[derive(Debug, Default)]
 pub struct Tally(BTreeMap<&'static str, Vec<bool>>);
 
@@ -190,13 +193,55 @@ impl Tally {
     /// A uniform draw of one of `n` branches of `choice`, recorded.
     pub fn pick(&mut self, rng: &mut RainRng, choice: &'static str, n: usize) -> usize {
         let i = rng.below(n);
-        self.0.entry(choice).or_insert_with(|| vec![false; n])[i] = true;
+        self.note(choice, i, n);
         i
+    }
+
+    /// Record that `choice` took branch `i` of `n`.
+    pub fn note(&mut self, choice: &'static str, i: usize, n: usize) {
+        self.0.entry(choice).or_insert_with(|| vec![false; n])[i] = true;
+    }
+
+    /// Record what the optimizer made of `plan`: each relation's `access
+    /// path` (0 sequential scan, 1 hash index scan, 2–5 sorted index scan
+    /// answering `<`, `<=`, `>`, `>=` on its column) and each step's `join
+    /// algorithm` (0 hash, 1 index-nested-loop) — every physical choice
+    /// the vectorized engine has a code path of its own for.
+    pub fn note_plan(&mut self, plan: &QueryPlan) {
+        for (rel, path) in plan.access.iter().enumerate() {
+            let branch = match *path {
+                AccessPath::SeqScan => 0,
+                AccessPath::IndexScan {
+                    kind: IndexKind::Hash,
+                    ..
+                } => 1,
+                AccessPath::IndexScan { filter, .. } => {
+                    let f = &plan.scan_filters[rel][filter];
+                    let BExpr::Cmp { op, left, .. } = f else {
+                        panic!("a sorted index scan answers {f:?}");
+                    };
+                    // A literal on the left mirrors the column's comparison.
+                    match (op, matches!(**left, BExpr::Lit(_))) {
+                        (CmpOp::Lt, false) | (CmpOp::Gt, true) => 2,
+                        (CmpOp::Le, false) | (CmpOp::Ge, true) => 3,
+                        (CmpOp::Gt, false) | (CmpOp::Lt, true) => 4,
+                        (CmpOp::Ge, false) | (CmpOp::Le, true) => 5,
+                        _ => panic!("a sorted index scan answers {f:?}"),
+                    }
+                }
+            };
+            self.note("access path", branch, 6);
+        }
+        for algo in &plan.join_algos {
+            let inl = matches!(algo, JoinAlgo::IndexNestedLoop { .. });
+            self.note("join algorithm", inl as usize, 2);
+        }
     }
 
     /// Every branch of every choice was drawn at least once. A choice that
     /// was never reached at all cannot hide here: each one is drawn inside
-    /// some branch of another, and that branch was drawn.
+    /// some branch of another, and that branch was drawn (a plan's `access
+    /// path` on every plan, its `join algorithm` on every join).
     pub fn assert_complete(&self, sweep: &str) {
         for (choice, seen) in &self.0 {
             let missing: Vec<usize> = (0..seen.len()).filter(|&i| !seen[i]).collect();
@@ -209,27 +254,35 @@ impl Tally {
 }
 
 /// A random single-relation predicate over alias `a` (t1) or `b` (t2).
+/// Comparisons of a bare column with a literal, on either side, are the
+/// filters an index can answer: `=` on a hash-indexed column and each of
+/// `<`, `<=`, `>`, `>=` on a sorted-indexed one (see [`index_all`]).
 fn atom(rng: &mut RainRng, tally: &mut Tally, alias: &str, is_t1: bool) -> String {
     if is_t1 {
-        match tally.pick(rng, "t1 atom", 10) {
+        match tally.pick(rng, "t1 atom", 13) {
             0 => format!("{alias}.x > {}", rng.int_range(0, 5)),
-            1 => format!("{alias}.x + 1 <= {}", rng.int_range(1, 7)),
+            1 => format!("{} <= {alias}.f", rng.int_range(-1, 4)),
             2 => format!("{alias}.f < {}", rng.int_range(-1, 4)),
-            3 => format!("{alias}.s LIKE '%{}%'", ["ht", "ea", "o"][rng.below(3)]),
-            4 => format!("{alias}.s NOT LIKE '%{}%'", ["sp", "x"][rng.below(2)]),
-            5 => format!("{alias}.flag"),
-            6 => format!("{alias}.flag = true"),
-            7 => format!("NOT {alias}.flag = false"),
-            8 => format!("predict({alias}) = {}", rng.below(2)),
+            3 => format!("{} >= {alias}.x", rng.int_range(0, 5)),
+            4 => format!("{alias}.x = {}", rng.int_range(0, 7)),
+            5 => format!("{alias}.x + 1 <= {}", rng.int_range(1, 7)),
+            6 => format!("{alias}.s LIKE '%{}%'", ["ht", "ea", "o"][rng.below(3)]),
+            7 => format!("{alias}.s NOT LIKE '%{}%'", ["sp", "x"][rng.below(2)]),
+            8 => format!("{alias}.flag"),
+            9 => format!("{alias}.flag = true"),
+            10 => format!("NOT {alias}.flag = false"),
+            11 => format!("predict({alias}) = {}", rng.below(2)),
             _ => format!("predict({alias}) != {}", rng.below(2)),
         }
     } else {
-        match tally.pick(rng, "t2 atom", 6) {
+        match tally.pick(rng, "t2 atom", 8) {
             0 => format!("{alias}.y >= {}", rng.int_range(0, 5)),
-            1 => format!("{alias}.k < {}", rng.int_range(1, 4)),
-            2 => format!("{alias}.s2 = '{}'", ["http", "deal"][rng.below(2)]),
-            3 => format!("predict({alias}) = {}", rng.below(2)),
-            4 => format!("{alias}.y * 2 > {}", rng.int_range(0, 9)),
+            1 => format!("{alias}.y <= {}", rng.int_range(0, 5)),
+            2 => format!("{} > {alias}.y", rng.int_range(1, 6)),
+            3 => format!("{alias}.k < {}", rng.int_range(1, 4)),
+            4 => format!("{alias}.s2 = '{}'", ["http", "deal"][rng.below(2)]),
+            5 => format!("predict({alias}) = {}", rng.below(2)),
+            6 => format!("{alias}.y * 2 > {}", rng.int_range(0, 9)),
             _ => format!("{alias}.y != {alias}.k"),
         }
     }
@@ -268,16 +321,16 @@ pub fn random_query(rng: &mut RainRng, tally: &mut Tally) -> String {
             ["1 = 1", "1 + 1 = 2", "2 > 3"][tally.pick(rng, "constant", 3)].to_string()
         };
         let t = if two_rels {
-            match tally.pick(rng, "conjunct (join)", 6) {
+            match tally.pick(rng, "conjunct (join)", 8) {
                 0 => or(rng, tally),
                 1 => constant(rng, tally),
-                2 => atom(rng, tally, "b", false),
-                3 => "predict(a) = predict(b)".to_string(),
-                4 => format!("a.x > b.k - {}", rng.int_range(0, 3)),
+                2 => "predict(a) = predict(b)".to_string(),
+                3 => format!("a.x > b.k - {}", rng.int_range(0, 3)),
+                4..=5 => atom(rng, tally, "b", false),
                 _ => atom(rng, tally, "a", true),
             }
         } else {
-            match tally.pick(rng, "conjunct (one relation)", 3) {
+            match tally.pick(rng, "conjunct (one relation)", 4) {
                 0 => or(rng, tally),
                 1 => constant(rng, tally),
                 _ => atom(rng, tally, "a", true),

@@ -23,34 +23,32 @@
 mod common;
 
 use common::{
-    assert_identical, assert_matches_oracle, counter, flipped_model, plan_of, punch_nulls,
-    random_db, random_model, random_query, sign_features, step_model, wide_step_model, Tally,
-    THREADS,
+    assert_identical, assert_matches_oracle, counter, flipped_model, index_all, plan_of,
+    punch_nulls, random_db, random_model, random_query, sign_features, step_model, wide_step_model,
+    Tally, THREADS,
 };
 use rain_linalg::{Matrix, RainRng};
 use rain_model::Classifier;
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{
     execute, prepare, prepare_with, AccessPath, CacheEvent, Database, Engine, ExecOptions,
-    IndexKind, PreparedQuery, QueryCache, StaleKind, Value,
+    IndexKind, PreparedQuery, QueryCache, QueryPlan, StaleKind, Value,
 };
 use std::time::Instant;
 
 const CASES: u64 = 128;
 
-/// Prepare on both engines under the step model, refresh under each model
-/// in `refresh_models` at every thread budget, and pin every refresh
-/// against the full debug execution that `assert_matches_oracle` has
-/// already pinned across engines and budgets.
-fn check_case(label: &str, db: &Database, sql: &str, refresh_models: &[&dyn Classifier]) {
-    let label = format!("{label} `{sql}`");
-    let plan = plan_of(db, sql);
+/// Prepare `plan` on both engines under the step model, refresh under
+/// each model in `refresh_models` at every thread budget, and pin every
+/// refresh against the full debug execution that `assert_matches_oracle`
+/// has already pinned across engines and budgets.
+fn check_case(label: &str, db: &Database, plan: &QueryPlan, refresh_models: &[&dyn Classifier]) {
     let prepared = [Engine::Tuple, Engine::Vectorized].map(|engine| {
-        prepare(db, &step_model(), &plan, engine)
+        prepare(db, &step_model(), plan, engine)
             .unwrap_or_else(|e| panic!("{label} prepare[{engine:?}]: {e}"))
     });
     for model in refresh_models {
-        let full = assert_matches_oracle(&label, db, &plan, *model).debug;
+        let full = assert_matches_oracle(label, db, plan, *model).debug;
         for pq in &prepared {
             for threads in THREADS {
                 let label = format!("{label} [prep={:?}, threads={threads}]", pq.stats().engine);
@@ -66,7 +64,8 @@ fn check_case(label: &str, db: &Database, sql: &str, refresh_models: &[&dyn Clas
 /// The headline property: refresh-after-parameter-change is bit-identical
 /// to fresh full execution, across seeded SPJA workloads, engines, and
 /// three parameter updates (same params, all predictions flipped, random
-/// soft boundary).
+/// soft boundary). Odd seeds index the catalog, so skeletons are also
+/// captured through every index path.
 #[test]
 fn refresh_matches_full_reexecution_bit_for_bit() {
     let same = step_model();
@@ -74,15 +73,16 @@ fn refresh_matches_full_reexecution_bit_for_bit() {
     let mut tally = Tally::default();
     for seed in 0..CASES {
         let mut rng = RainRng::seed_from_u64(0x14C ^ seed);
-        let db = random_db(&mut rng);
+        let mut db = random_db(&mut rng);
+        if seed % 2 == 1 {
+            index_all(&mut db);
+        }
         let sql = random_query(&mut rng, &mut tally);
+        let plan = plan_of(&db, &sql);
+        tally.note_plan(&plan);
         let random = random_model(&mut rng);
-        check_case(
-            &format!("seed {seed}"),
-            &db,
-            &sql,
-            &[&same, &flipped, &random],
-        );
+        let label = format!("seed {seed} `{sql}`");
+        check_case(&label, &db, &plan, &[&same, &flipped, &random]);
     }
     tally.assert_complete("refresh sweep");
 }
@@ -95,14 +95,11 @@ fn refresh_matches_full_reexecution_on_nullable_tables() {
     for seed in 0..CASES / 4 {
         let mut rng = RainRng::seed_from_u64(0xA11 ^ seed);
         let mut db = random_db(&mut rng);
+        punch_nulls(&mut rng, &mut db, "t1");
         punch_nulls(&mut rng, &mut db, "t2");
-        let sql = [
-            "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k AND predict(a) = 1",
-            "SELECT y, COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k GROUP BY y",
-            "SELECT SUM(y), AVG(y) FROM t2 b WHERE b.k < 3 AND predict(b) = 0",
-            "SELECT COUNT(*) FROM t2 b WHERE predict(b) = 1 GROUP BY predict(b)",
-        ][rng.below(4)];
-        check_case(&format!("seed {seed} [nullable]"), &db, sql, &[&flipped]);
+        let sql = random_query(&mut rng, &mut Tally::default());
+        let label = format!("seed {seed} `{sql}` [nullable]");
+        check_case(&label, &db, &plan_of(&db, &sql), &[&flipped]);
     }
 }
 

@@ -8,9 +8,10 @@
 //! at several thread counts. All executions must be **bit-identical**:
 //! same rows in the same order, same provenance polynomials, same
 //! prediction-variable registry. Indexes may change *how* tuples are
-//! found, never *which* tuples in *which* order. The catalog, the
-//! oracle sweep and the assertion are the shared harness's (`common`);
-//! this suite adds the indexes and the index-shaped queries.
+//! found, never *which* tuples in *which* order. The catalog, the query
+//! generator, the oracle sweep and the assertion are the shared harness's
+//! (`common`); this suite adds the plain-vs-indexed axis, and asserts its
+//! indexed plans reached every access path and join algorithm.
 //!
 //! Also covers stats staleness: appends bump the table's `(gen, delta)`
 //! version, statistics recompute, indexes rebuild, estimates move, and
@@ -20,104 +21,40 @@ mod common;
 
 use common::{
     assert_identical, assert_matches_oracle, index_all, plan_of, punch_nulls, random_db,
-    sign_features, step_model,
+    random_query, sign_features, step_model, Tally,
 };
 use rain_linalg::RainRng;
-use rain_model::Classifier;
 use rain_sql::table::{ColType, Column, Schema, Table};
 use rain_sql::{Database, Engine, IndexKind, QueryCache, QueryOutput, Value};
 
 const CASES: u64 = 96;
 
-/// Queries whose shapes can engage every index-backed path: hash index
-/// scans (equality), sorted index scans (ranges), index-nested-loop
-/// joins (equi join with a filter-free indexed inner side), and plain
-/// shapes the planner must leave alone.
-fn index_query(rng: &mut RainRng) -> String {
-    match rng.below(12) {
-        0 => format!(
-            "SELECT COUNT(*) FROM t1 a WHERE a.x = {}",
-            rng.int_range(0, 9)
-        ),
-        1 => format!("SELECT * FROM t1 a WHERE a.x = {}", rng.int_range(0, 9)),
-        2 => format!(
-            "SELECT COUNT(*) FROM t1 a WHERE a.f < {}",
-            rng.int_range(-1, 4)
-        ),
-        3 => format!(
-            "SELECT SUM(x) FROM t1 a WHERE a.f >= {} AND a.x <= {}",
-            rng.int_range(-1, 3),
-            rng.int_range(2, 7)
-        ),
-        4 => format!(
-            "SELECT COUNT(*) FROM t1 a WHERE a.s = '{}'",
-            ["http", "deal", "nope"][rng.below(3)]
-        ),
-        5 => "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k".to_string(),
-        6 => format!(
-            "SELECT COUNT(*), SUM(predict(b)) FROM t1 a, t2 b \
-             WHERE a.x = b.k AND a.f > {}",
-            rng.int_range(-2, 2)
-        ),
-        7 => format!(
-            "SELECT x, COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k AND a.x >= {} GROUP BY x",
-            rng.int_range(0, 4)
-        ),
-        8 => format!(
-            "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.k AND b.y < {}",
-            rng.int_range(0, 4)
-        ),
-        9 => format!(
-            "SELECT COUNT(*) FROM t1 a WHERE a.x = {} AND predict(a) = 1",
-            rng.int_range(0, 7)
-        ),
-        10 => "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.f = b.y".to_string(),
-        _ => format!(
-            "SELECT COUNT(*) FROM t1 a WHERE a.x > {} OR a.f < {}",
-            rng.int_range(3, 7),
-            rng.int_range(-1, 1)
-        ),
-    }
-}
-
-/// Which physical features a plan actually uses — the sweep asserts both
-/// index paths engage across the seeds, so the property is not vacuous.
-fn physical_coverage(plan: &rain_sql::QueryPlan, cov: &mut (bool, bool)) {
-    use rain_sql::{AccessPath, JoinAlgo};
-    cov.0 |= plan
-        .access
-        .iter()
-        .any(|a| matches!(a, AccessPath::IndexScan { .. }));
-    cov.1 |= plan
-        .join_algos
-        .iter()
-        .any(|j| matches!(j, JoinAlgo::IndexNestedLoop { .. }));
-}
-
 /// The headline property: index-backed plans are bit-identical to
 /// index-free plans, on both engines, at every thread budget. The
 /// catalogs hold the same rows; only the indexed one has indexes.
-fn run_case(seed: u64, nullable: bool, model: &dyn Classifier, cov: &mut (bool, bool)) {
+fn run_case(seed: u64, nullable: bool, plans: &mut Tally) {
     let mut rng = RainRng::seed_from_u64(0x1DEC ^ seed);
     let mut plain_db = random_db(&mut rng);
     if nullable {
+        punch_nulls(&mut rng, &mut plain_db, "t1");
         punch_nulls(&mut rng, &mut plain_db, "t2");
     }
     let mut indexed_db = plain_db.clone();
     index_all(&mut indexed_db);
 
-    let sql = index_query(&mut rng);
+    let sql = random_query(&mut rng, &mut Tally::default());
     let plain_plan = plan_of(&plain_db, &sql);
     let indexed_plan = plan_of(&indexed_db, &sql);
-    physical_coverage(&indexed_plan, cov);
+    plans.note_plan(&indexed_plan);
 
+    let model = step_model();
     let label = format!("seed {seed} `{sql}`");
-    let plain = assert_matches_oracle(&format!("{label} [plain]"), &plain_db, &plain_plan, model);
+    let plain = assert_matches_oracle(&format!("{label} [plain]"), &plain_db, &plain_plan, &model);
     let indexed = assert_matches_oracle(
         &format!("{label} [indexed]"),
         &indexed_db,
         &indexed_plan,
-        model,
+        &model,
     );
     // The tuple oracle ignores physical annotations entirely, so the two
     // sweeps' oracles must agree too.
@@ -135,26 +72,23 @@ fn run_case(seed: u64, nullable: bool, model: &dyn Classifier, cov: &mut (bool, 
 
 #[test]
 fn indexed_plans_match_unindexed_plans_bit_for_bit() {
-    let model = step_model();
-    let mut cov = (false, false);
+    let mut plans = Tally::default();
     for seed in 0..CASES {
-        run_case(seed, false, &model, &mut cov);
+        run_case(seed, false, &mut plans);
     }
-    assert!(cov.0, "no seed produced an index-scan plan");
-    assert!(cov.1, "no seed produced an index-nested-loop plan");
+    plans.assert_complete("index sweep");
 }
 
-/// NULL join keys never appear in an index, exactly as they never enter
-/// a hash-join build — NULLs punched into t2 must not change any output.
+/// NULL keys never appear in an index, exactly as they never enter a
+/// hash-join build — NULLs punched into both tables must not change any
+/// output.
 #[test]
 fn indexed_plans_match_on_nullable_tables() {
-    let model = step_model();
-    let mut cov = (false, false);
+    let mut plans = Tally::default();
     for seed in 0..CASES / 2 {
-        run_case(seed, true, &model, &mut cov);
+        run_case(seed, true, &mut plans);
     }
-    assert!(cov.0, "no nullable seed produced an index-scan plan");
-    assert!(cov.1, "no nullable seed produced an index-nested-loop plan");
+    plans.assert_complete("nullable index sweep");
 }
 
 /// Appends keep the whole physical layer honest: statistics recompute
