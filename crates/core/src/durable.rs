@@ -1,28 +1,33 @@
-//! Durable session mutations: pair every catalog change with a commitlog
-//! record, and rebuild a [`DebugSession`] from disk on boot.
+//! Durable session changes: one path for every change a session logs,
+//! and the rebuild of a [`DebugSession`] from disk on boot.
 //!
-//! The serving layer mutates a session in exactly four ways — create it,
-//! register/replace a table, append rows, upload a training set — and
-//! each helper here validates, then (when the session runs durably)
-//! appends the matching [`Record`] and commits, then applies the
-//! in-memory mutation — so the log is never behind the state a client has
-//! been acknowledged, and a failed write changes nothing. Debug runs
-//! themselves never mutate session state
-//! ([`DebugSession::run`] takes `&self`), so they need no records.
+//! Five record kinds reach a session's log. [`create_store`] writes the
+//! first, [`Record::SessionMeta`], once; every later change —
+//! [`Record::RegisterTable`], [`Record::AppendRows`],
+//! [`Record::CreateIndex`], [`Record::TrainSet`] — goes through
+//! [`commit`]: check it (the model's checks here, the catalog's in
+//! [`effect::check`]), log it when the session is durable, apply it
+//! ([`effect::apply`]), and cut a snapshot when one is due. So the log is
+//! never behind the state a client has been acknowledged, and a change
+//! that fails its check or its write changes nothing. Only snapshots
+//! write the other two kinds, [`Record::ModelParams`] and
+//! [`Record::TableAt`]. Debug runs never change session state
+//! ([`DebugSession::run`] takes `&self`), and complaints and the query
+//! cache are never logged: they live in memory only.
 //!
-//! [`recover`] is the inverse: replay snapshot + log tail
-//! ([`SessionStore::recover`]), then turn the replayed parts back into a
-//! live session. The model is rebuilt by a caller-supplied factory from
-//! the verbatim session-creation spec (the wire layer passes its JSON
-//! parser, keeping this crate independent of the wire format), and the
-//! weights of the snapshot's [`Record::ModelParams`] are applied on top —
-//! so recovered weights are bit-identical even for models whose
-//! initialization is seeded.
+//! [`recover`] is the inverse: replay snapshot + log tail through the
+//! same check and apply ([`SessionStore::recover`]), then turn the
+//! replayed parts back into a live session. The model is rebuilt by a
+//! caller-supplied factory from the verbatim session-creation spec (the
+//! wire layer passes its JSON parser, keeping this crate independent of
+//! the wire format), and the weights of the snapshot's
+//! [`Record::ModelParams`] are applied on top — so recovered weights are
+//! bit-identical even for models whose initialization is seeded.
 
 use crate::driver::DebugSession;
 use rain_model::{Classifier, Dataset};
-use rain_sql::table::Table;
-use rain_sql::{Database, TableId, TableVersion, Value};
+use rain_sql::Database;
+use rain_storage::effect::{self, Applied, SessionParts};
 use rain_storage::{Record, RecoveryStats, SessionStore, StorageError};
 use std::path::Path;
 
@@ -53,139 +58,83 @@ pub fn create_store(dir: &Path, spec: &str) -> Result<SessionStore, StorageError
     Ok(store)
 }
 
-/// Commit `rec` to the session's log, when it has one. Every mutation
-/// below goes validate → log → apply: the record owns its payload while
-/// it is encoded (no clone), and the caller moves the payload back out to
-/// apply it only once the commit returned — so a failed write leaves the
-/// in-memory state exactly as it was.
-fn log(store: Option<&mut SessionStore>, rec: &Record) -> Result<(), StorageError> {
-    let Some(store) = store else { return Ok(()) };
-    let mut span = rain_obs::Span::enter("serve.log_commit");
-    let before = store.log_bytes();
-    store.append_commit(rec)?;
-    span.add("bytes", store.log_bytes() - before);
-    Ok(())
-}
-
-/// Register (or replace) a table, logging the mutation when durable.
-pub fn register_table(
-    db: &mut Database,
-    store: Option<&mut SessionStore>,
-    name: &str,
-    table: Table,
-) -> Result<(TableId, TableVersion), StorageError> {
-    let rec = Record::RegisterTable {
-        name: name.to_string(),
-        table,
-    };
-    log(store, &rec)?;
-    let Record::RegisterTable { table, .. } = rec else {
-        unreachable!("built above")
-    };
-    let id = db.register(name, table);
-    Ok((id, db.table_version(id)))
-}
-
-/// Why an append failed: the client's fault or the disk's.
+/// Why a [`commit`] changed nothing.
 #[derive(Debug)]
-pub enum AppendError {
-    /// The batch does not fit the table (arity, types, features) or the
-    /// table does not exist — reject the request, nothing was logged.
+pub enum CommitError {
+    /// The record does not apply to the session (an unknown table, a batch
+    /// that does not fit its table, a training set the model cannot take,
+    /// ...). Nothing was logged.
     Invalid(String),
-    /// The batch was valid but logging it failed; nothing was applied.
+    /// The record applies, but logging it failed. Nothing was applied.
     Storage(StorageError),
 }
 
-impl std::fmt::Display for AppendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AppendError::Invalid(msg) => write!(f, "invalid append: {msg}"),
-            AppendError::Storage(e) => write!(f, "{e}"),
-        }
+impl SessionParts for DebugSession {
+    fn db(&mut self) -> &mut Database {
+        &mut self.db
+    }
+
+    fn set_train(&mut self, data: Dataset) {
+        self.train = data;
     }
 }
 
-impl std::error::Error for AppendError {}
-
-/// Append rows to a table, logging the mutation when durable. Validation
-/// runs (and fails) before anything is logged, and the log commits before
-/// anything is applied: an invalid batch leaves both the catalog and the
-/// log untouched, a failed write leaves the catalog untouched.
-pub fn append_rows(
-    db: &mut Database,
-    store: Option<&mut SessionStore>,
-    name: &str,
-    rows: Vec<Vec<Value>>,
-    features: Option<Vec<Vec<f64>>>,
-) -> Result<(TableId, TableVersion), AppendError> {
-    let id = db
-        .validate_append(name, &rows, features.as_deref())
-        .map_err(AppendError::Invalid)?;
-    let rec = Record::AppendRows {
-        name: name.to_string(),
-        rows,
-        features,
-    };
-    log(store, &rec).map_err(AppendError::Storage)?;
-    let Record::AppendRows { rows, features, .. } = rec else {
-        unreachable!("built above")
-    };
-    Ok(db.apply_append(id, rows, features))
-}
-
-/// Create a secondary index on a registered table's column, logging the
-/// definition when durable. Validate → log → apply, like
-/// [`append_rows`]: a bad request leaves both catalog and log untouched,
-/// a failed write leaves the catalog untouched. Only the definition is
-/// logged — index *data* is rebuilt from the table on recovery and on
-/// every later table mutation.
-pub fn create_index(
-    db: &mut Database,
-    store: Option<&mut SessionStore>,
-    name: &str,
-    column: &str,
-    kind: rain_sql::IndexKind,
-) -> Result<(TableId, usize), AppendError> {
-    let (id, col) = db
-        .validate_index(name, column, kind)
-        .map_err(AppendError::Invalid)?;
-    let rec = Record::CreateIndex {
-        name: name.to_string(),
-        column: column.to_string(),
-        kind: kind.code(),
-    };
-    log(store, &rec).map_err(AppendError::Storage)?;
-    db.apply_index(id, col, kind).map_err(AppendError::Invalid)
-}
-
-/// Replace the training set, logging the mutation when durable.
-pub fn set_train(
+/// Commit one change to a session: check → log → apply → snapshot.
+/// `store` is a durable session's store and creation spec (a snapshot
+/// records the spec); without it the change is checked and applied only.
+/// The record is checked once, encoded by reference and then moved into
+/// the session, so its payload is never cloned.
+///
+/// Returns what the change did, plus the error of a snapshot that was due
+/// and could not be cut. That change is logged and applied all the same,
+/// and recovery replays it from the full log.
+pub fn commit(
     sess: &mut DebugSession,
-    store: Option<&mut SessionStore>,
-    data: Dataset,
-) -> Result<(), StorageError> {
-    let rec = Record::TrainSet { data };
-    log(store, &rec)?;
-    let Record::TrainSet { data } = rec else {
-        unreachable!("built above")
-    };
-    sess.train = data;
-    Ok(())
+    mut store: Option<(&mut SessionStore, &str)>,
+    rec: Record,
+) -> Result<(Applied, Option<StorageError>), CommitError> {
+    check_model(sess.model.as_ref(), &rec).map_err(CommitError::Invalid)?;
+    let ok = effect::check(&sess.db, rec).map_err(CommitError::Invalid)?;
+    if let Some((store, _)) = store.as_mut() {
+        let mut span = rain_obs::Span::enter("serve.log_commit");
+        let before = store.log_bytes();
+        store
+            .append_commit(ok.record())
+            .map_err(CommitError::Storage)?;
+        span.add("bytes", store.log_bytes() - before);
+    }
+    let applied = effect::apply(sess, ok);
+    let snapshot =
+        store.and_then(|(store, spec)| store.maybe_snapshot(|| snapshot_state(sess, spec)).err());
+    Ok((applied, snapshot))
+}
+
+/// The checks that need the model, which the catalog's cannot make. A
+/// training set must match the model's input width and class count. A
+/// live session takes neither a new spec nor new parameters: its spec is
+/// the one it was created with, and only snapshots record parameters.
+fn check_model(model: &dyn Classifier, rec: &Record) -> Result<(), String> {
+    match rec {
+        Record::TrainSet { data } if data.dim() != model.dim() => Err(format!(
+            "training dim {} does not match model dim {}",
+            data.dim(),
+            model.dim()
+        )),
+        Record::TrainSet { data } if data.n_classes() != model.n_classes() => Err(format!(
+            "training classes {} do not match model classes {}",
+            data.n_classes(),
+            model.n_classes()
+        )),
+        Record::SessionMeta { .. } | Record::ModelParams { .. } => {
+            Err("a live session logs its spec at creation and its parameters in snapshots".into())
+        }
+        _ => Ok(()),
+    }
 }
 
 /// The full state of a session as snapshot records.
 pub fn snapshot_state(sess: &DebugSession, spec: &str) -> Vec<Record> {
     rain_storage::snapshot_records(spec, sess.model.params(), &sess.train, &sess.db)
-}
-
-/// Cut a snapshot if enough log accumulated behind the last one (the
-/// store decides). Returns whether one was cut.
-pub fn maybe_snapshot(
-    sess: &DebugSession,
-    store: &mut SessionStore,
-    spec: &str,
-) -> Result<bool, StorageError> {
-    store.maybe_snapshot(|| snapshot_state(sess, spec))
 }
 
 /// Rebuild a session from its data directory. `factory` turns the
@@ -233,7 +182,8 @@ mod tests {
     use super::*;
     use rain_linalg::Matrix;
     use rain_model::LogisticRegression;
-    use rain_sql::table::{ColType, Column, Schema};
+    use rain_sql::table::{ColType, Column, Schema, Table};
+    use rain_sql::{IndexKind, TableVersion, Value};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -256,37 +206,66 @@ mod tests {
         move |_spec: &str| Ok(Box::new(LogisticRegression::new(dim, 0.01)) as Box<dyn Classifier>)
     }
 
+    fn session(dim: usize) -> DebugSession {
+        DebugSession::for_model(Box::new(LogisticRegression::new(dim, 0.01)))
+    }
+
+    fn register(name: &str, table: Table) -> Record {
+        Record::RegisterTable {
+            name: name.into(),
+            table,
+        }
+    }
+
+    fn append(name: &str, rows: Vec<Vec<Value>>) -> Record {
+        Record::AppendRows {
+            name: name.into(),
+            rows,
+            features: None,
+        }
+    }
+
+    fn index(name: &str, column: &str, kind: IndexKind) -> Record {
+        Record::CreateIndex {
+            name: name.into(),
+            column: column.into(),
+            kind: kind.code(),
+        }
+    }
+
+    /// Commit `rec` to a durable session whose spec is `{}`; no snapshot
+    /// may fail.
+    fn commit_to(
+        sess: &mut DebugSession,
+        store: &mut SessionStore,
+        rec: Record,
+    ) -> Result<Applied, CommitError> {
+        let (applied, snapshot) = commit(sess, Some((store, "{}")), rec)?;
+        assert!(snapshot.is_none(), "{snapshot:?}");
+        Ok(applied)
+    }
+
     #[test]
     fn durable_mutations_recover_bit_identically() {
         let dir = temp_dir("roundtrip");
         let spec = "{\"model\":{\"kind\":\"logistic\",\"dim\":2}}";
         {
             let mut store = create_store(&dir, spec).unwrap();
-            let mut sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
-            register_table(&mut sess.db, Some(&mut store), "t", ints(vec![1, 2])).unwrap();
-            create_index(
-                &mut sess.db,
-                Some(&mut store),
-                "t",
-                "x",
-                rain_sql::IndexKind::Hash,
-            )
-            .unwrap();
-            append_rows(
-                &mut sess.db,
-                Some(&mut store),
-                "t",
-                vec![vec![Value::Int(3)]],
-                None,
-            )
-            .unwrap();
+            let mut sess = session(2);
             let train = Dataset::with_ids(
                 Matrix::from_vec(2, 2, vec![0.5, -0.5, 1.5, 2.5]),
                 vec![0, 1],
                 vec![11, 22],
                 2,
             );
-            set_train(&mut sess, Some(&mut store), train).unwrap();
+            for rec in [
+                register("t", ints(vec![1, 2])),
+                index("t", "x", IndexKind::Hash),
+                append("t", vec![vec![Value::Int(3)]]),
+                Record::TrainSet { data: train },
+            ] {
+                commit_to(&mut sess, &mut store, rec).unwrap();
+            }
             // Perturb the weights so recovery has something nontrivial to
             // restore via snapshot.
             sess.model.set_params(&[0.125, -3.5, 0.75]);
@@ -305,7 +284,7 @@ mod tests {
         let ix = rec
             .sess
             .db
-            .index_on(id, 0, rain_sql::IndexKind::Hash)
+            .index_on(id, 0, IndexKind::Hash)
             .expect("index definition recovered");
         assert_eq!(ix.len(), 3, "index rebuilt over all recovered rows");
         assert!(rec.stats.snapshot_offset.is_some());
@@ -321,8 +300,8 @@ mod tests {
         let spec = "{}";
         let sess = {
             let mut store = create_store(&dir, spec).unwrap();
-            let mut sess = DebugSession::for_model(Box::new(LogisticRegression::new(17, 0.01)));
-            register_table(&mut sess.db, Some(&mut store), "t", ints(vec![1, 2])).unwrap();
+            let mut sess = session(17);
+            commit_to(&mut sess, &mut store, register("t", ints(vec![1, 2]))).unwrap();
             store.snapshot(&snapshot_state(&sess, spec)).unwrap();
             sess
         };
@@ -335,23 +314,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every check, the catalog's and the model's, runs before the log:
+    /// a record that fails one is refused and nothing is logged.
     #[test]
-    fn invalid_append_logs_nothing() {
+    fn invalid_records_log_nothing() {
         let dir = temp_dir("invalid");
         let mut store = create_store(&dir, "{}").unwrap();
-        let mut db = Database::new();
-        register_table(&mut db, Some(&mut store), "t", ints(vec![1])).unwrap();
+        let mut sess = session(2);
+        commit_to(&mut sess, &mut store, register("t", ints(vec![1]))).unwrap();
         let records_before = store.log_records();
-        let err = append_rows(
-            &mut db,
-            Some(&mut store),
-            "t",
-            vec![vec![Value::Str("bad".into())]],
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, AppendError::Invalid(_)));
+        let wide = Dataset::new(Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]), vec![1], 2);
+        let three_classes = Dataset::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]), vec![2], 3);
+        for rec in [
+            append("t", vec![vec![Value::Str("bad".into())]]),
+            append("nope", vec![vec![Value::Int(1)]]),
+            index("t", "nope", IndexKind::Hash),
+            Record::CreateIndex {
+                name: "t".into(),
+                column: "x".into(),
+                kind: 9,
+            },
+            Record::TrainSet { data: wide },
+            Record::TrainSet {
+                data: three_classes,
+            },
+            Record::SessionMeta { spec: "{}".into() },
+            Record::ModelParams {
+                params: vec![0.0; 3],
+            },
+        ] {
+            let err = commit_to(&mut sess, &mut store, rec).unwrap_err();
+            assert!(matches!(err, CommitError::Invalid(_)), "{err:?}");
+        }
         assert_eq!(store.log_records(), records_before);
+        assert!(sess.train.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -359,71 +355,52 @@ mod tests {
     fn failed_commit_changes_neither_catalog_nor_log() {
         let dir = temp_dir("failcommit");
         let mut store = create_store(&dir, "{}").unwrap();
-        let mut sess = DebugSession::for_model(Box::new(LogisticRegression::new(2, 0.01)));
-        register_table(&mut sess.db, Some(&mut store), "t", ints(vec![1, 2])).unwrap();
-        let hash = rain_sql::IndexKind::Hash;
-        create_index(&mut sess.db, Some(&mut store), "t", "x", hash).unwrap();
+        let mut sess = session(2);
+        let hash = IndexKind::Hash;
+        commit_to(&mut sess, &mut store, register("t", ints(vec![1, 2]))).unwrap();
+        commit_to(&mut sess, &mut store, index("t", "x", hash)).unwrap();
         let id = sess.db.resolve("t").unwrap();
-        let state = |db: &Database, store: &SessionStore| {
-            let entry = db.entry("t").unwrap();
+        let state = |sess: &DebugSession, store: &SessionStore| {
+            let entry = sess.db.entry("t").unwrap();
             (
                 entry.table.n_rows(),
-                db.table_version(id),
+                sess.db.table_version(id),
                 // Full contents: postings, sorted entries, every statistic.
                 (entry.indexes.clone(), entry.stats().clone()),
+                sess.train.ids().to_vec(),
                 store.log_records(),
                 store.log_bytes(),
             )
         };
-        let before = state(&sess.db, &store);
+        let before = state(&sess, &store);
 
-        // Every mutation kind: the write fails, the client gets a storage
-        // error, and nothing it asked for is visible.
-        store.fail_next_commit();
-        let err = append_rows(
-            &mut sess.db,
-            Some(&mut store),
-            "t",
-            vec![vec![Value::Int(3)]],
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, AppendError::Storage(_)), "{err}");
-        assert_eq!(state(&sess.db, &store), before);
-
-        store.fail_next_commit();
-        let err = create_index(
-            &mut sess.db,
-            Some(&mut store),
-            "t",
-            "x",
-            rain_sql::IndexKind::Sorted,
-        )
-        .unwrap_err();
-        assert!(matches!(err, AppendError::Storage(_)), "{err}");
-        assert_eq!(state(&sess.db, &store), before);
-
-        store.fail_next_commit();
-        assert!(register_table(&mut sess.db, Some(&mut store), "t", ints(vec![9])).is_err());
-        assert_eq!(state(&sess.db, &store), before);
-
-        store.fail_next_commit();
+        // Every record kind a live session commits: the write fails, the
+        // client gets a storage error, and nothing it asked for is visible.
         let train = Dataset::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]), vec![1], 2);
-        assert!(set_train(&mut sess, Some(&mut store), train).is_err());
+        for rec in [
+            append("t", vec![vec![Value::Int(3)]]),
+            index("t", "x", IndexKind::Sorted),
+            register("t", ints(vec![9])),
+            register("u", ints(vec![9])),
+            Record::TrainSet { data: train },
+        ] {
+            store.fail_next_commit();
+            let err = commit_to(&mut sess, &mut store, rec).unwrap_err();
+            assert!(matches!(err, CommitError::Storage(_)), "{err:?}");
+            assert_eq!(state(&sess, &store), before);
+        }
         assert!(sess.train.is_empty());
-        assert_eq!(state(&sess.db, &store), before);
+        assert!(sess.db.resolve("u").is_none());
 
         // The failed records were dropped, not deferred: the next commit
         // logs one record, and recovery sees exactly what was acknowledged.
-        append_rows(
-            &mut sess.db,
-            Some(&mut store),
-            "t",
-            vec![vec![Value::Int(4)]],
-            None,
+        commit_to(
+            &mut sess,
+            &mut store,
+            append("t", vec![vec![Value::Int(4)]]),
         )
         .unwrap();
-        assert_eq!(store.log_records(), before.3 + 1);
+        assert_eq!(store.log_records(), before.4 + 1);
         drop(store);
         let rec = recover(&dir, &factory(2)).unwrap();
         let entry = rec.sess.db.entry("t").unwrap();
@@ -432,6 +409,7 @@ mod tests {
         assert_eq!(entry.version, TableVersion { gen: 0, delta: 1 });
         assert_eq!(entry.indexes.len(), 1);
         assert_eq!(entry.indexes[0].kind, hash);
+        assert!(rec.sess.db.resolve("u").is_none());
         assert!(rec.sess.train.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -441,12 +419,7 @@ mod tests {
         let dir = temp_dir("nometa");
         {
             let mut store = SessionStore::open(&dir).unwrap();
-            store
-                .append_commit(&Record::RegisterTable {
-                    name: "t".into(),
-                    table: ints(vec![1]),
-                })
-                .unwrap();
+            store.append_commit(&register("t", ints(vec![1]))).unwrap();
         }
         assert!(matches!(
             recover(&dir, &factory(2)),
@@ -460,8 +433,7 @@ mod tests {
         let dir = temp_dir("lognosnap");
         {
             let mut store = create_store(&dir, "{}").unwrap();
-            let mut db = Database::new();
-            register_table(&mut db, Some(&mut store), "t", ints(vec![5])).unwrap();
+            commit_to(&mut session(2), &mut store, register("t", ints(vec![5]))).unwrap();
         }
         let rec = recover(&dir, &factory(2)).unwrap();
         assert!(rec.stats.snapshot_offset.is_none());

@@ -16,8 +16,9 @@
 //! - [`rank`](mod@rank) — the four ranking methods (`Loss`, `InfLoss`, `TwoStep`,
 //!   `Holistic`) plus the §5.1 `Auto` heuristic.
 //! - [`driver`] — the train–rank–fix loop and reporting.
-//! - [`durable`] — commitlog-backed session mutations and boot-time
-//!   recovery (see `rain_storage`).
+//! - [`durable`] — one commit path for every logged session change
+//!   (check → log → apply → snapshot) and boot-time recovery (see
+//!   `rain_storage`).
 //! - [`metrics`] — recall@k and AUCCR (§6.1.5).
 //!
 //! ## Example: debugging a corrupted entity-resolution model

@@ -43,12 +43,10 @@ pub struct SessionState {
     pub cache: QueryCache,
     /// The most recent completed debug report, if any.
     pub last_report: Option<DebugReport>,
-    /// Verbatim session-creation JSON (what recovery rebuilds the model
-    /// from). Empty for ephemeral sessions.
-    pub spec: String,
-    /// The commitlog + snapshots behind this session, when it is durable
-    /// (the server was started with a data dir).
-    pub store: Option<SessionStore>,
+    /// When the session is durable (the server was started with a data
+    /// dir): its verbatim creation JSON, which recovery rebuilds the model
+    /// from, and the commitlog + snapshots behind it.
+    pub store: Option<(String, SessionStore)>,
 }
 
 /// Lock-free mirror of a durable session's storage counters, refreshed
@@ -133,21 +131,8 @@ impl SessionSlot {
         store: Option<(String, SessionStore)>,
         recovered: bool,
     ) -> Self {
-        let (spec, store) = store.map_or((String::new(), None), |(spec, s)| (spec, Some(s)));
         let durable = store.is_some();
-        let counters = store
-            .as_ref()
-            .map(|s| {
-                (
-                    s.log_bytes(),
-                    s.log_records(),
-                    s.snapshots_taken(),
-                    s.last_snapshot_unix_ms(),
-                    s.snapshot_lag_bytes(),
-                )
-            })
-            .unwrap_or_default();
-        SessionSlot {
+        let slot = SessionSlot {
             name,
             threads,
             state: Mutex::new(SessionState {
@@ -156,7 +141,6 @@ impl SessionSlot {
                 // one debug runs use.
                 cache: QueryCache::new(Engine::Vectorized).with_threads(threads),
                 last_report: None,
-                spec,
                 store,
             }),
             lock_wait,
@@ -170,17 +154,16 @@ impl SessionSlot {
             query_seq: AtomicU64::new(0),
             durable,
             recovered,
-            log_bytes: AtomicU64::new(counters.0),
-            log_records: AtomicU64::new(counters.1),
-            snapshots: AtomicU64::new(counters.2),
-            last_snapshot_ms: AtomicU64::new(counters.3),
-            snapshot_lag: AtomicU64::new(counters.4),
+            log_bytes: AtomicU64::new(0),
+            log_records: AtomicU64::new(0),
+            snapshots: AtomicU64::new(0),
+            last_snapshot_ms: AtomicU64::new(0),
+            snapshot_lag: AtomicU64::new(0),
+        };
+        if let Some((_, store)) = &slot.state.lock().unwrap_or_else(|p| p.into_inner()).store {
+            slot.publish_storage_stats(store);
         }
-    }
-
-    /// Whether this session writes a commitlog.
-    pub fn durable(&self) -> bool {
-        self.durable
+        slot
     }
 
     /// Whether this slot was rebuilt from disk at boot.

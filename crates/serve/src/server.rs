@@ -39,7 +39,8 @@
 //! [`rain_core::durable`]). Recovered sessions answer `POST /sessions`
 //! with `200 {"recovered":true}` so restart-safe clients just re-POST
 //! and continue; cached queries re-prepare on first use and serve
-//! without re-registration.
+//! without re-registration. Complaints are not logged: a restarted
+//! session must file them again.
 
 use crate::http::{read_request, write_response, write_response_typed, Request};
 use crate::jobs::{JobRunner, JobState};
@@ -53,10 +54,12 @@ use crate::protocol::{
     ApiError,
 };
 use rain_core::driver::DebugSession;
+use rain_core::durable::CommitError;
 use rain_model::Classifier;
 use rain_obs::{Counter, Gauge, Registry, Sketch};
 use rain_sql::table::ColType;
 use rain_sql::QueryCache;
+use rain_storage::{Applied, Record};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -886,21 +889,12 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
     // Re-attach: a session recovered from disk at boot answers the same
     // creation request with 200 and its live config, instead of 409 —
     // restart-safe clients just re-POST and continue where they left off
-    // (tables, training set, and cached queries are already resident).
+    // (tables, indexes, training set and model weights are resident; the
+    // query cache starts empty and complaints must be filed again).
     if let Ok(slot) = state.pool.get(&name) {
         if slot.recovered() {
             let kind = slot.lock().sess.model.name();
-            return Ok((
-                200,
-                Json::obj(vec![
-                    ("session", Json::str(name)),
-                    ("model", Json::str(kind)),
-                    ("threads", Json::Num(slot.threads as f64)),
-                    ("sample_every", Json::Num(slot.sample_every() as f64)),
-                    ("slow_ms", Json::Num(slot.slow_ms() as f64)),
-                    ("recovered", Json::Bool(true)),
-                ]),
-            ));
+            return Ok((200, session_json(&slot, kind)));
         }
     }
     let model = model_from_json(
@@ -931,29 +925,69 @@ fn create_session(state: &ServerState, req: &Request) -> Result<(u16, Json), Api
     // Optional sampling knobs; anything omitted keeps the always-on
     // defaults (1-in-16, 500 ms slow threshold).
     apply_sampling_knobs(&slot, knobs);
-    Ok((
-        200,
-        Json::obj(vec![
-            ("session", Json::str(name)),
-            ("model", Json::str(kind)),
-            ("threads", Json::Num(threads as f64)),
-            ("sample_every", Json::Num(slot.sample_every() as f64)),
-            ("slow_ms", Json::Num(slot.slow_ms() as f64)),
-            ("recovered", Json::Bool(false)),
-        ]),
-    ))
+    Ok((200, session_json(&slot, kind)))
 }
 
-/// Cut a snapshot when the session store's policy says so, and refresh
-/// the slot's lock-free storage counters. Call with the session lock
-/// held, after a logged mutation; a no-op for ephemeral sessions.
-fn publish_durability(slot: &SessionSlot, st: &mut SessionState) -> Result<(), ApiError> {
-    if let Some(store) = st.store.as_mut() {
-        rain_core::durable::maybe_snapshot(&st.sess, store, &st.spec)
-            .map_err(|e| ApiError::internal(format!("cut snapshot: {e}")))?;
+/// A session's live config, as `POST /sessions` answers it for a new
+/// session and for a re-attach to a recovered one.
+fn session_json(slot: &SessionSlot, kind: &str) -> Json {
+    Json::obj(vec![
+        ("session", Json::str(&slot.name)),
+        ("model", Json::str(kind)),
+        ("threads", Json::Num(slot.threads as f64)),
+        ("sample_every", Json::Num(slot.sample_every() as f64)),
+        ("slow_ms", Json::Num(slot.slow_ms() as f64)),
+        ("recovered", Json::Bool(slot.recovered())),
+    ])
+}
+
+/// The tail every mutating route shares, under the session lock: commit
+/// `rec` (check → log → apply → snapshot when due), publish the store's
+/// counters, bump the generation. A record that fails its check answers
+/// 400 and one whose write fails 500; either leaves session and log as
+/// they were. A snapshot that fails after the record was logged and
+/// applied is reported on stderr, and the request still succeeds: the
+/// change is on disk, and recovery replays it from the full log.
+///
+/// The response is the route's own `fields`, then what the record did
+/// (a table's rows and version, an index's entries, or the training
+/// set's size), then the session's new generation.
+fn commit(
+    slot: &SessionSlot,
+    st: &mut SessionState,
+    rec: Record,
+    mut fields: Vec<(&'static str, Json)>,
+) -> Result<(u16, Json), ApiError> {
+    let store = st
+        .store
+        .as_mut()
+        .map(|(spec, store)| (store, spec.as_str()));
+    let (applied, snapshot) =
+        rain_core::durable::commit(&mut st.sess, store, rec).map_err(|e| match e {
+            CommitError::Invalid(msg) => ApiError::bad_request(msg),
+            CommitError::Storage(e) => ApiError::internal(format!("log commit: {e}")),
+        })?;
+    if let Some(e) = snapshot {
+        eprintln!(
+            "rain-serve: session '{}' failed to cut a snapshot: {e}",
+            slot.name
+        );
+    }
+    if let Some((_, store)) = &st.store {
         slot.publish_storage_stats(store);
     }
-    Ok(())
+    match applied {
+        Applied::Table((id, version)) => {
+            let rows = st.sess.db.table_by_id(id).n_rows();
+            fields.push(("rows", Json::Num(rows as f64)));
+            fields.push(("version", version_to_json(version)));
+        }
+        Applied::Index(entries) => fields.push(("entries", Json::Num(entries as f64))),
+        Applied::Train => fields.push(("train_records", Json::Num(st.sess.train.len() as f64))),
+        Applied::Spec(_) | Applied::Params(_) => {}
+    }
+    fields.push(("generation", Json::Num(slot.bump_generation() as f64)));
+    Ok((200, Json::obj(fields)))
 }
 
 fn register_table(state: &ServerState, name: &str, req: &Request) -> Result<(u16, Json), ApiError> {
@@ -965,24 +999,13 @@ fn register_table(state: &ServerState, name: &str, req: &Request) -> Result<(u16
         decoded
     };
     let slot = state.pool.get(name)?;
-    let mut guard = slot.lock();
-    let st = &mut *guard;
-    let rows = table.n_rows();
-    let (_, version) =
-        rain_core::durable::register_table(&mut st.sess.db, st.store.as_mut(), &table_name, table)
-            .map_err(|e| ApiError::internal(format!("log table registration: {e}")))?;
-    publish_durability(&slot, st)?;
-    let generation = slot.bump_generation();
-    drop(guard);
-    Ok((
-        200,
-        Json::obj(vec![
-            ("table", Json::str(table_name)),
-            ("rows", Json::Num(rows as f64)),
-            ("version", version_to_json(version)),
-            ("generation", Json::Num(generation as f64)),
-        ]),
-    ))
+    let fields = vec![("table", Json::str(&table_name))];
+    let rec = Record::RegisterTable {
+        name: table_name,
+        table,
+    };
+    let mut st = slot.lock();
+    commit(&slot, &mut st, rec, fields)
 }
 
 /// `POST /sessions/{s}/tables/{t}/append`: append a batch of rows (and,
@@ -998,8 +1021,7 @@ fn append_to_table(
 ) -> Result<(u16, Json), ApiError> {
     let body = upload_json(req)?;
     let slot = state.pool.get(name)?;
-    let mut guard = slot.lock();
-    let st = &mut *guard;
+    let mut st = slot.lock();
     let mut decode_span = rain_obs::Span::enter("serve.decode");
     let types: Vec<ColType> = st
         .sess
@@ -1022,33 +1044,16 @@ fn append_to_table(
     let appended = rows.len();
     decode_span.add("rows", appended as u64);
     drop(decode_span);
-    let (id, version) = rain_core::durable::append_rows(
-        &mut st.sess.db,
-        st.store.as_mut(),
-        table_name,
+    let fields = vec![
+        ("table", Json::str(table_name)),
+        ("appended", Json::Num(appended as f64)),
+    ];
+    let rec = Record::AppendRows {
+        name: table_name.to_string(),
         rows,
         features,
-    )
-    .map_err(|e| match e {
-        rain_core::durable::AppendError::Invalid(msg) => ApiError::bad_request(msg),
-        rain_core::durable::AppendError::Storage(e) => {
-            ApiError::internal(format!("log append: {e}"))
-        }
-    })?;
-    let total = st.sess.db.table_by_id(id).n_rows();
-    publish_durability(&slot, st)?;
-    let generation = slot.bump_generation();
-    drop(guard);
-    Ok((
-        200,
-        Json::obj(vec![
-            ("table", Json::str(table_name)),
-            ("appended", Json::Num(appended as f64)),
-            ("rows", Json::Num(total as f64)),
-            ("version", version_to_json(version)),
-            ("generation", Json::Num(generation as f64)),
-        ]),
-    ))
+    };
+    commit(&slot, &mut st, rec, fields)
 }
 
 /// `POST /sessions/{s}/tables/{t}/index`: create (or rebuild) a secondary
@@ -1071,37 +1076,21 @@ fn create_table_index(
         ))
     })?;
     let slot = state.pool.get(name)?;
-    let mut guard = slot.lock();
-    let st = &mut *guard;
-    let (_, entries) = rain_core::durable::create_index(
-        &mut st.sess.db,
-        st.store.as_mut(),
-        table_name,
-        &column,
-        kind,
-    )
-    .map_err(|e| match e {
-        rain_core::durable::AppendError::Invalid(msg) => ApiError::bad_request(msg),
-        rain_core::durable::AppendError::Storage(e) => {
-            ApiError::internal(format!("log index creation: {e}"))
-        }
-    })?;
-    publish_durability(&slot, st)?;
+    let fields = vec![
+        ("table", Json::str(table_name)),
+        ("column", Json::str(&column)),
+        ("kind", Json::str(kind.as_str())),
+    ];
+    let rec = Record::CreateIndex {
+        name: table_name.to_string(),
+        column,
+        kind: kind.code(),
+    };
     // Cached plans were costed without this index. The skeleton cache sees
     // the table's index count move and re-plans each on its next checkout;
     // the generation only records the mutation.
-    let generation = slot.bump_generation();
-    drop(guard);
-    Ok((
-        200,
-        Json::obj(vec![
-            ("table", Json::str(table_name)),
-            ("column", Json::str(column)),
-            ("kind", Json::str(kind.as_str())),
-            ("entries", Json::Num(entries as f64)),
-            ("generation", Json::Num(generation as f64)),
-        ]),
-    ))
+    let mut st = slot.lock();
+    commit(&slot, &mut st, rec, fields)
 }
 
 /// `GET /sessions/{s}/tables/{t}/stats`: the planner's view of one table —
@@ -1164,33 +1153,7 @@ fn upload_train(state: &ServerState, name: &str, req: &Request) -> Result<(u16, 
     };
     let slot = state.pool.get(name)?;
     let mut st = slot.lock();
-    if data.dim() != st.sess.model.dim() {
-        return Err(ApiError::bad_request(format!(
-            "training dim {} does not match model dim {}",
-            data.dim(),
-            st.sess.model.dim()
-        )));
-    }
-    if data.n_classes() != st.sess.model.n_classes() {
-        return Err(ApiError::bad_request(format!(
-            "training classes {} do not match model classes {}",
-            data.n_classes(),
-            st.sess.model.n_classes()
-        )));
-    }
-    let n = data.len();
-    let st = &mut *st;
-    rain_core::durable::set_train(&mut st.sess, st.store.as_mut(), data)
-        .map_err(|e| ApiError::internal(format!("log training set: {e}")))?;
-    publish_durability(&slot, st)?;
-    let generation = slot.bump_generation();
-    Ok((
-        200,
-        Json::obj(vec![
-            ("train_records", Json::Num(n as f64)),
-            ("generation", Json::Num(generation as f64)),
-        ]),
-    ))
+    commit(&slot, &mut st, Record::TrainSet { data }, vec![])
 }
 
 /// The optional `request_id` a client tags a query or run with.

@@ -2284,6 +2284,77 @@ fn recovered_session_reports_the_writers_stats_and_index_entries() {
     let _ = std::fs::remove_dir_all(&data_dir);
 }
 
+/// A snapshot that cannot be written does not fail the mutation that
+/// triggered it: the mutation is logged and applied, so it answers 200
+/// and bumps the generation, and recovery replays it from the full log.
+/// The snapshot write is made to fail by renaming the session directory
+/// once its store is open: the log's open file keeps working, and each
+/// snapshot's create in the old path fails.
+#[test]
+fn failed_snapshot_still_acknowledges_the_logged_mutation() {
+    let data_dir = std::env::temp_dir().join(format!("rain-serve-snapfail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let config = || ServerConfig {
+        data_dir: Some(data_dir.to_string_lossy().into_owned()),
+        ..Default::default()
+    };
+    let (dir, moved) = (
+        data_dir.join("sessions/snap"),
+        data_dir.join("sessions-moved"),
+    );
+    let server = start(config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .post_ok("/sessions", &logistic_session("snap"))
+        .unwrap();
+    let registered = client
+        .post_ok("/sessions/snap/tables", &table_json("pairs", 4, 2))
+        .unwrap();
+    let mut generation = registered.get("generation").unwrap().as_i64().unwrap();
+    std::fs::rename(&dir, &moved).unwrap();
+    // Past the store's 256-record snapshot cadence: the last few appends
+    // each try a snapshot, and each attempt fails.
+    let appends = 260;
+    for i in 0..appends {
+        let body = Json::obj(vec![
+            (
+                "rows",
+                Json::Arr(vec![Json::Arr(vec![Json::num(i as f64)])]),
+            ),
+            ("features", Json::Arr(vec![Json::Arr(vec![Json::num(1.0)])])),
+        ]);
+        let resp = client
+            .post_ok("/sessions/snap/tables/pairs/append", &body)
+            .unwrap_or_else(|e| panic!("append {i}: {e}"));
+        generation += 1;
+        assert_eq!(resp.get("generation").unwrap().as_i64(), Some(generation));
+        assert_eq!(resp.get("rows").unwrap().as_i64(), Some(5 + i));
+    }
+    let listed = client.get_ok("/sessions").unwrap();
+    let storage = listed.get("sessions").unwrap().as_arr().unwrap()[0]
+        .get("storage")
+        .unwrap()
+        .clone();
+    assert_eq!(storage.get("snapshots").unwrap().as_i64(), Some(0));
+    assert_eq!(
+        storage.get("log_records").unwrap().as_i64(),
+        Some(2 + appends),
+        "meta, table and every append logged"
+    );
+    let written = client.get_ok("/sessions/snap/tables/pairs/stats").unwrap();
+    drop(client);
+    server.shutdown();
+
+    std::fs::rename(&moved, &dir).unwrap();
+    let server = start(config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let recovered = client.get_ok("/sessions/snap/tables/pairs/stats").unwrap();
+    assert_eq!(recovered.get("rows").unwrap().as_i64(), Some(4 + appends));
+    assert_eq!(recovered, written);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
 /// A creation body for session `name` with a two-class model of `kind`
 /// (1-D features) and the given sampling period, which the re-attach answer
 /// after a restart echoes from whichever spec recovery rebuilt.

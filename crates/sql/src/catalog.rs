@@ -241,7 +241,7 @@ impl Database {
         kind: IndexKind,
     ) -> Result<(TableId, usize), String> {
         let (id, col) = self.validate_index(table, column, kind)?;
-        self.apply_index(id, col, kind)
+        Ok(self.apply_index(id, col, kind))
     }
 
     /// The validate-only half of [`Database::create_index`]: the table and
@@ -265,22 +265,18 @@ impl Database {
     }
 
     /// The apply-only half of [`Database::create_index`], on the table id
-    /// and column ordinal [`Database::validate_index`] returned.
-    pub fn apply_index(
-        &mut self,
-        id: TableId,
-        col: usize,
-        kind: IndexKind,
-    ) -> Result<(TableId, usize), String> {
+    /// and column ordinal [`Database::validate_index`] just returned for
+    /// `kind`; it cannot fail.
+    pub fn apply_index(&mut self, id: TableId, col: usize, kind: IndexKind) -> (TableId, usize) {
         let entry = &mut self.entries[id.0 as usize];
         let column = entry.table.schema().col(col).name.clone();
-        let ix = TableIndex::build(&entry.table, &column, col, kind)?;
+        let ix = TableIndex::build_checked(&entry.table, &column, col, kind);
         let entries = ix.len();
         entry
             .indexes
             .retain(|other| !(other.column == column && other.kind == kind));
         entry.indexes.push(ix);
-        Ok((id, entries))
+        (id, entries)
     }
 
     /// The index of a given kind on `(table, column ordinal)`, if one

@@ -126,6 +126,16 @@ impl TableIndex {
         kind: IndexKind,
     ) -> Result<TableIndex, String> {
         TableIndex::check(table, column, col, kind)?;
+        Ok(TableIndex::build_checked(table, column, col, kind))
+    }
+
+    /// [`TableIndex::build`] on arguments [`TableIndex::check`] accepted.
+    pub(crate) fn build_checked(
+        table: &Table,
+        column: &str,
+        col: usize,
+        kind: IndexKind,
+    ) -> TableIndex {
         let mut ix = TableIndex {
             column: column.to_string(),
             col,
@@ -136,7 +146,7 @@ impl TableIndex {
             },
         };
         ix.extend(table, 0);
-        Ok(ix)
+        ix
     }
 
     /// Index rows `from_row..` of `table` (the rows an append just added,

@@ -83,7 +83,10 @@ pub fn sign_features(rng: &mut RainRng, n: usize) -> Matrix {
 
 /// t1(x int, f float, s str, flag bool) and t2(y int, k int, s2 str),
 /// both featured so `predict()` binds. Sizes straddle several batch
-/// shapes (empty joins, duplicate keys, selective filters).
+/// shapes (empty joins, duplicate keys, selective filters). Every column
+/// the atoms compare, `f` included (on a grid of halves), takes values on
+/// their integer literals, so rows sit exactly on inclusive bounds, and
+/// `k` spans `x`'s domain, so a row on a bound of `x` has join partners.
 pub fn random_db(rng: &mut RainRng) -> Database {
     let n1 = 4 + rng.below(30);
     let n2 = 3 + rng.below(20);
@@ -98,7 +101,7 @@ pub fn random_db(rng: &mut RainRng) -> Database {
         ]),
         vec![
             Column::Int((0..n1).map(|_| rng.int_range(0, 6)).collect()),
-            Column::Float((0..n1).map(|_| rng.uniform_range(-2.0, 4.0)).collect()),
+            Column::Float((0..n1).map(|_| rng.int_range(-4, 8) as f64 / 2.0).collect()),
             Column::Str(
                 (0..n1)
                     .map(|_| words[rng.below(words.len())].to_string())
@@ -117,7 +120,7 @@ pub fn random_db(rng: &mut RainRng) -> Database {
         ]),
         vec![
             Column::Int((0..n2).map(|_| rng.int_range(0, 6)).collect()),
-            Column::Int((0..n2).map(|_| rng.int_range(0, 4)).collect()),
+            Column::Int((0..n2).map(|_| rng.int_range(0, 6)).collect()),
             Column::Str(
                 (0..n2)
                     .map(|_| words[rng.below(words.len())].to_string())

@@ -417,7 +417,9 @@ fn optimizer_preserves_results_and_provenance() {
 }
 
 /// Each rule on its own must also preserve results (catches a rule that
-/// is only correct in combination with another).
+/// is only correct in combination with another). Index paths run with the
+/// one rule they depend on, pushdown, and must reach every access path and
+/// join algorithm.
 #[test]
 fn individual_rules_preserve_results() {
     let model = step_model();
@@ -450,14 +452,17 @@ fn individual_rules_preserve_results() {
             join_reorder: true,
             index_paths: false,
         },
+        // Index paths answer scan filters, so the rule needs pushdown
+        // to have anything to choose from.
         OptimizerConfig {
             constant_folding: false,
-            predicate_pushdown: false,
+            predicate_pushdown: true,
             projection_pruning: false,
             join_reorder: false,
             index_paths: true,
         },
     ];
+    let mut index_plans = Tally::default();
     for seed in 0..CASES / 2 {
         let mut rng = RainRng::seed_from_u64(0xB0B ^ seed);
         let db = indexed_db(&mut rng);
@@ -469,9 +474,13 @@ fn individual_rules_preserve_results() {
             .unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
         for cfg in &configs {
             let plan = rain_sql::optimize_with(bound.clone(), &db, cfg);
+            if cfg.index_paths {
+                index_plans.note_plan(&plan);
+            }
             let out = execute(&db, &model, &plan, ExecOptions::debug())
                 .unwrap_or_else(|e| panic!("seed {seed} `{sql}`: {e}"));
             assert_equivalent(seed, &base, &out, &mut rng);
         }
     }
+    index_plans.assert_complete("index-paths rule");
 }

@@ -23,6 +23,10 @@
 //!   log grew behind it, and [`SessionStore::recover`] feeds the
 //!   newest valid snapshot's records, then the log tail, through one
 //!   function, [`RecoveredState::apply`].
+//! - **[`effect`]** — what a record does to a session: [`effect::check`]
+//!   before it is logged, [`effect::apply`] after. A live commit and
+//!   recovery replay both go through this pair, and nothing else turns a
+//!   record into a catalog or training-set change.
 //!
 //! Recovery is **bit-identical**: floats round-trip through
 //! [`f64::to_bits`], null bitmaps and dataset record ids are persisted
@@ -36,12 +40,14 @@
 //! Like the rest of the workspace, this crate is std-only.
 
 pub mod codec;
+pub mod effect;
 pub mod log;
 pub mod record;
 pub mod snapshot;
 pub mod store;
 
 pub use codec::{Dec, Enc};
+pub use effect::{Applied, Checked, SessionParts};
 pub use log::{Commitlog, LOG_HEADER_LEN};
 pub use record::Record;
 pub use snapshot::snapshot_records;

@@ -12,12 +12,14 @@
 //! [`RecoveredState`] whose catalog versions, null bitmaps, float bits,
 //! and dataset record ids are identical to the pre-crash state.
 //! Both halves go through one function: the snapshot's records, then the
-//! tail's, are applied by [`RecoveredState::apply`].
+//! tail's, are applied by [`RecoveredState::apply`], which checks and
+//! applies each through [`effect`], as a live commit does.
 //! [`SessionStore::maybe_snapshot`] is the steady-state path: it cuts a
 //! snapshot only once enough log (bytes or records) has accumulated
 //! behind the previous one, keeping both the write amplification and the
 //! recovery tail bounded.
 
+use crate::effect::{self, Applied, SessionParts};
 use crate::log::{Commitlog, LOG_HEADER_LEN};
 use crate::record::Record;
 use crate::snapshot;
@@ -52,7 +54,7 @@ pub struct RecoveryStats {
 /// Session state reassembled from disk: the catalog plus the pieces the
 /// caller turns back into a live session (parse `spec`, build the model,
 /// apply `params`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RecoveredState {
     /// Verbatim session-creation JSON, if a meta record survived.
     pub spec: Option<String>,
@@ -69,53 +71,32 @@ pub struct RecoveredState {
 impl RecoveredState {
     /// Empty state (what a session looks like before any record).
     pub fn empty() -> Self {
-        RecoveredState {
-            spec: None,
-            params: None,
-            train: None,
-            db: Database::new(),
-            stats: RecoveryStats::default(),
-        }
+        RecoveredState::default()
     }
 
-    /// Apply one record, from a snapshot or the log tail. Replay applies
-    /// the same catalog bump rules that produced the record (or pins the
-    /// version a snapshot's [`Record::TableAt`] carries), so versions come
-    /// out identical; tests use this directly as the reference replay.
+    /// Apply one record, from a snapshot or the log tail, through the
+    /// same [`effect::check`] and [`effect::apply`] a live commit runs, so
+    /// versions come out identical. A stored record that fails its check
+    /// is corruption. Tests use this directly as the reference replay.
     pub fn apply(&mut self, rec: Record) -> Result<(), StorageError> {
-        match rec {
-            Record::SessionMeta { spec } => self.spec = Some(spec),
-            Record::RegisterTable { name, table } => {
-                self.db.register(&name, table);
-            }
-            Record::AppendRows {
-                name,
-                rows,
-                features,
-            } => {
-                self.db.append_to(&name, rows, features).map_err(|e| {
-                    StorageError::Corrupt(format!("append record does not apply: {e}"))
-                })?;
-            }
-            Record::CreateIndex { name, column, kind } => {
-                let kind = rain_sql::IndexKind::from_code(kind).ok_or_else(|| {
-                    StorageError::Corrupt(format!("unknown index kind code {kind}"))
-                })?;
-                self.db.create_index(&name, &column, kind).map_err(|e| {
-                    StorageError::Corrupt(format!("index record does not apply: {e}"))
-                })?;
-            }
-            Record::TrainSet { data } => self.train = Some(data),
-            Record::ModelParams { params } => self.params = Some(params),
-            Record::TableAt {
-                name,
-                version,
-                table,
-            } => {
-                self.db.register_with_version(&name, table, version);
-            }
+        let ok = effect::check(&self.db, rec)
+            .map_err(|e| StorageError::Corrupt(format!("record does not apply: {e}")))?;
+        match effect::apply(self, ok) {
+            Applied::Spec(spec) => self.spec = Some(spec),
+            Applied::Params(params) => self.params = Some(params),
+            _ => {}
         }
         Ok(())
+    }
+}
+
+impl SessionParts for RecoveredState {
+    fn db(&mut self) -> &mut Database {
+        &mut self.db
+    }
+
+    fn set_train(&mut self, data: Dataset) {
+        self.train = Some(data);
     }
 }
 
@@ -144,11 +125,6 @@ impl SessionStore {
             snapshots_taken: 0,
             last_snapshot_unix_ms: 0,
         })
-    }
-
-    /// The session directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Buffer a record; durable after the next [`SessionStore::commit`].
