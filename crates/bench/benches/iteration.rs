@@ -78,6 +78,7 @@ fn bench_iteration() {
                 train: &f.train,
                 outputs: std::slice::from_ref(&f.out),
                 queries: &f.queries,
+                k: 10,
                 hessian: None,
                 influence: &influence,
                 sqlstep: &sqlstep,

@@ -30,7 +30,6 @@ use rain_sql::{
     execute, CacheEvent, CachedQuery, Database, Engine, ExecOptions, QueryCache, QueryError,
     QueryOutput,
 };
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Widest model (in parameters) the driver trains and ranks through its
@@ -294,7 +293,8 @@ impl DebugSession {
                     break 'iter true;
                 }
 
-                // (4) Rank.
+                // (4) Rank: only the records step (5) removes.
+                let k = cfg.k_per_iter.min(cfg.budget - removed.len());
                 let sqlstep = SqlStepConfig {
                     seed: self.sqlstep.seed ^ (iterations.len() as u64).wrapping_mul(0x9E37),
                     ..self.sqlstep.clone()
@@ -312,6 +312,7 @@ impl DebugSession {
                     train: &train,
                     outputs: &outputs,
                     queries: &self.queries,
+                    k,
                     hessian: hessian.as_ref(),
                     influence: &influence,
                     sqlstep: &sqlstep,
@@ -325,20 +326,19 @@ impl DebugSession {
                 };
                 drop(rank_span);
 
-                // (5) Remove the top-k.
-                let k = cfg.k_per_iter.min(cfg.budget - removed.len());
-                let batch: Vec<usize> = ranking.records.iter().take(k).map(|r| r.id).collect();
+                // (5) Remove the top-k, in place; the removed rows (in row
+                // order) go with the Hessian to the next retrain.
+                let batch: Vec<usize> = ranking.records.iter().map(|r| r.id).collect();
                 if batch.is_empty() {
                     break 'iter true;
                 }
-                carried = hessian.map(|h| {
-                    let ids: HashSet<usize> = batch.iter().copied().collect();
-                    (
-                        h,
-                        train.select(&train.positions_where(|id, _, _| ids.contains(&id))),
-                    )
-                });
-                train = train.remove_ids(&batch);
+                let gone = {
+                    let mut span = Span::enter("remove");
+                    let gone = train.split_off_ids(&batch);
+                    span.add("rows", gone.len() as u64);
+                    gone
+                };
+                carried = hessian.map(|h| (h, gone));
                 removed.extend(batch.iter().copied());
                 iter_span.add("removed", batch.len() as u64);
                 iterations.push(IterStats {
@@ -460,9 +460,9 @@ pub struct DebugReport {
     pub failure: Option<String>,
     /// Span tree of the run — a `prepare-queries` child holding one
     /// `cache-checkout` per query, then one `iteration` child per loop
-    /// pass, each covering `train`/`execute`/`check`/`rank` (with the sql
-    /// layer's operator and refresh spans nested below). `Some` only when
-    /// [`RunConfig::profile`] was on.
+    /// pass, each covering `train`/`execute`/`check`/`rank`/`remove`
+    /// (with the sql layer's operator and refresh spans nested below).
+    /// `Some` only when [`RunConfig::profile`] was on.
     pub profile: Option<rain_obs::TraceNode>,
     /// Sampled per-iteration span trees ([`RunConfig::sample_every`]),
     /// oldest evicted past [`MAX_ITERATION_PROFILES`]. Empty when
@@ -476,7 +476,7 @@ pub struct IterationProfile {
     /// Zero-based index of the loop pass this trace covers.
     pub iteration: usize,
     /// The harvested `iteration` span tree
-    /// (`train`/`execute`/`check`/`rank` children).
+    /// (`train`/`execute`/`check`/`rank`/`remove` children).
     pub profile: rain_obs::TraceNode,
 }
 

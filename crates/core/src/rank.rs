@@ -3,7 +3,9 @@
 //!
 //! Every method sees the same context — the trained model, the current
 //! training set, and the debug-mode query outputs — and produces a ranked
-//! list of training records (most-suspect first). The timing split matches
+//! list of the `k` most suspect training records (most-suspect first): the
+//! records the driver removes this iteration, selected without sorting the
+//! rest ([`rank_top`]). The timing split matches
 //! Figure 5's cost model: **encode** covers building the complaint
 //! encoding `∇q` (for TwoStep this includes the ILP), **rank** covers the
 //! inverse-Hessian solve and per-record scoring (and, for a narrow model,
@@ -13,8 +15,7 @@ use crate::complaint::QuerySpec;
 use crate::qfunc::{prob_grad_to_theta, probs_for, q_value_and_prob_grad};
 use crate::twostep::{sql_step, SqlStep, SqlStepConfig};
 use rain_influence::{
-    inverse_hvp_with, rank_descending, score_records, self_influence_scores, InfluenceConfig,
-    RankedRecord,
+    inverse_hvp_with, rank_top, score_records, self_influence_scores, InfluenceConfig, RankedRecord,
 };
 use rain_linalg::Matrix;
 use rain_model::{Classifier, Dataset};
@@ -84,6 +85,9 @@ pub struct RankContext<'a> {
     pub outputs: &'a [QueryOutput],
     /// The queries with their complaints.
     pub queries: &'a [QuerySpec],
+    /// How many records the ranking returns: the driver's batch for this
+    /// iteration (`k_per_iter`, or what is left of the budget).
+    pub k: usize,
     /// The model's dense Hessian on `train` ([`Classifier::hessian`]),
     /// which the driver builds for narrow models: Holistic's and TwoStep's
     /// influence solves then factor it instead of running conjugate
@@ -99,7 +103,8 @@ pub struct RankContext<'a> {
 /// A ranking plus the encode/rank timing split of Figure 5.
 #[derive(Debug, Clone)]
 pub struct Ranking {
-    /// Records, most-suspect first.
+    /// The [`RankContext::k`] most suspect records (all of them when the
+    /// training set is smaller), most-suspect first.
     pub records: Vec<RankedRecord>,
     /// Seconds spent building the complaint encoding (ILP, relaxation,
     /// ∇q assembly).
@@ -144,7 +149,7 @@ fn rank_loss(ctx: &RankContext<'_>) -> Ranking {
         .map(|i| ctx.model.example_loss(ctx.train.x(i), ctx.train.y(i)))
         .collect();
     Ranking {
-        records: rank_descending(ctx.train, &scores),
+        records: rank_top(ctx.train, &scores, ctx.k),
         encode_s: 0.0,
         rank_s: t0.elapsed().as_secs_f64(),
     }
@@ -159,7 +164,7 @@ fn rank_infloss(ctx: &RankContext<'_>) -> Ranking {
         .map(|s| -s)
         .collect();
     Ranking {
-        records: rank_descending(ctx.train, &scores),
+        records: rank_top(ctx.train, &scores, ctx.k),
         encode_s: 0.0,
         rank_s: t0.elapsed().as_secs_f64(),
     }
@@ -217,10 +222,10 @@ fn rank_twostep(ctx: &RankContext<'_>) -> Result<Ranking, RankError> {
 }
 
 /// Shared influence pipeline: solve `(H+δI)s = ∇q` (directly when the
-/// context holds the dense Hessian), score every training record, rank
-/// descending.
+/// context holds the dense Hessian), score every training record, keep the
+/// top `k`.
 fn influence_rank(ctx: &RankContext<'_>, grad_q: &[f64]) -> Vec<RankedRecord> {
     let solved = inverse_hvp_with(ctx.model, ctx.train, ctx.hessian, grad_q, ctx.influence);
     let scores = score_records(ctx.model, ctx.train, &solved.x, ctx.influence.threads);
-    rank_descending(ctx.train, &scores)
+    rank_top(ctx.train, &scores, ctx.k)
 }

@@ -12,6 +12,10 @@
 //! encoding differentiates (`Ratio` / `PredValue`, `PredEq`, `PredictionIs`);
 //! they were captured before that encoding moved to flat buffers.
 //!
+//! The Loss and InfLoss baselines are pinned on the DBLP COUNT session;
+//! their lists were captured while every method still sorted all its scores,
+//! before ranking kept only the batch the driver removes.
+//!
 //! TwoStep is pinned too: its SQL step picks among ILP optima with a seeded
 //! RNG and walks variables in id order, so a run is a function of its seed
 //! in every process. CI runs this file in several fresh processes to check
@@ -241,6 +245,22 @@ fn holistic_prediction_complaint_removals_are_pinned() {
 }
 
 #[test]
+fn loss_and_infloss_dblp_removals_are_pinned() {
+    for (method, golden) in [
+        (Method::Loss, GOLDEN_LOSS_DBLP),
+        (Method::InfLoss, GOLDEN_INFLOSS_DBLP),
+    ] {
+        let removed = run_method(&dblp_session(), method, 40);
+        assert_eq!(
+            removed,
+            golden,
+            "{}: removed ids (in removal order)",
+            method.name()
+        );
+    }
+}
+
+#[test]
 fn holistic_dblp_removals_and_lbfgs_iterations_are_pinned() {
     let (removed, cold, warm) = run(&dblp_session(), 40);
     assert_eq!(removed, GOLDEN_DBLP, "removed ids (in removal order)");
@@ -287,4 +307,12 @@ const GOLDEN_TWOSTEP_DBLP: [usize; 40] = [
 const GOLDEN_TWOSTEP_DIGITS_JOIN: [usize; 30] = [
     119, 37, 172, 151, 17, 122, 177, 87, 148, 49, 195, 94, 82, 44, 71, 23, 127, 42, 6, 123, 181,
     84, 194, 129, 31, 101, 117, 34, 128, 143,
+];
+const GOLDEN_LOSS_DBLP: [usize; 40] = [
+    124, 132, 275, 88, 134, 262, 297, 226, 3, 5, 161, 74, 198, 227, 45, 243, 12, 7, 90, 148, 282,
+    261, 138, 264, 140, 219, 119, 143, 273, 75, 125, 281, 247, 83, 100, 81, 117, 112, 147, 31,
+];
+const GOLDEN_INFLOSS_DBLP: [usize; 40] = [
+    125, 75, 140, 282, 264, 219, 273, 119, 143, 90, 138, 261, 148, 45, 12, 243, 7, 198, 227, 161,
+    74, 3, 5, 297, 262, 226, 134, 275, 88, 132, 124, 281, 247, 83, 100, 117, 112, 81, 31, 21,
 ];

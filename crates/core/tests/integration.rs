@@ -663,9 +663,11 @@ fn profile_captures_a_per_iteration_span_tree() {
     assert_eq!(iters.len(), report.iterations.len());
     let mut removed_before = 0;
     for it in &iters {
-        for stage in ["train", "execute", "check", "rank"] {
+        for stage in ["train", "execute", "check", "rank", "remove"] {
             assert!(it.find(stage).is_some(), "iteration missing {stage} span");
         }
+        // The batch leaves the training set under its own span.
+        assert_eq!(counter(it.find("remove").unwrap(), "rows"), 10);
         // Incremental re-execution: the sql layer's refresh spans nest
         // under the driver's execute span.
         let exec = it.find("execute").unwrap();

@@ -20,7 +20,8 @@
 //! (non-convex MLPs) or barely positive definite.
 //!
 //! [`score_records`] then evaluates `-∇ℓ(zᵢ)·s` for every training record,
-//! fanned out across scoped `std::thread` workers.
+//! fanned out across scoped `std::thread` workers, and [`rank_top`] selects
+//! the `k` records the caller will remove without sorting the rest.
 //!
 //! The `InfLoss` baseline ("self-influence", §6.1.1) is also provided:
 //! `-∇ℓ(z)ᵀ H⁻¹ ∇ℓ(z)` per record, which needs one CG solve *per training
@@ -33,6 +34,6 @@ pub mod scoring;
 
 pub use cg::{cg_solve, CgConfig, CgOutcome};
 pub use scoring::{
-    inverse_hvp, inverse_hvp_with, rank_descending, score_records, self_influence_scores,
+    inverse_hvp, inverse_hvp_with, rank_descending, rank_top, score_records, self_influence_scores,
     InfluenceConfig, RankedRecord,
 };

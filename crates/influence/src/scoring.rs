@@ -6,7 +6,8 @@
 //! dense Hessian the caller already holds, [`inverse_hvp_with`] solves it
 //! by one Cholesky factorization; (3) [`score_records`] computes
 //! `score(zᵢ) = -∇ℓ(zᵢ, θ*)·s` for every training record, fanning out only
-//! over full shares of work ([`rain_model::par`]).
+//! over full shares of work ([`rain_model::par`]); (4) [`rank_top`] picks
+//! the `k` highest-scoring records in `O(n)` and orders those alone.
 
 use crate::cg::{cg_solve, CgConfig, CgOutcome};
 use rain_linalg::{vecops, Matrix};
@@ -215,11 +216,17 @@ pub fn self_influence_scores(
         .collect()
 }
 
-/// Rank records descending by score, breaking ties by id for determinism.
-/// A NaN score (a diverged model or solve) ranks last: a record whose
-/// influence could not be computed is never proposed ahead of one whose
-/// could.
+/// Every record, in [`rank_top`]'s order.
 pub fn rank_descending(data: &Dataset, scores: &[f64]) -> Vec<RankedRecord> {
+    rank_top(data, scores, data.len())
+}
+
+/// The `k` top-ranked records (all of them when `k` ≥ `data.len()`),
+/// descending by score, ties broken by id for determinism. A NaN score (a
+/// diverged model or solve) ranks as -∞: a record whose influence could
+/// not be computed is never proposed ahead of one whose could. One `O(n)`
+/// selection of the top `k`, then a sort of those `k` alone.
+pub fn rank_top(data: &Dataset, scores: &[f64], k: usize) -> Vec<RankedRecord> {
     assert_eq!(scores.len(), data.len());
     let mut ranked: Vec<RankedRecord> = scores
         .iter()
@@ -230,10 +237,10 @@ pub fn rank_descending(data: &Dataset, scores: &[f64]) -> Vec<RankedRecord> {
         })
         .collect();
     // (key desc, id asc) is a total order over distinct ids, so the
-    // unstable sort has exactly one answer. `+ 0.0` folds -0.0 into +0.0:
-    // the two compare equal as numbers and must tie (then order by id),
-    // which `total_cmp` alone would not do — and it would put a positive
-    // NaN first, so NaN sorts as -∞.
+    // unstable selection and sort have exactly one answer. `+ 0.0` folds
+    // -0.0 into +0.0: the two compare equal as numbers and must tie (then
+    // order by id), which `total_cmp` alone would not do — and it would
+    // put a positive NaN first, so NaN sorts as -∞.
     let key = |score: f64| {
         if score.is_nan() {
             f64::NEG_INFINITY
@@ -241,7 +248,14 @@ pub fn rank_descending(data: &Dataset, scores: &[f64]) -> Vec<RankedRecord> {
             score + 0.0
         }
     };
-    ranked.sort_unstable_by(|a, b| key(b.score).total_cmp(&key(a.score)).then(a.id.cmp(&b.id)));
+    let order = |a: &RankedRecord, b: &RankedRecord| {
+        key(b.score).total_cmp(&key(a.score)).then(a.id.cmp(&b.id))
+    };
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
     ranked
 }
 
@@ -462,6 +476,60 @@ mod tests {
             .map(|r| r.id)
             .collect();
         assert_eq!(ids, vec![3, 1, 0, 2]);
+    }
+
+    #[test]
+    fn rank_top_is_the_prefix_of_the_full_order() {
+        // The reference order, written out: score descending with -0.0 and
+        // +0.0 equal and every NaN equal to -∞, then id ascending.
+        fn reference(data: &Dataset, scores: &[f64]) -> Vec<(usize, u64)> {
+            let key = |s: f64| if s.is_nan() { f64::NEG_INFINITY } else { s };
+            let mut order: Vec<usize> = (0..scores.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (ka, kb) = (key(scores[a]), key(scores[b]));
+                kb.partial_cmp(&ka)
+                    .unwrap()
+                    .then(data.id(a).cmp(&data.id(b)))
+            });
+            order
+                .iter()
+                .map(|&i| (data.id(i), scores[i].to_bits()))
+                .collect()
+        }
+        let bits = |r: Vec<RankedRecord>| -> Vec<(usize, u64)> {
+            r.iter().map(|r| (r.id, r.score.to_bits())).collect()
+        };
+        let mut rng = RainRng::seed_from_u64(17);
+        let pool = [
+            1.0,
+            -1.0,
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for n in [0, 1, 2, 7, 64, 300] {
+            let x = Matrix::zeros(n, 1);
+            let mut ids: Vec<usize> = (0..n).map(|i| 5 * i + 2).collect();
+            rng.shuffle(&mut ids);
+            let data = Dataset::with_ids(x, vec![0; n], ids, 2);
+            // Heavy ties from the pool, plus distinct draws.
+            let scores: Vec<f64> = (0..n)
+                .map(|_| match rng.below(3) {
+                    0 => rng.normal(),
+                    _ => pool[rng.below(pool.len())],
+                })
+                .collect();
+            let full = reference(&data, &scores);
+            assert_eq!(bits(rank_descending(&data, &scores)), full, "n {n}");
+            for k in [0, 1, n / 2, n, n + 5] {
+                let top = bits(rank_top(&data, &scores, k));
+                assert_eq!(top, full[..k.min(n)], "n {n}, k {k}");
+            }
+        }
     }
 
     #[test]

@@ -198,6 +198,27 @@ impl Matrix {
         Matrix::from_vec(idx.len(), self.cols, data)
     }
 
+    /// Delete the rows at the strictly ascending positions `gone`, in
+    /// place: each run of kept rows moves up once (`copy_within`), and the
+    /// allocation is kept.
+    pub fn remove_rows(&mut self, gone: &[usize]) {
+        let c = self.cols;
+        let (mut read, mut write) = (0, 0);
+        for &g in gone.iter().chain(std::iter::once(&self.rows)) {
+            assert!(
+                read <= g && g <= self.rows,
+                "remove_rows: positions must ascend and be in range"
+            );
+            if write != read {
+                self.data.copy_within(read * c..g * c, write * c);
+            }
+            write += g - read;
+            read = g + 1;
+        }
+        self.rows = write;
+        self.data.truncate(write * c);
+    }
+
     /// Stack another matrix below this one (column counts must match).
     pub fn vstack(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "vstack: column mismatch");
@@ -290,6 +311,26 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn push_row_checks_width() {
         Matrix::zeros(1, 2).push_row(&[1.0]);
+    }
+
+    #[test]
+    fn remove_rows_keeps_the_complement_in_order() {
+        let m = Matrix::from_vec(6, 2, (0..12).map(f64::from).collect());
+        for gone in [vec![], vec![0], vec![5], vec![1, 2, 4], (0..6).collect()] {
+            let keep: Vec<usize> = (0..6).filter(|i| !gone.contains(i)).collect();
+            let mut compacted = m.clone();
+            compacted.remove_rows(&gone);
+            assert_eq!(compacted, m.select_rows(&keep), "{gone:?}");
+        }
+        let mut narrow = Matrix::zeros(3, 0);
+        narrow.remove_rows(&[1]);
+        assert_eq!(narrow.rows(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "positions must ascend")]
+    fn remove_rows_rejects_unordered_positions() {
+        Matrix::zeros(3, 1).remove_rows(&[2, 1]);
     }
 
     #[test]

@@ -125,13 +125,35 @@ impl Dataset {
         }
     }
 
-    /// New dataset with the rows whose *ids* appear in `remove` deleted.
+    /// New dataset with the rows whose *ids* appear in `remove` deleted:
+    /// a copy, then [`Dataset::split_off_ids`].
     pub fn remove_ids(&self, remove: &[usize]) -> Dataset {
-        let removed: std::collections::HashSet<usize> = remove.iter().copied().collect();
-        let keep: Vec<usize> = (0..self.len())
-            .filter(|&i| !removed.contains(&self.ids[i]))
+        let mut kept = self.clone();
+        kept.split_off_ids(remove);
+        kept
+    }
+
+    /// Delete the rows whose *ids* appear in `ids` (absent and repeated
+    /// ids are ignored), in place, and return them as a dataset of their
+    /// own, in row order. The kept rows are compacted in place, without
+    /// a copy of the set: one pass over the rows, then the moved ones.
+    pub fn split_off_ids(&mut self, ids: &[usize]) -> Dataset {
+        let mut wanted = ids.to_vec();
+        wanted.sort_unstable();
+        let gone: Vec<usize> = (0..self.len())
+            .filter(|&i| wanted.binary_search(&self.ids[i]).is_ok())
             .collect();
-        self.select(&keep)
+        let removed = self.select(&gone);
+        self.features.remove_rows(&gone);
+        for column in [&mut self.labels, &mut self.ids] {
+            let (mut row, mut next) = (0, gone.iter().peekable());
+            column.retain(|_| {
+                let keep = next.next_if_eq(&&row).is_none();
+                row += 1;
+                keep
+            });
+        }
+        removed
     }
 
     /// Row positions of examples matching a predicate over `(id, x, y)`.
@@ -179,6 +201,47 @@ mod tests {
         assert_eq!(d.ids(), &[0, 2]);
         // Removing again is a no-op.
         assert_eq!(d.remove_ids(&[1]).len(), 2);
+    }
+
+    /// Every field, with float bits.
+    fn same(a: &Dataset, b: &Dataset) -> bool {
+        a.features == b.features
+            && a.labels == b.labels
+            && a.ids == b.ids
+            && a.n_classes == b.n_classes
+    }
+
+    #[test]
+    fn split_off_ids_matches_selecting_both_sides() {
+        let mut rng = rain_linalg::RainRng::seed_from_u64(41);
+        let n = 40;
+        let x = Matrix::from_vec(n, 3, rng.normal_vec(n * 3, 1.0));
+        let labels = (0..n).map(|_| rng.below(3)).collect();
+        // Shuffled, gapped ids, as after earlier removals.
+        let mut ids: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+        rng.shuffle(&mut ids);
+        let data = Dataset::with_ids(x, labels, ids.clone(), 3);
+        let mut batches = vec![
+            vec![],
+            ids.clone(),
+            vec![ids[7]],
+            vec![ids[3], 0, ids[3], 2, ids[39], ids[0], 10_000],
+        ];
+        for _ in 0..20 {
+            let k = rng.below(n + 5);
+            // Present, absent (multiples of 3) and repeated ids.
+            batches.push((0..k).map(|_| rng.below(3 * n + 3)).collect());
+        }
+        for batch in &batches {
+            let hit = |id: usize| batch.contains(&id);
+            let mut kept = data.clone();
+            let removed = kept.split_off_ids(batch);
+            let expect_kept = data.select(&data.positions_where(|id, _, _| !hit(id)));
+            let expect_removed = data.select(&data.positions_where(|id, _, _| hit(id)));
+            assert!(same(&kept, &expect_kept), "kept, batch {batch:?}");
+            assert!(same(&removed, &expect_removed), "removed, batch {batch:?}");
+            assert!(same(&data.remove_ids(batch), &expect_kept), "{batch:?}");
+        }
     }
 
     #[test]

@@ -107,6 +107,10 @@ pub struct SessionStore {
     log: Commitlog,
     /// Log offset covered by the latest snapshot (header offset = none).
     snapshot_offset: u64,
+    /// Log offset the snapshot cadence counts from: the latest snapshot's,
+    /// or the log's end at the latest failed attempt.
+    cadence_offset: u64,
+    /// Records appended since `cadence_offset` was set.
     records_since_snapshot: u64,
     snapshots_taken: u64,
     last_snapshot_unix_ms: u64,
@@ -121,6 +125,7 @@ impl SessionStore {
             dir: dir.to_path_buf(),
             log,
             snapshot_offset: LOG_HEADER_LEN,
+            cadence_offset: LOG_HEADER_LEN,
             records_since_snapshot: 0,
             snapshots_taken: 0,
             last_snapshot_unix_ms: 0,
@@ -165,6 +170,7 @@ impl SessionStore {
             state.stats.snapshot_offset = Some(offset);
             from = offset;
             self.snapshot_offset = offset;
+            self.cadence_offset = offset;
             self.snapshots_taken = 1;
         }
         // A record that passed its checksum but fails to decode or to
@@ -186,6 +192,7 @@ impl SessionStore {
         let offset = self.log.durable_end();
         snapshot::write_snapshot(&self.dir, offset, records)?;
         self.snapshot_offset = offset;
+        self.cadence_offset = offset;
         self.records_since_snapshot = 0;
         self.snapshots_taken += 1;
         self.last_snapshot_unix_ms = SystemTime::now()
@@ -198,17 +205,23 @@ impl SessionStore {
     /// Cut a snapshot once 8 MiB or 256 records of log accumulated behind
     /// the previous one. `build` runs only when a snapshot is due —
     /// building the records clones the full catalog, so the common no-op
-    /// call stays cheap. Returns whether a snapshot was cut.
+    /// call stays cheap. Returns whether a snapshot was cut. A failed
+    /// attempt restarts the cadence too: while snapshot writes keep
+    /// failing, the catalog is copied once per cadence, not per record.
     pub fn maybe_snapshot(
         &mut self,
         build: impl FnOnce() -> Vec<Record>,
     ) -> Result<bool, StorageError> {
-        if self.snapshot_lag_bytes() < SNAPSHOT_EVERY_BYTES
+        let end = self.log.durable_end();
+        if end.saturating_sub(self.cadence_offset) < SNAPSHOT_EVERY_BYTES
             && self.records_since_snapshot < SNAPSHOT_EVERY_RECORDS
         {
             return Ok(false);
         }
-        self.snapshot(&build())?;
+        self.snapshot(&build()).inspect_err(|_| {
+            self.cadence_offset = end;
+            self.records_since_snapshot = 0;
+        })?;
         Ok(true)
     }
 
@@ -426,6 +439,41 @@ mod tests {
         assert!(store.last_snapshot_unix_ms() > 0);
         assert_eq!(store.snapshot_lag_bytes(), 0);
         assert!(!store.maybe_snapshot(snap).unwrap(), "counter reset");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    #[test]
+    fn a_failing_snapshot_is_retried_after_another_cadence() {
+        let dir = temp_dir("failing");
+        let mut store = SessionStore::open(&dir).unwrap();
+        // The open log keeps working; snapshot files cannot be created.
+        let away = dir.with_extension("away");
+        std::fs::rename(&dir, &away).unwrap();
+        let train = Dataset::with_ids(Matrix::zeros(0, 0), vec![], vec![], 2);
+        let builds = std::cell::Cell::new(0);
+        let snap = || {
+            builds.set(builds.get() + 1);
+            crate::snapshot_records("{}", &[], &train, &Database::new())
+        };
+        let mut failures = 0;
+        for _ in 0..3 * SNAPSHOT_EVERY_RECORDS {
+            store
+                .append_commit(&Record::SessionMeta { spec: "{}".into() })
+                .unwrap();
+            failures += store.maybe_snapshot(snap).is_err() as usize;
+        }
+        assert_eq!((builds.get(), failures), (3, 3), "one attempt per cadence");
+        assert_eq!(store.snapshots_taken(), 0);
+        // Writable again: the next cadence cuts the snapshot.
+        std::fs::rename(&away, &dir).unwrap();
+        for i in 1..=SNAPSHOT_EVERY_RECORDS {
+            store
+                .append_commit(&Record::SessionMeta { spec: "{}".into() })
+                .unwrap();
+            let cut = store.maybe_snapshot(snap).unwrap();
+            assert_eq!(cut, i == SNAPSHOT_EVERY_RECORDS, "record {i}");
+        }
+        assert_eq!((builds.get(), store.snapshots_taken()), (4, 1));
+        assert_eq!(store.snapshot_lag_bytes(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
